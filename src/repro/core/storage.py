@@ -17,14 +17,17 @@ Two schemes from the paper:
   wrote it; a gather asserts the position still holds the requested level,
   so any schedule that would clobber live data is caught deterministically.
 
-Both schemes patch stencil reads that fall outside the stored domain with
-Dirichlet boundary values, replacing ghost-cell copies (see
-:mod:`repro.grid.grid3d`).
+The two-grid arrays carry a one-cell **ghost ring**, filled once from
+``grid.boundary`` and never written again, so every shifted read is a
+plain view.  Compressed positions move with the time level, so no fixed
+ring can exist there: its ``gather`` patches out-of-domain slabs from
+the boundary object.  Level bookkeeping exists to *validate* schedules
+and is allocated and written only under ``validate=True``.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Any, Tuple
 
 import numpy as np
 
@@ -41,33 +44,36 @@ class StorageError(RuntimeError):
 class _StorageBase:
     """Shared machinery: level tracking, boundary patching, injection."""
 
+    #: Whether :meth:`raw_read_array` also reaches the Dirichlet ring.
+    ghost_ring = False
+
     def __init__(self, grid: Grid3D, field: np.ndarray, validate: bool = True) -> None:
         if field.shape != grid.shape:
             raise ValueError(f"field shape {field.shape} != grid shape {grid.shape}")
         self.grid = grid
         self.domain = grid.domain
         self.validate = bool(validate)
-        #: Current time level of every interior cell.
-        self.levels = np.zeros(grid.shape, dtype=np.int64)
+        #: Current time level of every interior cell; validation only,
+        #: ``None`` otherwise.
+        self.levels: Any = (np.zeros(grid.shape, dtype=np.int64)
+                            if self.validate else None)
 
     # -- interface implemented by subclasses -------------------------------------
 
-    def _read_inside(self, box: Box, level: int) -> np.ndarray:
+    def _view(self, box: Box, level: int) -> np.ndarray:
+        """Where the values of ``box`` at ``level`` live (unvalidated view)."""
         raise NotImplementedError
 
-    def write(self, region: Box, level: int, values: np.ndarray) -> None:
-        raise NotImplementedError
-
-    def extract_region(self, box: Box, level: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def inject(self, box: Box, level: int, values: np.ndarray) -> None:
-        raise NotImplementedError
-
-    def write_view(self, region: Box, level: int) -> np.ndarray:
+    def _check_read(self, box: Box, level: int) -> None:
+        """Raise unless ``box`` is legally readable at ``level``."""
         raise NotImplementedError
 
     # -- common operations ---------------------------------------------------------
+
+    def _read_inside(self, box: Box, level: int) -> np.ndarray:
+        if self.validate:
+            self._check_read(box, level)
+        return self._view(box, level)
 
     def read(self, box: Box, level: int) -> np.ndarray:
         """Values of ``box`` at time ``level`` (validated; may be a view).
@@ -78,6 +84,36 @@ class _StorageBase:
         """
         return self._read_inside(box, level)
 
+    def write(self, region: Box, level: int, values: np.ndarray) -> None:
+        """Commit the update ``level-1 -> level`` on ``region``."""
+        if region.is_empty:
+            return
+        if values.shape != region.shape:
+            raise StorageError(
+                f"write values shape {values.shape} != region shape {region.shape}")
+        self.write_view(region, level)[...] = values
+        self.commit_write(region, level)
+
+    def write_view(self, region: Box, level: int) -> np.ndarray:
+        """Writable destination view for the update ``level-1 -> level``.
+
+        The fused engines' entry point: the caller fills the view, then
+        calls :meth:`commit_write`; pre-write legality checks run now,
+        before any byte moves.  Two-grid views live in the *other*
+        array, so they never alias level-1 reads.  Compressed views are
+        the *shifted* positions — the paper's in-place update — and
+        overlap positions still holding level-1 values of other cells,
+        so the caller must traverse planes in the direction the storage
+        offsets move and fill each part only after all its reads; the
+        commit then flips the position tracking, so an ordering mistake
+        is still caught deterministically by the next validated read.
+        """
+        if self.validate and not region.is_empty:
+            if not self.domain.contains_box(region):
+                raise StorageError(f"write region {region} outside stored domain")
+            self.check_uniform_level(region, level - 1)
+        return self._view(region, level)
+
     def commit_write(self, region: Box, level: int) -> None:
         """Mark a :meth:`write_view` destination as written.
 
@@ -85,9 +121,25 @@ class _StorageBase:
         commit do level bookkeeping (and, for the compressed grid, the
         position tracking) reflect the update.
         """
-        if region.is_empty:
-            return
-        self.levels[region.slices()] = level
+        if self.validate and not region.is_empty:
+            self.levels[region.slices()] = level
+
+    def extract_region(self, box: Box, level: int) -> np.ndarray:
+        """Copy out ``box`` at a uniform ``level`` (validated)."""
+        if self.validate:
+            self.check_uniform_level(box, level)
+        return self._read_inside(box, level).copy()
+
+    def inject(self, box: Box, level: int, values: np.ndarray) -> None:
+        """Overwrite ``box`` with externally produced values at ``level``.
+
+        Used by the multi-halo exchange: ghost cells receive the neighbor
+        rank's fully updated values, jumping their level forward.
+        """
+        if values.shape != box.shape:
+            raise StorageError("inject shape mismatch")
+        self._view(box, level)[...] = values
+        self.commit_write(box, level)
 
     def extract(self, level: int) -> np.ndarray:
         """The whole interior at a uniform time level."""
@@ -145,18 +197,19 @@ class _StorageBase:
             return
         if not self.domain.contains_box(region):
             raise StorageError(f"gather region {region} outside stored domain")
-        self._read_inside(region, level)
+        self._check_read(region, level)
         for off in offsets:
             inside = region.shift(off).intersect(self.domain)
             if not inside.is_empty:
-                self._read_inside(inside, level)
+                self._check_read(inside, level)
 
     def raw_read_array(self, level: int) -> Tuple[np.ndarray, Tuple[int, int, int]]:
         """The backing array holding ``level`` plus its index origin.
 
-        Deep-JIT access: returns ``(array, origin)`` such that the value
-        of interior cell ``c`` at time ``level`` lives at
-        ``array[c + origin]``.  Reads through this path bypass the
+        Raw access for fused engines: returns ``(array, origin)`` such
+        that the value of interior cell ``c`` at time ``level`` lives at
+        ``array[c + origin]`` — and, where the class sets ``ghost_ring``,
+        so does every ring cell's.  Reads through this path bypass the
         legality validation — callers must run :meth:`check_traversal`
         first (and pair destination access with
         :meth:`write_view`/:meth:`commit_write` as usual).
@@ -173,89 +226,58 @@ class _StorageBase:
                 f"found levels {seen.tolist()}"
             )
 
-    def _pre_write_check(self, region: Box, level: int, values: np.ndarray) -> None:
-        if region.is_empty:
-            return
-        if values.shape != region.shape:
-            raise StorageError(
-                f"write values shape {values.shape} != region shape {region.shape}")
-        if self.validate:
-            if not self.domain.contains_box(region):
-                raise StorageError(f"write region {region} outside stored domain")
-            self.check_uniform_level(region, level - 1)
-
 
 class TwoGridStorage(_StorageBase):
-    """Separate grids A and B, written in turn (Sect. 1.1 baseline layout)."""
+    """Separate grids A and B, written in turn (Sect. 1.1 baseline layout).
+
+    Both are padded: cell ``c`` lives at index ``c + (1, 1, 1)`` and the
+    one-cell ring around the interior holds the Dirichlet values.
+    """
 
     n_arrays = 2
+    ghost_ring = True
+    _ORIGIN = (1, 1, 1)
 
     def __init__(self, grid: Grid3D, field: np.ndarray, validate: bool = True) -> None:
         super().__init__(grid, field, validate)
-        a = np.ascontiguousarray(field.astype(grid.dtype, copy=True))
-        b = np.full(grid.shape, np.nan, dtype=grid.dtype)
+        a = grid.padded(field)
+        b = np.full(a.shape, np.nan, dtype=grid.dtype)
+        grid.fill_ghost_ring(b)
         self._arrays = [a, b]
 
-    def _read_inside(self, box: Box, level: int) -> np.ndarray:
-        if self.validate:
-            lv = self.levels[box.slices()]
-            ok = np.logical_or(lv == level, lv == level + 1)
-            if not bool(np.all(ok)):
-                bad = np.unique(lv[~ok])
-                raise StorageError(
-                    f"two-buffer violation reading {box} at level {level}: "
-                    f"cells present at levels {bad.tolist()} (window is "
-                    f"[{level}, {level + 1}])"
-                )
-        return self._arrays[level % 2][box.slices()]
+    def _view(self, box: Box, level: int) -> np.ndarray:
+        return self._arrays[level % 2][box.slices(self._ORIGIN)]
 
-    def write(self, region: Box, level: int, values: np.ndarray) -> None:
-        """Commit the update ``level-1 -> level`` on ``region``."""
-        self._pre_write_check(region, level, values)
+    def _check_read(self, box: Box, level: int) -> None:
+        lv = self.levels[box.slices()]
+        ok = np.logical_or(lv == level, lv == level + 1)
+        if not bool(np.all(ok)):
+            bad = np.unique(lv[~ok])
+            raise StorageError(
+                f"two-buffer violation reading {box} at level {level}: "
+                f"cells present at levels {bad.tolist()} (window is "
+                f"[{level}, {level + 1}])"
+            )
+
+    def gather(self, region: Box, off: Tuple[int, int, int], level: int) -> np.ndarray:
+        """View of ``region + off`` at ``level``; the in-domain part is
+        validated, ring cells are legal at any level."""
         if region.is_empty:
-            return
-        self._arrays[level % 2][region.slices()] = values
-        self.levels[region.slices()] = level
-
-    def write_view(self, region: Box, level: int) -> np.ndarray:
-        """Writable destination view for the update ``level-1 -> level``.
-
-        The in-place engine's entry point: the caller fills the view
-        (which lives in the array ``level`` will occupy — the *other*
-        grid, so no aliasing with level-1 reads is possible here) and
-        then calls :meth:`commit_write`.  Pre-write legality checks run
-        now, before any byte moves.
-        """
-        if self.validate and not region.is_empty:
-            if not self.domain.contains_box(region):
-                raise StorageError(f"write region {region} outside stored domain")
-            self.check_uniform_level(region, level - 1)
-        return self._arrays[level % 2][region.slices()]
-
-    def extract_region(self, box: Box, level: int) -> np.ndarray:
-        """Copy out ``box`` at a uniform ``level`` (validated)."""
+            return np.empty(region.shape, dtype=self.grid.dtype)
+        nb = region.shift(off)
         if self.validate:
-            self.check_uniform_level(box, level)
-        return self._arrays[level % 2][box.slices()].copy()
-
-    def inject(self, box: Box, level: int, values: np.ndarray) -> None:
-        """Overwrite ``box`` with externally produced values at ``level``.
-
-        Used by the multi-halo exchange: ghost cells receive the neighbor
-        rank's fully updated values, jumping their level forward.
-        """
-        if values.shape != box.shape:
-            raise StorageError("inject shape mismatch")
-        self._arrays[level % 2][box.slices()] = values
-        self.levels[box.slices()] = level
+            if not self.domain.contains_box(region):
+                raise StorageError(f"gather region {region} outside stored domain")
+            self._check_read(nb.intersect(self.domain), level)
+        return self._view(nb, level)
 
     def raw_read_array(self, level: int) -> Tuple[np.ndarray, Tuple[int, int, int]]:
-        """Array ``level % 2`` with a zero origin (cells live at their coords)."""
-        return self._arrays[level % 2], (0, 0, 0)
+        """Padded array ``level % 2``; origin ``(1, 1, 1)`` skips the ring."""
+        return self._arrays[level % 2], self._ORIGIN
 
     @property
     def array_bytes(self) -> int:
-        """Bytes held by the value arrays (two full grids)."""
+        """Bytes held by the value arrays (two grids, ghost rings included)."""
         return sum(a.nbytes for a in self._arrays)
 
 
@@ -288,11 +310,13 @@ class CompressedStorage(_StorageBase):
         self.margin = tuple(self.updates_per_pass * v for v in self.shift_vec)
         store_shape = tuple(grid.shape[d] + self.margin[d] for d in range(3))
         self._array = np.full(store_shape, np.nan, dtype=grid.dtype)
-        #: Level that last wrote each storage position (-1 = never).
-        self._pos_level = np.full(store_shape, -1, dtype=np.int64)
         init_sl = self.domain.slices(self.margin)
         self._array[init_sl] = field
-        self._pos_level[init_sl] = 0
+        #: Level that last wrote each storage position (-1 = never).
+        self._pos_level: Any = None
+        if self.validate:
+            self._pos_level = np.full(store_shape, -1, dtype=np.int64)
+            self._pos_level[init_sl] = 0
 
     def offset_scalar(self, level: int) -> int:
         """Cumulative shift (<= 0) of level ``level`` along shifted dims."""
@@ -310,69 +334,23 @@ class CompressedStorage(_StorageBase):
         shifted = box.shift(self.offset_vec(level))
         return shifted.slices(self.margin)
 
-    def _read_inside(self, box: Box, level: int) -> np.ndarray:
-        sl = self._pos_slices(box, level)
-        if self.validate:
-            pl = self._pos_level[sl]
-            if not bool(np.all(pl == level)):
-                bad = np.unique(pl[pl != level])
-                raise StorageError(
-                    f"compressed-grid violation reading {box} at level {level}: "
-                    f"positions hold levels {bad.tolist()} — a later write "
-                    "clobbered live data or the value was never produced"
-                )
-        return self._array[sl]
+    def _view(self, box: Box, level: int) -> np.ndarray:
+        return self._array[self._pos_slices(box, level)]
 
-    def write(self, region: Box, level: int, values: np.ndarray) -> None:
-        """Commit the update ``level-1 -> level``, writing shifted positions."""
-        self._pre_write_check(region, level, values)
-        if region.is_empty:
-            return
-        sl = self._pos_slices(region, level)
-        self._array[sl] = values
-        self._pos_level[sl] = level
-        self.levels[region.slices()] = level
-
-    def write_view(self, region: Box, level: int) -> np.ndarray:
-        """Writable view of the *shifted* destination positions.
-
-        This is the paper's actual in-place compressed-grid update: the
-        view overlaps positions still holding level-1 values of other
-        cells, so the caller (the in-place engine) must traverse planes
-        in the direction the storage offsets move and fill the view
-        only after all its reads.  :meth:`commit_write` then flips the
-        position tracking, so any ordering mistake is still caught
-        deterministically by the next validated read.
-        """
-        if self.validate and not region.is_empty:
-            if not self.domain.contains_box(region):
-                raise StorageError(f"write region {region} outside stored domain")
-            self.check_uniform_level(region, level - 1)
-        return self._array[self._pos_slices(region, level)]
+    def _check_read(self, box: Box, level: int) -> None:
+        pl = self._pos_level[self._pos_slices(box, level)]
+        if not bool(np.all(pl == level)):
+            bad = np.unique(pl[pl != level])
+            raise StorageError(
+                f"compressed-grid violation reading {box} at level {level}: "
+                f"positions hold levels {bad.tolist()} — a later write "
+                "clobbered live data or the value was never produced"
+            )
 
     def commit_write(self, region: Box, level: int) -> None:
-        if region.is_empty:
-            return
-        self._pos_level[self._pos_slices(region, level)] = level
-        self.levels[region.slices()] = level
-
-    def extract_region(self, box: Box, level: int) -> np.ndarray:
-        """Copy out ``box`` at a uniform ``level`` from shifted positions."""
-        if self.validate:
-            self.check_uniform_level(box, level)
-            pl = self._pos_level[self._pos_slices(box, level)]
-            if not bool(np.all(pl == level)):
-                raise StorageError("extract positions do not hold the requested level")
-        return self._array[self._pos_slices(box, level)].copy()
-
-    def inject(self, box: Box, level: int, values: np.ndarray) -> None:
-        """Overwrite ``box`` at ``level`` (ghost updates for distributed runs)."""
-        if values.shape != box.shape:
-            raise StorageError("inject shape mismatch")
-        sl = self._pos_slices(box, level)
-        self._array[sl] = values
-        self._pos_level[sl] = level
-        self.levels[box.slices()] = level
+        if self.validate and not region.is_empty:
+            self._pos_level[self._pos_slices(region, level)] = level
+            self.levels[region.slices()] = level
 
     def raw_read_array(self, level: int) -> Tuple[np.ndarray, Tuple[int, int, int]]:
         """The compressed array; origin folds in the level shift and margin."""

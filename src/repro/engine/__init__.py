@@ -10,7 +10,7 @@ limit by changing only the inner kernel.
 Built-in engines (all bit-identical, semantics class ``vector-v1``):
 
 =============== =============================================================
-``numpy``       Whole-region vectorised gather (the historical default).
+``numpy``       View-only, cache-slab vectorised accumulate (the default).
 ``blocked``     Cache-aware tiled traversal reusing the block machinery.
 ``inplace``     Fused plane-wise update writing destination storage
                 directly (the compressed grid's in-place trick, Sect. 1.3).

@@ -26,9 +26,10 @@ Two entry points cover the two ways the repo stores fields:
   executor.  ``src``/``dst`` are implicit in the storage scheme (for
   the two-grid layout they are separate arrays; for the compressed
   grid they are shifted positions of *one* array), so the engine reads
-  through ``storage.read``/``storage.gather`` (which patch Dirichlet
-  values) and writes through ``storage.write`` /
-  ``storage.write_view``.
+  through ``storage.read``/``storage.gather`` (Dirichlet values
+  included) or, after ``storage.check_traversal``, straight from
+  ``storage.raw_read_array``, and writes through ``storage.write`` or
+  ``storage.write_view`` + ``commit_write``.
 * :meth:`Engine.apply_padded` — a padded two-array pair, used by the
   reference sweeps, the host micro-benchmarks and the multi-halo
   distributed sweeps.
@@ -44,7 +45,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["Engine", "nonzero_terms"]
+__all__ = ["Engine", "nonzero_terms", "plane_axis_and_step"]
 
 Coord = Tuple[int, int, int]
 
@@ -60,13 +61,32 @@ def nonzero_terms(stencil) -> List[Tuple[Coord, float]]:
             if stencil.weights[off] != 0.0]
 
 
+def plane_axis_and_step(storage, level: int) -> Tuple[int, int]:
+    """The traversal axis and direction that make in-place writes legal.
+
+    For a compressed grid: the first shifted dimension, walked in the
+    direction the storage offset of ``level`` moves relative to
+    ``level-1`` (descending offsets — even passes — need ascending
+    planes, and vice versa), so a committed plane only ever overwrites
+    positions no later plane still reads.  For the two-grid layout any
+    order is legal; ascending axis 0 keeps the walk cache-friendly.
+    """
+    shift_vec = getattr(storage, "shift_vec", None)
+    if shift_vec and any(shift_vec):
+        axis = next(d for d in range(3) if shift_vec[d])
+        descending = (storage.offset_scalar(level)
+                      < storage.offset_scalar(level - 1))
+        return axis, (1 if descending else -1)
+    return 0, 1
+
+
 class Engine:
     """One way of executing the innermost stencil update.
 
     Subclasses set the class attributes and implement both ``apply``
-    methods.  Engines are stateless between calls (scratch buffers may
-    be allocated per call); one registered instance serves every
-    thread, rank and backend.
+    methods.  Engines carry no per-solve state (scratch buffers are per
+    call or per thread); one registered instance serves every thread,
+    rank and backend.
 
     Attributes
     ----------

@@ -74,9 +74,6 @@ class BlockedEngine(Engine):
         for zt in range(z0, z1, tz):
             for yt in range(y0, y1, ty):
                 for xt in range(x0, x1, tx):
-                    tlo = (zt, yt, xt)
-                    thi = (min(zt + tz, z1), min(yt + ty, y1),
-                           min(xt + tx, x1))
-                    dst[1 + tlo[0]:1 + thi[0], 1 + tlo[1]:1 + thi[1],
-                        1 + tlo[2]:1 + thi[2]] = \
-                        accumulate_padded(stencil, src, tlo, thi)
+                    accumulate_padded(
+                        stencil, src, dst, (zt, yt, xt),
+                        (min(zt + tz, z1), min(yt + ty, y1), min(xt + tx, x1)))

@@ -5,14 +5,16 @@ first place: every update writes shifted by one cell along the tiled
 dimensions, so a cell's new value lands on a position whose old value
 has already been consumed — *provided the traversal runs in the right
 direction* ("reverse loops, running from large to small indices, on all
-even sweeps").  The numpy engine sidesteps the ordering question by
-materialising the whole region before committing it; this engine
-honours it instead, sweeping the region plane by plane along the first
-shifted dimension in the direction the storage offsets move, and
-filling the destination view directly through
-``storage.write_view``/``commit_write`` — no full-region temporary, no
-copy in ``write``.  Per plane only two reusable scratch rows exist, and
-the accumulation replays the numpy engine's exact per-cell operation
+even sweeps").  This engine honours that rule at the finest grain the
+storage API offers: it sweeps the region one plane at a time along the
+first shifted dimension in the direction the storage offsets move
+(:func:`~repro.engine.base.plane_axis_and_step`), and fills and commits
+each plane's destination view through
+``storage.write_view``/``commit_write`` — so under ``validate=True`` the
+position tracking checks the ordering plane by plane.  (The numpy
+engine walks the same direction in cache-sized slabs with one commit
+per region.)  Per plane only two scratch planes exist, and the
+accumulation replays the numpy engine's exact per-cell operation
 sequence (zero-init, one multiply-add per nonzero offset in canonical
 order, centre term last), so the result stays bit-identical.
 
@@ -27,28 +29,10 @@ from typing import Sequence
 import numpy as np
 
 from ..grid.region import Box
-from .base import Engine, nonzero_terms
+from .base import Engine, nonzero_terms, plane_axis_and_step
+from .numpy_engine import accumulate_padded
 
 __all__ = ["InplaceEngine"]
-
-
-def _plane_axis_and_step(storage, level: int):
-    """The traversal axis and direction that make in-place writes legal.
-
-    For a compressed grid: the first shifted dimension, walked in the
-    direction the storage offset of ``level`` moves relative to
-    ``level-1`` (descending offsets — even passes — need ascending
-    planes, and vice versa), so a committed plane only ever overwrites
-    positions no later plane still reads.  For the two-grid layout any
-    order is legal; ascending axis 0 keeps the walk cache-friendly.
-    """
-    shift_vec = getattr(storage, "shift_vec", None)
-    if shift_vec and any(shift_vec):
-        axis = next(d for d in range(3) if shift_vec[d])
-        descending = (storage.offset_scalar(level)
-                      < storage.offset_scalar(level - 1))
-        return axis, (1 if descending else -1)
-    return 0, 1
 
 
 class InplaceEngine(Engine):
@@ -61,7 +45,7 @@ class InplaceEngine(Engine):
     def apply(self, stencil, storage, region, level: int) -> None:
         if region.is_empty:
             return
-        axis, step = _plane_axis_and_step(storage, level)
+        axis, step = plane_axis_and_step(storage, level)
         planes = range(region.lo[axis], region.hi[axis])
         if step < 0:
             planes = reversed(planes)
@@ -91,26 +75,6 @@ class InplaceEngine(Engine):
 
     def apply_padded(self, stencil, src: np.ndarray, dst: np.ndarray,
                      lo: Sequence[int], hi: Sequence[int]) -> None:
-        z0, y0, x0 = lo
-        z1, y1, x1 = hi
-        if z1 <= z0 or y1 <= y0 or x1 <= x0:
-            return
-        terms = nonzero_terms(stencil)
-        cw = stencil.center_weight
-        shape = (1, y1 - y0, x1 - x0)
-        acc = np.empty(shape, dtype=dst.dtype)
-        scratch = np.empty_like(acc)
-        # dst is a separate array; the plane sweep exists to bound the
-        # temporaries at one plane instead of the whole region.
-        for z in range(z0, z1):
-            acc.fill(0.0)
-            for (dz, dy, dx), w in terms:
-                np.multiply(src[1 + z + dz:2 + z + dz,
-                                1 + y0 + dy:1 + y1 + dy,
-                                1 + x0 + dx:1 + x1 + dx], w, out=scratch)
-                np.add(acc, scratch, out=acc)
-            if cw != 0.0:
-                np.multiply(src[1 + z:2 + z, 1 + y0:1 + y1, 1 + x0:1 + x1],
-                            cw, out=scratch)
-                np.add(acc, scratch, out=acc)
-            dst[1 + z:2 + z, 1 + y0:1 + y1, 1 + x0:1 + x1] = acc
+        # No aliasing to order around in a padded pair: the shared slab
+        # sweep already bounds the temporaries.
+        accumulate_padded(stencil, src, dst, lo, hi)

@@ -24,8 +24,8 @@ Correctness on the *compressed* grid needs one more ingredient: the
 destination view aliases source positions shifted by one cell, so the
 traversal must run plane-wise along the first shifted dimension in the
 direction the storage offsets move (the same rule
-:func:`~repro.engine.inplace._plane_axis_and_step` gives the in-place
-engine, Sect. 1.3's "reverse loops ... on all even sweeps").  The
+:func:`~repro.engine.base.plane_axis_and_step` gives the numpy and
+in-place engines, Sect. 1.3's "reverse loops ... on all even sweeps").  The
 kernel computes a whole plane into a scratch buffer before storing it,
 so every read of a plane precedes its write and later planes never see
 clobbered positions.  Rather than compiling three axis variants, the
@@ -47,8 +47,7 @@ import weakref
 
 import numpy as np
 
-from .base import nonzero_terms
-from .inplace import _plane_axis_and_step
+from .base import nonzero_terms, plane_axis_and_step
 from .numba_engine import (
     HAVE_NUMBA,
     NumbaEngine,
@@ -212,7 +211,7 @@ class NumbaDeepEngine(NumbaEngine):
                                 level - 1)
         dst = storage.write_view(region, level)
         src, origin = storage.raw_read_array(level - 1)
-        axis, step = _plane_axis_and_step(storage, level)
+        axis, step = plane_axis_and_step(storage, level)
         perm = (axis,) + tuple(d for d in range(3) if d != axis)
         faces = _permuted_faces(_boundary_faces(storage), perm)
         offs = np.asarray([[off[p] for p in perm] for off, _ in terms],

@@ -1,12 +1,12 @@
 """3-D computational domain with Dirichlet boundary ring.
 
 The paper's Jacobi solver (Eq. 1) updates the *interior* of a cubic domain
-while a one-cell boundary ring supplies fixed (Dirichlet) values.  In the
-original C code the ring is materialised as ghost cells of the arrays; here
-the ring is owned by a :class:`DirichletBoundary` object and the execution
-engines *patch* stencil reads that fall outside the interior.  This keeps
-the two-grid and compressed-grid storage schemes free of ghost-layer
-bookkeeping while remaining bit-equivalent to the ghost-cell formulation.
+while a one-cell boundary ring supplies fixed (Dirichlet) values.  The
+ring is *described* by a :class:`DirichletBoundary` object.  As in the
+original C code, the two-grid storage materialises it once as ghost cells
+(:meth:`Grid3D.padded` / :meth:`Grid3D.fill_ghost_ring`); the compressed
+grid, whose positions move every update, instead patches out-of-domain
+reads from the boundary object — bit-equivalent by construction.
 """
 
 from __future__ import annotations
@@ -160,9 +160,9 @@ class Grid3D:
     def padded(self, field: np.ndarray) -> np.ndarray:
         """Interior field embedded in a ghost ring filled with boundary values.
 
-        Used by the reference sweeps; ring *edges/corners* are filled too
-        (by extending faces in dimension order) although 7-point star
-        stencils never read them.
+        Used by the reference sweeps and the two-grid storage; ring
+        *edges/corners* are filled too (by extending faces in dimension
+        order) although 7-point star stencils never read them.
         """
         if field.shape != self.shape:
             raise ValueError("field shape mismatch")

@@ -488,10 +488,11 @@ class TestDeepTraversal:
         with pytest.raises(StorageError):
             storage.check_traversal(Box((0, 0, 0), (7, 6, 6)),
                                     [(0, 0, 1)], 0)
+        # The raw contract: cell c of the level lives at arr[c + origin].
         arr, origin = storage.raw_read_array(0)
-        assert origin == (0, 0, 0)
-        assert np.shares_memory(arr, storage.extract(0)) or \
-            np.array_equal(arr, field)
+        assert np.array_equal(arr[grid.domain.slices(origin)], field)
+        c = (1, 4, 5)
+        assert arr[tuple(c[d] + origin[d] for d in range(3))] == field[c]
 
 
 # ---------------------------------------------------------------------------
