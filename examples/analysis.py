@@ -52,11 +52,10 @@ def main() -> None:
     show("radius-2 stencil under the one-cell shift",
          ScheduleSpec(threads_per_team=4, block_size=BLOCK,
                       sync_kind="relaxed", d_l=1, d_u=4, radius=2))
-    show("fused in-place engine forced to descend",
+    show("radius-2 on the compressed grid: the in-place fill aliases",
          ScheduleSpec(threads_per_team=4, block_size=BLOCK,
-                      sync_kind="relaxed", d_l=1, d_u=4,
-                      storage="compressed", engine="inplace",
-                      inplace_step=-1))
+                      sync_kind="relaxed", d_l=4, d_u=8, radius=2,
+                      storage="compressed"))
 
     # --- the analyzer as an autotune pre-prune ------------------------------
     from repro.core.autotune import autotune

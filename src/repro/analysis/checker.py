@@ -308,7 +308,6 @@ def _local_shape(shape: Tuple[int, int, int],
 def analyze_schedule(config, shape: Sequence[int] = (32, 32, 32),
                      topology: Sequence[int] = (1, 1, 1), *,
                      radius: int = 1,
-                     inplace_step: Optional[int] = None,
                      halo: Optional[int] = None,
                      max_states: int = 200_000,
                      coverage_blocks: int = 512) -> Report:
@@ -328,8 +327,6 @@ def analyze_schedule(config, shape: Sequence[int] = (32, 32, 32),
     radius:
         Stencil radius to analyze for (configs only; a ``ScheduleSpec``
         carries its own).  The shipped kernels are radius 1.
-    inplace_step:
-        Force the fused-engine plane direction (configs only).
     halo:
         Ghost-layer width for the distributed checks; defaults to the
         schedule's ``n*t*T`` (the paper's choice).
@@ -348,8 +345,7 @@ def analyze_schedule(config, shape: Sequence[int] = (32, 32, 32),
     if isinstance(config, ScheduleSpec):
         spec = config
     else:
-        spec = ScheduleSpec.from_config(config, radius=radius,
-                                        inplace_step=inplace_step)
+        spec = ScheduleSpec.from_config(config, radius=radius)
     shape_t: Tuple[int, int, int] = tuple(int(s) for s in shape)  # type: ignore[assignment]
     topo: Tuple[int, int, int] = tuple(int(p) for p in topology)  # type: ignore[assignment]
     where = f"{spec.describe()} on {shape_t}"

@@ -70,10 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cs.add_argument("--passes", type=int, default=1)
     cs.add_argument("--radius", type=int, default=1,
                     help="stencil radius to analyze (shipped kernels: 1)")
-    cs.add_argument("--inplace-step", type=int, choices=(1, -1),
-                    default=None,
-                    help="force the in-place plane direction instead of "
-                         "the engine-derived one")
     cs.add_argument("--halo", type=int, default=None,
                     help="ghost layers per exchange (default: n*t*T)")
     cs.add_argument("-v", "--verbose", action="store_true",
@@ -122,7 +118,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             engine=args.engine,
             passes=args.passes,
             radius=args.radius,
-            inplace_step=args.inplace_step,
         )
         reports = [analyze_schedule(spec, args.shape, args.topology,
                                     halo=args.halo)]

@@ -335,15 +335,17 @@ def check_inplace_order(spec: ScheduleSpec, decomp: BlockDecomposition,
                         report: Report) -> None:
     """Compressed-grid aliasing safety of fused in-place execution.
 
-    A fused engine fills ``storage.write_view`` plane by plane, so
+    A fused engine fills ``storage.write_view`` piece by piece, so
     inside one region the write of plane ``p`` at level ``u`` lands on
     the positions holding plane ``p-1``'s level ``u-1`` values.  Those
     are still live reads of the planes *behind* ``p`` — legal iff the
     traversal walks in the direction the storage offsets move
-    (ascending on even passes, where offsets descend).  Engines that
-    materialise the whole region before writing (``fused_inplace``
-    False) are immune; the two-grid layout is immune for every engine
-    (the destination is the other array).
+    (ascending on even passes, where offsets descend), which is what
+    :func:`repro.engine.base.plane_axis_and_step` hands every fused
+    engine, and only while no read reaches further than one plane.
+    Engines that materialise the whole region before writing
+    (``fused_inplace`` False) are immune; the two-grid layout is immune
+    for every engine (the destination is the other array).
     """
     from ..engine import get_engine
 
@@ -354,7 +356,6 @@ def check_inplace_order(spec: ScheduleSpec, decomp: BlockDecomposition,
                    str(exc))
         return
     fused = bool(getattr(engine, "fused_inplace", False))
-    forced = spec.inplace_step is not None
     if spec.storage != "compressed" or not decomp.tiled_dims:
         if fused:
             report.note(
@@ -364,14 +365,9 @@ def check_inplace_order(spec: ScheduleSpec, decomp: BlockDecomposition,
     if not fused:
         report.note(
             f"engine {spec.engine!r} materialises regions before writing; "
-            "compressed-grid destination aliasing cannot occur"
-            + (" (forced inplace_step ignored)" if forced else ""))
+            "compressed-grid destination aliasing cannot occur")
         return
     axis = decomp.tiled_dims[0]
-    # Even passes: offsets descend (off(u) = off(u-1) - 1), so a plane's
-    # write destroys the plane one *below* it; ascending is safe.
-    safe_step = 1
-    step = spec.inplace_step if forced else safe_step
     if spec.radius >= 2:
         report.add(
             "inplace-aliasing", "error",
@@ -383,24 +379,12 @@ def check_inplace_order(spec: ScheduleSpec, decomp: BlockDecomposition,
             "read it, so pending planes exist on both sides of the write",
         )
         return
-    if step != safe_step:
-        report.add(
-            "inplace-aliasing", "error",
-            f"engine {spec.engine!r}, axis {axis}",
-            "descending plane traversal on an even pass overwrites live "
-            "level u-1 data: write regions at level u overlap reads the "
-            "same op has not issued yet",
-            "writing plane p at level u lands on the positions holding "
-            "plane p-1's level u-1 values; with step -1 plane p-1 is "
-            "processed after plane p and reads clobbered data (e.g. u=1: "
-            "plane 5 writes over plane 4's initial values before plane 4 "
-            "consumes them)",
-        )
-    else:
-        report.note(
-            f"in-place plane order on axis {axis} verified: ascending "
-            "traversal matches the descending storage offsets (mirrored "
-            "symmetrically on odd passes)")
+    # Even passes: offsets descend (off(u) = off(u-1) - 1), so a plane's
+    # write destroys the plane one *below* it; ascending is safe.
+    report.note(
+        f"in-place plane order on axis {axis} verified: ascending "
+        "traversal matches the descending storage offsets (mirrored "
+        "symmetrically on odd passes)")
 
 
 def decomposition_for(spec: ScheduleSpec, shape: Coord) -> Optional[BlockDecomposition]:

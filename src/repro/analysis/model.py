@@ -10,26 +10,21 @@ plain value, nothing is rejected, and the checkers derive the same
 quantities (``n_stages``, ``updates_per_pass``, effective per-stage
 windows) that the runtime derives from a validated config.
 
-It also carries two knobs the runtime fixes by construction, so the
-analyzer can explore the neighbourhood of the design space:
-
-* ``radius`` — the stencil radius.  The shipped kernels are radius-1
-  star stencils (``repro.kernels.stencils`` enforces it); the analyzer
-  *proves* that choice necessary: with the one-cell shift, radius 2
-  makes the minimum legal lead exceed ``d_l = 1`` on the two-grid
-  layout and breaks the compressed grid outright.
-* ``inplace_step`` — the plane-traversal direction a fused in-place
-  engine would use (``+1`` ascending, ``-1`` descending) on the first
-  tiled axis, or ``None`` for "whatever the engine derives".  The
-  shipped :class:`~repro.engine.inplace.InplaceEngine` derives the safe
-  direction; forcing the other one reproduces the classic compressed-
-  grid aliasing bug as a concrete finding.
+It also carries one knob the runtime fixes by construction, so the
+analyzer can explore the neighbourhood of the design space: ``radius``,
+the stencil radius.  The shipped kernels are radius-1 star stencils
+(``repro.kernels.stencils`` enforces it); the analyzer *proves* that
+choice necessary: with the one-cell shift, radius 2 makes the minimum
+legal lead exceed ``d_l = 1`` on the two-grid layout and breaks the
+compressed grid outright.  (The in-place walk direction is not a knob:
+every fused engine derives it from the storage offsets through
+:func:`repro.engine.base.plane_axis_and_step`.)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 __all__ = ["ScheduleSpec"]
 
@@ -55,11 +50,9 @@ class ScheduleSpec:
     engine: str = "numpy"
     passes: int = 1
     radius: int = 1
-    inplace_step: Optional[int] = None  # +1 / -1 / None (= engine-derived)
 
     @staticmethod
-    def from_config(config, radius: int = 1,
-                    inplace_step: Optional[int] = None) -> "ScheduleSpec":
+    def from_config(config, radius: int = 1) -> "ScheduleSpec":
         """Mirror a validated :class:`PipelineConfig` into the loose model."""
         from ..core.parameters import BarrierSpec, RelaxedSpec
 
@@ -81,7 +74,6 @@ class ScheduleSpec:
             engine=config.engine,
             passes=config.passes,
             radius=radius,
-            inplace_step=inplace_step,
         )
 
     # -- derived quantities (same formulas as PipelineConfig) -----------------
@@ -162,8 +154,6 @@ class ScheduleSpec:
             probs.append(f"sync_kind={self.sync_kind!r} (barrier|relaxed)")
         if self.radius < 1:
             probs.append(f"radius={self.radius} (need >= 1)")
-        if self.inplace_step not in (None, 1, -1):
-            probs.append(f"inplace_step={self.inplace_step!r} (None|+1|-1)")
         if self.team_delay < 0:
             probs.append(f"team_delay={self.team_delay} (need >= 0)")
         return probs
@@ -173,11 +163,7 @@ class ScheduleSpec:
         sync = ("barrier" if self.sync_kind == "barrier"
                 else f"relaxed(d_l={self.d_l},d_u={self.d_u}"
                      + (f",d_t={self.team_delay})" if self.team_delay else ")"))
-        extra = ""
-        if self.radius != 1:
-            extra += f",radius={self.radius}"
-        if self.inplace_step is not None:
-            extra += f",inplace_step={self.inplace_step:+d}"
+        extra = f",radius={self.radius}" if self.radius != 1 else ""
         return (f"schedule(n={self.teams},t={self.threads_per_team},"
                 f"T={self.updates_per_thread},b={self.block_size},{sync},"
                 f"{self.storage},{self.engine}{extra})")

@@ -10,10 +10,9 @@ limit by changing only the inner kernel.
 Built-in engines (all bit-identical, semantics class ``vector-v1``):
 
 =============== =============================================================
-``numpy``       View-only, cache-slab vectorised accumulate (the default).
-``blocked``     Cache-aware tiled traversal reusing the block machinery.
-``inplace``     Fused plane-wise update writing destination storage
-                directly (the compressed grid's in-place trick, Sect. 1.3).
+``numpy``       View-only, cache-slab vectorised accumulate (the default):
+                spatial blocking (Sect. 1.1) and the compressed grid's
+                direction-aware in-place write (Sect. 1.3) in one walk.
 ``numba``       Optional ``njit(parallel=True)`` fused multiply-add loops;
                 registers only when :mod:`numba` is installed.
 ``numba-deep``  Optional whole-block-traversal JIT: gather, Dirichlet
@@ -21,16 +20,14 @@ Built-in engines (all bit-identical, semantics class ``vector-v1``):
                 both storage schemes (also numba-gated).
 =============== =============================================================
 
-Select an engine per solve (``repro.solve(..., engine="blocked")``) or
-per configuration (``PipelineConfig(engine="inplace")``); every rail —
+Select an engine per solve (``repro.solve(..., engine="numba")``) or
+per configuration (``PipelineConfig(engine="numba-deep")``); every rail —
 shared, ``simmpi``, ``procmpi``, the serving layer and the perf
 harness — dispatches through the same registry, so the choice follows
 the configuration everywhere.
 """
 
 from .base import Engine, nonzero_terms
-from .blocked import BlockedEngine, DEFAULT_TILE
-from .inplace import InplaceEngine
 from .numba_deep import NumbaDeepEngine
 from .numba_engine import HAVE_NUMBA, NumbaEngine, jit_cache_stats
 from .numpy_engine import NumpyEngine
@@ -48,14 +45,11 @@ from .registry import (
 __all__ = [
     "Engine",
     "NumpyEngine",
-    "BlockedEngine",
-    "InplaceEngine",
     "NumbaEngine",
     "NumbaDeepEngine",
     "HAVE_NUMBA",
     "jit_cache_stats",
     "DEFAULT_ENGINE",
-    "DEFAULT_TILE",
     "KNOWN_ENGINES",
     "nonzero_terms",
     "available_engines",
@@ -67,8 +61,6 @@ __all__ = [
 ]
 
 register_engine(NumpyEngine())
-register_engine(BlockedEngine())
-register_engine(InplaceEngine())
 if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
     register_engine(NumbaEngine())
     register_engine(NumbaDeepEngine())

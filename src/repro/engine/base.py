@@ -2,9 +2,10 @@
 
 The paper's central claim (Sect. 1.1/1.4) is that a temporal-blocking
 *schedule* — which cells advance to which time level when — is
-independent of how the innermost update is executed: plain vectorised
-sweeps, spatially blocked traversal, in-place compressed-grid updates
-and SIMD/JIT-compiled loops all drive the very same schedule, and only
+independent of how the innermost update is executed: a vectorised
+cache-slab walk (spatial blocking and the compressed grid's in-place
+write are traversal details of it, not separate programs) and
+SIMD/JIT-compiled loops all drive the very same schedule, and only
 move the achieved bandwidth closer to the hardware limit.  This module
 makes that separation first-class: an :class:`Engine` executes the
 update ``level-1 -> level`` on a region, and *everything else* (the
@@ -97,11 +98,10 @@ class Engine:
         byte-identical results on identical inputs; it — not the
         engine name — enters the service's content keys, so caches are
         shared within a class and never across classes.
-    tiled:
-        Capability flag: traverses the region in cache-sized tiles.
     fused_inplace:
-        Capability flag: writes straight into the destination storage
-        positions (no full-region temporary).
+        Capability flag: fills ``storage.write_view`` piecewise (no
+        full-region temporary), so on the compressed grid the walk
+        direction matters — :mod:`repro.analysis` checks it.
     jit:
         Capability flag: compiles the update loop (optional deps).
     requires:
@@ -110,7 +110,6 @@ class Engine:
 
     name: str = "abstract"
     semantics: str = "vector-v1"
-    tiled: bool = False
     fused_inplace: bool = False
     jit: bool = False
     requires = None
@@ -154,8 +153,7 @@ class Engine:
 
     def describe(self) -> str:
         """One-line summary for tables and reports."""
-        caps = [flag for flag, on in (("tiled", self.tiled),
-                                      ("fused-inplace", self.fused_inplace),
+        caps = [flag for flag, on in (("fused-inplace", self.fused_inplace),
                                       ("jit", self.jit)) if on]
         extra = f" [{', '.join(caps)}]" if caps else ""
         return f"{self.name}({self.semantics}){extra}"

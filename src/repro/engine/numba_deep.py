@@ -24,8 +24,8 @@ Correctness on the *compressed* grid needs one more ingredient: the
 destination view aliases source positions shifted by one cell, so the
 traversal must run plane-wise along the first shifted dimension in the
 direction the storage offsets move (the same rule
-:func:`~repro.engine.base.plane_axis_and_step` gives the numpy and
-in-place engines, Sect. 1.3's "reverse loops ... on all even sweeps").  The
+:func:`~repro.engine.base.plane_axis_and_step` gives the numpy
+engine, Sect. 1.3's "reverse loops ... on all even sweeps").  The
 kernel computes a whole plane into a scratch buffer before storing it,
 so every read of a plane precedes its write and later planes never see
 clobbered positions.  Rather than compiling three axis variants, the

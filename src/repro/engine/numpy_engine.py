@@ -97,7 +97,8 @@ def _accumulate_slabs(stencil, read, dst: np.ndarray, lo: Tuple[int, int, int],
 def accumulate_padded(stencil, src: np.ndarray, dst: np.ndarray,
                       lo: Sequence[int], hi: Sequence[int]) -> None:
     """One slab-wise sweep over interior cells ``[lo, hi)`` of a padded
-    pair, straight into ``dst`` — the padded-pair engines' building block."""
+    pair, straight into ``dst`` (also ``jacobi_sweep_blocked``'s per-tile
+    step)."""
     z0, y0, x0 = lo
     z1, y1, x1 = hi
     _accumulate_slabs(stencil, _array_reader(src),
@@ -110,6 +111,7 @@ class NumpyEngine(Engine):
 
     name = "numpy"
     semantics = "vector-v1"
+    fused_inplace = True
 
     def apply(self, stencil, storage, region, level: int) -> None:
         if region.is_empty:

@@ -33,8 +33,7 @@ DEFAULT_ENGINE = "numpy"
 #: outside this set are rejected with the list of valid choices; names
 #: inside it that are *not* registered are optional engines whose
 #: dependency is missing (see :data:`_OPTIONAL`).
-KNOWN_ENGINES: Tuple[str, ...] = ("numpy", "blocked", "inplace", "numba",
-                                  "numba-deep")
+KNOWN_ENGINES: Tuple[str, ...] = ("numpy", "numba", "numba-deep")
 
 #: Optional engines and the dependency that gates each.
 _OPTIONAL: Dict[str, str] = {"numba": "numba", "numba-deep": "numba"}

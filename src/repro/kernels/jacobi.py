@@ -9,10 +9,10 @@ This module provides ready-made :class:`~repro.kernels.stencils.StarStencil`
 instances plus the full-array sweeps used by the reference solver and the
 host micro-benchmarks.  Since PR 5 the sweeps *dispatch through the
 engine registry* (:mod:`repro.engine`): ``jacobi_sweep_padded`` runs any
-registered engine over the padded pair (default ``"numpy"``, the
-historical vectorised gather) and ``jacobi_sweep_blocked`` is the blocked
-engine with an explicit tile — pure traversal reordering that never
-changes results, which the tests assert bit-for-bit.
+registered engine over the padded pair (default ``"numpy"``) and
+``jacobi_sweep_blocked`` walks the same numpy accumulate tile by tile
+with an explicit block — pure traversal reordering that never changes
+results, which the tests assert bit-for-bit.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..engine import BlockedEngine, get_engine
+from ..engine import get_engine
+from ..engine.numpy_engine import accumulate_padded
 from .stencils import StarStencil
 
 __all__ = [
@@ -111,14 +112,18 @@ def jacobi_sweep_blocked(src: np.ndarray, dst: np.ndarray,
     """Spatially blocked sweep over a padded array (baseline, Sect. 1.1).
 
     Traverses the interior in blocks of ``block`` cells (the paper's
-    standard code used ≈ 600×20×20 with a long inner loop) — i.e. the
-    ``blocked`` engine with an explicit tile.  Spatial blocking only
-    reorders the traversal; the result is identical to
+    standard code used ≈ 600×20×20 with a long inner loop).  Spatial
+    blocking only reorders the traversal; the result is identical to
     :func:`jacobi_sweep_padded`, which the test-suite verifies.
     """
     st = stencil or jacobi7()
     np.copyto(dst, src)
-    interior = tuple(s - 2 for s in src.shape)
-    tile = tuple(max(1, int(b)) for b in block)
-    BlockedEngine(tile).apply_padded(st, src, dst, (0, 0, 0), interior)
+    nz, ny, nx = (s - 2 for s in src.shape)
+    tz, ty, tx = (max(1, int(b)) for b in block)
+    for z in range(0, nz, tz):
+        for y in range(0, ny, ty):
+            for x in range(0, nx, tx):
+                accumulate_padded(
+                    st, src, dst, (z, y, x),
+                    (min(z + tz, nz), min(y + ty, ny), min(x + tx, nx)))
     return dst

@@ -30,6 +30,7 @@ from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
 from ..bench.reporting import ratio
+from ..engine import HAVE_NUMBA
 from .schema import Metric
 
 __all__ = [
@@ -436,47 +437,78 @@ def _solver_problem(suite: str):
     return grid, field_, cfg, topo
 
 
-def solver_schedules(suite: str):
-    """Every distinct schedule the ``suite``'s solver scenarios run.
+#: The solver scenarios that run a suite's base schedule once through
+#: one rail: ``(name, backend, storage, engine, validate, trace)``.
+#: ``_register_solvers`` registers exactly these rows and
+#: ``solver_schedules`` hands exactly these rows to the analyzer, so the
+#: certified set *is* the registered set.  Every row is bit-identical to
+#: ``solve_shared`` (the engine and backend batteries pin that), so the
+#: gated communication counters of an engine row must match its
+#: numpy-engine sibling exactly; only the host-clock throughput moves.
+SOLVER_POINTS = (
+    ("solve_shared", "shared", "twogrid", "numpy", False, False),
+    ("solve_shared_validated", "shared", "twogrid", "numpy", True, False),
+    ("solve_simmpi", "simmpi", "twogrid", "numpy", True, False),
+    ("solve_procmpi", "procmpi", "twogrid", "numpy", True, False),
+    ("solve_threads", "threads", "twogrid", "numpy", False, False),
+    ("solve_traced", "simmpi", "twogrid", "numpy", True, True),
+)
+if HAVE_NUMBA:
+    # The engine axis (E13) exists only where numba does, so a clean
+    # environment's registry (and the checked-in baseline) never depends
+    # on it.  numba x threads is the headline pairing of the threaded
+    # rail (real stage threads, compiled nogil kernel; >1x asserted only
+    # on multicore hosts — see tests/test_threads.py).
+    SOLVER_POINTS += tuple(
+        (f"solve_{backend}_{engine}", backend, storage, engine, False, False)
+        for engine, backend, storage in (
+            ("numba", "shared", "twogrid"),
+            ("numba", "threads", "twogrid"),
+            ("numba-deep", "shared", "twogrid"),
+            ("numba-deep", "shared", "compressed"),
+            ("numba-deep", "threads", "twogrid")))
 
-    Yields ``(name, shape, config, topology)`` for the static analyzer
-    (``python -m repro.analysis check-schedule --suite quick``): the
-    shared/simmpi/procmpi base schedules, every engine-axis variant,
-    and the serving-layer problem — so "the analyzer certifies every
-    registered perf scenario" is a checkable statement, not a slogan.
-    """
+_SINGLE_PROCESS = ("shared", "threads")
+
+
+def _point_schedule(cfg, topo, backend: str, storage: str, engine: str):
+    """``(config, topology)`` of one :data:`SOLVER_POINTS` row over a
+    suite's base problem."""
     from dataclasses import replace
 
+    return (replace(cfg, engine=engine, storage=storage),
+            (1, 1, 1) if backend in _SINGLE_PROCESS else topo)
+
+
+def _run_solver_point(suite: str, backend: str, storage: str, engine: str,
+                      validate: bool, trace: bool):
+    from ..api import solve
+
+    grid, field_, cfg, topo = _solver_problem(suite)
+    cfg, topo = _point_schedule(cfg, topo, backend, storage, engine)
+    return solve(grid, field_, cfg, topology=topo, backend=backend,
+                 validate=validate, trace=trace)
+
+
+def solver_schedules(suite: str):
+    """Every schedule the ``suite``'s solver scenarios run.
+
+    Yields ``(name, shape, config, topology)`` for the static analyzer
+    (``python -m repro.analysis check-schedule --suite quick``): one per
+    :data:`SOLVER_POINTS` row, plus ``solve_auto`` and the serving-layer
+    problem — so "the analyzer certifies every registered perf
+    scenario" is a checkable statement, not a slogan.
+    """
     if suite not in SOLVER_SIZES:
         raise ValueError(
             f"unknown suite {suite!r}; choose from {sorted(SOLVER_SIZES)}")
-    n, teams, tpt, T, block, topo = SOLVER_SIZES[suite]
-    shape = (n, n, n)
-    _, _, cfg, _ = _solver_problem(suite)
-    yield f"solve_shared@{suite}", shape, cfg, (1, 1, 1)
-    yield f"solve_threads@{suite}", shape, cfg, (1, 1, 1)
-    yield f"solve_simmpi@{suite}", shape, cfg, topo
-    yield f"solve_procmpi@{suite}", shape, cfg, topo
-    engine_points = [
-        ("blocked", "shared", "twogrid"),
-        ("inplace", "shared", "compressed"),
-        ("blocked", "simmpi", "twogrid"),
-        ("inplace", "procmpi", "twogrid"),
-    ]
-    import importlib.util
-    if importlib.util.find_spec("numba") is not None:
-        engine_points.append(("numba", "shared", "twogrid"))
-        engine_points.append(("numba", "threads", "twogrid"))
-        engine_points.append(("numba-deep", "shared", "twogrid"))
-        engine_points.append(("numba-deep", "shared", "compressed"))
-        engine_points.append(("numba-deep", "threads", "twogrid"))
-    for engine_, backend_, storage_ in engine_points:
-        ecfg = replace(cfg, engine=engine_, storage=storage_)
-        etopo = (1, 1, 1) if backend_ in ("shared", "threads") else topo
-        yield f"solve_{backend_}_{engine_}@{suite}", shape, ecfg, etopo
+    grid, _, cfg, topo = _solver_problem(suite)
+    for name, backend, storage, engine, _validate, _trace in SOLVER_POINTS:
+        yield (f"{name}@{suite}", grid.shape,
+               *_point_schedule(cfg, topo, backend, storage, engine))
     # engine="auto" runs the same shared schedule; the engine choice is
     # a traversal variant the analyzer does not distinguish.
-    yield f"solve_auto@{suite}", shape, cfg, (1, 1, 1)
+    yield f"solve_auto@{suite}", grid.shape, cfg, (1, 1, 1)
     sn, stopo, _jobs = SERVE_SIZES[suite]
     sgrid, scfg = _serve_problem(sn)
     yield f"serve@{suite}", sgrid.shape, scfg, stopo
@@ -540,162 +572,28 @@ def _register_solvers() -> None:
         base_params = {"n": n, "teams": teams, "threads_per_team": tpt,
                        "updates_per_thread": T, "block": block}
 
-        def solve_shared(_suite=suite, validate=False):
-            from ..core.pipeline import run_pipelined
-            grid, field_, cfg, _ = _solver_problem(_suite)
-            return run_pipelined(grid, field_, cfg, validate=validate)
-
-        def solve_simmpi(_suite=suite):
-            from ..api import solve
-            grid, field_, cfg, topo_ = _solver_problem(_suite)
-            return solve(grid, field_, cfg, topology=topo_,
-                         backend="simmpi")
-
-        def solve_procmpi(_suite=suite):
-            from ..api import solve
-            grid, field_, cfg, topo_ = _solver_problem(_suite)
-            return solve(grid, field_, cfg, topology=topo_,
-                         backend="procmpi")
-
-        register(Scenario(
-            name=f"solve_shared@{suite}",
-            kind="solver",
-            suites=(suite,),
-            fn=solve_shared,
-            summarize=_sum_solve,
-            params={**base_params, "backend": "shared", "validate": False},
-            description="Functional pipelined executor (validation off)",
-        ))
-        register(Scenario(
-            name=f"solve_shared_validated@{suite}",
-            kind="solver",
-            suites=(suite,),
-            fn=partial(solve_shared, validate=True),
-            summarize=_sum_solve,
-            params={**base_params, "backend": "shared", "validate": True},
-            description="Functional pipelined executor (validation on)",
-        ))
-        register(Scenario(
-            name=f"solve_simmpi@{suite}",
-            kind="solver",
-            suites=(suite,),
-            fn=solve_simmpi,
-            summarize=_sum_solve,
-            params={**base_params, "backend": "simmpi", "topology": topo},
-            description="Distributed hybrid solve on simulated-MPI ranks",
-        ))
-        register(Scenario(
-            name=f"solve_procmpi@{suite}",
-            kind="solver",
-            suites=(suite,),
-            fn=solve_procmpi,
-            summarize=_sum_solve,
-            params={**base_params, "backend": "procmpi", "topology": topo},
-            description="Distributed hybrid solve on real multiprocess "
-                        "ranks (shared-memory halos)",
-        ))
-
-        def solve_threads(_suite=suite):
-            from ..api import solve
-            grid, field_, cfg, _ = _solver_problem(_suite)
-            return solve(grid, field_, cfg, backend="threads",
-                         validate=False)
-
-        register(Scenario(
-            name=f"solve_threads@{suite}",
-            kind="solver",
-            suites=(suite,),
-            fn=solve_threads,
-            summarize=_sum_solve,
-            params={**base_params, "backend": "threads",
-                    "validate": False},
-            description="Truly threaded pipelined executor: one OS "
-                        "thread per stage on condition-variable sync "
-                        "counters (assert_legal always runs first); "
-                        "bit-identical to solve_shared, wall-clock "
-                        "parallel wherever the engine releases the GIL",
-        ))
-
-        def solve_traced(_suite=suite):
-            from ..api import solve
-            grid, field_, cfg, topo_ = _solver_problem(_suite)
-            return solve(grid, field_, cfg, topology=topo_,
-                         backend="simmpi", trace=True)
-
-        register(Scenario(
-            name=f"solve_traced@{suite}",
-            kind="solver",
-            suites=(suite,),
-            fn=solve_traced,
-            summarize=_sum_solve,
-            params={**base_params, "backend": "simmpi", "topology": topo,
-                    "trace": True},
-            description="Traced simmpi solve: obs spans and counters "
-                        "recorded, summarized into obs_* metrics (proves "
-                        "the perf gate stays green with tracing on)",
-        ))
-
-        # The engine axis (E13): the same solver problems executed
-        # through the non-default kernel-execution engines.  Results
-        # are bit-identical to the numpy-engine scenarios above (the
-        # engine differential battery pins that), so every gated
-        # metric — the communication counters — must match its
-        # numpy-engine sibling exactly; only the host-clock throughput
-        # moves.  The optional numba engine registers its scenario
-        # only where numba is installed, so a clean environment's
-        # registry (and the checked-in baseline) never depends on it.
-        engine_points = [
-            ("blocked", "shared", "twogrid"),
-            ("inplace", "shared", "compressed"),
-            ("blocked", "simmpi", "twogrid"),
-            ("inplace", "procmpi", "twogrid"),
-        ]
-        import importlib.util
-        if importlib.util.find_spec("numba") is not None:
-            engine_points.append(("numba", "shared", "twogrid"))
-            # The headline pairing of this repo's threaded rail: real
-            # stage threads and a compiled nogil kernel.  Its gated
-            # counters must equal the shared numba scenario's exactly;
-            # the wall-clock ratio to solve_shared is the paper-style
-            # speedup (asserted >1x only on multicore hosts — see
-            # tests/test_threads.py).
-            engine_points.append(("numba", "threads", "twogrid"))
-            # The deep-JIT engine: one compiled region per block
-            # traversal (gather + boundary patch + write), on both
-            # storage schemes and under the threads rail.
-            engine_points.append(("numba-deep", "shared", "twogrid"))
-            engine_points.append(("numba-deep", "shared", "compressed"))
-            engine_points.append(("numba-deep", "threads", "twogrid"))
-        for engine_, backend_, storage_ in engine_points:
-
-            def solve_engine(_suite=suite, _engine=engine_,
-                             _backend=backend_, _storage=storage_):
-                from dataclasses import replace
-
-                from ..api import solve
-                from ..core.pipeline import run_pipelined
-                grid, field_, cfg, topo_ = _solver_problem(_suite)
-                cfg = replace(cfg, engine=_engine, storage=_storage)
-                if _backend == "shared":
-                    return run_pipelined(grid, field_, cfg, validate=False)
-                if _backend == "threads":
-                    return solve(grid, field_, cfg, backend="threads",
-                                 validate=False)
-                return solve(grid, field_, cfg, topology=topo_,
-                             backend=_backend)
-
+        for name, backend, storage, engine, validate, trace in SOLVER_POINTS:
+            params = {**base_params, "backend": backend}
+            if engine != "numpy":
+                params.update(engine=engine, storage=storage)
+            if backend in _SINGLE_PROCESS:
+                params["validate"] = validate
+            else:
+                params["topology"] = topo
+            if trace:
+                params["trace"] = True
             register(Scenario(
-                name=f"solve_{backend_}_{engine_}@{suite}",
+                name=f"{name}@{suite}",
                 kind="solver",
                 suites=(suite,),
-                fn=solve_engine,
+                fn=partial(_run_solver_point, suite, backend, storage,
+                           engine, validate, trace),
                 summarize=_sum_solve,
-                params={**base_params, "backend": backend_,
-                        "engine": engine_, "storage": storage_,
-                        **({"topology": topo}
-                           if backend_ != "shared" else {})},
-                description=f"Functional solve through the {engine_!r} "
-                            f"execution engine on the {backend_} backend",
+                params=params,
+                description=f"Pipelined solve on the {backend} backend "
+                            f"({engine} engine, {storage} storage, "
+                            f"validation {'on' if validate else 'off'}"
+                            f"{', traced' if trace else ''})",
             ))
 
         # engine="auto" (E18): resolve the engine from an *injected*
@@ -717,8 +615,7 @@ def _register_solvers() -> None:
             # process — same decision on every host with the same
             # engine set (the checked-in baseline uses the clean,
             # numba-free set).
-            table = {"numpy": 100.0, "blocked": 140.0, "inplace": 120.0,
-                     "numba": 180.0, "numba-deep": 220.0}
+            table = {"numpy": 100.0, "numba": 180.0, "numba-deep": 220.0}
             cls = size_class(grid.shape)
             db = PerfDB()
             measured = {}

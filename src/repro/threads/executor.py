@@ -21,8 +21,8 @@ window lets it.  True concurrency is just one more permitted
 interleaving, so ``threads ≡ shared`` holds byte-for-byte; the
 differential battery in ``tests/test_threads.py`` pins it.
 
-What real threads buy depends on the engine.  Pure-numpy engines
-overlap wherever numpy releases the GIL (large-array arithmetic), the
+What real threads buy depends on the engine.  The ``numpy`` engine
+overlaps wherever numpy releases the GIL (large-array arithmetic), the
 ``numba`` engine's fused loops release it explicitly (``nogil``) for
 the compiled multiply-add — and the ``numba-deep`` engine extends that
 to the *entire block traversal* (gather, boundary patch and
@@ -38,8 +38,8 @@ Thread-safety inventory (everything a stage thread touches):
   schedule; the storage validation reads stay correct because any
   concurrently written cell is within the two-buffer window by
   legality;
-* engines — stateless between calls (scratch is allocated per call;
-  the engine contract in :mod:`repro.engine.base` requires it);
+* engines — stateless between calls (scratch is per call or per
+  thread; the engine contract in :mod:`repro.engine.base` requires it);
 * executor counters — per-stage :class:`ExecutionStats`, merged after
   the join (shared ``+=`` would lose updates);
 * tracer — :class:`repro.obs.tracer.Tracer` accumulates per-thread and

@@ -93,6 +93,31 @@ class TestSweeps:
         with pytest.raises(ValueError):
             reference_sweeps(grid, np.zeros(grid.shape), -1)
 
+    @pytest.mark.parametrize("st", [
+        jacobi7(), jacobi7().damped(0.7),
+        StarStencil({(0, 0, -1): 0.5, (0, 0, 1): 0.0, (0, -1, 0): 0.5}),
+    ], ids=["jacobi7", "damped", "zero-weight"])
+    def test_reference_sweeps_equal_the_straight_version(self, st):
+        # The suite's ground truth may not share its inner routine with
+        # the code under test: StarStencil.apply on padded slices only.
+        grid = Grid3D((5, 6, 7), boundary=DirichletBoundary(
+            func=lambda z, y, x: 0.1 * z + 0.2 * y - 0.05 * x))
+        f = random_field(grid.shape, RNG)
+        if 0.0 in st.weights.values():
+            f[2, -1, -1] = np.inf  # read through the zero weight only
+        cur = grid.padded(f)
+        inner = (slice(1, -1),) * 3
+        for _ in range(3):
+            nxt = cur.copy()
+            nxt[inner] = st.apply(cur[inner], [
+                cur[tuple(slice(1 + o, n - 1 + o)
+                          for o, n in zip(off, cur.shape))]
+                for off in st.offsets])
+            cur = nxt
+        got = reference_sweeps(grid, f, 3, stencil=st)
+        assert np.array_equal(got, cur[inner])
+        assert not np.isnan(got).any()
+
     def test_blocked_sweep_equals_plain(self):
         grid = Grid3D((12, 10, 9))
         f = random_field(grid.shape, RNG)

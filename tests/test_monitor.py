@@ -669,7 +669,6 @@ class TestLimplockAcceptance:
             idle[0].slowdown = self.FACTOR
             slow_worker = f"session-{slow_sid}"
 
-            spec_keys = set()
             deadline = time.monotonic() + 120.0
             while time.monotonic() < deadline:
                 # Keep queue pressure so the slow session keeps drawing
@@ -678,12 +677,11 @@ class TestLimplockAcceptance:
                 if len(svc._queue) < 2 and seed[0] < 40:
                     feed(1)
                 mon.sample()  # probe: gauges, quarantine, speculation
-                with svc._lock:
-                    spec_keys |= {k for k, e in svc._inflight.items()
-                                  if e.speculated}
+                # The durable counter, not a poll of the in-flight map:
+                # a speculated job may settle before anyone looks.
                 if (slow_worker in mon.detector.degraded()
                         and svc._sessions.is_quarantined(slow_sid)
-                        and spec_keys):
+                        and svc.stats.speculated):
                     break
                 time.sleep(0.05)
 
@@ -701,7 +699,7 @@ class TestLimplockAcceptance:
             assert svc._sessions.is_quarantined(slow_sid)
 
             # Speculation: at least one stuck job was re-queued.
-            assert spec_keys, "no in-flight job was ever speculated"
+            assert svc.stats.speculated, "no in-flight job was speculated"
 
             results = [fut.result(timeout=300) for fut in futures]
             assert len(results) == len(futures)
@@ -713,18 +711,16 @@ class TestLimplockAcceptance:
             # asserted by identity (above and below), the fleet-wide
             # counts are lower bounds.
             assert st.sessions_quarantined >= 1
-            assert st.speculated >= 1
 
-            # Bit-identical first-completion-wins: a speculated job's
-            # settled result equals the same job run directly on the
-            # other distributed transport (procmpi ≡ simmpi bits).
-            spec_futs = [f for f in futures
-                         if f.job.content_key() in spec_keys]
-            assert spec_futs
-            fut = spec_futs[0]
-            ref = repro.solve(fut.job.grid, fut.job.field, fut.job.config,
-                              topology=topo, backend="simmpi")
-            assert np.array_equal(fut.result(timeout=0).field, ref.field)
+            # Bit-identical first-completion-wins: whichever execution
+            # of a speculated pair settled it, every job's result equals
+            # the same job run directly on the other distributed
+            # transport (procmpi ≡ simmpi bits).
+            for fut, res in zip(futures, results):
+                ref = repro.solve(fut.job.grid, fut.job.field,
+                                  fut.job.config, topology=topo,
+                                  backend="simmpi")
+                assert np.array_equal(res.field, ref.field)
 
         # Health reflects the verdict after the fact.
         health = svc.health()

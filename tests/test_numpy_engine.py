@@ -5,9 +5,10 @@ Bit-identity to the other engines is pinned by
 fits one slab.  This file covers what that battery cannot see: regions
 walked in *several* slabs (both directions, every traversal axis), the
 per-thread scratch buffers surviving shape changes and real threads,
-and the absence of region-sized temporaries.  The ``blocked`` engine is
-the independent reference throughout — it still evaluates
-``StarStencil.apply`` on gathered copies and commits with one write.
+and the absence of region-sized temporaries.  The ``conftest`` oracle is
+the independent reference throughout — it evaluates
+``StarStencil.apply`` on gathered copies and commits with one write per
+block region (the role the ``_match_blocked`` test names remember).
 """
 
 from __future__ import annotations
@@ -25,6 +26,12 @@ from repro.kernels import anisotropic_jacobi
 
 BOUNDARY = DirichletBoundary(
     func=lambda z, y, x: 0.1 * z + 0.2 * y - 0.05 * x)
+ORACLE = "oracle"
+
+
+@pytest.fixture(autouse=True)
+def _oracle(oracle_engine):
+    oracle_engine(ORACLE)
 
 
 def _cfg(block, storage="twogrid", engine="numpy", passes=2):
@@ -51,7 +58,7 @@ class TestSlabWalk:
         grid, field = _problem((12, 10, 11))
         monkeypatch.setattr(numpy_engine, "SLAB_BYTES", planes * 10 * 8 * 8)
         st = anisotropic_jacobi(1.0, 2.0, 0.5).damped(0.8)
-        ref = solve(grid, field, _cfg(block, storage, "blocked"), stencil=st)
+        ref = solve(grid, field, _cfg(block, storage, ORACLE), stencil=st)
         got = solve(grid, field, _cfg(block, storage), stencil=st)
         assert np.array_equal(got.field, ref.field)
 
@@ -63,7 +70,7 @@ class TestScratchReuse:
         # or differently shaped slab must never leak stale values.
         problems = [_problem((12, 30, 31), seed=1), _problem((5, 6, 7), seed=2)]
         block = (4, 64, 64)
-        want = [solve(g, f, _cfg(block, storage, "blocked")).field
+        want = [solve(g, f, _cfg(block, storage, ORACLE)).field
                 for g, f in problems]
         for _ in range(3):
             for (g, f), ref in zip(problems, want):
@@ -75,7 +82,7 @@ class TestScratchReuse:
         # One scratch pair per stage thread (threading.local).
         grid, field = _problem((16, 12, 13))
         cfg = _cfg((4, 64, 64), storage)
-        ref = solve(grid, field, _cfg((4, 64, 64), storage, "blocked"))
+        ref = solve(grid, field, _cfg((4, 64, 64), storage, ORACLE))
         for _ in range(3):
             got = solve(grid, field, cfg, backend="threads")
             assert np.array_equal(got.field, ref.field)
@@ -85,7 +92,7 @@ class TestScratchReuse:
             grid = Grid3D((9, 8, 10), boundary=BOUNDARY, dtype=dtype)
             field = random_field(grid.shape,
                                  np.random.default_rng(3)).astype(dtype)
-            ref = solve(grid, field, _cfg((4, 64, 64), engine="blocked"))
+            ref = solve(grid, field, _cfg((4, 64, 64), engine=ORACLE))
             got = solve(grid, field, _cfg((4, 64, 64)))
             assert got.field.dtype == np.dtype(dtype)
             assert np.array_equal(got.field, ref.field)
@@ -129,6 +136,6 @@ class TestAllocationFree:
         assert peak - base < limit, f"{peak - base} B peak in a warm apply"
         assert now - base < 4 << 10, f"{now - base} B kept by a warm apply"
         want = _storage(kind, grid, field)
-        get_engine("blocked").apply(jacobi7(), want, region, 1)
+        get_engine(ORACLE).apply(jacobi7(), want, region, 1)
         assert np.array_equal(storage.extract_region(region, 1),
                               want.extract_region(region, 1))

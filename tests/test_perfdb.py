@@ -38,6 +38,13 @@ from repro.perf.db import (
 )
 
 HOST = "pin-host-8c"
+#: The registered non-default candidate on every host (conftest's stub).
+SECOND = "oracle"
+
+
+@pytest.fixture(autouse=True)
+def _second_engine(oracle_engine):
+    oracle_engine(SECOND)
 
 
 def _cfg(**kw) -> PipelineConfig:
@@ -151,8 +158,8 @@ class TestPerfDB:
 
     def test_ingest_bench_document(self):
         doc = {"records": [
-            {"scenario": "solve_shared_blocked@quick", "kind": "solver",
-             "params": {"engine": "blocked", "storage": "twogrid",
+            {"scenario": "solve_shared_numba@quick", "kind": "solver",
+             "params": {"engine": "numba", "storage": "twogrid",
                         "shape": [48, 48, 48]},
              "metrics": {"mcups": {"value": 42.0}}},
             # No engine param: skipped.
@@ -162,7 +169,7 @@ class TestPerfDB:
         ]}
         db = PerfDB()
         assert db.ingest_document(doc, host=HOST) == 1
-        assert db.lookup("blocked", "jacobi", "twogrid",
+        assert db.lookup("numba", "jacobi", "twogrid",
                          size_class((48, 48, 48)), host=HOST) == 42.0
 
     def test_size_class_buckets(self):
@@ -186,24 +193,37 @@ class TestResolveAutoEngine:
 
     def test_unknown_host_resolves_to_static_default(self):
         db = PerfDB()
-        db.record("blocked", "jacobi", "twogrid", "medium", 1000.0,
+        db.record(SECOND, "jacobi", "twogrid", "medium", 1000.0,
                   host="somewhere-else")
         assert resolve_auto_engine("twogrid", (48, 48, 48),
                                    db=db) == DEFAULT_ENGINE
 
     def test_measured_best_wins_deterministically(self):
         db = PerfDB()
-        db.record("blocked", "jacobi", "twogrid", "medium", 500.0)
-        db.record("inplace", "jacobi", "twogrid", "medium", 300.0)
+        db.record(SECOND, "jacobi", "twogrid", "medium", 500.0)
         db.record(DEFAULT_ENGINE, "jacobi", "twogrid", "medium", 100.0)
         for _ in range(3):
             assert resolve_auto_engine("twogrid",
-                                       (48, 48, 48), db=db) == "blocked"
+                                       (48, 48, 48), db=db) == SECOND
+
+    def test_stale_db_naming_a_deleted_engine(self, tmp_path):
+        # A perf DB saved before the blocked engine was deleted ranks it
+        # 10x over numpy: it loads, and auto still picks a live engine.
+        old = PerfDB()
+        old.record("blocked", "jacobi", "twogrid", "medium", 1000.0)
+        old.record(DEFAULT_ENGINE, "jacobi", "twogrid", "medium", 100.0)
+        old.save(tmp_path / "perfdb.json")
+        db = PerfDB()
+        assert db.load(tmp_path / "perfdb.json") == 2
+        assert db.rank(["numpy", "blocked"], "jacobi", "twogrid",
+                       "medium")[0] == "blocked"
+        assert resolve_auto_engine("twogrid", (48, 48, 48),
+                                   db=db) == DEFAULT_ENGINE
 
     def test_unregistered_candidates_are_skipped(self):
         db = PerfDB()
         db.record("numba-deep", "jacobi", "twogrid", "medium", 9000.0)
-        engines = ["numpy", "blocked", "numba", "numba-deep"]
+        engines = ["numpy", "numba", "numba-deep"]
         got = resolve_auto_engine("twogrid", (48, 48, 48),
                                   engines=engines, db=db)
         if "numba-deep" in available_engines():
@@ -213,7 +233,7 @@ class TestResolveAutoEngine:
 
     def test_measurements_for_other_storage_do_not_leak(self):
         db = PerfDB()
-        db.record("blocked", "jacobi", "compressed", "medium", 1000.0)
+        db.record(SECOND, "jacobi", "compressed", "medium", 1000.0)
         assert resolve_auto_engine("twogrid", (48, 48, 48),
                                    db=db) == DEFAULT_ENGINE
 
@@ -229,12 +249,12 @@ class TestAutoThroughApi:
         ref = solve(grid, field, _cfg())
         got = solve(grid, field, _cfg(), engine="auto")
         assert got.config.engine == DEFAULT_ENGINE  # empty db
-        clean_default_db.record("blocked", "jacobi", "twogrid",
+        clean_default_db.record(SECOND, "jacobi", "twogrid",
                                 size_class(grid.shape), 500.0)
         clean_default_db.record(DEFAULT_ENGINE, "jacobi", "twogrid",
                                 size_class(grid.shape), 100.0)
         got2 = solve(grid, field, _cfg(), engine="auto")
-        assert got2.config.engine == "blocked"
+        assert got2.config.engine == SECOND
         assert np.array_equal(got.field, ref.field)
         assert np.array_equal(got2.field, ref.field)
 
@@ -246,7 +266,7 @@ class TestAutoThroughApi:
             f = svc.submit(grid, field, _cfg(), engine="auto")
             # Calibration data lands while the job is queued: the late
             # binding must see it.
-            clean_default_db.record("blocked", "jacobi", "twogrid",
+            clean_default_db.record(SECOND, "jacobi", "twogrid",
                                     size_class(grid.shape), 500.0)
             clean_default_db.record(DEFAULT_ENGINE, "jacobi", "twogrid",
                                     size_class(grid.shape), 100.0)
@@ -260,7 +280,7 @@ class TestAutoThroughApi:
         the first solve, zero further backend invocations."""
         from repro.serve import Service
 
-        clean_default_db.record("blocked", "jacobi", "twogrid",
+        clean_default_db.record(SECOND, "jacobi", "twogrid",
                                 "small", 500.0)
         grid, field = _problem()
         with Service(workers=0) as svc:
@@ -276,7 +296,7 @@ class TestAutoThroughApi:
     def test_concrete_engine_with_auto_config_still_rejected(self):
         grid, field = _problem()
         with pytest.raises(ValueError, match="concrete engine"):
-            repro.submit(grid, field, "auto", engine="blocked")
+            repro.submit(grid, field, "auto", engine="numpy")
 
     def test_auto_engine_with_auto_config_is_accepted(
             self, clean_default_db):
@@ -303,12 +323,12 @@ class TestAutoconfStaleness:
         first = auto_config(grid)
         assert first.engine == DEFAULT_ENGINE
         cls = size_class(grid.shape)
-        clean_default_db.record("blocked", "jacobi", first.storage,
+        clean_default_db.record(SECOND, "jacobi", first.storage,
                                 cls, 500.0)
         clean_default_db.record(DEFAULT_ENGINE, "jacobi", first.storage,
                                 cls, 100.0)
         second = auto_config(grid)
-        assert second.engine == "blocked"
+        assert second.engine == SECOND
         # And back again once the default engine measures fastest.
         clean_default_db.record(DEFAULT_ENGINE, "jacobi", first.storage,
                                 cls, 900.0)
@@ -336,20 +356,20 @@ class TestMeasuredAutotune:
         cls = size_class(shape)
         for storage in ("twogrid", "compressed"):
             db.record("numpy", "jacobi", storage, cls, 100.0)
-            db.record("blocked", "jacobi", storage, cls, 300.0)
+            db.record(SECOND, "jacobi", storage, cls, 300.0)
         kw = dict(shape=shape, bx_values=(60,), bz_values=(10,),
                   T_values=(2,), du_values=(4,),
-                  engines=("numpy", "blocked"))
+                  engines=("numpy", SECOND))
         plain = repro.autotune(nehalem_ep(), **kw)
         tuned = repro.autotune(nehalem_ep(), perf_db=db, **kw)
         # Without data: stable order keeps numpy (given first) on top
-        # of each tied pair.  With data: blocked leads at 3x.
+        # of each tied pair.  With data: the stub leads at 3x.
         assert plain[0].config.engine == "numpy"
-        assert tuned[0].config.engine == "blocked"
+        assert tuned[0].config.engine == SECOND
         pairs = {(r.config.engine, r.config.storage): r.mlups
                  for r in tuned}
         for storage in ("twogrid", "compressed"):
-            assert pairs[("blocked", storage)] == pytest.approx(
+            assert pairs[(SECOND, storage)] == pytest.approx(
                 3.0 * pairs[("numpy", storage)])
 
     def test_cost_model_engine_terms(self):
@@ -357,13 +377,13 @@ class TestMeasuredAutotune:
         from repro.sim.costmodel import engine_factor, engine_throughput
 
         db = PerfDB()
-        assert engine_factor("blocked", db=db) == 1.0
+        assert engine_factor(SECOND, db=db) == 1.0
         m = nehalem_ep()
-        assert engine_throughput(m, "blocked", db=db) is m
-        db.record("blocked", "jacobi", "twogrid", "large", 600.0)
+        assert engine_throughput(m, SECOND, db=db) is m
+        db.record(SECOND, "jacobi", "twogrid", "large", 600.0)
         db.record("numpy", "jacobi", "twogrid", "large", 200.0)
-        assert engine_factor("blocked", db=db) == 3.0
-        m2 = engine_throughput(m, "blocked", db=db)
+        assert engine_factor(SECOND, db=db) == 3.0
+        m2 = engine_throughput(m, SECOND, db=db)
         assert m2.core_mlups == pytest.approx(3.0 * m.core_mlups)
         # Everything that is a machine property stays untouched.
         assert m2.mem_bw_socket == m.mem_bw_socket
