@@ -9,6 +9,15 @@ front-/rear-biased orders — and every storage access is validated, so an
 illegal schedule raises instead of silently producing a wrong (or even a
 right) answer.
 
+The geometry of a pass is resolved once, not per block: before a pass
+starts, every update of every stage is bound to the three per-axis span
+rows of its shift level (:meth:`BlockDecomposition.level_rows`, memoised
+process-wide and already clipped to the update's active box), and a
+block op — the one body the cooperative loop, the ``threads`` stage
+threads and the ``dist`` per-rank trapezoid all run — indexes those rows
+by its block index: emptiness and cell count are integer products, and
+the engine receives spans whose slices address the storage directly.
+
 What this deliberately does **not** model is wall-clock time; that is the
 job of the discrete-event rail in :mod:`repro.sim`, which executes the
 same schedule against a machine model.
@@ -126,6 +135,9 @@ class PipelineExecutor:
                                     trace=[] if record_trace else None)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._rr_next = 0
+        #: Per stage, the ``(level, rows)`` of its updates in the current
+        #: pass (:meth:`_begin_pass`).
+        self._stage_rows: Tuple[Tuple[Tuple, ...], ...] = ()
 
     # -- public API -------------------------------------------------------------
 
@@ -147,6 +159,7 @@ class PipelineExecutor:
         cfg = self.config
         P = cfg.n_stages
         n_blocks = self.decomp.n_traversal_blocks
+        self._begin_pass(pass_idx)
         counters = [0] * P
         finished = [False] * P
         with self.tracer.span("pass", cat="core", idx=pass_idx):
@@ -194,11 +207,33 @@ class PipelineExecutor:
             return min(ready)
         return max(ready)  # rear_first
 
-    def _active(self, level: int) -> Box:
-        if self.active_fn is None:
-            return self.grid.domain
-        box = self.active_fn(level)
-        return box.intersect(self.grid.domain)
+    def _begin_pass(self, pass_idx: int) -> None:
+        """Resolve the pass geometry before any block runs.
+
+        Per stage, each of its updates becomes ``(level, rows)`` with the
+        three per-axis span rows of its shift level, clipped to its
+        active box — memoised lookups (:func:`repro.grid.blocks.axis_row`)
+        shared by every pass, rank and solve of the same shape, so a
+        block op below only indexes them.
+        """
+        cfg = self.config
+        base = pass_idx * cfg.updates_per_pass
+        # Compressed grid: odd passes unwind the storage shift, which
+        # requires the reversed ("mirror") traversal — the paper's reverse
+        # loops on even sweeps.  Two-grid passes are direction-agnostic.
+        mirror = (pass_idx % 2 == 1) and isinstance(self.storage, CompressedStorage)
+        domain = self.grid.domain
+        plan = []
+        for stage in range(cfg.n_stages):
+            updates = []
+            for u_local in cfg.stage_updates(stage):
+                level = base + u_local
+                active = (domain if self.active_fn is None
+                          else self.active_fn(level).intersect(domain))
+                updates.append((level, self.decomp.level_rows(
+                    u_local - 1, active, mirror)))
+            plan.append(tuple(updates))
+        self._stage_rows = tuple(plan)
 
     def _execute_block(self, pass_idx: int, stage: int, traversal_idx: int,
                        stats: Optional[ExecutionStats] = None) -> None:
@@ -208,37 +243,26 @@ class PipelineExecutor:
         # ``+=`` on one shared object loses updates.  The simulated rail
         # keeps the default — its single thread owns ``self.stats``.
         stats = self.stats if stats is None else stats
-        cfg = self.config
-        base = pass_idx * cfg.updates_per_pass
-        # Compressed grid: odd passes unwind the storage shift, which
-        # requires the reversed ("mirror") traversal — the paper's reverse
-        # loops on even sweeps.  Two-grid passes are direction-agnostic.
-        mirror = (pass_idx % 2 == 1) and isinstance(self.storage, CompressedStorage)
         stats.block_ops += 1
         if stats.trace is not None:
             stats.trace.append((pass_idx, stage, traversal_idx))
+        k0, k1, k2 = self.decomp.block_index(traversal_idx)
+        tracer, engine = self.tracer, self.engine
         any_work = False
-        with self.tracer.span("block", cat="core", tid=stage + 1,
-                              stage=stage, idx=traversal_idx):
-            for u_local in cfg.stage_updates(stage):
-                level = base + u_local
-                region = self.decomp.region(traversal_idx, u_local - 1,
-                                            self._active(level), mirror=mirror)
-                if region.is_empty:
+        with tracer.span("block", cat="core", tid=stage + 1,
+                         stage=stage, idx=traversal_idx):
+            for level, (rz, ry, rx) in self._stage_rows[stage]:
+                spans = (rz[k0], ry[k1], rx[k2])
+                cells = spans[0].n * spans[1].n * spans[2].n
+                if not cells:
                     continue
                 any_work = True
-                self._apply_update(region, level, stage, stats=stats)
+                with tracer.span("apply", cat="engine", tid=stage + 1,
+                                 engine=engine.name,
+                                 semantics=engine.semantics, cells=cells):
+                    engine.apply_spans(self.stencil, self.storage, spans, level)
+                stats.updates += 1
+                stats.cells_updated += cells
         stats.per_stage_blocks[stage] += 1
         if not any_work:
             stats.empty_block_ops += 1
-
-    def _apply_update(self, region: Box, level: int, stage: int = 0,
-                      stats: Optional[ExecutionStats] = None) -> None:
-        stats = self.stats if stats is None else stats
-        with self.tracer.span("apply", cat="engine", tid=stage + 1,
-                              engine=self.engine.name,
-                              semantics=self.engine.semantics,
-                              cells=region.ncells):
-            self.engine.apply(self.stencil, self.storage, region, level)
-        stats.updates += 1
-        stats.cells_updated += region.ncells

@@ -108,11 +108,20 @@ class _StorageBase:
         commit then flips the position tracking, so an ordering mistake
         is still caught deterministically by the next validated read.
         """
+        self.check_write(region, level)
+        return self._view(region, level)
+
+    def check_write(self, region: Box, level: int) -> None:
+        """The pre-write legality checks of :meth:`write_view`, alone.
+
+        For callers that address the destination themselves (the table
+        slices of :meth:`TwoGridStorage.ring_array`).  No-op when
+        validation is off or ``region`` is empty.
+        """
         if self.validate and not region.is_empty:
             if not self.domain.contains_box(region):
                 raise StorageError(f"write region {region} outside stored domain")
             self.check_uniform_level(region, level - 1)
-        return self._view(region, level)
 
     def commit_write(self, region: Box, level: int) -> None:
         """Mark a :meth:`write_view` destination as written.
@@ -271,9 +280,21 @@ class TwoGridStorage(_StorageBase):
             self._check_read(nb.intersect(self.domain), level)
         return self._view(nb, level)
 
+    def ring_array(self, level: int) -> np.ndarray:
+        """Padded array ``level % 2``: holds ``level``, receives the update
+        to it.
+
+        Index 0 is cell ``-1``, the layout the slices of a
+        :class:`~repro.grid.blocks.AxisSpan` address, so a region and its
+        shifted reads are ``array[sz[dz], sy[dy], sx[dx]]``.  Raw access:
+        callers run :meth:`check_traversal` before reading and
+        :meth:`check_write` / :meth:`commit_write` around writing.
+        """
+        return self._arrays[level % 2]
+
     def raw_read_array(self, level: int) -> Tuple[np.ndarray, Tuple[int, int, int]]:
-        """Padded array ``level % 2``; origin ``(1, 1, 1)`` skips the ring."""
-        return self._arrays[level % 2], self._ORIGIN
+        """:meth:`ring_array`; origin ``(1, 1, 1)`` skips the ring."""
+        return self.ring_array(level), self._ORIGIN
 
     @property
     def array_bytes(self) -> int:

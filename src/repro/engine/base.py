@@ -24,9 +24,11 @@ engine.
 Two entry points cover the two ways the repo stores fields:
 
 * :meth:`Engine.apply` — storage-mediated, used by the pipelined
-  executor.  ``src``/``dst`` are implicit in the storage scheme (for
-  the two-grid layout they are separate arrays; for the compressed
-  grid they are shifted positions of *one* array), so the engine reads
+  executor (through :meth:`Engine.apply_spans`, the same update with
+  the region given as its block-table entries).  ``src``/``dst`` are
+  implicit in the storage scheme (for the two-grid layout they are
+  separate arrays; for the compressed grid they are shifted positions
+  of *one* array), so the engine reads
   through ``storage.read``/``storage.gather`` (Dirichlet values
   included) or, after ``storage.check_traversal``, straight from
   ``storage.raw_read_array``, and writes through ``storage.write`` or
@@ -46,6 +48,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from ..grid.blocks import spans_box
+
 __all__ = ["Engine", "nonzero_terms", "plane_axis_and_step"]
 
 Coord = Tuple[int, int, int]
@@ -55,11 +59,11 @@ def nonzero_terms(stencil) -> List[Tuple[Coord, float]]:
     """The gathered ``(offset, weight)`` pairs with nonzero weight.
 
     Canonical offset order (see ``AXIS_OFFSETS``); zero-weight offsets
-    are dropped here, once, so every engine accumulates the exact same
-    floating-point term sequence per cell.
+    are dropped once, in :attr:`StarStencil.terms` — this is that
+    sequence without the centre term — so every engine accumulates the
+    exact same floating-point term sequence per cell.
     """
-    return [(off, stencil.weights[off]) for off in stencil.offsets
-            if stencil.weights[off] != 0.0]
+    return [(off, w) for off, w in stencil.terms if off != (0, 0, 0)]
 
 
 def plane_axis_and_step(storage, level: int) -> Tuple[int, int]:
@@ -127,6 +131,16 @@ class Engine:
         instead of corrupting the schedule.
         """
         raise NotImplementedError
+
+    def apply_spans(self, stencil, storage, spans, level: int) -> None:
+        """:meth:`apply` on the non-empty region three table spans address.
+
+        What the executor calls: ``spans`` are the per-axis
+        :class:`~repro.grid.blocks.AxisSpan` entries of the region, whose
+        ready-made slices let a view-based engine skip the ``Box``
+        altogether.  The default materialises the ``Box``.
+        """
+        self.apply(stencil, storage, spans_box(spans), level)
 
     def apply_padded(self, stencil, src: np.ndarray, dst: np.ndarray,
                      lo: Sequence[int], hi: Sequence[int]) -> None:

@@ -9,16 +9,34 @@ after an update").  Because of the shift, the traversal must be extended
 past the last real block so that the trailing (clipped) regions drain the
 high end of the domain; :class:`BlockDecomposition` computes the extension
 from the maximum shift.
+
+Every update region is a Cartesian product of three 1-D intervals —
+``[k_d*b_d - shift*vec_d, +b_d)``, mirrored or not, clipped to the active
+box — so the geometry is held as **separable per-axis rows**
+(:func:`axis_row`): for one axis and one shift level, block index ``k_d``
+maps to an :class:`AxisSpan` carrying the clipped interval and the three
+``slice`` objects (stencil offset -1/0/+1) that address it.  Rows are
+derived once per distinct geometry and kept in a bounded process-wide
+memo keyed by nothing but their integer inputs, so every decomposition,
+pass, rank and served job of the same shape shares them, and
+:meth:`BlockDecomposition.region` is three row lookups.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .region import Box
 
-__all__ = ["BlockDecomposition", "block_count"]
+__all__ = ["AxisSpan", "BlockDecomposition", "ROW_MEMO_SIZE", "Spans",
+           "axis_row", "block_count", "box_spans", "spans_box"]
+
+#: Rows the process-wide memo holds (least recently used goes first).  A
+#: solve touches ``3 * updates_per_pass`` of them per traversal direction
+#: and a row is ``O(blocks along its axis)``, so the memo is KiB-sized.
+ROW_MEMO_SIZE = 256
 
 
 def block_count(extent: int, block: int) -> int:
@@ -26,6 +44,81 @@ def block_count(extent: int, block: int) -> int:
     if block < 1:
         raise ValueError("block size must be >= 1")
     return -(-extent // block)
+
+
+class AxisSpan(NamedTuple):
+    """One axis of an update region: the clipped interval and its slices.
+
+    The slices address the cells ``[lo, hi)`` displaced by 0/+1/-1 in an
+    array whose index 0 holds cell ``domain.lo - 1`` — a one-cell ghost
+    ring around the domain, the two-grid layout.  The fields are ordered
+    so that ``span[off]`` *is* the slice a stencil offset ``off`` in
+    ``{0, +1, -1}`` reads (``-1`` indexes the last field), which leaves
+    the engines no index arithmetic per term.  ``n`` is the interval
+    length clamped at zero; a fully clipped interval keeps its raw
+    ``hi <= lo`` (what :meth:`Box.intersect` returns) and zero-length
+    slices.  Slices are meaningful for spans inside the domain only.
+    """
+
+    zero: slice
+    plus: slice
+    lo: int
+    hi: int
+    n: int
+    minus: slice
+
+    def sub(self, a: int, b: int) -> "AxisSpan":
+        """The span of this one's cells ``a .. b`` (relative; slab walks)."""
+        return _span(self.minus.start + a, self.lo + a, self.lo + b)
+
+
+#: The three spans of one region, and one axis' spans by block index.
+Spans = Tuple[AxisSpan, AxisSpan, AxisSpan]
+Row = Tuple[AxisSpan, ...]
+
+
+def _span(at: int, lo: int, hi: int) -> AxisSpan:
+    """Span of cells ``[lo, hi)`` whose ``-1`` neighbour sits at index ``at``."""
+    n = max(0, hi - lo)
+    if not n:
+        at = 0
+    return AxisSpan(slice(at + 1, at + 1 + n), slice(at + 2, at + 2 + n),
+                    lo, hi, n, slice(at, at + n))
+
+
+@lru_cache(maxsize=ROW_MEMO_SIZE)
+def axis_row(dom_lo: int, dom_hi: int, block: int, count: int, offset: int,
+             mirror: bool, act_lo: int, act_hi: int) -> Row:
+    """The :class:`AxisSpan` of every block index along one axis.
+
+    Block ``k`` covers ``[dom_lo + k*block - offset, +block)``, reflected
+    about the centre of ``[dom_lo, dom_hi)`` under ``mirror`` and clipped
+    to ``[act_lo, act_hi)``.  Memoised: the arguments are the whole
+    geometry of the row, results are immutable, and the cache is bounded
+    (:data:`ROW_MEMO_SIZE`) and safe to share between threads.
+    """
+    row = []
+    for k in range(count):
+        lo = dom_lo + k * block - offset
+        hi = lo + block
+        if mirror:
+            lo, hi = dom_lo + dom_hi - hi, dom_lo + dom_hi - lo
+        lo, hi = max(lo, act_lo), min(hi, act_hi)
+        row.append(_span(lo - dom_lo, lo, hi))
+    return tuple(row)
+
+
+def box_spans(box: Box, dom_lo: Sequence[int] = (0, 0, 0)) -> Spans:
+    """Per-axis spans addressing ``box`` in a domain starting at ``dom_lo``."""
+    return (_span(box.lo[0] - dom_lo[0], box.lo[0], box.hi[0]),
+            _span(box.lo[1] - dom_lo[1], box.lo[1], box.hi[1]),
+            _span(box.lo[2] - dom_lo[2], box.lo[2], box.hi[2]))
+
+
+def spans_box(spans: Spans) -> Box:
+    """The region three per-axis spans address, as a :class:`Box`."""
+    sz, sy, sx = spans
+    return Box((sz.lo, sy.lo, sx.lo), (sz.hi, sy.hi, sx.hi))
 
 
 @dataclass(frozen=True)
@@ -45,11 +138,40 @@ class BlockDecomposition:
         The largest region shift the schedule will request, i.e.
         ``n_stages * T - 1`` for a pipeline of that depth.  Determines how
         many drain blocks extend the traversal.
+
+    Attributes
+    ----------
+    extents:
+        Domain edge lengths.
+    tiled_dims:
+        Dimensions actually cut into more than one block (shifted dims).
+    shift_vec:
+        Unit shift vector: 1 in each tiled dimension, 0 elsewhere.
+    base_counts:
+        Blocks per dimension without drain extension.
+    extended_counts:
+        Blocks per dimension including drain blocks for the max shift.
+        Along a tiled dimension the last region at shift ``S`` is
+        ``[k*b - S, (k+1)*b - S)``; it still intersects the domain while
+        ``k*b - S < n``, so blocks run up to ``ceil((n + S) / b) - 1``.
+    n_traversal_blocks:
+        Total traversal length (shared by every pipeline stage).
+    n_base_blocks:
+        Number of real (unshifted) blocks tiling the domain.
     """
 
     domain: Box
     block_size: Tuple[int, int, int]
     max_shift: int = 0
+    # Derived once at construction, so nothing is re-derived per region.
+    extents: Tuple[int, int, int] = field(init=False, repr=False, compare=False)
+    tiled_dims: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    shift_vec: Tuple[int, int, int] = field(init=False, repr=False, compare=False)
+    base_counts: Tuple[int, int, int] = field(init=False, repr=False, compare=False)
+    extended_counts: Tuple[int, int, int] = field(init=False, repr=False,
+                                                  compare=False)
+    n_traversal_blocks: int = field(init=False, repr=False, compare=False)
+    n_base_blocks: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.domain.is_empty:
@@ -58,74 +180,30 @@ class BlockDecomposition:
             raise ValueError(f"block sizes must be >= 1, got {self.block_size}")
         if self.max_shift < 0:
             raise ValueError("max_shift must be >= 0")
-        object.__setattr__(self, "block_size",
-                           tuple(int(b) for b in self.block_size))
-
-    # -- derived geometry -------------------------------------------------------
-
-    @property
-    def extents(self) -> Tuple[int, int, int]:
-        """Domain edge lengths."""
-        return self.domain.shape
-
-    @property
-    def tiled_dims(self) -> Tuple[int, ...]:
-        """Dimensions actually cut into more than one block (shifted dims)."""
-        return tuple(d for d in range(3)
-                     if self.block_size[d] < self.extents[d])
-
-    @property
-    def shift_vec(self) -> Tuple[int, int, int]:
-        """Unit shift vector: 1 in each tiled dimension, 0 elsewhere."""
-        tiled = set(self.tiled_dims)
-        return tuple(1 if d in tiled else 0 for d in range(3))  # type: ignore[return-value]
-
-    @property
-    def base_counts(self) -> Tuple[int, int, int]:
-        """Blocks per dimension without drain extension."""
-        return tuple(block_count(self.extents[d], self.block_size[d])
-                     for d in range(3))  # type: ignore[return-value]
-
-    @property
-    def extended_counts(self) -> Tuple[int, int, int]:
-        """Blocks per dimension including drain blocks for the max shift.
-
-        Along a tiled dimension the last region at shift ``S`` is
-        ``[k*b - S, (k+1)*b - S)``; it still intersects the domain while
-        ``k*b - S < n``, so blocks run up to ``ceil((n + S) / b) - 1``.
-        """
-        out = []
-        for d in range(3):
-            n, b = self.extents[d], self.block_size[d]
-            if self.block_size[d] < n:
-                out.append(block_count(n + self.max_shift, b))
-            else:
-                out.append(block_count(n, b))
-        return tuple(out)  # type: ignore[return-value]
-
-    @property
-    def n_traversal_blocks(self) -> int:
-        """Total traversal length (shared by every pipeline stage)."""
-        c = self.extended_counts
-        return c[0] * c[1] * c[2]
-
-    @property
-    def n_base_blocks(self) -> int:
-        """Number of real (unshifted) blocks tiling the domain."""
-        c = self.base_counts
-        return c[0] * c[1] * c[2]
+        block = tuple(int(b) for b in self.block_size)
+        extents = self.domain.shape
+        vec = tuple(int(block[d] < extents[d]) for d in range(3))
+        base = tuple(block_count(extents[d], block[d]) for d in range(3))
+        ext = tuple(block_count(extents[d] + vec[d] * self.max_shift, block[d])
+                    for d in range(3))
+        for name, value in (
+                ("block_size", block), ("extents", extents),
+                ("tiled_dims", tuple(d for d in range(3) if vec[d])),
+                ("shift_vec", vec), ("base_counts", base),
+                ("extended_counts", ext),
+                ("n_traversal_blocks", ext[0] * ext[1] * ext[2]),
+                ("n_base_blocks", base[0] * base[1] * base[2])):
+            object.__setattr__(self, name, value)
 
     # -- block boxes ------------------------------------------------------------
 
     def block_index(self, traversal_idx: int) -> Tuple[int, int, int]:
         """Map a linear traversal index to a block index triple (z-major)."""
-        c = self.extended_counts
-        if not (0 <= traversal_idx < c[0] * c[1] * c[2]):
+        if not (0 <= traversal_idx < self.n_traversal_blocks):
             raise IndexError(f"traversal index {traversal_idx} out of range")
-        k2 = traversal_idx % c[2]
-        rest = traversal_idx // c[2]
-        k1 = rest % c[1]
-        k0 = rest // c[1]
+        _, c1, c2 = self.extended_counts
+        rest, k2 = divmod(traversal_idx, c2)
+        k0, k1 = divmod(rest, c1)
         return (k0, k1, k2)
 
     def block_box(self, k: Sequence[int]) -> Box:
@@ -138,6 +216,27 @@ class BlockDecomposition:
         hi = tuple(lo[d] + self.block_size[d] for d in range(3))
         return Box(lo, hi)  # type: ignore[arg-type]
 
+    def level_rows(self, shift: int, active: Optional[Box] = None,
+                   mirror: bool = False) -> Tuple[Row, Row, Row]:
+        """The three :func:`axis_row` tables of one shift level.
+
+        Block ``(k0, k1, k2)``'s update region at ``shift`` is the product
+        ``rows[0][k0] x rows[1][k1] x rows[2][k2]``; it is empty iff any
+        of the three spans has ``n == 0``.
+        """
+        if shift < 0 or shift > self.max_shift:
+            raise ValueError(f"shift {shift} outside [0, {self.max_shift}]")
+        dom = self.domain
+        act = dom if active is None else active
+        (d0, d1, d2), (e0, e1, e2) = dom.lo, dom.hi
+        (a0, a1, a2), (h0, h1, h2) = act.lo, act.hi
+        b0, b1, b2 = self.block_size
+        c0, c1, c2 = self.extended_counts
+        v0, v1, v2 = self.shift_vec
+        return (axis_row(d0, e0, b0, c0, shift * v0, mirror and v0 == 1, a0, h0),
+                axis_row(d1, e1, b1, c1, shift * v1, mirror and v1 == 1, a1, h1),
+                axis_row(d2, e2, b2, c2, shift * v2, mirror and v2 == 1, a2, h2))
+
     def region(self, traversal_idx: int, shift: int,
                active: Optional[Box] = None, mirror: bool = False) -> Box:
         """Update region: block box shifted by ``-shift`` along tiled dims.
@@ -145,7 +244,9 @@ class BlockDecomposition:
         The result is clipped to ``active`` (defaults to the domain).  This
         is the geometric core of the scheme; everything else — coverage,
         two-buffer legality, no-boundary-copies — follows from it and is
-        machine-checked by the executor.
+        machine-checked by the executor.  It is three lookups in the
+        memoised per-axis rows (:meth:`level_rows`), the same tables the
+        executor iterates.
 
         ``mirror=True`` reflects the region about the domain centre along
         the tiled dimensions.  This realises the paper's "reverse loops
@@ -153,23 +254,9 @@ class BlockDecomposition:
         compressed grid: traversal index 0 then starts at the *high* end
         and regions shift upward, matching the unwinding storage offsets.
         """
-        if shift < 0 or shift > self.max_shift:
-            raise ValueError(f"shift {shift} outside [0, {self.max_shift}]")
-        k = self.block_index(traversal_idx)
-        vec = self.shift_vec
-        box = self.block_box(k).shift(tuple(-shift * vec[d] for d in range(3)))
-        if mirror:
-            box = self._mirror(box)
-        return box.intersect(active if active is not None else self.domain)
-
-    def _mirror(self, box: Box) -> Box:
-        """Reflect a box about the domain centre along tiled dimensions."""
-        lo = list(box.lo)
-        hi = list(box.hi)
-        for d in self.tiled_dims:
-            span = self.domain.lo[d] + self.domain.hi[d]
-            lo[d], hi[d] = span - box.hi[d], span - box.lo[d]
-        return Box(tuple(lo), tuple(hi))  # type: ignore[arg-type]
+        rz, ry, rx = self.level_rows(shift, active, mirror)
+        k0, k1, k2 = self.block_index(traversal_idx)
+        return spans_box((rz[k0], ry[k1], rx[k2]))
 
     def level_regions(self, shift: int, active: Optional[Box] = None,
                       mirror: bool = False) -> List[Box]:

@@ -123,10 +123,6 @@ class Box:
         hi = tuple(self.hi[d] + per_dim[d] for d in range(3))
         return Box(lo, hi)  # type: ignore[arg-type]
 
-    def clip(self, other: "Box") -> "Box":
-        """Intersect with ``other`` (alias of :meth:`intersect`)."""
-        return self.intersect(other)
-
     def intersect(self, other: "Box") -> "Box":
         """The intersection box (possibly empty)."""
         lo = tuple(max(self.lo[d], other.lo[d]) for d in range(3))

@@ -12,6 +12,7 @@ constructor enforces this.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -65,6 +66,20 @@ class StarStencil:
     def offsets(self) -> List[Offset]:
         """Gathered offsets in canonical order (subset of AXIS_OFFSETS)."""
         return [o for o in AXIS_OFFSETS if o in self.weights]
+
+    @cached_property
+    def terms(self) -> Tuple[Tuple[Offset, float], ...]:
+        """The ``(offset, weight)`` sequence of :meth:`apply`, derived once.
+
+        Nonzero-weight neighbours in canonical order, then the centre term
+        if its weight is nonzero — the per-cell multiply-add order every
+        ``vector-v1`` engine reproduces.
+        """
+        out = [(off, self.weights[off]) for off in self.offsets
+               if self.weights[off] != 0.0]
+        if self.center_weight != 0.0:
+            out.append(((0, 0, 0), self.center_weight))
+        return tuple(out)
 
     @property
     def n_neighbors(self) -> int:

@@ -101,6 +101,7 @@ class ThreadedPipelineExecutor(PipelineExecutor):
     def run_pass(self, pass_idx: int) -> None:
         """One pipeline pass: spawn stage threads, join, merge, re-raise."""
         P = self.config.n_stages
+        self._begin_pass(pass_idx)
         board = CounterBoard(self.policy, P, self.decomp.n_traversal_blocks,
                              timeout=self.watchdog_s)
         stage_stats = [

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from repro import Grid3D, PipelineConfig, RelaxedSpec, BarrierSpec, run_pipelined
 from repro.core.executor import PipelineExecutor
-from repro.core.schedule import check_skew
-from repro.grid import random_field
+from repro.core.schedule import check_skew, traversal_neighbors_gap
+from repro.grid import BlockDecomposition, Box, random_field
 from repro.kernels import jacobi7, reference_sweeps
 
 
@@ -29,11 +29,21 @@ def pipeline_cases(draw):
     teams = draw(st.integers(1, 2))
     t = draw(st.integers(1, 3))
     T = draw(st.integers(1, 2))
-    bz = draw(st.integers(1, 5))
+    # 1000 leaves an axis untiled; anything smaller tiles it, so regions
+    # get clipped on up to three faces and drain in up to three directions.
+    block = (draw(st.integers(1, 5)),
+             draw(st.sampled_from([1, 2, 3, 5, 1000])),
+             draw(st.sampled_from([1, 2, 3, 5, 1000])))
     storage = draw(st.sampled_from(["twogrid", "compressed"]))
     passes = draw(st.integers(1, 2))
     if draw(st.booleans()):
         dl = draw(st.integers(1, 2))
+        if draw(st.booleans()):
+            # The distance at which a predecessor's whole block row is
+            # done: what lexicographic traversal over several tiled axes
+            # puts between spatial neighbours.
+            dl = traversal_neighbors_gap(BlockDecomposition(
+                Box.from_shape((nz, ny, nx)), block, teams * t * T - 1))
         du = draw(st.integers(dl, dl + 4))
         dt = draw(st.integers(0, 3))
         sync = RelaxedSpec(dl, du, dt)
@@ -42,23 +52,23 @@ def pipeline_cases(draw):
     order = draw(st.sampled_from(["round_robin", "random", "front_first",
                                   "rear_first"]))
     seed = draw(st.integers(0, 2**16))
-    return (nz, ny, nx), teams, t, T, bz, storage, passes, sync, order, seed
+    return (nz, ny, nx), teams, t, T, block, storage, passes, sync, order, seed
 
 
 @given(pipeline_cases())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 def test_random_config_matches_reference(case):
-    shape, teams, t, T, bz, storage, passes, sync, order, seed = case
+    shape, teams, t, T, block, storage, passes, sync, order, seed = case
     grid = Grid3D(shape)
     field = random_field(shape, np.random.default_rng(seed))
     cfg = PipelineConfig(teams=teams, threads_per_team=t,
-                         updates_per_thread=T,
-                         block_size=(bz, 1_000, 1_000),
+                         updates_per_thread=T, block_size=block,
                          sync=sync, storage=storage, passes=passes)
-    res = run_pipelined(grid, field, cfg, order=order,
+    res = run_pipelined(grid, field, cfg, order=order, validate=True,
                         rng=np.random.default_rng(seed + 1))
     ref = reference_sweeps(grid, field, cfg.total_updates)
-    np.testing.assert_allclose(res.field, ref, rtol=0, atol=1e-12)
+    assert np.array_equal(res.field, ref)
+    assert res.stats.cells_updated == grid.ncells * cfg.total_updates
 
 
 @given(
