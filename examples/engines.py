@@ -30,7 +30,7 @@ class StraightEngine(Engine):
     """The textbook update: gather copies, evaluate, write the region."""
 
     name = "straight"
-    semantics = "vector-v1"  # same per-cell operation sequence as numpy
+    semantics = "vector-v2"  # same per-cell operation sequence as numpy
 
     def apply(self, stencil, storage, region, level):
         if region.is_empty:

@@ -69,7 +69,7 @@ from .api import BACKENDS, map_jobs, solve, submit
 #: serving layer lazily, at call time).
 map = map_jobs
 
-__version__ = "1.12.0"
+__version__ = "1.13.0"
 
 #: Symbols re-exported from the truly-threaded rail (lazy: the shared
 #: and distributed rails never import it).

@@ -385,12 +385,6 @@ class ProcSolverSession:
         #: Stable identity within a pool (assigned by SessionPool; -1 =
         #: unpooled).  Straggler scores and quarantine decisions key on it.
         self.sid = -1
-        #: Fault-injection knob: a limplock degradation factor (>= 1.0;
-        #: 1.0 = healthy).  Every job's service time is stretched to
-        #: ``slowdown ×`` its real duration — the degraded-but-alive
-        #: failure mode the straggler detector exists to catch, injected
-        #: deterministically for the differential battery.
-        self.slowdown = 1.0
         self._pool = ShmPool()
         self._world: Optional[ProcWorld] = None
         try:
@@ -441,7 +435,6 @@ class ProcSolverSession:
                          proc_grid=self.proc_grid, halo=self.halo,
                          stencil=stencil, field_in=self._fin_handle,
                          field_out=self._fout_handle, **task_kwargs)
-        t0 = time.perf_counter()
         try:
             outs = self._world.run_job(entry, args=(task,))
         except BaseException:
@@ -449,10 +442,6 @@ class ProcSolverSession:
             # segments too so a failed session never leaks /dev/shm.
             self.close()
             raise
-        if self.slowdown > 1.0:
-            # Injected limplock: pad the job to slowdown x its real
-            # duration, emulating a uniformly degraded node.
-            time.sleep((self.slowdown - 1.0) * (time.perf_counter() - t0))
         self.solves += 1
         return outs, np.array(self._fout, copy=True)
 

@@ -7,13 +7,13 @@ first-class, registry-dispatched choice — Sect. 1.1/1.4's point that
 the same schedule can be driven arbitrarily close to the hardware
 limit by changing only the inner kernel.
 
-Built-in engines (all bit-identical, semantics class ``vector-v1``):
+Built-in engines (all bit-identical, semantics class ``vector-v2``):
 
 =============== =============================================================
 ``numpy``       View-only, cache-slab vectorised accumulate (the default):
                 spatial blocking (Sect. 1.1) and the compressed grid's
                 direction-aware in-place write (Sect. 1.3) in one walk.
-``numba``       Optional ``njit(parallel=True)`` fused multiply-add loops;
+``numba``       Optional ``njit(parallel=True)`` per-cell group-sum loops;
                 registers only when :mod:`numba` is installed.
 ``numba-deep``  Optional whole-block-traversal JIT: gather, Dirichlet
                 patch and destination write in one compiled region, for
@@ -27,7 +27,7 @@ harness — dispatches through the same registry, so the choice follows
 the configuration everywhere.
 """
 
-from .base import Engine, nonzero_terms
+from .base import Engine, group_table
 from .numba_deep import NumbaDeepEngine
 from .numba_engine import HAVE_NUMBA, NumbaEngine, jit_cache_stats
 from .numpy_engine import NumpyEngine
@@ -51,7 +51,7 @@ __all__ = [
     "jit_cache_stats",
     "DEFAULT_ENGINE",
     "KNOWN_ENGINES",
-    "nonzero_terms",
+    "group_table",
     "available_engines",
     "check_engine",
     "engine_semantics",

@@ -37,33 +37,44 @@ Two entry points cover the two ways the repo stores fields:
   reference sweeps, the host micro-benchmarks and the multi-halo
   distributed sweeps.
 
-Engines must skip offsets whose weight is exactly ``0.0`` (matching
-:meth:`repro.kernels.stencils.StarStencil.apply`): a zero weight
-contributes nothing and must not turn an Inf/NaN neighbour into NaN.
+The built-in class is ``vector-v2``: per cell, the sequence
+:attr:`repro.kernels.stencils.StarStencil.groups` spells out — equal
+weights summed first, one multiply per distinct weight, products added
+in order, no zero seed.  Offsets whose weight is exactly ``0.0`` are not
+in that table and must not be read: a zero weight contributes nothing
+and must not turn an Inf/NaN neighbour into NaN.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from ..grid.blocks import spans_box
 
-__all__ = ["Engine", "nonzero_terms", "plane_axis_and_step"]
-
-Coord = Tuple[int, int, int]
+__all__ = ["Engine", "group_table", "plane_axis_and_step"]
 
 
-def nonzero_terms(stencil) -> List[Tuple[Coord, float]]:
-    """The gathered ``(offset, weight)`` pairs with nonzero weight.
+def group_table(stencil, dtype, perm: Sequence[int] = (0, 1, 2)
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:attr:`StarStencil.groups` flattened for a per-cell loop.
 
-    Canonical offset order (see ``AXIS_OFFSETS``); zero-weight offsets
-    are dropped once, in :attr:`StarStencil.terms` — this is that
-    sequence without the centre term — so every engine accumulates the
-    exact same floating-point term sequence per cell.
+    Returns ``(offsets, starts, weights)``: the member offsets as a
+    ``(K, 3)`` int64 array in group order (coordinates permuted by
+    ``perm``), ``starts`` of length ``G + 1`` — group ``g`` owns rows
+    ``starts[g]:starts[g + 1]`` — and the ``G`` group weights cast to the
+    field ``dtype``, so the loop's one multiply per group rounds exactly
+    like the vectorised engines'.
     """
-    return [(off, w) for off, w in stencil.terms if off != (0, 0, 0)]
+    groups = stencil.groups
+    offsets = np.asarray([[off[p] for p in perm]
+                          for _, offs in groups for off in offs],
+                         dtype=np.int64).reshape(-1, 3)
+    starts = np.cumsum([0] + [len(offs) for _, offs in groups],
+                       dtype=np.int64)
+    weights = np.asarray([w for w, _ in groups], dtype=dtype)
+    return offsets, starts, weights
 
 
 def plane_axis_and_step(storage, level: int) -> Tuple[int, int]:
@@ -113,7 +124,7 @@ class Engine:
     """
 
     name: str = "abstract"
-    semantics: str = "vector-v1"
+    semantics: str = "vector-v2"
     fused_inplace: bool = False
     jit: bool = False
     requires = None

@@ -1,7 +1,7 @@
 """Deep-JIT engine: one ``njit`` region per block traversal.
 
 The plain :class:`~repro.engine.numba_engine.NumbaEngine` compiles only
-the fused multiply-add — the neighbour gathers, the Dirichlet boundary
+the per-cell arithmetic — the neighbour gathers, the Dirichlet boundary
 patch and the destination write still round-trip through Python/numpy
 between JIT calls, materialising one full-region temporary per stencil
 offset.  This engine compiles the *entire block traversal* instead: a
@@ -13,12 +13,13 @@ plane directly into the destination view.  No gather temporaries, no
 inner kernel, for both storage schemes.
 
 Bit-identity with the numpy engine holds for the usual reason: per
-cell the compiled loop replays the exact same floating-point term
-sequence (zero-initialised accumulator, one multiply-add per nonzero
-offset in canonical order, centre term last) in the field dtype with
-``fastmath`` off, so no reassociation or contraction is possible.  The
-engine therefore stays in the ``vector-v1`` semantics class and shares
-serve-cache entries with every other built-in.
+cell the compiled loop replays the exact same floating-point sequence
+(:attr:`StarStencil.groups`: each group's values summed in order, one
+multiply per group, products added in order, the first product starting
+the accumulator) in the field dtype with ``fastmath`` off, so no
+reassociation or contraction is possible.  The engine therefore stays
+in the ``vector-v2`` semantics class and shares serve-cache entries
+with every other built-in.
 
 Correctness on the *compressed* grid needs one more ingredient: the
 destination view aliases source positions shifted by one cell, so the
@@ -47,30 +48,19 @@ import weakref
 
 import numpy as np
 
-from .base import nonzero_terms, plane_axis_and_step
+from .base import group_table, plane_axis_and_step
 from .numba_engine import (
     HAVE_NUMBA,
     NumbaEngine,
     _JIT_DISPATCHERS,
     _on_main_thread,
+    prange,
 )
 
 __all__ = ["NumbaDeepEngine"]
 
-if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
-    from numba import prange
-else:
-    # The loop body below stays a plain-Python function either way:
-    # numba compiles it when present; without numba the interpreted
-    # body (with ``prange`` as ``range``) executes the identical
-    # per-cell float64 operation sequence, which is how the
-    # differential battery certifies the traversal logic even in
-    # numba-free environments (the engine itself stays unregistered
-    # there — interpreted per-cell loops are not a production engine).
-    prange = range
 
-
-def _deep_block_impl(src, dst, offs, weights, cw, has_center,
+def _deep_block_impl(src, dst, offs, starts, weights,
                      r0a, r0b, r0c, s0a, s0b, s0c,
                      dma, dmb, dmc, step,
                      falo, fahi, fblo, fbhi, fclo, fchi):
@@ -81,11 +71,13 @@ def _deep_block_impl(src, dst, offs, weights, cw, has_center,
     with the region's shape, ``src`` the (transposed) backing array
     read at ``global coord + s0``, ``r0`` the region origin, ``dm``
     the domain extents and ``f*`` the six boundary-face tables.
-    ``step`` directs the plane walk; within a cell the term order
-    is canonical, so the result is bit-identical to numpy.
+    ``step`` directs the plane walk; within a cell the sequence is
+    the group table's (``offs``/``starts``/``weights``, at least one
+    group), so the result is bit-identical to numpy.  Interpreted
+    (no numba) this same body is what the differential battery runs.
     """
     n0, n1, n2 = dst.shape
-    K = offs.shape[0]
+    G = weights.shape[0]
     buf = np.zeros((n1, n2), dtype=dst.dtype)
     for ii in range(n0):
         i = ii if step > 0 else n0 - 1 - ii
@@ -94,29 +86,35 @@ def _deep_block_impl(src, dst, offs, weights, cw, has_center,
             gb = r0b + j
             for k in range(n2):
                 gc = r0c + k
-                buf[j, k] = 0
-                acc = buf[j, k]  # pre-zeroed: typed accumulator
-                for m in range(K):
-                    za = ga + offs[m, 0]
-                    zb = gb + offs[m, 1]
-                    zc = gc + offs[m, 2]
-                    if za < 0:
-                        v = falo[zb, zc]
-                    elif za >= dma:
-                        v = fahi[zb, zc]
-                    elif zb < 0:
-                        v = fblo[za, zc]
-                    elif zb >= dmb:
-                        v = fbhi[za, zc]
-                    elif zc < 0:
-                        v = fclo[za, zb]
-                    elif zc >= dmc:
-                        v = fchi[za, zb]
+                acc = buf[j, k]  # types the accumulators; never added
+                total = acc
+                for g in range(G):
+                    for m in range(starts[g], starts[g + 1]):
+                        za = ga + offs[m, 0]
+                        zb = gb + offs[m, 1]
+                        zc = gc + offs[m, 2]
+                        if za < 0:
+                            v = falo[zb, zc]
+                        elif za >= dma:
+                            v = fahi[zb, zc]
+                        elif zb < 0:
+                            v = fblo[za, zc]
+                        elif zb >= dmb:
+                            v = fbhi[za, zc]
+                        elif zc < 0:
+                            v = fclo[za, zb]
+                        elif zc >= dmc:
+                            v = fchi[za, zb]
+                        else:
+                            v = src[za + s0a, zb + s0b, zc + s0c]
+                        if m == starts[g]:
+                            total = v
+                        else:
+                            total = total + v
+                    if g == 0:
+                        acc = total * weights[0]
                     else:
-                        v = src[za + s0a, zb + s0b, zc + s0c]
-                    acc = acc + weights[m] * v
-                if has_center:
-                    acc = acc + cw * src[ga + s0a, gb + s0b, gc + s0c]
+                        acc = acc + total * weights[g]
                 buf[j, k] = acc
         for j in range(n1):
             for k in range(n2):
@@ -193,7 +191,7 @@ class NumbaDeepEngine(NumbaEngine):
     """Whole-block-traversal JIT: gather, patch and write in one region."""
 
     name = "numba-deep"
-    semantics = "vector-v1"
+    semantics = "vector-v2"
     fused_inplace = True
     jit = True
     requires = "numba"
@@ -201,28 +199,26 @@ class NumbaDeepEngine(NumbaEngine):
     def apply(self, stencil, storage, region, level: int) -> None:
         if region.is_empty:
             return
-        dtype = storage.grid.dtype
-        terms = nonzero_terms(stencil)
-        cw = stencil.center_weight
         # All validation a per-offset gather sequence would run happens
         # up front (reads), then via write_view (destination); the
         # compiled traversal itself touches raw arrays.
-        storage.check_traversal(region, [off for off, _ in terms],
-                                level - 1)
+        storage.check_traversal(
+            region, [off for off, _ in stencil.terms if any(off)], level - 1)
         dst = storage.write_view(region, level)
+        if not stencil.groups:
+            dst[...] = 0
+            storage.commit_write(region, level)
+            return
         src, origin = storage.raw_read_array(level - 1)
         axis, step = plane_axis_and_step(storage, level)
         perm = (axis,) + tuple(d for d in range(3) if d != axis)
         faces = _permuted_faces(_boundary_faces(storage), perm)
-        offs = np.asarray([[off[p] for p in perm] for off, _ in terms],
-                          dtype=np.int64).reshape(-1, 3)
-        weights = np.asarray([w for _, w in terms], dtype=dtype)
+        offs, starts, weights = group_table(stencil, storage.grid.dtype, perm)
         r0 = tuple(region.lo[p] for p in perm)
         s0 = tuple(origin[p] for p in perm)
         dom = tuple(storage.grid.shape[p] for p in perm)
         kern = _deep_block if _on_main_thread() else _deep_block_nogil
-        kern(src.transpose(perm), dst.transpose(perm), offs, weights,
-             dtype.type(cw), cw != 0.0,
+        kern(src.transpose(perm), dst.transpose(perm), offs, starts, weights,
              r0[0], r0[1], r0[2], s0[0], s0[1], s0[2],
              dom[0], dom[1], dom[2], step,
              faces[0][0], faces[0][1], faces[1][0], faces[1][1],

@@ -2,24 +2,25 @@
 
 The paper's C kernels reach the bandwidth limit with compiled,
 OpenMP-parallel loops; this engine is the Python-world equivalent — a
-``numba.njit(parallel=True)`` fused multiply-add loop over the update
-region.  It is strictly optional: when :mod:`numba` is absent the
-module still imports, :data:`HAVE_NUMBA` is ``False``, nothing
-registers, and ``get_engine("numba")`` raises an error naming the
-missing dependency.  CI runs the suite both ways so the clean
-environment can never break (the numba test leg is skip-marked).
+``numba.njit(parallel=True)`` per-cell loop over the update region.  It
+is strictly optional: when :mod:`numba` is absent the module still
+imports, :data:`HAVE_NUMBA` is ``False``, nothing registers, and
+``get_engine("numba")`` raises an error naming the missing dependency.
+CI runs the suite both ways so the clean environment can never break
+(the numba test leg is skip-marked).
 
 Bit-identity with the numpy engine holds because the compiled loop
-replays the same per-cell term sequence — one multiply-add per nonzero
-offset in canonical order, centre term last — in the field dtype, with
-``fastmath`` left off so no reassociation or FMA contraction is
-allowed.  The region gathers (with their Dirichlet patching and
-storage validation) stay on the storage scheme; only the arithmetic is
-compiled.
+replays the same per-cell sequence — :attr:`StarStencil.groups`,
+flattened by :func:`~repro.engine.base.group_table`: each group's values
+summed in order, one multiply by the group weight, products added in
+order, the first product starting the accumulator — in the field dtype,
+with ``fastmath`` left off so no reassociation or FMA contraction is
+allowed.  The region gathers (with their Dirichlet patching and storage
+validation) stay on the storage scheme; only the arithmetic is compiled.
 
-Each fused loop exists in two compiled flavours with the identical
-per-cell operation sequence (so they are bit-identical to each other
-and to numpy):
+Each loop exists in two compiled flavours with the identical per-cell
+operation sequence (so they are bit-identical to each other and to
+numpy):
 
 * ``parallel=True`` — numba's OpenMP-style ``prange``, used when the
   call comes from the **main** thread (the classic single-driver case);
@@ -39,58 +40,79 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import Engine, nonzero_terms
+from .base import Engine, group_table
 
 __all__ = ["HAVE_NUMBA", "NumbaEngine", "jit_cache_stats"]
 
 try:  # pragma: no cover - exercised only where numba is installed
     import numba
+    from numba import prange
 
     HAVE_NUMBA = True
 except ImportError:  # the supported default environment
     numba = None
     HAVE_NUMBA = False
+    # The loop bodies below stay plain-Python functions either way:
+    # numba compiles them when present; without numba the interpreted
+    # body (``prange`` as ``range``) executes the identical per-cell
+    # operation sequence, which is how the differential batteries
+    # certify the loops even in numba-free environments (the engines
+    # themselves stay unregistered there — interpreted per-cell loops
+    # are not a production engine).
+    prange = range
+
+
+def _fused_terms_impl(out, stacked, starts, weights):
+    """``out[c]`` from the gathered members ``stacked[m, c]``, per cell.
+
+    Rows ``starts[g]:starts[g + 1]`` of ``stacked`` are group ``g``'s
+    values; ``weights`` is pre-cast to the field dtype so every
+    operation rounds exactly like the numpy engine's array passes.
+    """
+    nz, ny, nx = out.shape
+    G = weights.shape[0]
+    for i in prange(nz):
+        for j in range(ny):
+            for k in range(nx):
+                total = stacked[0, i, j, k]
+                for m in range(1, starts[1]):
+                    total = total + stacked[m, i, j, k]
+                acc = total * weights[0]
+                for g in range(1, G):
+                    total = stacked[starts[g], i, j, k]
+                    for m in range(starts[g] + 1, starts[g + 1]):
+                        total = total + stacked[m, i, j, k]
+                    acc = acc + total * weights[g]
+                out[i, j, k] = acc
+
+
+def _fused_padded_impl(src, dst, offsets, starts, weights,
+                       z0, z1, y0, y1, x0, x1):
+    """Padded-pair sweep: direct offset reads, no gather arrays."""
+    G = weights.shape[0]
+    for i in prange(z1 - z0):
+        z = 1 + z0 + i
+        for y in range(1 + y0, 1 + y1):
+            for x in range(1 + x0, 1 + x1):
+                total = src[z + offsets[0, 0], y + offsets[0, 1],
+                            x + offsets[0, 2]]
+                for m in range(1, starts[1]):
+                    total = total + src[z + offsets[m, 0], y + offsets[m, 1],
+                                        x + offsets[m, 2]]
+                acc = total * weights[0]
+                for g in range(1, G):
+                    f = starts[g]
+                    total = src[z + offsets[f, 0], y + offsets[f, 1],
+                                x + offsets[f, 2]]
+                    for m in range(f + 1, starts[g + 1]):
+                        total = total + src[z + offsets[m, 0],
+                                            y + offsets[m, 1],
+                                            x + offsets[m, 2]]
+                    acc = acc + total * weights[g]
+                dst[z, y, x] = acc
 
 
 if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
-
-    def _fused_terms_impl(out, stacked, weights, center, cw, has_center):
-        """out[c] = sum_k w[k]*stacked[k, c] (+ cw*center[c]), per cell.
-
-        ``weights``/``cw`` are pre-cast to the field dtype so every
-        operation rounds exactly like the numpy engine's vectorised
-        multiply-adds.
-        """
-        nz, ny, nx = out.shape
-        K = stacked.shape[0]
-        for i in numba.prange(nz):
-            for j in range(ny):
-                for k in range(nx):
-                    acc = out[i, j, k]  # pre-zeroed: typed accumulator
-                    for m in range(K):
-                        acc = acc + weights[m] * stacked[m, i, j, k]
-                    if has_center:
-                        acc = acc + cw * center[i, j, k]
-                    out[i, j, k] = acc
-
-    def _fused_padded_impl(src, dst, offsets, weights, cw, has_center,
-                           z0, z1, y0, y1, x0, x1):
-        """Padded-pair sweep: direct offset reads, no gather arrays."""
-        K = offsets.shape[0]
-        for i in numba.prange(z1 - z0):
-            z = z0 + i
-            for y in range(y0, y1):
-                for x in range(x0, x1):
-                    acc = dst[1 + z, 1 + y, 1 + x]  # pre-zeroed: typed
-                    for m in range(K):
-                        acc = acc + weights[m] * src[
-                            1 + z + offsets[m, 0],
-                            1 + y + offsets[m, 1],
-                            1 + x + offsets[m, 2]]
-                    if has_center:
-                        acc = acc + cw * src[1 + z, 1 + y, 1 + x]
-                    dst[1 + z, 1 + y, 1 + x] = acc
-
     # One source, two compilations: with parallel=False numba lowers
     # ``prange`` to a plain ``range``, so both flavours execute the
     # same per-cell operation sequence and remain bit-identical.
@@ -107,6 +129,9 @@ if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
         _fused_padded_impl)
     _fused_padded_nogil = numba.njit(nogil=True, fastmath=False, cache=True)(
         _fused_padded_impl)
+else:
+    _fused_terms = _fused_terms_nogil = _fused_terms_impl
+    _fused_padded = _fused_padded_nogil = _fused_padded_impl
 
 
 #: Every cached dispatcher this package compiled, for
@@ -141,10 +166,10 @@ def _on_main_thread() -> bool:
 
 
 class NumbaEngine(Engine):
-    """Compiled parallel fused-multiply-add loops (optional dependency)."""
+    """Compiled parallel per-cell group-sum loops (optional dependency)."""
 
     name = "numba"
-    semantics = "vector-v1"
+    semantics = "vector-v2"
     jit = True
     requires = "numba"
 
@@ -156,28 +181,21 @@ class NumbaEngine(Engine):
         if region.is_empty:
             return
         dtype = storage.grid.dtype
-        terms = nonzero_terms(stencil)
-        cw = stencil.center_weight
         center = storage.read(region, level - 1)
-        if not terms and cw == 0.0:
-            storage.write(region, level,
-                          np.zeros(region.shape, dtype=dtype))
+        if not stencil.groups:
+            storage.write(region, level, np.zeros(region.shape, dtype=dtype))
             return
-        if terms:
-            stacked = np.stack([np.asarray(
-                storage.gather(region, off, level - 1)) for off, _ in terms])
-        else:
-            stacked = np.zeros((0,) + region.shape, dtype=dtype)
-        weights = np.asarray([w for _, w in terms], dtype=dtype)
-        out = np.zeros(region.shape, dtype=dtype)
+        _, starts, weights = group_table(stencil, dtype)
+        stacked = np.stack([
+            storage.gather(region, off, level - 1) if any(off) else center
+            for _, offs in stencil.groups for off in offs])
+        out = np.empty(region.shape, dtype=dtype)
         # Off the main thread (a backend="threads" stage) take the
         # serial nogil flavour: numba's workqueue threading layer is
         # not safe for concurrent entry, and the GIL-free sweep is
         # what overlaps the stages.
         fused = _fused_terms if _on_main_thread() else _fused_terms_nogil
-        fused(out, stacked, weights,
-              np.ascontiguousarray(center), dtype.type(cw),
-              cw != 0.0)
+        fused(out, stacked, starts, weights)
         storage.write(region, level, out)
 
     def apply_padded(self, stencil, src: np.ndarray, dst: np.ndarray,
@@ -186,17 +204,9 @@ class NumbaEngine(Engine):
         z1, y1, x1 = hi
         if z1 <= z0 or y1 <= y0 or x1 <= x0:
             return
-        dtype = dst.dtype
-        terms = nonzero_terms(stencil)
-        cw = stencil.center_weight
-        if not terms and cw == 0.0:
+        if not stencil.groups:
             dst[1 + z0:1 + z1, 1 + y0:1 + y1, 1 + x0:1 + x1] = 0
             return
-        offsets = np.asarray([off for off, _ in terms] or
-                             np.zeros((0, 3)), dtype=np.int64).reshape(-1, 3)
-        weights = np.asarray([w for _, w in terms], dtype=dtype)
-        # Zero the target region first: the typed accumulator reads it.
-        dst[1 + z0:1 + z1, 1 + y0:1 + y1, 1 + x0:1 + x1] = 0
+        offsets, starts, weights = group_table(stencil, dst.dtype)
         fused = _fused_padded if _on_main_thread() else _fused_padded_nogil
-        fused(src, dst, offsets, weights, dtype.type(cw),
-              cw != 0.0, z0, z1, y0, y1, x0, x1)
+        fused(src, dst, offsets, starts, weights, z0, z1, y0, y1, x0, x1)

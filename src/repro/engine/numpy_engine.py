@@ -5,37 +5,45 @@ of cache and only its first read and last write touch memory.  This
 engine holds NumPy to that: the region is walked in slabs whose
 accumulator fits :data:`SLAB_BYTES`, every term is read through a view
 (the two-grid ghost ring gives boundary blocks the interior's path),
-multiply-adds run with ``out=`` into two per-thread scratch buffers and
-each finished slab goes straight into the destination view.  Per cell
-the operation sequence is :meth:`StarStencil.apply`'s — zero-seeded
-accumulator, one multiply-add per nonzero-weight offset in canonical
-order, centre term last (:attr:`StarStencil.terms`) — so this stays the
-bit-identity reference of the engine layer and the default of
-:class:`PipelineConfig`.
+the array passes run with ``out=`` into two per-thread scratch buffers
+and the last pass of a slab writes the destination view itself.  Per
+cell the operation sequence is :attr:`StarStencil.groups` — equal
+weights summed first, one multiply per distinct weight, products added
+in order, no zero seed — so a Jacobi update is five adds and one
+multiply (six array passes), and this stays the bit-identity reference
+of the engine layer and the default of :class:`PipelineConfig`.
 
 On a ghost-ring storage the views are not computed at all: the executor
 hands over the region as three :class:`~repro.grid.blocks.AxisSpan`
 table entries whose ready-made slices index the ring arrays directly
 (:meth:`NumpyEngine.apply_spans`), so a region that is one slab costs
-its ufuncs and the ≤ 8 ``array[slices]`` lookups, nothing else.
+its ufuncs and the ≤ 8 ``array[slices]`` lookups, nothing else.  A
+region spanning the whole interior of its two trailing axes
+(``AxisSpan.full``) is evaluated over the *contiguous run* of the ring
+array from its first to its last interior cell: every offset is a flat
+displacement of one 1-D view, the ghost columns inside the run compute
+values nobody reads, and only the final pass — interior of the scratch
+run into the destination — is strided.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from functools import partial
-from typing import Dict, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
-from ..grid.blocks import Spans, box_spans, spans_box
+from ..grid.blocks import AxisSpan, Spans, box_spans, spans_box
 from ..grid.region import Box
 from .base import Engine, plane_axis_and_step
 
 __all__ = ["NumpyEngine", "accumulate_padded", "SLAB_BYTES"]
 
-#: Accumulator bytes per slab: measured best of 64 KiB … 512 KiB on the
-#: reference host; a single plane larger than this is one slab.
+#: Accumulator bytes per slab, counted on the region's own cells:
+#: measured best of 64 KiB … 512 KiB on the reference host; a single
+#: plane larger than this is one slab.
 SLAB_BYTES = 256 * 1024
 
 #: Shaped scratch views a thread keeps before starting over.
@@ -61,7 +69,7 @@ def _scratch_pair(shape: Tuple[int, ...], dtype: np.dtype
     views = _scratch.views
     pair = views.get((shape, dtype))
     if pair is None:
-        nbytes = shape[0] * shape[1] * shape[2] * dtype.itemsize
+        nbytes = math.prod(shape) * dtype.itemsize
         if _scratch.raw[0].size < nbytes:
             _scratch.raw = (np.empty(nbytes, np.uint8),
                             np.empty(nbytes, np.uint8))
@@ -73,21 +81,43 @@ def _scratch_pair(shape: Tuple[int, ...], dtype: np.dtype
     return pair
 
 
-def _fma(out: np.ndarray, terms, read) -> None:
-    """``out <- sum(w * read(off))`` over ``terms``, in their order.
+def _same(run: np.ndarray) -> np.ndarray:
+    return run
 
-    ``read(off)`` returns the previous values of ``out``'s cells
-    displaced by ``off`` — a view, or a patched copy that is dropped
-    as soon as it is consumed — and ``out`` is stored only after the
-    last read, so it may alias the sources wherever the caller's slab
-    order makes that legal.
+
+def _fma(out: np.ndarray, groups, read, shape: Tuple[int, ...],
+         cells: Callable[[np.ndarray], np.ndarray] = _same) -> None:
+    """The ``vector-v2`` sequence of ``groups`` into ``out``.
+
+    ``read(off)`` returns the previous values displaced by ``off`` as an
+    array of ``shape`` — a view, or a patched copy that is dropped as
+    soon as it is consumed — and ``cells`` maps such an array onto
+    ``out``'s cells (the identity unless ``shape`` is a run that also
+    covers cells ``out`` does not have).  Sums and products go through
+    the two scratch buffers; the last pass alone stores into ``out``,
+    after every read, so ``out`` may alias the sources wherever the
+    caller's slab order makes that legal.
     """
-    acc, tmp = _scratch_pair(out.shape, out.dtype)
-    acc.fill(0.0)
-    for off, w in terms:
-        np.multiply(read(off), w, out=tmp)
-        np.add(acc, tmp, out=acc)
-    out[...] = acc
+    if not groups:
+        out[...] = 0
+        return
+    acc, tmp = _scratch_pair(shape, out.dtype)
+    last = len(groups) - 1
+    for g, (w, offs) in enumerate(groups):
+        buf = tmp if g else acc
+        total = read(offs[0])
+        for off in offs[1:]:
+            total = np.add(total, read(off), out=buf)
+        if not last:
+            np.multiply(cells(total), w, out=out)
+        elif not g:
+            np.multiply(total, w, out=acc)
+        else:
+            np.multiply(total, w, out=tmp)
+            if g < last:
+                np.add(acc, tmp, out=acc)
+            else:
+                np.add(cells(acc), cells(tmp), out=out)
 
 
 def _slab_thickness(plane_bytes: int) -> int:
@@ -95,25 +125,56 @@ def _slab_thickness(plane_bytes: int) -> int:
     return max(1, SLAB_BYTES // plane_bytes)
 
 
-def _accumulate_ring(terms, src: np.ndarray, dst: np.ndarray,
+def _run(flat: np.ndarray, first: int, count: int, plane: int, row: int,
+         off: Tuple[int, int, int]) -> np.ndarray:
+    at = first + off[0] * plane + off[1] * row + off[2]
+    return flat[at:at + count]
+
+
+def _slab_run(groups, src: np.ndarray, dst: np.ndarray,
+              sz: AxisSpan, sy: AxisSpan, sx: AxisSpan) -> None:
+    """One slab, full in y and x, over the contiguous run of ``src`` from
+    its first to its last interior cell."""
+    _, rows, row = src.shape
+    plane = rows * row
+    count = (sz.n - 1) * plane + (sy.n - 1) * row + sx.n
+    item = dst.itemsize
+    _fma(dst[sz.zero, sy.zero, sx.zero], groups,
+         partial(_run, src.reshape(-1), sz.zero.start * plane + row + 1,
+                 count, plane, row),
+         (count,),
+         partial(np.ndarray, (sz.n, sy.n, sx.n), dst.dtype,
+                 strides=(plane * item, row * item, item)))
+
+
+def _slab_views(groups, src: np.ndarray, dst: np.ndarray,
+                sz: AxisSpan, sy: AxisSpan, sx: AxisSpan) -> None:
+    """One slab over the spans' own 3-D slices."""
+    _fma(dst[sz.zero, sy.zero, sx.zero], groups,
+         lambda off: src[sz[off[0]], sy[off[1]], sx[off[2]]],
+         (sz.n, sy.n, sx.n))
+
+
+def _accumulate_ring(groups, src: np.ndarray, dst: np.ndarray,
                      spans: Spans) -> None:
     """Stencil of ``src`` into ``dst`` on the cells ``spans`` address.
 
-    Both are ghost-ring arrays of one layout and must not alias; a
-    region that is one slab is evaluated over the spans' own slices.
+    Both are ghost-ring arrays of one layout and must not alias.  A
+    region full in y and x runs flat (:func:`_slab_run`) — unless
+    ``src`` is not C-contiguous, whose flat "view" would be a copy.
     """
     sz, sy, sx = spans
+    slab = (_slab_run if sy.full and sx.full and src.flags.c_contiguous
+            else _slab_views)
     thick = _slab_thickness(sy.n * sx.n * dst.itemsize)
-    if sz.n > thick:
-        for a in range(0, sz.n, thick):
-            _accumulate_ring(terms, src, dst,
-                             (sz.sub(a, min(a + thick, sz.n)), sy, sx))
+    if sz.n <= thick:
+        slab(groups, src, dst, sz, sy, sx)
         return
-    _fma(dst[sz[0], sy[0], sx[0]], terms,
-         lambda off: src[sz[off[0]], sy[off[1]], sx[off[2]]])
+    for a in range(0, sz.n, thick):
+        slab(groups, src, dst, sz.sub(a, min(a + thick, sz.n)), sy, sx)
 
 
-def _accumulate_gather(terms, storage, region: Box, level: int) -> None:
+def _accumulate_gather(groups, storage, region: Box, level: int) -> None:
     """The update ``level-1 -> level`` of a ring-less storage, in place.
 
     Reads go through ``storage.gather`` (Dirichlet slabs patched in);
@@ -131,8 +192,8 @@ def _accumulate_gather(terms, storage, region: Box, level: int) -> None:
                 else (max(n - s - thick, 0), n - s))
         slab = Box(lo[:axis] + (lo[axis] + a,) + lo[axis + 1:],
                    hi[:axis] + (lo[axis] + b,) + hi[axis + 1:])
-        _fma(dst[(slice(None),) * axis + (slice(a, b),)], terms,
-             partial(storage.gather, slab, level=level - 1))
+        _fma(dst[(slice(None),) * axis + (slice(a, b),)], groups,
+             partial(storage.gather, slab, level=level - 1), slab.shape)
     storage.commit_write(region, level)
 
 
@@ -141,16 +202,17 @@ def accumulate_padded(stencil, src: np.ndarray, dst: np.ndarray,
     """One slab-wise sweep over interior cells ``[lo, hi)`` of a padded
     pair, straight into ``dst`` (also ``jacobi_sweep_blocked``'s per-tile
     step)."""
-    spans = box_spans(Box.make(lo, hi))
+    spans = box_spans(Box.make(lo, hi),
+                      Box.from_shape([n - 2 for n in src.shape]))
     if spans[0].n and spans[1].n and spans[2].n:
-        _accumulate_ring(stencil.terms, src, dst, spans)
+        _accumulate_ring(stencil.groups, src, dst, spans)
 
 
 class NumpyEngine(Engine):
     """Slab-wise, allocation-free vectorised accumulate (the default)."""
 
     name = "numpy"
-    semantics = "vector-v1"
+    semantics = "vector-v2"
     fused_inplace = True
 
     def apply(self, stencil, storage, region, level: int) -> None:
@@ -158,9 +220,9 @@ class NumpyEngine(Engine):
             return
         if storage.ghost_ring:
             self.apply_spans(stencil, storage,
-                             box_spans(region, storage.domain.lo), level)
+                             box_spans(region, storage.domain), level)
         else:
-            _accumulate_gather(stencil.terms, storage, region, level)
+            _accumulate_gather(stencil.groups, storage, region, level)
 
     def apply_spans(self, stencil, storage, spans: Spans, level: int) -> None:
         if not storage.ghost_ring:
@@ -172,7 +234,7 @@ class NumpyEngine(Engine):
         if region is not None:
             storage.check_traversal(region, stencil.offsets, level - 1)
             storage.check_write(region, level)
-        _accumulate_ring(stencil.terms, storage.ring_array(level - 1),
+        _accumulate_ring(stencil.groups, storage.ring_array(level - 1),
                          storage.ring_array(level), spans)
         if region is not None:
             storage.commit_write(region, level)

@@ -58,6 +58,8 @@ class AxisSpan(NamedTuple):
     length clamped at zero; a fully clipped interval keeps its raw
     ``hi <= lo`` (what :meth:`Box.intersect` returns) and zero-length
     slices.  Slices are meaningful for spans inside the domain only.
+    ``full`` says the span is the domain's whole extent along its axis,
+    i.e. its slices address every interior index of the ring array.
     """
 
     zero: slice
@@ -65,11 +67,13 @@ class AxisSpan(NamedTuple):
     lo: int
     hi: int
     n: int
+    full: bool
     minus: slice
 
     def sub(self, a: int, b: int) -> "AxisSpan":
         """The span of this one's cells ``a .. b`` (relative; slab walks)."""
-        return _span(self.minus.start + a, self.lo + a, self.lo + b)
+        return _span(self.minus.start + a, self.lo + a, self.lo + b,
+                     self.full and a == 0 and b == self.n)
 
 
 #: The three spans of one region, and one axis' spans by block index.
@@ -77,13 +81,14 @@ Spans = Tuple[AxisSpan, AxisSpan, AxisSpan]
 Row = Tuple[AxisSpan, ...]
 
 
-def _span(at: int, lo: int, hi: int) -> AxisSpan:
-    """Span of cells ``[lo, hi)`` whose ``-1`` neighbour sits at index ``at``."""
+def _span(at: int, lo: int, hi: int, full: bool) -> AxisSpan:
+    """Span of cells ``[lo, hi)`` whose ``-1`` neighbour sits at index ``at``;
+    ``full`` if they are the axis' whole interior."""
     n = max(0, hi - lo)
     if not n:
         at = 0
     return AxisSpan(slice(at + 1, at + 1 + n), slice(at + 2, at + 2 + n),
-                    lo, hi, n, slice(at, at + n))
+                    lo, hi, n, full, slice(at, at + n))
 
 
 @lru_cache(maxsize=ROW_MEMO_SIZE)
@@ -104,15 +109,17 @@ def axis_row(dom_lo: int, dom_hi: int, block: int, count: int, offset: int,
         if mirror:
             lo, hi = dom_lo + dom_hi - hi, dom_lo + dom_hi - lo
         lo, hi = max(lo, act_lo), min(hi, act_hi)
-        row.append(_span(lo - dom_lo, lo, hi))
+        row.append(_span(lo - dom_lo, lo, hi, (lo, hi) == (dom_lo, dom_hi)))
     return tuple(row)
 
 
-def box_spans(box: Box, dom_lo: Sequence[int] = (0, 0, 0)) -> Spans:
-    """Per-axis spans addressing ``box`` in a domain starting at ``dom_lo``."""
-    return (_span(box.lo[0] - dom_lo[0], box.lo[0], box.hi[0]),
-            _span(box.lo[1] - dom_lo[1], box.lo[1], box.hi[1]),
-            _span(box.lo[2] - dom_lo[2], box.lo[2], box.hi[2]))
+def box_spans(box: Box, domain: Box) -> Spans:
+    """Per-axis spans addressing ``box`` in the ring array of ``domain``."""
+    (b0, b1, b2), (h0, h1, h2) = box.lo, box.hi
+    (d0, d1, d2), (e0, e1, e2) = domain.lo, domain.hi
+    return (_span(b0 - d0, b0, h0, (b0, h0) == (d0, e0)),
+            _span(b1 - d1, b1, h1, (b1, h1) == (d1, e1)),
+            _span(b2 - d2, b2, h2, (b2, h2) == (d2, e2)))
 
 
 def spans_box(spans: Spans) -> Box:

@@ -11,6 +11,7 @@ constructor enforces this.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
@@ -69,17 +70,36 @@ class StarStencil:
 
     @cached_property
     def terms(self) -> Tuple[Tuple[Offset, float], ...]:
-        """The ``(offset, weight)`` sequence of :meth:`apply`, derived once.
+        """The nonzero ``(offset, weight)`` terms in canonical order.
 
-        Nonzero-weight neighbours in canonical order, then the centre term
-        if its weight is nonzero — the per-cell multiply-add order every
-        ``vector-v1`` engine reproduces.
+        Neighbours in :data:`AXIS_OFFSETS` order, then the centre; a
+        weight of exactly ``0.0`` drops its term (the offset is never
+        read, so an Inf/NaN there cannot reach the result).
         """
-        out = [(off, self.weights[off]) for off in self.offsets
+        out = [(off, float(self.weights[off])) for off in self.offsets
                if self.weights[off] != 0.0]
         if self.center_weight != 0.0:
-            out.append(((0, 0, 0), self.center_weight))
+            out.append(((0, 0, 0), float(self.center_weight)))
         return tuple(out)
+
+    @cached_property
+    def groups(self) -> Tuple[Tuple[float, Tuple[Offset, ...]], ...]:
+        """The ``vector-v2`` per-cell sequence, as data.
+
+        :attr:`terms` partitioned into ``(weight, offsets)`` groups of
+        bitwise-equal weight, ordered by first member, members in
+        canonical order.  Per cell, every engine sums each group's values
+        left to right, multiplies the sum by the group weight once (in
+        the field dtype), and adds the group products left to right; the
+        first product starts the accumulator — there is no zero seed and
+        no ``w == 1.0`` special case, and an empty table yields zeros.
+        This is the only place term order and grouping are decided.
+        """
+        members: Dict[bytes, List[Offset]] = {}
+        for off, w in self.terms:
+            members.setdefault(struct.pack("<d", w), []).append(off)
+        return tuple((struct.unpack("<d", bits)[0], tuple(offs))
+                     for bits, offs in members.items())
 
     @property
     def n_neighbors(self) -> int:
@@ -88,23 +108,24 @@ class StarStencil:
 
     @property
     def flops_per_cell(self) -> int:
-        """Nominal floating-point operations per cell update.
+        """Floating-point operations per cell update under ``vector-v2``.
 
-        One multiply-add per gathered neighbor plus one multiply-add for a
-        nonzero center term; the paper counts Eq. 1 as 6 flops (5 adds + 1
-        multiply) which this reproduces for plain Jacobi.
+        Counted from :attr:`groups`: the adds inside each group, one
+        multiply per group and the adds between group products.  Plain
+        Jacobi is one group of six — 5 adds + 1 multiply, the 6 flops
+        the paper counts for Eq. 1.
         """
-        n = 2 * self.n_neighbors - 1
-        if self.center_weight != 0.0:
-            n += 2
-        return max(n, 1)
+        n_terms = sum(len(offs) for _, offs in self.groups)
+        return n_terms + max(len(self.groups) - 1, 0)
 
     def apply(self, center: np.ndarray, neighbors: Sequence[np.ndarray]) -> np.ndarray:
         """Evaluate the stencil on gathered arrays.
 
         ``neighbors`` must follow :attr:`offsets` order and broadcast
-        against ``center``.  Returns a new array (never aliases inputs),
-        which is what permits in-place compressed-grid writes.
+        against ``center``.  The straight version of the :attr:`groups`
+        sequence: one fresh array per operation, no ``out=``.  Returns a
+        new array (never aliases inputs), which is what permits in-place
+        compressed-grid writes.
         """
         offs = self.offsets
         if len(neighbors) != len(offs):
@@ -112,16 +133,17 @@ class StarStencil:
                 f"{self.name}: expected {len(offs)} neighbor arrays, "
                 f"got {len(neighbors)}"
             )
-        out = np.zeros_like(center)
-        for off, arr in zip(offs, neighbors):
-            w = self.weights[off]
-            if w == 1.0:
-                out += arr
-            elif w != 0.0:
-                out += w * arr
-        if self.center_weight != 0.0:
-            out += self.center_weight * center
-        return out
+        values = dict(zip(offs, neighbors))
+        values[0, 0, 0] = center
+        dtype = np.asarray(center).dtype
+        out = None
+        for w, members in self.groups:
+            total = values[members[0]]
+            for off in members[1:]:
+                total = total + values[off]
+            product = total * dtype.type(w)
+            out = product if out is None else out + product
+        return np.zeros_like(center) if out is None else out
 
     def scaled(self, factor: float, name: str | None = None) -> "StarStencil":
         """A stencil with all weights (incl. center) multiplied by ``factor``."""

@@ -51,8 +51,10 @@ __all__ = ["KEY_SCHEMA", "SolveJob"]
 
 #: Bump when the canonical encoding below changes meaning: old cache
 #: entries must never satisfy new keys.  2: the engine-semantics part
-#: joined the key (PR 5).
-KEY_SCHEMA = 2
+#: joined the key (PR 5).  3: the built-in engines moved to the
+#: ``vector-v2`` per-cell sequence (``StarStencil.groups``); fields
+#: computed under the class it replaced differ in their last bits.
+KEY_SCHEMA = 3
 
 Coord = Tuple[int, int, int]
 

@@ -24,7 +24,7 @@ differential battery in ``tests/test_threads.py`` pins it.
 What real threads buy depends on the engine.  The ``numpy`` engine
 overlaps wherever numpy releases the GIL (large-array arithmetic), the
 ``numba`` engine's fused loops release it explicitly (``nogil``) for
-the compiled multiply-add — and the ``numba-deep`` engine extends that
+the compiled arithmetic — and the ``numba-deep`` engine extends that
 to the *entire block traversal* (gather, boundary patch and
 destination write in one ``nogil`` region), so a stage holds the GIL
 only for its per-block Python dispatch.  On free-threaded CPython

@@ -8,11 +8,12 @@ candidate wherever a test needs a second engine on a numba-free host.
 
 import pytest
 
-from repro.engine import Engine, register_engine, unregister_engine
+from repro.engine import (HAVE_NUMBA, Engine, NumbaDeepEngine, get_engine,
+                          register_engine, unregister_engine)
 
 
 class OracleEngine(Engine):
-    semantics = "vector-v1"
+    semantics = "vector-v2"
 
     def __init__(self, name):
         self.name = name
@@ -47,3 +48,26 @@ def oracle_engine():
     yield register
     for name in names:
         unregister_engine(name)
+
+
+@pytest.fixture
+def deep_engine():
+    """The numba-deep engine, runnable with or without numba.
+
+    With numba installed the registered engine is used as-is.  Without
+    it, the engine class is instantiated around its *interpreted* loop
+    body (``prange`` is plain ``range`` there) and registered for the
+    test's duration: the per-cell operation sequence is the same either
+    way, so this certifies the fused traversal — plane ordering,
+    permuted axes, boundary patching, destination writes — in a clean
+    environment.
+    """
+    if HAVE_NUMBA:
+        yield get_engine("numba-deep")
+        return
+    eng = object.__new__(NumbaDeepEngine)
+    register_engine(eng)
+    try:
+        yield eng
+    finally:
+        unregister_engine("numba-deep")

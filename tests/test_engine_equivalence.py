@@ -124,7 +124,7 @@ class TestRegistry:
 
     def test_all_builtins_share_the_vector_semantics_class(self):
         classes = {engine_semantics(n) for n in available_engines()}
-        assert classes == {"vector-v1"}
+        assert classes == {"vector-v2"}
 
     def test_custom_engine_registers_and_unregisters(self):
         class Stub(Engine):
@@ -380,31 +380,6 @@ class TestNumbaEngine:
 # The deep-JIT engine: interpreted-mode traversal battery (no numba needed)
 # ---------------------------------------------------------------------------
 
-@pytest.fixture
-def deep_engine():
-    """The numba-deep engine, runnable with or without numba.
-
-    With numba installed the registered engine is used as-is.  Without
-    it, the engine class is instantiated around its *interpreted* loop
-    body (``prange`` is plain ``range`` there) and registered for the
-    test's duration: the per-cell operation sequence is the same either
-    way, so this certifies the fused traversal — plane ordering,
-    permuted axes, boundary patching, destination writes — in a clean
-    environment.
-    """
-    from repro.engine import NumbaDeepEngine
-
-    if HAVE_NUMBA:
-        yield get_engine("numba-deep")
-        return
-    eng = object.__new__(NumbaDeepEngine)
-    register_engine(eng)
-    try:
-        yield eng
-    finally:
-        unregister_engine("numba-deep")
-
-
 class TestDeepTraversal:
     @pytest.mark.parametrize("kernel", sorted(STENCILS))
     @pytest.mark.parametrize("storage", ["twogrid", "compressed"])
@@ -478,7 +453,7 @@ class TestDeepTraversal:
         assert np.array_equal(got.field, ref.field)
 
     def test_shares_the_vector_semantics_class(self, deep_engine):
-        assert deep_engine.semantics == "vector-v1"
+        assert deep_engine.semantics == "vector-v2"
         assert deep_engine.name == "numba-deep"
         assert deep_engine.jit and deep_engine.requires == "numba"
 

@@ -107,19 +107,27 @@ def _storage(kind, grid, field):
 class TestAllocationFree:
     """A warm apply never materialises the region."""
 
-    # 96 KiB: NumPy's ufunc iterator takes one transient 64 KiB buffer
-    # (8192 items) for a strided operand; nothing else may be sizeable.
-    # The compressed grid has no ring, so a slab whose shifted read
-    # crosses a domain face is gathered as one patched copy — a few
-    # slabs' worth of transients at a time, never the (4 MiB) region.
+    # ``limit`` is the transient allowed per strided operand of a pass:
+    # NumPy's ufunc iterator takes one 64 KiB buffer (8192 items) for
+    # each, hence 96 KiB.  The last pass of a slab is strided on both
+    # sides — scratch interior (or a gathered view) in, destination view
+    # out — so two are alive at once and the peak may reach ``2 * limit``
+    # (measured 135 184 B twogrid, 134 376 B compressed); a third would
+    # mean a pass through a buffer the engine does not own.  Nothing
+    # else may be sizeable.  The compressed grid has no ring, so a slab
+    # whose shifted read crosses a domain face is gathered as one patched
+    # copy — a few slabs' worth of transients at a time, never the
+    # (4 MiB) region.
     @pytest.mark.parametrize("kind, shape, region, limit", [
         ("twogrid", (8, 128, 128), Box((0, 0, 0), (8, 128, 128)), 96 << 10),
         ("compressed", (10, 130, 130), Box((1, 1, 1), (9, 129, 129)),
          96 << 10),
         ("compressed", (32, 128, 128), Box((0, 0, 0), (32, 128, 128)),
-         1 << 20),
+         512 << 10),
     ])
-    def test_warm_apply_peak_allocation(self, kind, shape, region, limit):
+    def test_warm_apply_peak_allocation(self, monkeypatch, kind, shape,
+                                        region, limit):
+        monkeypatch.setattr(numpy_engine, "_scratch", numpy_engine._Scratch())
         grid, field = _problem(shape)
         engine = get_engine("numpy")
         engine.apply(jacobi7(), _storage(kind, grid, field), region, 1)
@@ -133,8 +141,14 @@ class TestAllocationFree:
         finally:
             tracemalloc.stop()
         assert region.ncells * 8 >= 1 << 20
-        assert peak - base < limit, f"{peak - base} B peak in a warm apply"
+        assert peak - base < 2 * limit, \
+            f"{peak - base} B peak in a warm apply"
         assert now - base < 4 << 10, f"{now - base} B kept by a warm apply"
+        # Still exactly two scratch buffers per thread, each one slab
+        # (of padded rows on the flat path: +3 %), never the region.
+        raw = numpy_engine._scratch.raw
+        assert len(raw) == 2
+        assert raw[0].size == raw[1].size <= 1.05 * numpy_engine.SLAB_BYTES
         want = _storage(kind, grid, field)
         get_engine(ORACLE).apply(jacobi7(), want, region, 1)
         assert np.array_equal(storage.extract_region(region, 1),

@@ -1,0 +1,547 @@
+"""``vector-v2``: the per-cell sequence, pinned against a scalar straight version.
+
+The sentence this file implements literally, one cell at a time, from
+nothing but :attr:`StarStencil.groups`:
+
+    sum each group's values left to right, multiply the sum by the group
+    weight once, add the group products left to right; the first product
+    starts the accumulator (no zero seed, no ``w == 1.0`` special case);
+    an empty table yields zeros.
+
+Every evaluation the host can run — ``StarStencil.apply``, the numpy
+engine on both storages (flat ghost-ring runs and 3-D span slices), the
+interpreted numba loop bodies and ``reference_sweeps`` — must agree with
+it **bitwise** (``tobytes``: the sign of zero counts, which
+``array_equal`` would forgive).  The second half covers what the flat
+run adds to the numpy engine: which regions take it, that the ghost ring
+is read but never written, and that nothing about it is per-process
+state threads could race on.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+import threading
+import warnings
+from functools import partial
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import repro
+from repro import Grid3D, PipelineConfig, RelaxedSpec, reference_sweeps, solve
+from repro.core.executor import PipelineExecutor
+from repro.core.storage import CompressedStorage, TwoGridStorage
+from repro.engine import (NumbaDeepEngine, NumbaEngine, get_engine,
+                          numpy_engine, register_engine, unregister_engine)
+from repro.engine.numpy_engine import accumulate_padded
+from repro.grid import DirichletBoundary, random_field
+from repro.grid.blocks import axis_row
+from repro.kernels import (AXIS_OFFSETS, StarStencil, anisotropic_jacobi,
+                           jacobi5_2d, jacobi7)
+
+SIXTH = 1.0 / 6.0
+
+
+def _linear(z, y, x):       # module level: procmpi ranks unpickle it
+    return 0.1 * z + 0.2 * y - 0.05 * x
+
+
+LINEAR = DirichletBoundary(func=_linear)
+
+
+# ---------------------------------------------------------------------------
+# The straight version
+# ---------------------------------------------------------------------------
+
+def _value(cur, z, y, x, off):
+    return cur[1 + z + off[0], 1 + y + off[1], 1 + x + off[2]]
+
+
+def straight_cell(groups, value, dtype):
+    acc = None
+    for w, offs in groups:
+        total = value(offs[0])
+        for off in offs[1:]:
+            total = total + value(off)
+        product = total * dtype.type(w)
+        acc = product if acc is None else acc + product
+    return dtype.type(0.0) if acc is None else acc
+
+
+def straight_region(stencil, cur, nxt, lo, hi):
+    """One update of interior cells ``[lo, hi)`` of a padded pair."""
+    for z in range(lo[0], hi[0]):
+        for y in range(lo[1], hi[1]):
+            for x in range(lo[2], hi[2]):
+                nxt[1 + z, 1 + y, 1 + x] = straight_cell(
+                    stencil.groups, partial(_value, cur, z, y, x), cur.dtype)
+
+
+def straight_sweeps(stencil, grid, field, sweeps):
+    cur = grid.padded(field)
+    for _ in range(sweeps):
+        nxt = cur.copy()
+        straight_region(stencil, cur, nxt, (0, 0, 0), grid.shape)
+        cur = nxt
+    return cur[1:-1, 1:-1, 1:-1].copy()
+
+
+def assert_same_bits(got, want, what=""):
+    assert got.dtype == want.dtype and got.shape == want.shape, what
+    assert got.tobytes() == want.tobytes(), what
+
+
+# ---------------------------------------------------------------------------
+# The table itself
+# ---------------------------------------------------------------------------
+
+def _star(weights, center=0.0):
+    return StarStencil(weights=dict(zip(AXIS_OFFSETS, weights)),
+                       center_weight=center)
+
+
+class TestGroups:
+    def test_jacobi_is_one_group_of_six(self):
+        assert jacobi7().groups == ((SIXTH, AXIS_OFFSETS),)
+
+    def test_distinct_centre_is_its_own_last_group(self):
+        assert jacobi7().damped(0.5).groups == (
+            (SIXTH * 0.5, AXIS_OFFSETS), (0.5, ((0, 0, 0),)))
+
+    def test_centre_joins_the_group_of_an_equal_neighbour_weight(self):
+        s = _star([0.25, 0.5, 0.25, 0.5, 0.125, 0.125], center=0.5)
+        assert s.groups == (
+            (0.25, (AXIS_OFFSETS[0], AXIS_OFFSETS[2])),
+            (0.5, (AXIS_OFFSETS[1], AXIS_OFFSETS[3], (0, 0, 0))),
+            (0.125, (AXIS_OFFSETS[4], AXIS_OFFSETS[5])),
+        )
+
+    def test_all_distinct_weights_keep_canonical_order(self):
+        s = _star([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], center=7.0)
+        assert [w for w, _ in s.groups] == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
+        assert [offs for _, offs in s.groups] == \
+            [(off,) for off in AXIS_OFFSETS + ((0, 0, 0),)]
+
+    def test_zero_weights_of_either_sign_have_no_term(self):
+        s = _star([0.0, -0.0, 1.0, 1.0, 0.0, 0.5], center=-0.0)
+        assert s.groups == ((1.0, AXIS_OFFSETS[2:4]), (0.5, AXIS_OFFSETS[5:]))
+        assert StarStencil(weights={}).groups == ()
+
+    def test_every_reader_shares_the_one_table(self):
+        # Term order and grouping are decided in exactly one place.
+        s = anisotropic_jacobi(1.0, 2.0, 0.5)
+        assert s.groups is s.groups
+        flat = [(off, w) for w, offs in s.groups for off in offs]
+        assert sorted(flat) == sorted(s.terms)
+
+
+# ---------------------------------------------------------------------------
+# The differential
+# ---------------------------------------------------------------------------
+
+NAMED = [
+    jacobi7(), jacobi5_2d(), anisotropic_jacobi(1.0, 2.0, 0.5),
+    jacobi7().damped(0.7), jacobi7().damped(0.5),
+    _star([0.25, 0.5, 0.25, 0.5, 0.125, 0.125], center=0.5),
+    _star([1.0] * 6), _star([1.0] * 6, center=1.0),
+    _star([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], center=-7.0),
+    _star([0.3, -0.3, 0.3, -0.3, 0.3, -0.3], center=0.3),
+    StarStencil(weights={(0, 0, 1): -1.0}),
+    StarStencil(weights={}, center_weight=1.0),
+    StarStencil(weights={}),
+]
+POOL = [1.0, 0.5, SIXTH, -0.25, 0.1, 3.0, 1.0 / 3.0, 0.0]
+weight = st.one_of(st.sampled_from(POOL),
+                   st.floats(-4.0, 4.0, allow_nan=False, width=32))
+
+
+@st.composite
+def stencils(draw):
+    if draw(st.booleans()):
+        return draw(st.sampled_from(NAMED))
+    offs = draw(st.lists(st.sampled_from(AXIS_OFFSETS), unique=True))
+    return StarStencil(weights={off: draw(weight) for off in offs},
+                       center_weight=draw(weight))
+
+
+@st.composite
+def problems(draw, max_side=4):
+    dtype = np.dtype(draw(st.sampled_from([np.float64, np.float32])))
+    shape = tuple(draw(st.integers(1, max_side)) for _ in range(3))
+    boundary = draw(st.sampled_from([
+        DirichletBoundary(-0.0), DirichletBoundary(0.25),
+        DirichletBoundary(faces={(0, -1): 1.0, (2, 1): -0.0, (1, 1): -2.0}),
+        LINEAR,
+    ]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    field = rng.uniform(-2.0, 2.0, shape)
+    kind = rng.integers(0, 4, shape)
+    field[kind == 0] = -0.0
+    field[kind == 1] = 0.0
+    return Grid3D(shape, boundary=boundary, dtype=dtype), field.astype(dtype)
+
+
+def _apply_sweeps(stencil, grid, field, sweeps):
+    """``StarStencil.apply`` on padded slices, nothing else."""
+    cur = grid.padded(field)
+    inner = (slice(1, -1),) * 3
+    for _ in range(sweeps):
+        nxt = cur.copy()
+        nxt[inner] = stencil.apply(cur[inner], [
+            cur[tuple(slice(1 + o, n - 1 + o) for o, n in zip(off, cur.shape))]
+            for off in stencil.offsets])
+        cur = nxt
+    return cur[inner].copy()
+
+
+def _storages(grid, field):
+    yield "twogrid", TwoGridStorage(grid, field)
+    yield "compressed", CompressedStorage(grid, field, (1, 0, 0), 1)
+
+
+def _interpreted(cls):
+    """A numba engine around its loop bodies; compiled where numba exists."""
+    return object.__new__(cls)
+
+
+class TestStraightVersion:
+    @settings(max_examples=200, deadline=None)
+    @given(stencils(), problems(), st.integers(1, 3))
+    def test_apply_and_reference_sweeps(self, stencil, problem, sweeps):
+        grid, field = problem
+        want = straight_sweeps(stencil, grid, field, sweeps)
+        assert_same_bits(_apply_sweeps(stencil, grid, field, sweeps), want,
+                         "StarStencil.apply")
+        assert_same_bits(reference_sweeps(grid, field, sweeps, stencil), want,
+                         "reference_sweeps")
+
+    @settings(max_examples=150, deadline=None)
+    @given(stencils(), problems())
+    def test_engines_on_both_storages(self, stencil, problem):
+        grid, field = problem
+        want = straight_sweeps(stencil, grid, field, 1)
+        engines = {"numpy": get_engine("numpy"),
+                   "numba": _interpreted(NumbaEngine),
+                   "numba-deep": _interpreted(NumbaDeepEngine)}
+        for name, engine in engines.items():
+            for kind, storage in _storages(grid, field):
+                engine.apply(stencil, storage, grid.domain, 1)
+                assert_same_bits(storage.extract(1), want, f"{name}/{kind}")
+            src = grid.padded(field)
+            dst = src.copy()
+            engine.apply_padded(stencil, src, dst, (0, 0, 0), grid.shape)
+            assert_same_bits(dst[1:-1, 1:-1, 1:-1], want, f"{name}/padded")
+
+    @settings(max_examples=100, deadline=None)
+    @given(stencils(), problems(max_side=6),
+           st.sampled_from(["twogrid", "compressed"]),
+           st.sampled_from([(2, 99, 99), (2, 3, 99), (99, 2, 2), (1, 2, 3)]))
+    def test_pipelined_solves(self, stencil, problem, storage, block):
+        # Tiled in z only (flat runs, trapezoid-free), in y/x (3-D span
+        # slices) and in all three; two stages, shifted regions.
+        grid, field = problem
+        # The compressed grid shifts along tiled axes; it needs one.
+        assume(storage == "twogrid"
+               or any(b < n for b, n in zip(block, grid.shape)))
+        cfg = PipelineConfig(teams=1, threads_per_team=2,
+                             updates_per_thread=1, block_size=block,
+                             sync=RelaxedSpec(1, 2), storage=storage)
+        got = solve(grid, field, cfg, stencil=stencil)
+        assert_same_bits(got.field, straight_sweeps(
+            stencil, grid, field, cfg.total_updates))
+
+    def test_sign_of_zero_is_what_the_straight_version_says(self):
+        # A zero-seeded accumulator would turn every -0.0 into +0.0.
+        grid = Grid3D((2, 2, 2), boundary=DirichletBoundary(-0.0))
+        field = np.full(grid.shape, -0.0)
+        got = reference_sweeps(grid, field, 1)
+        assert np.signbit(got).all()
+        assert_same_bits(got, straight_sweeps(jacobi7(), grid, field, 1))
+        assert not np.signbit(reference_sweeps(
+            grid, field, 1, StarStencil(weights={}))).any()
+
+
+# ---------------------------------------------------------------------------
+# The flat run
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def paths(monkeypatch):
+    """Which slab routine ran, and on how many planes: ``[(name, nz)]``."""
+    seen = []
+
+    def spy(name):
+        inner = getattr(numpy_engine, name)
+
+        def wrapper(groups, src, dst, sz, sy, sx):
+            seen.append((name, sz.n))
+            inner(groups, src, dst, sz, sy, sx)
+        monkeypatch.setattr(numpy_engine, name, wrapper)
+
+    spy("_slab_run")
+    spy("_slab_views")
+    return seen
+
+
+def _padded_case(shape=(5, 6, 7), seed=3):
+    grid = Grid3D(shape, boundary=LINEAR)
+    return grid, grid.padded(random_field(shape, np.random.default_rng(seed)))
+
+
+STENCIL = anisotropic_jacobi(1.0, 2.0, 0.5).damped(0.8)
+
+
+def _check_region(src, lo, hi, paths, expect, dst=None):
+    dst = np.full(src.shape, 7.5) if dst is None else dst
+    before = dst.copy()
+    want = before.copy()
+    straight_region(STENCIL, src, want, lo, hi)
+    accumulate_padded(STENCIL, src, dst, lo, hi)
+    assert_same_bits(np.ascontiguousarray(dst), want)
+    assert {name for name, _ in paths} == {expect}
+
+
+class TestFlatRun:
+    def test_full_width_regions_run_flat(self, paths):
+        _, src = _padded_case()
+        _check_region(src, (1, 0, 0), (4, 6, 7), paths, "_slab_run")
+
+    @pytest.mark.parametrize("lo, hi", [
+        ((0, 1, 0), (5, 6, 7)), ((0, 0, 0), (5, 5, 7)),
+        ((0, 0, 1), (5, 6, 7)), ((0, 0, 0), (5, 6, 6)),
+    ], ids=["y-lo", "y-hi", "x-lo", "x-hi"])
+    def test_one_cell_short_takes_the_span_slices(self, paths, lo, hi):
+        _, src = _padded_case()
+        _check_region(src, lo, hi, paths, "_slab_views")
+
+    @pytest.mark.parametrize("shape", [(1, 6, 7), (6, 1, 7), (6, 7, 1),
+                                       (1, 1, 1)])
+    @pytest.mark.parametrize("storage, block", [
+        ("twogrid", (2, 99, 99)), ("compressed", (2, 3, 99))])
+    def test_one_cell_axes(self, paths, shape, storage, block):
+        if storage == "compressed" and shape == (1, 1, 1):
+            pytest.skip("the compressed grid needs a tiled axis to shift on")
+        grid, src = _padded_case(shape)
+        _check_region(src, (0, 0, 0), shape, paths, "_slab_run")
+        field = src[1:-1, 1:-1, 1:-1].copy()
+        cfg = PipelineConfig(teams=1, threads_per_team=2,
+                             updates_per_thread=1, block_size=block,
+                             sync=RelaxedSpec(1, 2), storage=storage)
+        assert_same_bits(solve(grid, field, cfg, stencil=STENCIL).field,
+                         straight_sweeps(STENCIL, grid, field, 2))
+
+    def test_short_last_slab(self, paths, monkeypatch):
+        # The slab is sized on interior cells: two 6x7 planes, so five
+        # planes split 2 + 2 + 1 — the padded row count must not shrink it.
+        monkeypatch.setattr(numpy_engine, "SLAB_BYTES", 2 * 6 * 7 * 8)
+        _, src = _padded_case()
+        _check_region(src, (0, 0, 0), (5, 6, 7), paths, "_slab_run")
+        assert paths == [("_slab_run", 2), ("_slab_run", 2), ("_slab_run", 1)]
+
+    @pytest.mark.parametrize("make", [
+        np.asfortranarray,
+        lambda a: np.repeat(a, 2, axis=2)[:, :, ::2],
+        lambda a: a.transpose(2, 1, 0).copy().transpose(2, 1, 0),
+    ], ids=["fortran", "strided", "transposed"])
+    def test_non_contiguous_source_is_never_evaluated_as_a_copy(self, paths,
+                                                                make):
+        _, base = _padded_case()
+        src = make(base)
+        assert not src.flags.c_contiguous and np.array_equal(src, base)
+        _check_region(src, (0, 0, 0), (5, 6, 7), paths, "_slab_views")
+        assert np.array_equal(src, base)
+
+    def test_non_contiguous_destination_still_runs_flat(self, paths):
+        _, src = _padded_case()
+        dst = np.asfortranarray(np.full(src.shape, 7.5))
+        _check_region(src, (0, 0, 0), (5, 6, 7), paths, "_slab_run", dst)
+
+    @pytest.mark.parametrize("block", [(2, 99, 99), (2, 3, 4)])
+    def test_ghost_ring_is_read_but_never_written(self, paths, block):
+        # NaN edges and corners: the run's ghost columns read them into
+        # values nobody keeps, silently — and both rings stay as filled.
+        grid = Grid3D((6, 5, 7), boundary=LINEAR)
+        field = random_field(grid.shape, np.random.default_rng(4))
+        cfg = PipelineConfig(teams=1, threads_per_team=2,
+                             updates_per_thread=2, block_size=block,
+                             sync=RelaxedSpec(1, 2), passes=2)
+        ex = PipelineExecutor(grid, field, cfg, STENCIL)
+        ring = np.ones(ex.storage.ring_array(0).shape, bool)
+        ring[1:-1, 1:-1, 1:-1] = False
+        faces = np.zeros_like(ring)
+        for axis in range(3):
+            sl = [slice(1, -1)] * 3
+            sl[axis] = slice(None)
+            faces[tuple(sl)] = True
+        for level in (0, 1):
+            ex.storage.ring_array(level)[ring & ~faces] = np.nan
+
+        def ring_hash():
+            return [hashlib.sha256(ex.storage.ring_array(level)[ring]
+                                   .tobytes()).hexdigest()
+                    for level in (0, 1)]
+
+        before = ring_hash()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ex.run()
+        assert ring_hash() == before
+        assert_same_bits(got, straight_sweeps(STENCIL, grid, field,
+                                              cfg.total_updates))
+        assert {name for name, _ in paths} == {
+            "_slab_run" if block[1] == 99 else "_slab_views"}
+
+    @pytest.mark.parametrize("backend", ["simmpi", "procmpi"])
+    @pytest.mark.parametrize("topology, expect", [
+        ((2, 1, 1), "_slab_run"), ((1, 1, 2), "_slab_views")])
+    def test_trapezoid_regions(self, paths, backend, topology, expect):
+        # Cut in z the shrinking active boxes stay full in y and x; cut
+        # in x they are clipped there and fall back to the span slices.
+        grid = Grid3D((12, 6, 12), boundary=LINEAR)
+        field = random_field(grid.shape, np.random.default_rng(5))
+        cfg = PipelineConfig(teams=1, threads_per_team=2,
+                             updates_per_thread=2, block_size=(3, 99, 99),
+                             sync=RelaxedSpec(1, 2), passes=2)
+        got = solve(grid, field, cfg, stencil=STENCIL, topology=topology,
+                    backend=backend)
+        assert_same_bits(got.field, straight_sweeps(STENCIL, grid, field,
+                                                    cfg.total_updates))
+        if backend == "simmpi":         # procmpi ranks are other processes
+            assert {name for name, _ in paths} == {expect}
+
+
+class TestThreads:
+    def test_hammer_through_the_flat_path(self, paths):
+        # tests/test_row_memo.py's hammer, aimed at the engine: 8 threads
+        # at a 1 us switch interval, every one driving full-width regions
+        # of its own problem through the one registered engine from a
+        # cold row memo.  Scratch is per thread; nothing else is shared.
+        cfg = PipelineConfig(teams=1, threads_per_team=2,
+                             updates_per_thread=2, block_size=(2, 99, 99),
+                             sync=RelaxedSpec(1, 2), passes=2)
+        n_threads = 8
+        shapes = [(6 + i % 3, 5 + i % 2, 7) for i in range(n_threads)]
+        fields = [random_field(s, np.random.default_rng(20 + i))
+                  for i, s in enumerate(shapes)]
+        want = [reference_sweeps(Grid3D(s), f, cfg.total_updates)
+                for s, f in zip(shapes, fields)]
+        start = threading.Barrier(n_threads)
+        wrong = []
+
+        def body(i):
+            start.wait(timeout=30)
+            for run in range(10):
+                got = repro.solve(Grid3D(shapes[i]), fields[i], cfg).field
+                if got.tobytes() != want[i].tobytes():
+                    wrong.append((i, run))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            axis_row.cache_clear()
+            threads = [threading.Thread(target=body, args=(i,), daemon=True)
+                       for i in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong
+        assert {name for name, _ in paths} == {"_slab_run"}
+
+    def test_threads_backend_through_the_flat_path(self, paths):
+        grid = Grid3D((16, 12, 13))
+        field = random_field(grid.shape, np.random.default_rng(6))
+        cfg = PipelineConfig(teams=1, threads_per_team=2,
+                             updates_per_thread=2, block_size=(4, 99, 99),
+                             sync=RelaxedSpec(1, 2), passes=2)
+        want = reference_sweeps(grid, field, cfg.total_updates)
+        for _ in range(5):
+            got = solve(grid, field, cfg, backend="threads")
+            assert_same_bits(got.field, want)
+        assert {name for name, _ in paths} == {"_slab_run"}
+
+
+# ---------------------------------------------------------------------------
+# Serve cache: one vector-v2 key, and nothing older is ever served
+# ---------------------------------------------------------------------------
+
+def _job(engine="numpy"):
+    from repro.serve import SolveJob
+
+    grid = Grid3D((8, 8, 8))
+    field = random_field(grid.shape, np.random.default_rng(9))
+    cfg = PipelineConfig(teams=1, threads_per_team=2, updates_per_thread=2,
+                         block_size=(4, 64, 64), sync=RelaxedSpec(1, 2),
+                         engine=engine)
+    return SolveJob(grid=grid, field=field, config=cfg)
+
+
+class _V1(repro.engine.Engine):
+    name = "retired"
+    semantics = "vector-" + "v1"
+
+
+class TestServeKeys:
+    def test_schema_and_class(self):
+        from repro.serve.job import KEY_SCHEMA
+
+        assert KEY_SCHEMA == 3
+        assert get_engine("numpy").semantics == "vector-v2"
+        assert repro.engine.Engine.semantics == "vector-v2"
+
+    def test_numpy_deep_and_oracle_share_one_key(self, deep_engine,
+                                                 oracle_engine):
+        from repro.serve import Service
+
+        oracle_engine("oracle")
+        names = ("numpy", "numba-deep", "oracle")
+        assert len({get_engine(n).semantics for n in names}) == 1
+        assert len({_job(n).content_key() for n in names}) == 1
+        fields = [solve(j.grid, j.field, j.config).field
+                  for j in map(_job, names)]
+        for other in fields[1:]:
+            assert_same_bits(other, fields[0])
+        with Service(workers=0) as svc:
+            cold = svc.submit_job(_job("numpy"))
+            svc.drain()
+            warm = [svc.submit_job(_job(n)) for n in names[1:]]
+            assert svc.stats.backend_solves == 1
+            assert all(w.cache_hit for w in warm)
+            assert_same_bits(warm[0].result(timeout=0).field,
+                             cold.result(timeout=0).field)
+
+    def test_an_entry_written_under_the_old_class_is_never_served(
+            self, tmp_path, monkeypatch):
+        from repro.serve import ResultCache, Service, job as job_module
+
+        # What the parent release wrote to a shared cache directory for
+        # this very problem: version 1.12.0, key schema 2, the old class.
+        register_engine(_V1())
+        try:
+            with monkeypatch.context() as old:
+                old.setattr(job_module, "KEY_SCHEMA", 2)
+                old.setattr(repro, "__version__", "1.12.0")
+                old_key = _job("retired").content_key()
+                schema_only = _job("numpy").content_key()
+            class_only = _job("retired").content_key()
+        finally:
+            unregister_engine("retired")
+        new = _job()
+        assert len({old_key, schema_only, class_only,
+                    new.content_key()}) == 4
+        fresh = solve(new.grid, new.field, new.config)
+        poison = solve(new.grid, new.field + 1.0, new.config)
+        ResultCache(disk_dir=tmp_path).put(old_key, poison)
+        assert (tmp_path / f"{old_key}.pkl").is_file()
+        with Service(workers=0, cache_dir=tmp_path) as svc:
+            fut = svc.submit_job(_job())
+            svc.drain()
+            assert not fut.cache_hit and svc.stats.backend_solves == 1
+            assert_same_bits(fut.result(timeout=0).field, fresh.field)
+        assert (tmp_path / f"{new.content_key()}.pkl").is_file()
