@@ -13,7 +13,6 @@ Run:  python examples/serving.py
 import numpy as np
 
 from repro import Grid3D, PipelineConfig, RelaxedSpec, Service, SolveJob
-from repro.dist.procmpi import process_spawns
 from repro.grid import random_field
 from repro.kernels import reference_sweeps
 
@@ -25,7 +24,6 @@ def main() -> None:
     fields = [random_field(grid.shape, np.random.default_rng(i))
               for i in range(8)]
 
-    spawns_before = process_spawns()
     with Service(workers=2) as svc:
         # --- a batch of distinct procmpi jobs through the warm pool -----------
         futures = [svc.submit(grid, f, cfg, topology=(1, 1, 2),
@@ -33,7 +31,7 @@ def main() -> None:
         for f, fut in zip(fields, futures):
             ref = reference_sweeps(grid, f, cfg.total_updates)
             assert np.allclose(fut.result().field, ref, atol=1e-13)
-        spawned = process_spawns() - spawns_before
+        spawned = svc.stats.process_spawns
         print(f"{len(fields)} procmpi jobs, {spawned} rank processes "
               f"spawned (a cold loop would spawn {2 * len(fields)})  ✓")
 

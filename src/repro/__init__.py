@@ -55,7 +55,6 @@ from .core import (
     BarrierSpec,
     PipelineConfig,
     PipelineExecutor,
-    PipelineResult,
     RelaxedSpec,
     ScheduleDeadlock,
     SolveResult,
@@ -69,14 +68,7 @@ from .api import BACKENDS, map_jobs, solve, submit
 #: serving layer lazily, at call time).
 map = map_jobs
 
-__version__ = "1.13.0"
-
-#: Symbols re-exported from the truly-threaded rail (lazy: the shared
-#: and distributed rails never import it).
-_THREADS_EXPORTS = frozenset({
-    "ThreadedPipelineExecutor",
-    "run_threaded",
-})
+__version__ = "1.14.0"
 
 #: Symbols re-exported from the distributed rail.  Resolved lazily (PEP
 #: 562) so that `import repro` — and with it the shared-memory rail and
@@ -146,10 +138,6 @@ def __getattr__(name: str):
         from . import obs
 
         return getattr(obs, name)
-    if name in _THREADS_EXPORTS:
-        from . import threads
-
-        return getattr(threads, name)
     if name in _DIST_EXPORTS:
         from . import dist
 
@@ -166,9 +154,8 @@ def __getattr__(name: str):
 
 
 def __dir__():
-    return sorted(set(globals()) | _THREADS_EXPORTS | _DIST_EXPORTS
-                  | _SERVE_EXPORTS | _AUTOTUNE_EXPORTS | _ANALYSIS_EXPORTS
-                  | _OBS_EXPORTS)
+    return sorted(set(globals()) | _DIST_EXPORTS | _SERVE_EXPORTS
+                  | _AUTOTUNE_EXPORTS | _ANALYSIS_EXPORTS | _OBS_EXPORTS)
 
 __all__ = [
     "Engine",
@@ -189,13 +176,10 @@ __all__ = [
     "RelaxedSpec",
     "PipelineConfig",
     "PipelineExecutor",
-    "PipelineResult",
     "ScheduleDeadlock",
     "SolveResult",
     "StorageError",
     "run_pipelined",
-    "ThreadedPipelineExecutor",
-    "run_threaded",
     "CartesianDecomposition",
     "ClusterModel",
     "Comm",

@@ -24,12 +24,12 @@ Backends
     One process, ``n`` teams of ``t`` threads (simulated stages) —
     :func:`repro.core.pipeline.run_pipelined`.
 ``"threads"``
-    One process, one **real OS thread per pipeline stage**, gated by
-    condition-variable sync counters — :func:`repro.threads.run_threaded`.
-    Bit-identical to ``"shared"``; the schedule is certified by
-    :func:`repro.analysis.assert_legal` unconditionally before any
-    thread starts (a true-threads executor cannot rely on runtime
-    interleaving checks alone).
+    The same executor, ``run_pipelined(..., threads=True)``: one **real
+    OS thread per pipeline stage**, sleeping on condition-variable sync
+    counters.  Bit-identical to ``"shared"``; the executor certifies
+    the schedule with :func:`repro.analysis.assert_legal`
+    unconditionally before any thread starts (a true-threads run
+    cannot rely on runtime interleaving checks alone).
 ``"simmpi"``
     One thread-backed simulated-MPI rank per subdomain —
     :func:`repro.dist.solver.distributed_jacobi_pipelined`.
@@ -161,17 +161,10 @@ def solve(
     tracer = Tracer(pid=0, label="driver") if trace else NULL_TRACER
     with tracer.span("solve", cat="solve", backend=backend,
                      topo=f"{topo[0]}x{topo[1]}x{topo[2]}"):
-        if backend == "shared":
+        if backend in ("shared", "threads"):
             result = run_pipelined(grid, field, config, stencil=stencil,
-                                   validate=runtime_validate, tracer=tracer)
-        elif backend == "threads":
-            # run_threaded re-runs assert_legal itself, unconditionally —
-            # real threads never launch on an uncertified schedule, no
-            # matter what ``validate`` says.
-            from .threads import run_threaded
-
-            result = run_threaded(grid, field, config, stencil=stencil,
-                                  validate=runtime_validate, tracer=tracer)
+                                   validate=runtime_validate, tracer=tracer,
+                                   threads=backend == "threads")
         else:
             # Imported lazily, mirroring the top-level re-exports: the
             # shared backend must work even where the distributed rail

@@ -19,7 +19,7 @@ from .sync import BarrierPolicy, RelaxedPolicy, SyncPolicy, make_policy
 from .storage import CompressedStorage, StorageError, TwoGridStorage, make_storage
 from .schedule import ScheduleError, check_coverage, check_skew, make_decomposition
 from .executor import ExecutionStats, ORDERS, PipelineExecutor, ScheduleDeadlock
-from .pipeline import PipelineResult, SolveResult, plan, run_pipelined
+from .pipeline import SolveResult, plan, run_pipelined
 from .autotune import TuneResult, autotune
 from .wavefront import compare_wavefront, wavefront_balance, wavefront_config
 
@@ -44,7 +44,6 @@ __all__ = [
     "ExecutionStats",
     "ScheduleDeadlock",
     "ORDERS",
-    "PipelineResult",
     "SolveResult",
     "plan",
     "run_pipelined",

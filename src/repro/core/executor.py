@@ -1,22 +1,37 @@
 """The pipelined temporal-blocking executor (functional rail).
 
-This engine runs the paper's scheme *as an algorithm*: simulated pipeline
-stages (threads) walk the block traversal, each performing its ``T``
-one-cell-shifted updates per block, gated by the synchronisation policy
-(global barrier or relaxed counters, Eq. 3).  The engine explores *any*
-legal interleaving — round-robin, seeded-random, or adversarial
-front-/rear-biased orders — and every storage access is validated, so an
+This engine runs the paper's scheme *as an algorithm*: pipeline stages
+walk the block traversal, each performing its ``T`` one-cell-shifted
+updates per block, gated by the synchronisation policy (global barrier
+or relaxed counters, Eq. 3); every storage access is validated, so an
 illegal schedule raises instead of silently producing a wrong (or even a
 right) answer.
+
+There is one pass loop.  :meth:`PipelineExecutor.run_pass` builds a
+:class:`~repro.core.sync.CounterBoard` — the only holder of the pass's
+live sync state — defines one step (a stage's next block op, then its
+publication) and hands both to a *driver*: the deterministic
+**interleaver**, one thread playing every stage in *any* legal order
+(round-robin, seeded-random, adversarial front-/rear-biased), or
+**stage threads**, one OS thread per stage sleeping on the board
+(``backend="threads"``).  Real concurrency is one more interleaving the
+window permits, hence bit-identical on every schedule
+:func:`repro.analysis.assert_legal` certifies — and the executor
+certifies, unconditionally, before it starts a thread.  What a stage
+thread touches, and why that is safe: field arrays — disjoint slices by
+legality, and validation reads stay inside the two-buffer window;
+engines — stateless between calls (:mod:`repro.engine.base`); work
+counts — each stage writes only its own tally and board counter, folded
+after the join; the tracer — per-thread buffers merged on ``finish()``.
 
 The geometry of a pass is resolved once, not per block: before a pass
 starts, every update of every stage is bound to the three per-axis span
 rows of its shift level (:meth:`BlockDecomposition.level_rows`, memoised
 process-wide and already clipped to the update's active box), and a
-block op — the one body the cooperative loop, the ``threads`` stage
-threads and the ``dist`` per-rank trapezoid all run — indexes those rows
-by its block index: emptiness and cell count are integer products, and
-the engine receives spans whose slices address the storage directly.
+block op — the one body both drivers and the ``dist`` per-rank
+trapezoid run — indexes those rows by its block index: emptiness and
+cell count are integer products, and the engine receives spans whose
+slices address the storage directly.
 
 What this deliberately does **not** model is wall-clock time; that is the
 job of the discrete-event rail in :mod:`repro.sim`, which executes the
@@ -25,7 +40,9 @@ same schedule against a machine model.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -39,7 +56,7 @@ from ..obs.tracer import NULL_TRACER, Tracer
 from .parameters import PipelineConfig
 from .schedule import make_decomposition
 from .storage import CompressedStorage, make_storage
-from .sync import make_policy, waiting_stages
+from .sync import CounterBoard, SyncAborted, make_policy
 
 __all__ = ["ScheduleDeadlock", "ExecutionStats", "PipelineExecutor", "ORDERS"]
 
@@ -65,9 +82,72 @@ class ExecutionStats:
     max_counter_gap: int = 0
     trace: Optional[List[Tuple[int, int, int]]] = None  # (pass, stage, idx)
 
+    def merge(self, *others: "ExecutionStats") -> "ExecutionStats":
+        """Add ``others`` — one more pass, every rank — into this one."""
+        for other in others:
+            self.block_ops += other.block_ops
+            self.empty_block_ops += other.empty_block_ops
+            self.updates += other.updates
+            self.cells_updated += other.cells_updated
+            self.per_stage_blocks = [a + b for a, b in zip_longest(
+                self.per_stage_blocks, other.per_stage_blocks, fillvalue=0)]
+            self.max_counter_gap = max(self.max_counter_gap,
+                                       other.max_counter_gap)
+            if self.trace is not None and other.trace is not None:
+                self.trace.extend(other.trace)
+        return self
+
     def mlups_equivalent(self, seconds: float) -> float:
         """Convenience: cell updates per second if the run took ``seconds``."""
         return self.cells_updated / seconds / 1e6 if seconds > 0 else float("nan")
+
+
+@dataclass
+class _Tally:
+    """What one stage did in one pass; only that stage writes it."""
+
+    updates: int = 0
+    cells: int = 0
+    empty_ops: int = 0
+
+
+def _interleave(board: CounterBoard, step: Callable[[int], None],
+                pick: Callable[[List[int]], int]) -> None:
+    """Driver: one thread plays every stage, ``pick`` choosing among the
+    open ones — any interleaving the window permits, deterministically."""
+    for _ in range(board.n_stages * board.n_blocks):
+        is_open = board.poll()
+        if not is_open:
+            raise ScheduleDeadlock(
+                "no stage can start its next block: " + board.describe_wait())
+        step(pick(is_open))
+
+
+def _stage_threads(board: CounterBoard, step: Callable[[int], None]) -> None:
+    """Driver: one OS thread per stage, sleeping on the board.  A stage's
+    exception goes to the board, which wakes every waiter so the pass
+    unwinds instead of hanging on a counter that will never move again;
+    the original is re-raised after the join."""
+    def stage_body(stage: int) -> None:
+        try:
+            for _ in range(board.n_blocks):
+                board.wait_ready(stage)
+                step(stage)
+        except SyncAborted:
+            pass  # a peer failed first; its exception is on the board
+        except BaseException as exc:  # noqa: BLE001 - must release peers
+            board.abort(exc)
+
+    threads = [threading.Thread(target=stage_body, args=(s,),
+                                name=f"repro-stage-{s}", daemon=True)
+               for s in range(board.n_stages)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    failure = board.failure
+    if failure is not None:
+        raise failure
 
 
 class PipelineExecutor:
@@ -94,11 +174,19 @@ class PipelineExecutor:
         Enable storage validation (two-buffer / compressed-position
         checks).  Tests run with it on; large demo runs may switch it off.
     record_trace:
-        Keep the full (pass, stage, block) execution order in the stats.
+        Keep the (pass, stage, block) publication order in the stats.
     tracer:
         An :class:`repro.obs.tracer.Tracer` to record per-block spans and
         sync/drain counters into; defaults to the no-op tracer, whose
         guard variable keeps the instrumented paths allocation-free.
+    threads:
+        One OS thread per stage instead of the interleaver: the OS picks
+        the interleaving, so ``order`` / ``rng`` are rejected, and the
+        schedule is certified **unconditionally**, here, whatever
+        ``validate`` says (:class:`~repro.analysis.StaticAnalysisError`).
+    watchdog_s:
+        Bound on any single sync wait of a stage thread; a legal
+        schedule never trips it (:class:`~repro.core.sync.SyncWaitTimeout`).
     """
 
     def __init__(
@@ -113,15 +201,27 @@ class PipelineExecutor:
         validate: bool = True,
         record_trace: bool = False,
         tracer: Optional[Tracer] = None,
+        threads: bool = False,
+        watchdog_s: Optional[float] = 120.0,
     ) -> None:
         if order not in ORDERS:
             raise ValueError(f"unknown order {order!r}; choose from {ORDERS}")
+        if threads:
+            if order != "round_robin" or rng is not None:
+                raise ValueError(
+                    "order and rng choose among the interleaver's schedules; "
+                    "stage threads run whatever the OS scheduler produces")
+            from ..analysis import assert_legal
+
+            assert_legal(config, grid.shape, (1, 1, 1), radius=stencil.radius)
         self.grid = grid
         self.config = config
         self.stencil = stencil
         self.order = order
         self.rng = rng or np.random.default_rng(0)
         self.active_fn = active_fn
+        self.threads = threads
+        self.watchdog_s = watchdog_s
         self.decomp: BlockDecomposition = make_decomposition(grid.domain, config)
         self.policy = make_policy(config)
         #: Kernel-execution engine every update dispatches through
@@ -156,40 +256,40 @@ class PipelineExecutor:
 
     def run_pass(self, pass_idx: int) -> None:
         """Execute one full pipeline pass (every stage over every block)."""
-        cfg = self.config
-        P = cfg.n_stages
-        n_blocks = self.decomp.n_traversal_blocks
+        P = self.config.n_stages
         self._begin_pass(pass_idx)
-        counters = [0] * P
-        finished = [False] * P
-        with self.tracer.span("pass", cat="core", idx=pass_idx):
-            while not all(finished):
-                ready = [s for s in range(P)
-                         if not finished[s]
-                         and self.policy.ready(s, counters, finished)]
-                if not ready:
-                    raise ScheduleDeadlock(
-                        f"pass {pass_idx}: no ready stage (counters={counters}); "
-                        f"sync spec {cfg.sync.describe()} cannot make progress"
-                    )
-                if self.tracer.enabled:
-                    # Sync-window pressure: how many unfinished stages the
-                    # window blocks at this poll (the functional rail's
-                    # deterministic proxy for wait time), and whether we
-                    # are in a drain phase (some stage already done).
-                    blocked = waiting_stages(self.policy, counters, finished)
-                    if blocked:
-                        self.tracer.count("sync.blocked_polls", len(blocked))
-                    if any(finished):
-                        self.tracer.count("core.drain_blocks")
-                s = self._pick(ready)
-                self._execute_block(pass_idx, s, counters[s])
-                counters[s] += 1
-                if counters[s] == n_blocks:
-                    finished[s] = True
-                gap = max(counters) - min(counters)
-                if gap > self.stats.max_counter_gap:
-                    self.stats.max_counter_gap = gap
+        board = CounterBoard(self.policy, P, self.decomp.n_traversal_blocks,
+                             timeout=self.watchdog_s,
+                             record_log=self.stats.trace is not None)
+        counters = board.counters
+        tallies = [_Tally() for _ in range(P)]
+        publish = board.advance if self.threads else board.publish
+
+        def step(stage: int) -> None:
+            self._execute_block(stage, counters[stage], tallies[stage])
+            publish(stage)
+
+        with self.tracer.span("pass", cat="threads" if self.threads else "core",
+                              idx=pass_idx):
+            if self.threads:
+                _stage_threads(board, step)
+            else:
+                _interleave(board, step, self._pick)
+        self.stats.merge(ExecutionStats(
+            block_ops=sum(counters),
+            empty_block_ops=sum(t.empty_ops for t in tallies),
+            updates=sum(t.updates for t in tallies),
+            cells_updated=sum(t.cells for t in tallies),
+            per_stage_blocks=counters,
+            max_counter_gap=board.max_counter_gap,
+            trace=(None if board.log is None
+                   else [(pass_idx, s, idx) for s, idx in board.log])))
+        # Deterministic on the interleaver, real blocked wakeups under
+        # stage threads: comparable in spirit, not in magnitude.
+        if board.blocked_polls:
+            self.tracer.count("sync.blocked_polls", board.blocked_polls)
+        if board.drain_blocks:
+            self.tracer.count("core.drain_blocks", board.drain_blocks)
 
     # -- internals ---------------------------------------------------------------
 
@@ -235,17 +335,8 @@ class PipelineExecutor:
             plan.append(tuple(updates))
         self._stage_rows = tuple(plan)
 
-    def _execute_block(self, pass_idx: int, stage: int, traversal_idx: int,
-                       stats: Optional[ExecutionStats] = None) -> None:
-        # ``stats`` lets a caller isolate the counter sink per stage: the
-        # threaded executor hands every stage thread its own
-        # ExecutionStats (merged after the join), because concurrent
-        # ``+=`` on one shared object loses updates.  The simulated rail
-        # keeps the default — its single thread owns ``self.stats``.
-        stats = self.stats if stats is None else stats
-        stats.block_ops += 1
-        if stats.trace is not None:
-            stats.trace.append((pass_idx, stage, traversal_idx))
+    def _execute_block(self, stage: int, traversal_idx: int,
+                       tally: _Tally) -> None:
         k0, k1, k2 = self.decomp.block_index(traversal_idx)
         tracer, engine = self.tracer, self.engine
         any_work = False
@@ -261,8 +352,7 @@ class PipelineExecutor:
                                  engine=engine.name,
                                  semantics=engine.semantics, cells=cells):
                     engine.apply_spans(self.stencil, self.storage, spans, level)
-                stats.updates += 1
-                stats.cells_updated += cells
-        stats.per_stage_blocks[stage] += 1
+                tally.updates += 1
+                tally.cells += cells
         if not any_work:
-            stats.empty_block_ops += 1
+            tally.empty_ops += 1

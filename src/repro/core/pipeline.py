@@ -11,8 +11,7 @@ Every solver front-end — this one and the distributed ones in
 :mod:`repro.dist.solver` — returns the same :class:`SolveResult`, so
 callers can switch between the shared-memory and distributed-memory
 rails (or go through the dispatching :func:`repro.solve`) without
-touching their result handling.  ``PipelineResult`` remains as an alias
-for existing code.
+touching their result handling.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from .executor import ExecutionStats, PipelineExecutor
 from .parameters import PipelineConfig
 from .schedule import check_coverage, make_decomposition
 
-__all__ = ["SolveResult", "PipelineResult", "plan", "run_pipelined"]
+__all__ = ["SolveResult", "plan", "run_pipelined"]
 
 
 @dataclass
@@ -50,7 +49,7 @@ class SolveResult:
     stats: Optional[ExecutionStats]
     #: The pipeline configuration (``None`` for non-pipelined solvers).
     config: Optional[PipelineConfig]
-    #: Which backend produced this result (``"shared"`` or ``"simmpi"``).
+    #: Which backend produced this result (one of ``repro.BACKENDS``).
     backend: str = "shared"
     #: Process-grid topology the solve ran on.
     topology: Tuple[int, int, int] = (1, 1, 1)
@@ -71,10 +70,6 @@ class SolveResult:
     def cells_updated(self) -> int:
         """Total cell updates performed (incl. trapezoid extra work)."""
         return self.stats.cells_updated if self.stats is not None else 0
-
-
-#: Backwards-compatible name from before the unified front-end.
-PipelineResult = SolveResult
 
 
 def plan(grid: Grid3D, config: PipelineConfig, verify_coverage: bool = True):
@@ -101,19 +96,20 @@ def run_pipelined(
     validate: bool = True,
     record_trace: bool = False,
     tracer: Optional[Tracer] = None,
+    threads: bool = False,
 ) -> SolveResult:
     """Advance ``field`` by ``config.total_updates`` Jacobi time levels.
 
-    This is the shared-memory entry point; the distributed front-end in
+    The shared-memory entry point (``threads=True``: an OS thread per
+    stage, the ``"threads"`` backend); the distributed front-end in
     :mod:`repro.dist.solver` drives the same executor per rank with
-    trapezoidal active regions and multi-layer halo exchange between
-    passes.
+    trapezoidal active regions and halo exchange between passes.
     """
     st = stencil or jacobi7()
     ex = PipelineExecutor(
         grid, field, config, st,
         order=order, rng=rng, validate=validate, record_trace=record_trace,
-        tracer=tracer,
+        tracer=tracer, threads=threads,
     )
     out = ex.run()
     return SolveResult(
@@ -121,5 +117,5 @@ def run_pipelined(
         levels_advanced=config.total_updates,
         stats=ex.stats,
         config=config,
-        backend="shared",
+        backend="threads" if threads else "shared",
     )

@@ -5,8 +5,8 @@ Both execution rails share these semantics:
 * the *functional* executor (:mod:`repro.core.executor`) asks "which
   threads may start their next block now?" to enumerate legal
   interleavings;
-* the *performance* simulator (:mod:`repro.sim.threadsim`) asks the same
-  question to decide when a simulated thread unblocks.
+* the *performance* simulator (:mod:`repro.sim.des_pipeline`) asks the
+  same question to decide when a simulated thread unblocks.
 
 A policy sees the per-stage progress counters ``c`` (blocks completed in
 the current pass) plus which stages have finished their traversal, and
@@ -23,7 +23,7 @@ from typing import List, Optional, Protocol, Sequence, Tuple
 from .parameters import BarrierSpec, PipelineConfig, RelaxedSpec
 
 __all__ = ["SyncPolicy", "BarrierPolicy", "RelaxedPolicy", "make_policy",
-           "waiting_stages", "CounterBoard", "SyncAborted", "SyncWaitTimeout"]
+           "CounterBoard", "SyncAborted", "SyncWaitTimeout"]
 
 
 class SyncPolicy(Protocol):
@@ -36,8 +36,8 @@ class SyncPolicy(Protocol):
     def blockers(self, stage: int, counters: Sequence[int], finished: Sequence[bool]) -> List[int]:
         """Stages whose counter must change before ``stage`` becomes ready.
 
-        Used by the event-driven simulator to know which counter updates to
-        wake on, and by deadlock diagnostics.
+        What :meth:`CounterBoard.describe_wait` names when a schedule is
+        stuck (deadlock on the interleaver, watchdog on stage threads).
         """
         ...
 
@@ -129,20 +129,6 @@ class RelaxedPolicy:
         return out
 
 
-def waiting_stages(policy: SyncPolicy, counters: Sequence[int],
-                   finished: Sequence[bool]) -> List[int]:
-    """Unfinished stages the sync window blocks *right now*.
-
-    The observability layer's view of sync-wait: on the functional rail
-    a stage never sleeps (stages are simulated on one thread), so the
-    per-poll count of window-blocked stages is the deterministic,
-    host-independent proxy for wait time — the executor accumulates it
-    into the ``sync.blocked_polls`` counter only while tracing.
-    """
-    return [s for s in range(len(counters))
-            if not finished[s] and not policy.ready(s, counters, finished)]
-
-
 def make_policy(config: PipelineConfig) -> SyncPolicy:
     """Instantiate the policy matching ``config.sync``."""
     if isinstance(config.sync, BarrierSpec):
@@ -161,51 +147,94 @@ class SyncWaitTimeout(RuntimeError):
 
 
 class CounterBoard:
-    """Thread-safe progress counters behind a condition variable.
+    """The live sync state of one pipeline pass, and its only holder.
 
-    This is the paper's volatile-counter protocol made real: one board
-    per pipeline pass, one counter per stage, readiness decided by the
-    same :class:`SyncPolicy` the simulated rail polls.  Where the
-    simulated executor *polls* readiness inside its single-threaded
-    scheduling loop (free there — the loop is the only runnable code),
-    real OS threads must **sleep**: a spinning wait burns a core per
-    blocked stage, and a naive "wake when my neighbor's counter
-    changes" scheme has a missed-wakeup bug around the drain waiver —
-    a stage can become ready because its predecessor *finished its
-    traversal* (the counter never moves again), so waking on counter
-    updates alone parks the successor forever.  Here every state
-    change — counter advance *and* traversal finish *and* abort — goes
-    through one :class:`threading.Condition` with ``notify_all``, and
-    waiters re-check the policy in a loop, which is also what makes
-    spurious wakeups harmless.
+    The paper's volatile-counter protocol made real: one counter per
+    stage, readiness decided by a :class:`SyncPolicy`.  One set of
+    bookkeeping — counters, finished flags, counter gap, blocked-poll
+    and drain counts, optional publication log — under two protocols:
 
-    Observability is preserved: :attr:`blocked_polls` counts every
-    wakeup that found the window still shut (the threaded analogue of
-    the simulated rail's ``sync.blocked_polls``), and
-    :meth:`waiting_now` exposes the currently blocked stages through
-    the module-level :func:`waiting_stages` helper.
+    * :meth:`poll` / :meth:`publish`, lock-free, for a driver that is
+      the board's **only** thread (the executor's interleaver): taking
+      the condition per poll costs more than the readiness check.
+    * :meth:`wait_ready` / :meth:`advance`, the same two under the
+      condition variable, for one OS thread per stage.  Real threads
+      must **sleep**, not spin, and "wake when my neighbour's counter
+      changes" misses a wakeup around the drain waiver — a stage can
+      become ready because its predecessor *finished* (the counter
+      never moves again).  So every state change — advance, finish
+      *and* abort — is a ``notify_all`` on one condition, and waiters
+      re-check the policy in a loop (spurious wakeups are harmless).
 
-    The board never decides *legality* — the threaded executor runs
-    only schedules certified by :func:`repro.analysis.assert_legal` —
-    but it still carries a watchdog timeout so a bug anywhere above it
-    surfaces as :class:`SyncWaitTimeout` instead of a hung process.
+    The board never decides *legality* (:func:`repro.analysis.assert_legal`
+    does); the watchdog ``timeout`` on every wait turns a bug above it
+    into an error naming the blocker instead of a hung process.
     """
 
     def __init__(self, policy: SyncPolicy, n_stages: int, n_blocks: int,
-                 timeout: Optional[float] = 120.0) -> None:
+                 timeout: Optional[float] = 120.0,
+                 record_log: bool = False) -> None:
         if n_stages < 1 or n_blocks < 0:
             raise ValueError("need >= 1 stage and >= 0 blocks")
         self.policy = policy
         self.n_stages = n_stages
         self.n_blocks = n_blocks
         self.timeout = timeout
+        #: Blocks published per stage.  Only stage ``s`` writes entry
+        #: ``s``, so it may read that entry without the lock.
+        self.counters = [0] * n_stages
+        #: ``(stage, block)`` in publication order, if recorded.
+        self.log: Optional[List[Tuple[int, int]]] = [] if record_log else None
         self._cond = threading.Condition()
-        self._counters = [0] * n_stages
         self._finished = [False] * n_stages
         self._blocked_polls = 0
         self._drain_blocks = 0
         self._max_gap = 0
         self._failure: Optional[BaseException] = None
+
+    # -- the bookkeeping: callers own the board or hold the condition ---------
+
+    def poll(self, stages: Optional[Sequence[int]] = None) -> List[int]:
+        """The unfinished ones of ``stages`` (default: all) that may start
+        a block now.  Each one found shut is a blocked poll; a poll made
+        after some stage finished its traversal is a drain poll."""
+        counters, finished, ready = self.counters, self._finished, self.policy.ready
+        is_open = []
+        for s in range(self.n_stages) if stages is None else stages:
+            if finished[s]:
+                continue
+            if ready(s, counters, finished):
+                is_open.append(s)
+            else:
+                self._blocked_polls += 1
+        if any(finished):
+            self._drain_blocks += 1
+        return is_open
+
+    def publish(self, stage: int) -> int:
+        """Count one completed block of ``stage``; returns its counter.
+        The finished flag moves with the final count, never after it."""
+        counters = self.counters
+        block = counters[stage]
+        counters[stage] = value = block + 1
+        if value >= self.n_blocks:
+            self._finished[stage] = True
+        gap = max(counters) - min(counters)
+        if gap > self._max_gap:
+            self._max_gap = gap
+        if self.log is not None:
+            self.log.append((stage, block))
+        return value
+
+    def describe_wait(self) -> str:
+        """Who waits on whom (:meth:`SyncPolicy.blockers`): the text of
+        every stuck-schedule error."""
+        counters, finished = self.counters, self._finished
+        waits = [(s, self.policy.blockers(s, counters, finished))
+                 for s in range(self.n_stages) if not finished[s]]
+        return ("; ".join(f"stage {s} waits on stage {' and '.join(map(str, on))}"
+                          for s, on in waits if on)
+                + f" (counters={counters}, finished={finished})")
 
     # -- the stage-thread protocol --------------------------------------------
 
@@ -215,40 +244,26 @@ class CounterBoard:
         Raises :class:`SyncAborted` if a peer stage failed while we
         waited and :class:`SyncWaitTimeout` if the watchdog fires.
         """
+        me = (stage,)
         with self._cond:
             while True:
                 if self._failure is not None:
                     raise SyncAborted(
                         f"stage {stage}: a peer stage failed "
                         f"({type(self._failure).__name__})")
-                if self.policy.ready(stage, self._counters, self._finished):
+                if self.poll(me):
                     return
-                self._blocked_polls += 1
-                if any(self._finished):
-                    self._drain_blocks += 1
                 if not self._cond.wait(self.timeout):
                     self._failure = SyncWaitTimeout(
-                        f"stage {stage} waited > {self.timeout}s "
-                        f"(counters={self._counters}, "
-                        f"finished={self._finished})")
+                        f"stage {stage} waited > {self.timeout}s: "
+                        + self.describe_wait())
                     self._cond.notify_all()
                     raise self._failure
 
     def advance(self, stage: int) -> int:
-        """Publish one completed block; wakes every waiter.
-
-        Marks the stage finished when its traversal completes — in the
-        same critical section, so the drain waiver becomes visible to
-        waiters atomically with the final counter update.
-        """
+        """:meth:`publish` under the condition; wakes every waiter."""
         with self._cond:
-            self._counters[stage] += 1
-            value = self._counters[stage]
-            if value >= self.n_blocks:
-                self._finished[stage] = True
-            gap = max(self._counters) - min(self._counters)
-            if gap > self._max_gap:
-                self._max_gap = gap
+            value = self.publish(stage)
             self._cond.notify_all()
             return value
 
@@ -271,31 +286,26 @@ class CounterBoard:
 
     @property
     def blocked_polls(self) -> int:
-        """Wakeups that re-checked the window and found it still shut."""
+        """Polls (or wakeups) that found an unfinished stage's window shut."""
         with self._cond:
             return self._blocked_polls
 
     @property
     def drain_blocks(self) -> int:
-        """Blocked re-checks that happened while some stage had finished."""
+        """Polls made while some stage had already finished."""
         with self._cond:
             return self._drain_blocks
 
     @property
     def max_counter_gap(self) -> int:
-        """Largest ``max(c) - min(c)`` observed at any advance."""
+        """Largest ``max(c) - min(c)`` observed at any publication."""
         with self._cond:
             return self._max_gap
 
     def snapshot(self) -> Tuple[List[int], List[bool]]:
         """Consistent copy of (counters, finished) for diagnostics."""
         with self._cond:
-            return list(self._counters), list(self._finished)
-
-    def waiting_now(self) -> List[int]:
-        """Stages the window blocks at this instant (obs view)."""
-        with self._cond:
-            return waiting_stages(self.policy, self._counters, self._finished)
+            return list(self.counters), list(self._finished)
 
     @property
     def done(self) -> bool:

@@ -22,8 +22,8 @@ Built from five pieces, bottom-up:
 from .comm import Comm, MPI4PyComm
 from .decomp import CartesianDecomposition, RankGeometry
 from .exchange import exchange_plan, plan_bytes
-from .procmpi import ProcComm, ProcMPIError, ProcWorld, process_spawns, run_procs
-from .shm import ShmPool, live_segments, segment_creates
+from .procmpi import SPAWNS_COUNTER, ProcComm, ProcMPIError, ProcWorld, run_procs
+from .shm import SEGMENTS_COUNTER, ShmPool, live_segments
 from .simmpi import RankComm, SimMPIError, run_ranks
 from .solver import (
     TRANSPORTS,
@@ -53,11 +53,11 @@ __all__ = [
     "ProcMPIError",
     "ProcWorld",
     "ProcSolverSession",
-    "process_spawns",
+    "SPAWNS_COUNTER",
     "run_procs",
     "ShmPool",
     "live_segments",
-    "segment_creates",
+    "SEGMENTS_COUNTER",
     "TRANSPORTS",
     "distributed_jacobi_sweeps",
     "distributed_jacobi_pipelined",

@@ -69,7 +69,7 @@ from .comm import Comm, snapshot as _snapshot
 from .shm import ShmBlockHandle, ShmPool, attach_block
 
 __all__ = ["ProcMPIError", "ProcComm", "ProcWorld", "run_procs",
-           "default_start_method", "process_spawns"]
+           "default_start_method", "SPAWNS_COUNTER"]
 
 #: How long a blocked receive/barrier/ring-send waits before concluding
 #: the run is wedged (mirrors ``simmpi.DEFAULT_TIMEOUT``).
@@ -325,27 +325,10 @@ class ProcComm(Comm):
 # The drivers: a persistent rank world, and the one-shot run_procs on top.
 # ---------------------------------------------------------------------------
 
-#: Registry name of the spawn counter (see :mod:`repro.obs.registry`).
+#: Registry name (:mod:`repro.obs.registry`) of the monotonic count of
+#: rank processes started: deterministic for a fixed call sequence, so
+#: tests assert setup amortisation without touching a wall clock.
 SPAWNS_COUNTER = "procmpi.process_spawns"
-
-
-def process_spawns() -> int:
-    """Monotonic count of rank processes this module has started.
-
-    Deterministic for a fixed call sequence, so throughput tests can
-    assert setup amortisation ("a warm pool spawns 2x fewer processes")
-    without touching a wall clock.  Compatibility read of the
-    process-wide obs registry's :data:`SPAWNS_COUNTER`.
-    """
-    from ..obs import registry
-
-    return int(registry.counter(SPAWNS_COUNTER))
-
-
-def _count_spawns(n: int) -> None:
-    from ..obs import registry
-
-    registry.inc(SPAWNS_COUNTER, n)
 
 
 def _serve_main(rank: int, links: _Links, task_q: Any) -> None:
@@ -541,7 +524,9 @@ class ProcWorld:
                 for r in range(n_ranks)]
             for p in self._procs:
                 p.start()
-            _count_spawns(n_ranks)
+            from ..obs import registry
+
+            registry.inc(SPAWNS_COUNTER, n_ranks)
         except BaseException:
             self.close()
             raise

@@ -47,27 +47,16 @@ __all__ = [
     "attach_block",
     "attach_array",
     "live_segments",
-    "segment_creates",
+    "SEGMENTS_COUNTER",
 ]
 
 #: Every segment this package creates carries this name prefix.
 SEGMENT_PREFIX = "repro-shm-"
 
-#: Registry name of the creation counter (see :mod:`repro.obs.registry`).
+#: Registry name (:mod:`repro.obs.registry`) of the monotonic count of
+#: segments created by this process's pools: deterministic for a fixed
+#: call sequence, so tests assert setup amortisation without a clock.
 SEGMENTS_COUNTER = "shm.segment_creates"
-
-
-def segment_creates() -> int:
-    """Monotonic count of segments created by this process's pools.
-
-    Deterministic for a fixed call sequence — the serving layer's
-    throughput tests assert setup amortisation on this counter instead
-    of a wall clock.  Compatibility read of the process-wide obs
-    registry's :data:`SEGMENTS_COUNTER`.
-    """
-    from ..obs import registry
-
-    return int(registry.counter(SEGMENTS_COUNTER))
 
 
 @dataclass(frozen=True)

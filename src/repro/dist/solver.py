@@ -160,19 +160,6 @@ def _assemble(grid: Grid3D,
     return out
 
 
-def _merge_stats(per_rank: Sequence[ExecutionStats]) -> ExecutionStats:
-    """Aggregate executor counters across ranks."""
-    stats = ExecutionStats()
-    for rank_stats in per_rank:
-        stats.block_ops += rank_stats.block_ops
-        stats.empty_block_ops += rank_stats.empty_block_ops
-        stats.updates += rank_stats.updates
-        stats.cells_updated += rank_stats.cells_updated
-        stats.max_counter_gap = max(stats.max_counter_gap,
-                                    rank_stats.max_counter_gap)
-    return stats
-
-
 def _neg(off: Coord) -> Coord:
     return (-off[0], -off[1], -off[2])
 
@@ -472,7 +459,7 @@ class ProcSolverSession:
         return SolveResult(
             field=assembled,
             levels_advanced=config.total_updates,
-            stats=_merge_stats([o[3] for o in outs]),
+            stats=ExecutionStats().merge(*(o[3] for o in outs)),
             config=config,
             backend="procmpi",
             topology=self.proc_grid,
@@ -644,7 +631,7 @@ def distributed_jacobi_pipelined(
     return SolveResult(
         field=_assemble(grid, [(core, vals) for core, vals, *_ in outs]),
         levels_advanced=config.total_updates,
-        stats=_merge_stats([o[4] for o in outs]),
+        stats=ExecutionStats().merge(*(o[4] for o in outs)),
         config=config,
         backend="simmpi",
         topology=decomp.proc_grid,

@@ -14,7 +14,7 @@ able to show exactly that.  Four pieces:
   existing queues and merged onto one timeline under fork *and* spawn.
 * **Registry** (:mod:`repro.obs.registry`) — process-wide named
   counters/gauges unifying what used to be ad-hoc module globals
-  (``procmpi.process_spawns()``, ``shm.segment_creates()``, the
+  (``procmpi.SPAWNS_COUNTER``, ``shm.SEGMENTS_COUNTER``, the
   ``ResultCache`` counters, the ``Service`` stats).
 * **Exporters** — Chrome ``trace_events`` JSON
   (:func:`write_chrome_trace`, viewable in ``chrome://tracing`` /

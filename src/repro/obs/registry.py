@@ -6,7 +6,7 @@ rank-process spawns, shared-memory segment creations, cache
 hits/misses/evictions, queue depths.  Before this module those were
 one-off module globals scattered over :mod:`repro.dist.procmpi`,
 :mod:`repro.dist.shm` and :mod:`repro.serve.cache`; they now all route
-through here (the old accessors remain as thin compatibility wrappers).
+through here, under names those modules export.
 
 Counters are **events, not seconds** — deterministic for a fixed
 workload on any host, which is what lets the perf harness and the test
@@ -67,7 +67,7 @@ class MetricsRegistry:
             self._gauges.clear()
 
 
-#: The process-wide registry behind the compatibility wrappers.
+#: The process-wide registry.
 REGISTRY = MetricsRegistry()
 
 

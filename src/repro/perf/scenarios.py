@@ -708,14 +708,12 @@ def _register_serve() -> None:
         def serve_throughput(_n=n, _topo=topo, _jobs=jobs):
             import numpy as np
 
-            from ..dist.procmpi import process_spawns
             from ..grid import random_field
             from ..serve import Service
 
             grid, cfg = _serve_problem(_n)
             fields = [random_field(grid.shape, np.random.default_rng(i))
                       for i in range(_jobs)]
-            spawns0 = process_spawns()
             # workers=0 + drain: every job is queued before any runs, so
             # batch formation (and with it every counter) is
             # deterministic — no submit-vs-worker race.
@@ -726,7 +724,7 @@ def _register_serve() -> None:
                 for f in futs:
                     f.result(timeout=0)
                 st = svc.stats
-            spawns = process_spawns() - spawns0
+            spawns = st.process_spawns
             n_ranks = _topo[0] * _topo[1] * _topo[2]
             return {
                 "jobs": _jobs,

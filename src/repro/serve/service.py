@@ -138,10 +138,11 @@ class ServiceStats:
 
 
 def _setup_counters() -> Dict[str, int]:
-    from ..dist.procmpi import process_spawns
-    from ..dist.shm import segment_creates
+    from ..dist import SEGMENTS_COUNTER, SPAWNS_COUNTER
+    from ..obs import registry
 
-    return {"spawns": process_spawns(), "segments": segment_creates()}
+    return {"spawns": int(registry.counter(SPAWNS_COUNTER)),
+            "segments": int(registry.counter(SEGMENTS_COUNTER))}
 
 
 def _finite(x: Optional[float]) -> Optional[float]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
@@ -11,15 +12,17 @@ from repro import (
     BACKENDS,
     Grid3D,
     PipelineConfig,
-    PipelineResult,
     RelaxedSpec,
     SolveResult,
     run_pipelined,
     solve,
 )
+from repro.core.executor import ExecutionStats
+from repro.core.schedule import make_decomposition
 from repro.dist.solver import distributed_jacobi_sweeps
 from repro.grid import random_field
 from repro.kernels import reference_sweeps
+from repro.kernels.jacobi import anisotropic_jacobi, jacobi7
 
 RNG = np.random.default_rng(17)
 
@@ -81,7 +84,38 @@ class TestDispatch:
         assert np.array_equal(a.field, b.field)
 
     def test_pipeline_result_alias(self):
-        assert PipelineResult is SolveResult
+        # Retired: one result type, under one name.
+        from repro.core import pipeline
+        assert [n for n in vars(pipeline) if n.endswith("Result")] == [
+            "SolveResult"]
+
+    @pytest.mark.parametrize("stencil", [jacobi7,
+                                         lambda: anisotropic_jacobi(1.0, 2.0, 0.5)],
+                             ids=["jacobi7", "anisotropic"])
+    @pytest.mark.parametrize("validate", [True, False, "static"])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_explicit_stencil_on_every_backend(self, backend, validate,
+                                               stencil):
+        # validate="static" reads the stencil's radius for the legality
+        # gate, as the thread driver always does.
+        grid, field, cfg = small_problem()
+        st = stencil()
+        res = solve(grid, field, cfg, backend=backend, stencil=st,
+                    validate=validate)
+        assert res.backend == backend
+        np.testing.assert_allclose(
+            res.field,
+            reference_sweeps(grid, field, cfg.total_updates, stencil=st),
+            rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("package", ["repro", "repro.core", "repro.dist",
+                                         "repro.obs", "repro.serve",
+                                         "repro.engine"])
+    def test_every_exported_name_resolves(self, package):
+        module = importlib.import_module(package)
+        assert len(set(module.__all__)) == len(module.__all__)
+        for name in module.__all__:
+            assert hasattr(module, name), (package, name)
 
 
 class TestResultParity:
@@ -113,6 +147,41 @@ class TestResultParity:
         # Trapezoid ghost updates are performed redundantly by both ranks,
         # so the distributed run does strictly more cell updates.
         assert dist.cells_updated > shared.cells_updated
+
+    @pytest.mark.parametrize("backend", ["simmpi", "procmpi"])
+    @pytest.mark.parametrize("topology", [(1, 1, 2), (2, 1, 1)])
+    def test_rank_stats_merge_keeps_every_count(self, backend, topology,
+                                                monkeypatch):
+        per_rank = []
+        merge = ExecutionStats.merge
+
+        def spy(self, *others):
+            if len(others) == 2:  # the fold over both ranks
+                per_rank.extend(others)
+            return merge(self, *others)
+
+        monkeypatch.setattr(ExecutionStats, "merge", spy)
+        grid, field, cfg = small_problem()
+        total = solve(grid, field, cfg, topology=topology,
+                      backend=backend).stats
+        assert len(per_rank) == 2
+        for name in ("block_ops", "empty_block_ops", "updates",
+                     "cells_updated"):
+            assert getattr(total, name) == sum(
+                getattr(s, name) for s in per_rank), name
+        assert len(total.per_stage_blocks) == cfg.n_stages
+        assert sum(total.per_stage_blocks) == total.block_ops > 0
+        assert total.per_stage_blocks == [
+            sum(s.per_stage_blocks[i] for s in per_rank)
+            for i in range(cfg.n_stages)]
+
+    @pytest.mark.parametrize("backend", ["shared", "threads"])
+    def test_per_stage_blocks_single_process(self, backend):
+        grid, field, cfg = small_problem()
+        n_blocks = make_decomposition(grid.domain, cfg).n_traversal_blocks
+        stats = solve(grid, field, cfg, backend=backend).stats
+        assert stats.per_stage_blocks == [n_blocks * cfg.passes] * cfg.n_stages
+        assert stats.block_ops == n_blocks * cfg.passes * cfg.n_stages
 
 
 class TestErrorPaths:

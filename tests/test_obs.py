@@ -420,30 +420,32 @@ class TestCli:
 
 
 # ---------------------------------------------------------------------------
-# Counter unification (satellite): old functions read the registry
+# Counter unification (satellite): setup counts live in the registry
 # ---------------------------------------------------------------------------
+
+
+def _rank_of(comm, rank):
+    return rank
 
 
 class TestCounterUnification:
     def test_process_spawns_reads_registry(self):
-        from repro.dist.procmpi import SPAWNS_COUNTER, process_spawns
+        from repro.dist import SPAWNS_COUNTER, run_procs
         from repro.obs import registry
-        assert process_spawns() == int(registry.counter(SPAWNS_COUNTER))
-        registry.inc(SPAWNS_COUNTER, 0)  # name exists / no effect
-        assert process_spawns() == int(registry.counter(SPAWNS_COUNTER))
+        before = registry.counter(SPAWNS_COUNTER)
+        assert run_procs(2, _rank_of, timeout=60.0) == [0, 1]
+        assert registry.counter(SPAWNS_COUNTER) == before + 2
 
     def test_segment_creates_reads_registry(self):
-        from repro.dist.shm import SEGMENTS_COUNTER, ShmPool, segment_creates
+        from repro.dist import SEGMENTS_COUNTER, ShmPool
         from repro.obs import registry
-        before = segment_creates()
-        assert before == int(registry.counter(SEGMENTS_COUNTER))
+        before = registry.counter(SEGMENTS_COUNTER)
         pool = ShmPool()
         try:
             pool.create_block(64)
         finally:
             pool.cleanup()
-        assert segment_creates() == before + 1
-        assert int(registry.counter(SEGMENTS_COUNTER)) == before + 1
+        assert registry.counter(SEGMENTS_COUNTER) == before + 1
 
     def test_cache_counters_are_registry_backed(self):
         from repro.obs import registry

@@ -190,10 +190,14 @@ class TestOverheadTripwire:
         assert np.array_equal(res.field, reference_sweeps(
             grid, field, cfg.total_updates))
 
-        # Parent commit: 210 calls per update; the tables leave ~30.
+        # Before the row tables: 210 calls per update; they leave ~32.
+        # The bound is tight on purpose: one pass loop over CounterBoard
+        # measures 33.7 where the polled loop it replaced measured 31.7,
+        # and a draft that took the board's lock on every poll and
+        # publish measured 44.6.
         updates = res.stats.updates
         assert updates > 1000
-        assert stats.total_calls / updates <= 60, stats.total_calls / updates
+        assert stats.total_calls / updates <= 36, stats.total_calls / updates
 
         # Nothing is derived again: no row is rebuilt, and per block op
         # grid/blocks.py does one index split, per update of a pass one

@@ -480,27 +480,33 @@ class TestThroughputAcceptance:
         return grid, fields, cfg
 
     def test_warm_pool_at_least_2x_sequential_on_setup_counters(self):
-        from repro.dist.procmpi import process_spawns
-        from repro.dist.shm import segment_creates
+        from repro.dist import SEGMENTS_COUNTER, SPAWNS_COUNTER
+        from repro.obs import registry
+
+        def spawns():
+            return registry.counter(SPAWNS_COUNTER)
+
+        def segments():
+            return registry.counter(SEGMENTS_COUNTER)
 
         grid, fields, cfg = self._problems()
 
         # The equivalent sequential loop: one cold solve() per job.
-        s0, g0 = process_spawns(), segment_creates()
+        s0, g0 = spawns(), segments()
         seq_results = [repro.solve(grid, f, cfg, topology=self.TOPOLOGY,
                                    backend="procmpi") for f in fields]
-        seq_spawns = process_spawns() - s0
-        seq_segments = segment_creates() - g0
+        seq_spawns = spawns() - s0
+        seq_segments = segments() - g0
 
         # The same 16 jobs through one warm worker pool.
-        s0, g0 = process_spawns(), segment_creates()
+        s0, g0 = spawns(), segments()
         with Service(workers=1, cache=False) as svc:
             futs = [svc.submit(grid, f, cfg, topology=self.TOPOLOGY,
                                backend="procmpi") for f in fields]
             pool_results = [fut.result(timeout=300) for fut in futs]
             st = svc.stats
-        pool_spawns = process_spawns() - s0
-        pool_segments = segment_creates() - g0
+        pool_spawns = spawns() - s0
+        pool_segments = segments() - g0
 
         for seq, pooled in zip(seq_results, pool_results):
             assert np.array_equal(seq.field, pooled.field)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import solve
 from repro.core.parameters import BarrierSpec, PipelineConfig, RelaxedSpec
 from repro.core.sync import BarrierPolicy, RelaxedPolicy, make_policy
 from repro.core.executor import PipelineExecutor, ScheduleDeadlock
@@ -156,3 +157,25 @@ class TestExecutorSyncBehaviour:
         ex = self.run_with_trace(BarrierSpec())
         assert ex.stats.trace
         assert ex.stats.block_ops == len(ex.stats.trace)
+
+    @pytest.mark.parametrize("sync", [RelaxedSpec(1, 4), BarrierSpec()],
+                             ids=lambda s: s.describe())
+    def test_interleaver_counts_are_pinned(self, sync):
+        # Literals taken from the commit before the polled loop and the
+        # stage-thread loop became one pass loop over CounterBoard: the
+        # merged loop does the same work and counts its sync pressure
+        # the same way, traced, round_robin.
+        grid = Grid3D((32, 32, 32))
+        field = random_field(grid.shape, np.random.default_rng(19))
+        cfg = PipelineConfig(teams=1, threads_per_team=2,
+                             updates_per_thread=2, block_size=(4, 8, 8),
+                             sync=sync, passes=2)
+        res = solve(grid, field, cfg, trace=True)
+        st = res.stats
+        assert (st.block_ops, st.updates, st.cells_updated) == (
+            900, 1606, 262144)
+        assert (st.empty_block_ops, st.max_counter_gap) == (0, 1)
+        assert st.per_stage_blocks == [450, 450]
+        assert res.trace.counters["sync.blocked_polls"] == 450
+        assert res.trace.counters["core.drain_blocks"] == 2
+        assert len(res.trace.spans) == 2509

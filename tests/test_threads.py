@@ -1,9 +1,9 @@
-"""The truly-threaded rail: differential battery, sync board, hammers.
+"""The stage-thread driver: differential battery, sync board, hammers.
 
 What this file pins, in dependency order:
 
 * **CounterBoard semantics** — the condition-variable sync counters
-  behind the threaded executor: Eq. 3 gating, the drain-waiver wakeup
+  behind the executor's stage threads: Eq. 3 gating, the drain-waiver wakeup
   (a stage becomes ready because its predecessor *finished*, not
   because a counter moved — the missed-wakeup bug class the board's
   notify-on-finish fixes), abort propagation, the watchdog, and a
@@ -14,9 +14,14 @@ What this file pins, in dependency order:
   counters.  Legality certification is what makes this a theorem
   rather than luck: any interleaving the window permits — including
   true concurrency — produces the same bytes.
-* **Unconditional legality gate** — ``backend="threads"`` refuses any
-  schedule ``assert_legal`` rejects even with ``validate=False``; no
-  thread starts and the input field is untouched.
+* **Unconditional legality gate** — every way of reaching the thread
+  driver (``backend="threads"``, ``run_pipelined(threads=True)``, the
+  executor's own constructor) refuses any schedule ``assert_legal``
+  rejects even with ``validate=False``; no thread starts and the input
+  field is untouched.
+* **Diagnostics and publication order** — a stage that can never open
+  raises, on either driver, an error naming its blocker; the recorded
+  publication order replays as a schedule the policy permits.
 * **Obs under threads** — a traced threaded solve merges every stage
   thread's spans onto one timeline; the tracer and registry survive a
   many-threads hammer without losing an event; the disabled-tracer
@@ -33,6 +38,7 @@ What this file pins, in dependency order:
 from __future__ import annotations
 
 import os
+import sys
 import threading
 import time
 
@@ -42,12 +48,13 @@ import pytest
 import repro
 from repro import Grid3D, PipelineConfig, RelaxedSpec, solve
 from repro.analysis import StaticAnalysisError
+from repro.core.executor import ORDERS, PipelineExecutor, ScheduleDeadlock
 from repro.core.parameters import BarrierSpec
+from repro.core.pipeline import run_pipelined
 from repro.core.sync import (CounterBoard, SyncAborted, SyncWaitTimeout,
                              make_policy)
 from repro.grid import random_field
 from repro.kernels.jacobi import anisotropic_jacobi, jacobi5_2d, jacobi7
-from repro.threads import ThreadedPipelineExecutor, run_threaded
 
 STENCILS = {
     "jacobi7": jacobi7,
@@ -83,7 +90,9 @@ class TestCounterBoard:
         # c0 - c1 >= d_l = 1.
         board.wait_ready(0)  # returns immediately
         # Every non-front stage waits on its predecessor's counter.
-        assert board.waiting_now() == [1, 2, 3]
+        assert board.poll() == [0]
+        assert board.blocked_polls == 3
+        assert "stage 2 waits on stage 1" in board.describe_wait()
         assert board.advance(0) == 1
         board.wait_ready(1)  # window now open
         assert board.advance(1) == 1
@@ -284,11 +293,11 @@ class TestThreadsBitIdentity:
             checked += 1
         assert checked >= 3
 
-    def test_run_threaded_direct_entry(self):
+    def test_thread_driver_direct_entry(self):
         grid = Grid3D((12, 10, 10))
         field = random_field(grid.shape, np.random.default_rng(2))
         cfg = small_config()
-        res = run_threaded(grid, field.copy(), cfg)
+        res = run_pipelined(grid, field.copy(), cfg, threads=True)
         ref = solve(grid, field, cfg)
         assert np.array_equal(res.field, ref.field)
         assert res.backend == "threads"
@@ -328,8 +337,34 @@ class TestUnconditionalLegalityGate:
         grid = Grid3D((16, 12, 12))
         field = np.zeros(grid.shape)
         with pytest.raises(StaticAnalysisError):
-            run_threaded(grid, field, small_config(),
-                         stencil=_WideStencil(), validate=False)
+            run_pipelined(grid, field, small_config(),
+                          stencil=_WideStencil(), validate=False,
+                          threads=True)
+
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_executor_itself_refuses(self, validate, monkeypatch):
+        # The gate lives in the executor, so constructing it directly —
+        # the one entry that used to skip certification — refuses too,
+        # before a single stage thread exists.
+        started = []
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda self: started.append(self.name))
+        grid = Grid3D((16, 12, 12))
+        field = np.full(grid.shape, 7.0)
+        before = field.copy()
+        with pytest.raises(StaticAnalysisError):
+            PipelineExecutor(grid, field, small_config(), _WideStencil(),
+                             validate=validate, threads=True)
+        assert started == []
+        assert np.array_equal(field, before)
+
+    @pytest.mark.parametrize("kwargs", [{"order": "random"},
+                                        {"rng": np.random.default_rng(0)}])
+    def test_thread_driver_rejects_interleaver_knobs(self, kwargs):
+        grid = Grid3D((12, 10, 10))
+        with pytest.raises(ValueError, match="stage threads"):
+            PipelineExecutor(grid, np.zeros(grid.shape), small_config(),
+                             jacobi7(), threads=True, **kwargs)
 
     def test_legal_schedule_passes_the_same_gate(self):
         grid = Grid3D((16, 12, 12))
@@ -514,39 +549,108 @@ class TestResultCacheConcurrency:
 # ---------------------------------------------------------------------------
 
 
+def _stage_threads_alive():
+    return [t for t in threading.enumerate()
+            if t.name.startswith("repro-stage-")]
+
+
+class _StageOneNeverOpens:
+    """A sync policy under which stage 1 waits on stage 0 for ever."""
+
+    def ready(self, stage, counters, finished):
+        return stage != 1
+
+    def blockers(self, stage, counters, finished):
+        return [0] if stage == 1 else []
+
+
 class TestThreadedExecutorInternals:
     def test_stage_failure_unwinds_cleanly(self):
         grid = Grid3D((12, 10, 10))
         field = random_field(grid.shape, np.random.default_rng(4))
         cfg = small_config(passes=1)
-        ex = ThreadedPipelineExecutor(grid, field, cfg, jacobi7(),
-                                      watchdog_s=30.0)
+        ex = PipelineExecutor(grid, field, cfg, jacobi7(), threads=True,
+                              watchdog_s=30.0)
         boom = RuntimeError("stage 1 exploded")
         orig = ex._execute_block
 
-        def failing(pass_idx, stage, idx, stats=None):
+        def failing(stage, idx, tally):
             if stage == 1 and idx == 1:
                 raise boom
-            return orig(pass_idx, stage, idx, stats=stats)
+            return orig(stage, idx, tally)
 
         ex._execute_block = failing
-        with pytest.raises(RuntimeError, match="stage 1 exploded"):
+        with pytest.raises(RuntimeError, match="stage 1 exploded") as err:
             ex.run_pass(0)
+        assert err.value is boom  # the original, not a peer's SyncAborted
         # All threads unwound: none left alive.
-        assert not [t for t in threading.enumerate()
-                    if t.name.startswith("repro-stage-")]
+        assert not _stage_threads_alive()
 
-    def test_record_trace_collects_per_stage_program_order(self):
+    @pytest.mark.parametrize("threads, error", [
+        (False, ScheduleDeadlock), (True, SyncWaitTimeout)],
+        ids=["interleaver", "stage-threads"])
+    def test_stuck_stage_error_names_the_blocker(self, threads, error):
+        grid = Grid3D((12, 10, 10))
+        field = random_field(grid.shape, np.random.default_rng(8))
+        ex = PipelineExecutor(grid, field, small_config(passes=1), jacobi7(),
+                              threads=threads, watchdog_s=0.2)
+        ex.policy = _StageOneNeverOpens()
+        n_blocks = ex.decomp.n_traversal_blocks
+        t0 = time.perf_counter()
+        with pytest.raises(error) as err:
+            ex.run_pass(0)
+        assert time.perf_counter() - t0 < 10.0  # the watchdog, not a hang
+        # Stage 0 ran to the end; stage 1 never started.
+        assert (f"stage 1 waits on stage 0 (counters=[{n_blocks}, 0], "
+                "finished=[True, False])") in str(err.value)
+        assert not _stage_threads_alive()
+
+    REPLAY_SYNCS = (RelaxedSpec(1, 2), RelaxedSpec(1, 4), BarrierSpec())
+
+    def _replay(self, sync, **driver):
+        """Run 3 stages x 2 passes recording the publication order, then
+        replay it: each entry must be its stage's next block, and that
+        stage's window must be open under the policy when its turn comes."""
         grid = Grid3D((12, 10, 10))
         field = random_field(grid.shape, np.random.default_rng(6))
-        cfg = small_config(passes=1)
-        res = run_threaded(grid, field, cfg, record_trace=True)
-        trace = res.stats.trace
-        assert trace is not None and trace
-        for s in range(cfg.n_stages):
-            idxs = [i for (_p, st, i) in trace if st == s]
-            assert idxs == sorted(idxs)  # per-stage program order
-        assert len(trace) == res.stats.block_ops
+        cfg = PipelineConfig(teams=1, threads_per_team=3,
+                             updates_per_thread=1, block_size=(2, 64, 64),
+                             sync=sync, passes=2)
+        ex = PipelineExecutor(grid, field, cfg, jacobi7(), record_trace=True,
+                              **driver)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = ex.run()
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(out, solve(grid, field, cfg).field)
+        trace = ex.stats.trace
+        n_blocks = ex.decomp.n_traversal_blocks
+        assert len(trace) == ex.stats.block_ops == cfg.passes * 3 * n_blocks
+        for p in range(cfg.passes):
+            counters, finished = [0] * 3, [False] * 3
+            for (_p, stage, idx) in trace[p * 3 * n_blocks:(p + 1) * 3 * n_blocks]:
+                assert _p == p
+                assert idx == counters[stage]  # per-stage program order
+                assert ex.policy.ready(stage, counters, finished), (
+                    sync.describe(), p, stage, counters)
+                counters[stage] += 1
+                finished[stage] = counters[stage] == n_blocks
+            assert all(finished)
+
+    def test_record_trace_collects_per_stage_program_order(self):
+        # Under stage threads the record is the board's publication
+        # order — a real linearisation of a truly concurrent pass, not
+        # merely each stage's own order — so it must replay as a legal
+        # schedule (3 stage threads on 2 cores, 1 us switch interval).
+        for sync in self.REPLAY_SYNCS:
+            self._replay(sync, threads=True)
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_interleaver_replay_is_legal(self, order):
+        for sync in self.REPLAY_SYNCS:
+            self._replay(sync, order=order, rng=np.random.default_rng(1))
 
 
 # ---------------------------------------------------------------------------
