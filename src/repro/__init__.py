@@ -68,7 +68,7 @@ from .api import BACKENDS, map_jobs, solve, submit
 #: serving layer lazily, at call time).
 map = map_jobs
 
-__version__ = "1.14.0"
+__version__ = "1.15.0"
 
 #: Symbols re-exported from the distributed rail.  Resolved lazily (PEP
 #: 562) so that `import repro` — and with it the shared-memory rail and

@@ -41,9 +41,9 @@ same schedule against a machine model.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import zip_longest
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -96,6 +96,10 @@ class ExecutionStats:
             if self.trace is not None and other.trace is not None:
                 self.trace.extend(other.trace)
         return self
+
+    def to_json(self) -> Dict[str, Any]:
+        """The counters, trace left out; ``ExecutionStats(**doc)`` rebuilds them."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "trace"}
 
     def mlups_equivalent(self, seconds: float) -> float:
         """Convenience: cell updates per second if the run took ``seconds``."""

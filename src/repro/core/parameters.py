@@ -15,8 +15,8 @@ captured here as explicit dataclasses:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Tuple, Union
+from dataclasses import asdict, dataclass, field
+from typing import Any, Dict, Tuple, Union, get_args
 
 __all__ = ["BarrierSpec", "RelaxedSpec", "SyncSpec", "PipelineConfig"]
 
@@ -192,6 +192,16 @@ class PipelineConfig:
         """Pass-local update numbers performed by ``stage`` (1-based)."""
         T = self.updates_per_thread
         return range(stage * T + 1, (stage + 1) * T + 1)
+
+    def to_json(self) -> Dict[str, Any]:
+        """A JSON-ready document; :meth:`from_json` rebuilds ``self``."""
+        return dict(asdict(self), sync=[type(self.sync).__name__, asdict(self.sync)])
+
+    @classmethod
+    def from_json(cls, doc: Dict[str, Any]) -> "PipelineConfig":
+        name, args = doc["sync"]
+        sync = {c.__name__: c for c in get_args(SyncSpec)}[name](**args)
+        return cls(**dict(doc, sync=sync))
 
     def describe(self) -> str:
         """One-line human-readable summary used by the bench harness."""

@@ -16,8 +16,8 @@ touching their result handling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, field as dc_field, fields
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -70,6 +70,21 @@ class SolveResult:
     def cells_updated(self) -> int:
         """Total cell updates performed (incl. trapezoid extra work)."""
         return self.stats.cells_updated if self.stats is not None else 0
+
+    def to_json(self) -> Dict[str, Any]:
+        """Everything but ``field`` and the traces, JSON-ready;
+        :meth:`from_json` rebuilds the result around a field."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("field", "trace")}
+        return dict(doc, stats=self.stats and self.stats.to_json(),
+                    config=self.config and self.config.to_json())
+
+    @classmethod
+    def from_json(cls, doc: Dict[str, Any], field: np.ndarray) -> "SolveResult":
+        return cls(**dict(
+            doc, field=field, topology=tuple(doc["topology"]),
+            stats=doc["stats"] and ExecutionStats(**doc["stats"]),
+            config=doc["config"] and PipelineConfig.from_json(doc["config"])))
 
 
 def plan(grid: Grid3D, config: PipelineConfig, verify_coverage: bool = True):

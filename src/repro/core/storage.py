@@ -19,10 +19,12 @@ Two schemes from the paper:
 
 The two-grid arrays carry a one-cell **ghost ring**, filled once from
 ``grid.boundary`` and never written again, so every shifted read is a
-plain view.  Compressed positions move with the time level, so no fixed
-ring can exist there: its ``gather`` patches out-of-domain slabs from
-the boundary object.  Level bookkeeping exists to *validate* schedules
-and is allocated and written only under ``validate=True``.
+plain view.  Compressed positions move with the time level along the
+shifted axes only, so a face-constant boundary gets the same fixed ring
+on the others (:attr:`CompressedStorage.ring`); ``gather`` patches the
+rest — shifted-axis faces, every face of a ``func`` boundary — from the
+boundary object.  Level bookkeeping exists to *validate* schedules and
+is allocated and written only under ``validate=True``.
 """
 
 from __future__ import annotations
@@ -44,8 +46,9 @@ class StorageError(RuntimeError):
 class _StorageBase:
     """Shared machinery: level tracking, boundary patching, injection."""
 
-    #: Whether :meth:`raw_read_array` also reaches the Dirichlet ring.
-    ghost_ring = False
+    #: Per axis, 1 where the stored arrays carry the one-cell Dirichlet
+    #: ring; ``(1, 1, 1)`` is the two-grid layout (``ring_array``).
+    ring: Tuple[int, int, int] = (0, 0, 0)
 
     def __init__(self, grid: Grid3D, field: np.ndarray, validate: bool = True) -> None:
         if field.shape != grid.shape:
@@ -157,10 +160,10 @@ class _StorageBase:
     def gather(self, region: Box, off: Tuple[int, int, int], level: int) -> np.ndarray:
         """Values of the cells ``region + off`` at time ``level``.
 
-        The part of the shifted box inside the stored domain is read from
-        the scheme's arrays (with legality validation); the part outside —
-        at most a one-cell slab, since ``region`` lies inside the domain
-        and ``|off| = 1`` — is patched with Dirichlet values.
+        The in-domain part is validated.  Unless it is the whole box or
+        ``off`` points along a :attr:`ring` axis (a view, then), the part
+        outside — at most a one-cell slab, since ``region`` lies inside
+        the domain and ``|off| = 1`` — is patched with Dirichlet values.
         """
         if region.is_empty:
             return np.empty(region.shape, dtype=self.grid.dtype)
@@ -168,8 +171,10 @@ class _StorageBase:
             raise StorageError(f"gather region {region} outside stored domain")
         nb = region.shift(off)
         inside = nb.intersect(self.domain)
-        if inside == nb:
-            return self._read_inside(nb, level)
+        if inside == nb or any(o and r for o, r in zip(off, self.ring)):
+            if self.validate:
+                self._check_read(inside, level)
+            return self._view(nb, level)
         out = np.empty(nb.shape, dtype=self.grid.dtype)
         if not inside.is_empty:
             rel = tuple(slice(inside.lo[d] - nb.lo[d], inside.hi[d] - nb.lo[d])
@@ -217,8 +222,8 @@ class _StorageBase:
 
         Raw access for fused engines: returns ``(array, origin)`` such
         that the value of interior cell ``c`` at time ``level`` lives at
-        ``array[c + origin]`` — and, where the class sets ``ghost_ring``,
-        so does every ring cell's.  Reads through this path bypass the
+        ``array[c + origin]`` — and so does every ring cell's along the
+        axes :attr:`ring` marks.  Reads through this path bypass the
         legality validation — callers must run :meth:`check_traversal`
         first (and pair destination access with
         :meth:`write_view`/:meth:`commit_write` as usual).
@@ -244,8 +249,7 @@ class TwoGridStorage(_StorageBase):
     """
 
     n_arrays = 2
-    ghost_ring = True
-    _ORIGIN = (1, 1, 1)
+    ring = _ORIGIN = (1, 1, 1)
 
     def __init__(self, grid: Grid3D, field: np.ndarray, validate: bool = True) -> None:
         super().__init__(grid, field, validate)
@@ -267,18 +271,6 @@ class TwoGridStorage(_StorageBase):
                 f"cells present at levels {bad.tolist()} (window is "
                 f"[{level}, {level + 1}])"
             )
-
-    def gather(self, region: Box, off: Tuple[int, int, int], level: int) -> np.ndarray:
-        """View of ``region + off`` at ``level``; the in-domain part is
-        validated, ring cells are legal at any level."""
-        if region.is_empty:
-            return np.empty(region.shape, dtype=self.grid.dtype)
-        nb = region.shift(off)
-        if self.validate:
-            if not self.domain.contains_box(region):
-                raise StorageError(f"gather region {region} outside stored domain")
-            self._check_read(nb.intersect(self.domain), level)
-        return self._view(nb, level)
 
     def ring_array(self, level: int) -> np.ndarray:
         """Padded array ``level % 2``: holds ``level``, receives the update
@@ -314,6 +306,11 @@ class CompressedStorage(_StorageBase):
         ``n*t*T``; offsets accumulate to this within a pass and unwind in
         the next ("alternate team sweeps shift by (-1,-1,-1) and
         (+1,+1,+1)").
+
+    Along an axis the shift leaves alone positions never move, so a
+    face-constant boundary (``func is None``) gets a one-cell :attr:`ring`
+    there, spanning the stored shifted axes in full, filled once and never
+    written.  A ``func`` boundary varies along the shifted axes: no ring.
     """
 
     n_arrays = 1
@@ -329,9 +326,17 @@ class CompressedStorage(_StorageBase):
         self.shift_vec = tuple(int(v) for v in shift_vec)
         self.updates_per_pass = int(updates_per_pass)
         self.margin = tuple(self.updates_per_pass * v for v in self.shift_vec)
-        store_shape = tuple(grid.shape[d] + self.margin[d] for d in range(3))
+        face_constant = grid.boundary.func is None
+        self.ring = tuple(int(face_constant and not v)  # type: ignore[assignment]
+                          for v in self.shift_vec)
+        #: Index of cell 0 at offset 0: margin and ring folded together.
+        self._lo = tuple(m + r for m, r in zip(self.margin, self.ring))
+        store_shape = tuple(n + m + 2 * r for n, m, r in zip(grid.shape, self.margin, self.ring))
         self._array = np.full(store_shape, np.nan, dtype=grid.dtype)
-        init_sl = self.domain.slices(self.margin)
+        for d in range(3):
+            for side, at in ((-1, 0), (1, -1)) if self.ring[d] else ():
+                self._array[(slice(None),) * d + (at,)] = grid.boundary.face_value(d, side)
+        init_sl = self.domain.slices(self._lo)
         self._array[init_sl] = field
         #: Level that last wrote each storage position (-1 = never).
         self._pos_level: Any = None
@@ -346,20 +351,17 @@ class CompressedStorage(_StorageBase):
         p, r = divmod(level, self.updates_per_pass)
         return -r if p % 2 == 0 else -(self.updates_per_pass - r)
 
-    def offset_vec(self, level: int) -> Tuple[int, int, int]:
-        """Per-dimension storage offset of time level ``level``."""
+    def _origin(self, level: int) -> Tuple[int, int, int]:
+        """Where cell ``(0, 0, 0)`` of ``level`` lives in the array."""
         o = self.offset_scalar(level)
-        return tuple(o * v for v in self.shift_vec)  # type: ignore[return-value]
-
-    def _pos_slices(self, box: Box, level: int) -> Tuple[slice, slice, slice]:
-        shifted = box.shift(self.offset_vec(level))
-        return shifted.slices(self.margin)
+        return tuple(lo + o * v for lo, v in  # type: ignore[return-value]
+                     zip(self._lo, self.shift_vec))
 
     def _view(self, box: Box, level: int) -> np.ndarray:
-        return self._array[self._pos_slices(box, level)]
+        return self._array[box.slices(self._origin(level))]
 
     def _check_read(self, box: Box, level: int) -> None:
-        pl = self._pos_level[self._pos_slices(box, level)]
+        pl = self._pos_level[box.slices(self._origin(level))]
         if not bool(np.all(pl == level)):
             bad = np.unique(pl[pl != level])
             raise StorageError(
@@ -370,18 +372,16 @@ class CompressedStorage(_StorageBase):
 
     def commit_write(self, region: Box, level: int) -> None:
         if self.validate and not region.is_empty:
-            self._pos_level[self._pos_slices(region, level)] = level
+            self._pos_level[region.slices(self._origin(level))] = level
             self.levels[region.slices()] = level
 
     def raw_read_array(self, level: int) -> Tuple[np.ndarray, Tuple[int, int, int]]:
-        """The compressed array; origin folds in the level shift and margin."""
-        off = self.offset_vec(level)
-        origin = tuple(off[d] + self.margin[d] for d in range(3))
-        return self._array, origin  # type: ignore[return-value]
+        """The compressed array; origin folds in level shift, margin, ring."""
+        return self._array, self._origin(level)
 
     @property
     def array_bytes(self) -> int:
-        """Bytes held by the (single) value array, margin included."""
+        """Bytes held by the (single) value array, margin and ring included."""
         return self._array.nbytes
 
 

@@ -24,6 +24,12 @@ array from its first to its last interior cell: every offset is a flat
 displacement of one 1-D view, the ghost columns inside the run compute
 values nobody reads, and only the final pass — interior of the scratch
 run into the destination — is strided.
+
+The compressed grid is updated in place, slab by slab in the legal
+direction.  With a ring on y and x, a full-width slab a plane away from
+both z faces takes the same flat run over its one array (the final pass
+writes interior cells only, after every read); other slabs read through
+``storage.gather`` — views, but for reads across a ring-less face.
 """
 
 from __future__ import annotations
@@ -131,20 +137,27 @@ def _run(flat: np.ndarray, first: int, count: int, plane: int, row: int,
     return flat[at:at + count]
 
 
-def _slab_run(groups, src: np.ndarray, dst: np.ndarray,
-              sz: AxisSpan, sy: AxisSpan, sx: AxisSpan) -> None:
-    """One slab, full in y and x, over the contiguous run of ``src`` from
-    its first to its last interior cell."""
+def _slab_run(groups, src: np.ndarray, first: int, out: np.ndarray) -> None:
+    """``out``'s cells over the contiguous run of ``src`` from flat index
+    ``first`` (``out[0, 0, 0]``'s cell) on; ``src`` is C-contiguous, ringed
+    on its two trailing axes, and ``out`` spans their whole interior."""
     _, rows, row = src.shape
     plane = rows * row
-    count = (sz.n - 1) * plane + (sy.n - 1) * row + sx.n
-    item = dst.itemsize
-    _fma(dst[sz.zero, sy.zero, sx.zero], groups,
-         partial(_run, src.reshape(-1), sz.zero.start * plane + row + 1,
-                 count, plane, row),
+    nz, ny, nx = out.shape
+    count = (nz - 1) * plane + (ny - 1) * row + nx
+    item = out.itemsize
+    _fma(out, groups,
+         partial(_run, src.reshape(-1), first, count, plane, row),
          (count,),
-         partial(np.ndarray, (sz.n, sy.n, sx.n), dst.dtype,
+         partial(np.ndarray, out.shape, out.dtype,
                  strides=(plane * item, row * item, item)))
+
+
+def _ring_run(groups, src: np.ndarray, dst: np.ndarray,
+              sz: AxisSpan, sy: AxisSpan, sx: AxisSpan) -> None:
+    """:func:`_slab_run` on one slab, full in y and x, of a ring pair."""
+    _, rows, row = src.shape
+    _slab_run(groups, src, (sz.zero.start * rows + 1) * row + 1, dst[sz.zero, sy.zero, sx.zero])
 
 
 def _slab_views(groups, src: np.ndarray, dst: np.ndarray,
@@ -164,7 +177,7 @@ def _accumulate_ring(groups, src: np.ndarray, dst: np.ndarray,
     ``src`` is not C-contiguous, whose flat "view" would be a copy.
     """
     sz, sy, sx = spans
-    slab = (_slab_run if sy.full and sx.full and src.flags.c_contiguous
+    slab = (_ring_run if sy.full and sx.full and src.flags.c_contiguous
             else _slab_views)
     thick = _slab_thickness(sy.n * sx.n * dst.itemsize)
     if sz.n <= thick:
@@ -174,26 +187,37 @@ def _accumulate_ring(groups, src: np.ndarray, dst: np.ndarray,
         slab(groups, src, dst, sz.sub(a, min(a + thick, sz.n)), sy, sx)
 
 
-def _accumulate_gather(groups, storage, region: Box, level: int) -> None:
-    """The update ``level-1 -> level`` of a ring-less storage, in place.
+def _accumulate_inplace(stencil, storage, region: Box, level: int) -> None:
+    """The update ``level-1 -> level`` of a compressed storage, in place.
 
-    Reads go through ``storage.gather`` (Dirichlet slabs patched in);
-    slabs are walked along the axis and in the direction that make the
-    compressed grid's overlapping write legal, each stored only after
-    all of its reads.
+    Slabs are walked along the axis and in the direction that make the
+    overlapping write legal, each stored only after all of its reads.  A
+    slab full in ringed y and x and a plane away from both z faces runs
+    flat (:func:`_slab_run`); any other reads through ``storage.gather``.
     """
+    groups = stencil.groups
     axis, step = plane_axis_and_step(storage, level)
     dst = storage.write_view(region, level)
     n = dst.shape[axis]
     thick = _slab_thickness(dst.nbytes // n)
     lo, hi = region.lo, region.hi
+    src, (oz, oy, ox) = storage.raw_read_array(level - 1)
+    _, rows, row = src.shape
+    nz = storage.grid.shape[0]
+    flat = storage.ring[1:] == (1, 1) and lo[1:] == (0, 0) and hi[1:] == (rows - 2, row - 2)
     for s in range(0, n, thick):
         a, b = ((s, min(s + thick, n)) if step > 0
                 else (max(n - s - thick, 0), n - s))
         slab = Box(lo[:axis] + (lo[axis] + a,) + lo[axis + 1:],
                    hi[:axis] + (lo[axis] + b,) + hi[axis + 1:])
-        _fma(dst[(slice(None),) * axis + (slice(a, b),)], groups,
-             partial(storage.gather, slab, level=level - 1), slab.shape)
+        out = dst[(slice(None),) * axis + (slice(a, b),)]
+        if flat and 0 < slab.lo[0] and slab.hi[0] < nz:
+            if storage.validate:
+                storage.check_traversal(slab, stencil.offsets, level - 1)
+            _slab_run(groups, src, ((slab.lo[0] + oz) * rows + oy) * row + ox, out)
+        else:
+            _fma(out, groups,
+                 partial(storage.gather, slab, level=level - 1), slab.shape)
     storage.commit_write(region, level)
 
 
@@ -218,14 +242,14 @@ class NumpyEngine(Engine):
     def apply(self, stencil, storage, region, level: int) -> None:
         if region.is_empty:
             return
-        if storage.ghost_ring:
+        if storage.ring == (1, 1, 1):
             self.apply_spans(stencil, storage,
                              box_spans(region, storage.domain), level)
         else:
-            _accumulate_gather(stencil.groups, storage, region, level)
+            _accumulate_inplace(stencil, storage, region, level)
 
     def apply_spans(self, stencil, storage, spans: Spans, level: int) -> None:
-        if not storage.ghost_ring:
+        if storage.ring != (1, 1, 1):
             self.apply(stencil, storage, spans_box(spans), level)
             return
         # Every shifted read is a view of the raw array, ring included;

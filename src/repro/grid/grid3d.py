@@ -4,9 +4,12 @@ The paper's Jacobi solver (Eq. 1) updates the *interior* of a cubic domain
 while a one-cell boundary ring supplies fixed (Dirichlet) values.  The
 ring is *described* by a :class:`DirichletBoundary` object.  As in the
 original C code, the two-grid storage materialises it once as ghost cells
-(:meth:`Grid3D.padded` / :meth:`Grid3D.fill_ghost_ring`); the compressed
-grid, whose positions move every update, instead patches out-of-domain
-reads from the boundary object — bit-equivalent by construction.
+(:meth:`Grid3D.padded` / :meth:`Grid3D.fill_ghost_ring`).  The compressed
+grid, whose positions move every update along its shifted axes, does
+the same on the axes it does not shift when the boundary is
+face-constant (:meth:`DirichletBoundary.face_value`), and patches the
+remaining out-of-domain reads from the boundary object — bit-equivalent
+by construction.
 """
 
 from __future__ import annotations

@@ -8,23 +8,29 @@ returns the stored :class:`~repro.core.pipeline.SolveResult` as-is
 (field defensively copied so callers cannot mutate the cached bits);
 ``stats``/timing metadata reflect the run that *populated* the entry.
 
-The disk tier is a directory of ``<key>.pkl`` files (NumPy arrays
-pickle losslessly, so bit-identity survives the round-trip), written
-atomically via a temp file + rename.  It is optional and trusted local
-state — point it somewhere like ``benchmarks/results/cache/`` to keep
-warm results across processes; unreadable or truncated files are
-treated as misses and removed.
+The disk tier is a directory of ``<key>.entry`` files, each published
+by one atomic rename of a temp file: a JSON header line — the result's
+:meth:`~repro.core.pipeline.SolveResult.to_json` document and a SHA-256
+over it and the field's dtype, shape and bytes — then the field in
+``.npy`` format (read with ``allow_pickle=False``, so bit-identity
+survives and nothing is ever unpickled).  The tier is optional — point
+it somewhere like ``benchmarks/results/cache/`` to keep warm results
+across processes — and untrusted: a truncated, bit-flipped or foreign
+entry is a miss and is removed.  Traces stay in the memory tier only.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
-import pickle
 import threading
 from collections import OrderedDict
 from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Union
+
+import numpy as np
 
 from ..core.pipeline import SolveResult
 from ..obs import registry as _obs
@@ -33,11 +39,24 @@ from ..obs.registry import MetricsRegistry
 __all__ = ["ResultCache"]
 
 _KEY_HEX = 64  # SHA-256 digest length; anything else is not our file
+_FORMAT = 1    # version of the entry layout
 
 
 def _clone(result: SolveResult) -> SolveResult:
     """A result whose field the caller may mutate without corrupting us."""
     return replace(result, field=result.field.copy())
+
+
+def _json(data) -> str:
+    # numpy scalars (counters summed over ranks) as plain numbers
+    return json.dumps(data, sort_keys=True, default=np.generic.item)
+
+
+def _digest(field: np.ndarray, meta: dict) -> str:
+    """SHA-256 over the field's dtype, shape and bytes and ``meta``."""
+    h = hashlib.sha256(_json([field.dtype.str, field.shape, meta]).encode())
+    h.update(field.tobytes())
+    return h.hexdigest()
 
 
 class ResultCache:
@@ -46,8 +65,7 @@ class ResultCache:
     Thread-safe; the service's worker threads put and the submitting
     thread gets.  ``max_entries`` bounds the in-memory tier only — the
     disk tier (when configured) keeps everything until
-    :meth:`clear` (files are small pickles; pruning is the operator's
-    call, not silent policy).
+    :meth:`clear` (pruning is the operator's call, not silent policy).
     """
 
     def __init__(self, max_entries: int = 128,
@@ -95,9 +113,31 @@ class ResultCache:
             return len(self._entries)
 
     def _disk_path(self, key: str) -> Optional[Path]:
-        if self.disk_dir is None:
+        return None if self.disk_dir is None else self.disk_dir / f"{key}.entry"
+
+    def _load(self, key: str) -> Optional[SolveResult]:
+        """The disk entry for ``key``; a damaged one is removed."""
+        path = self._disk_path(key)
+        if path is None:
             return None
-        return self.disk_dir / f"{key}.pkl"
+        try:
+            with open(path, "rb") as fh:
+                header = json.loads(fh.readline())
+                field = np.lib.format.read_array(fh, allow_pickle=False)
+            intact = (header["format"] == _FORMAT
+                      and header["sha256"] == _digest(field, header["result"]))
+        except (OSError, ValueError, KeyError, TypeError):
+            intact = False
+        if not intact:
+            # Absent, truncated, bit-flipped or foreign: not worth keeping.
+            path.unlink(missing_ok=True)
+            return None
+        try:
+            return SolveResult.from_json(header["result"], field)
+        except (ValueError, KeyError, TypeError):
+            # Intact, but not buildable here: its engine is not installed,
+            # or another version of the result types wrote it.
+            return None
 
     def get(self, key: str) -> Optional[SolveResult]:
         """The cached result for ``key``, or None; promotes to MRU."""
@@ -111,33 +151,15 @@ class ResultCache:
             # (puts store their own clones, gets hand out clones), so
             # concurrent hitters need not serialise on the array copy.
             return _clone(entry)
-        path = self._disk_path(key)
-        if path is not None and path.is_file():
-            try:
-                with open(path, "rb") as fh:
-                    entry = pickle.load(fh)
-            except Exception:
-                # Truncated/foreign file: a miss, and not worth keeping.
-                try:
-                    path.unlink()
-                except OSError:  # pragma: no cover - racing cleanup
-                    pass
-            else:
-                if isinstance(entry, SolveResult):
-                    with self._lock:
-                        self._count("hits")
-                        self._count("disk_hits")
-                        self._store(key, entry)
-                    return _clone(entry)
-                # Unpickles but is not ours: equally not worth keeping
-                # (and re-reading foreign pickle bytes on every probe).
-                try:
-                    path.unlink()
-                except OSError:  # pragma: no cover - racing cleanup
-                    pass
+        entry = self._load(key)
         with self._lock:
-            self._count("misses")
-        return None
+            if entry is None:
+                self._count("misses")
+                return None
+            self._count("hits")
+            self._count("disk_hits")
+            self._store(key, entry)
+        return _clone(entry)
 
     def _store(self, key: str, result: SolveResult) -> None:
         self._entries[key] = result
@@ -152,30 +174,28 @@ class ResultCache:
         with self._lock:
             self._store(key, entry)
         path = self._disk_path(key)
-        if path is not None:
-            # pid+tid: two threads (or services sharing one cache) may
-            # persist the same key concurrently — each needs its own
-            # temp file or the interleaved writes publish garbage.
-            tmp = path.with_suffix(
-                ".tmp-%d-%d" % (os.getpid(), threading.get_ident()))
-            try:
-                with open(tmp, "wb") as fh:
-                    pickle.dump(entry, fh, protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(tmp, path)
-            except OSError:  # pragma: no cover - disk tier is best-effort
-                try:
-                    tmp.unlink()
-                except OSError:
-                    pass
+        if path is None:
+            return
+        # pid+tid: two threads (or services sharing one cache) may
+        # persist the same key concurrently — each needs its own temp
+        # file or the interleaved writes publish garbage.
+        tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}-{threading.get_ident()}")
+        try:
+            meta = entry.to_json()
+            header = {"format": _FORMAT, "sha256": _digest(entry.field, meta),
+                      "result": meta}
+            with open(tmp, "wb") as fh:
+                fh.write(_json(header).encode() + b"\n")
+                np.lib.format.write_array(fh, entry.field, allow_pickle=False)
+            os.replace(tmp, path)
+        except (OSError, TypeError, ValueError):  # best-effort disk tier
+            tmp.unlink(missing_ok=True)
 
     def clear(self, disk: bool = False) -> None:
         """Drop the memory tier; with ``disk=True`` also our disk files."""
         with self._lock:
             self._entries.clear()
         if disk and self.disk_dir is not None:
-            for p in self.disk_dir.glob("*.pkl"):
+            for p in self.disk_dir.glob("*.entry"):
                 if len(p.stem) == _KEY_HEX:
-                    try:
-                        p.unlink()
-                    except OSError:  # pragma: no cover
-                        pass
+                    p.unlink(missing_ok=True)

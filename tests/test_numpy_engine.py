@@ -14,6 +14,7 @@ block region (the role the ``_match_blocked`` test names remember).
 from __future__ import annotations
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -40,9 +41,23 @@ def _cfg(block, storage="twogrid", engine="numpy", passes=2):
                           storage=storage, passes=passes, engine=engine)
 
 
-def _problem(shape, seed=11):
-    grid = Grid3D(shape, boundary=BOUNDARY)
+def _problem(shape, seed=11, boundary=BOUNDARY):
+    grid = Grid3D(shape, boundary=boundary)
     return grid, random_field(shape, np.random.default_rng(seed))
+
+
+def _spy_patched_gathers(monkeypatch, storage):
+    """The offsets of ``storage``'s gathers that returned a patched copy."""
+    patched = []
+    gather = storage.gather
+
+    def spy(region, off, level):
+        out = gather(region, off, level)
+        if not np.may_share_memory(out, storage.raw_read_array(level)[0]):
+            patched.append(off)
+        return out
+    monkeypatch.setattr(storage, "gather", spy)
+    return patched
 
 
 class TestSlabWalk:
@@ -112,12 +127,15 @@ class TestAllocationFree:
     # each, hence 96 KiB.  The last pass of a slab is strided on both
     # sides — scratch interior (or a gathered view) in, destination view
     # out — so two are alive at once and the peak may reach ``2 * limit``
-    # (measured 135 184 B twogrid, 134 376 B compressed); a third would
+    # (measured 135 384 B twogrid, 139 616 B compressed); a third would
     # mean a pass through a buffer the engine does not own.  Nothing
-    # else may be sizeable.  The compressed grid has no ring, so a slab
-    # whose shifted read crosses a domain face is gathered as one patched
-    # copy — a few slabs' worth of transients at a time, never the
-    # (4 MiB) region.
+    # else may be sizeable.  A slab read across a ring-less face of the
+    # compressed grid is gathered as a patched copy — with this file's
+    # ``func`` boundary every y/x face of every slab of the full region,
+    # a few slabs' worth of transients at a time, never the (4 MiB)
+    # region.  A face-constant boundary gets a ring on the unshifted
+    # axes (y and x here), leaving only the z-face reads of the first and
+    # last slab to patch.
     @pytest.mark.parametrize("kind, shape, region, limit", [
         ("twogrid", (8, 128, 128), Box((0, 0, 0), (8, 128, 128)), 96 << 10),
         ("compressed", (10, 130, 130), Box((1, 1, 1), (9, 129, 129)),
@@ -127,8 +145,29 @@ class TestAllocationFree:
     ])
     def test_warm_apply_peak_allocation(self, monkeypatch, kind, shape,
                                         region, limit):
-        monkeypatch.setattr(numpy_engine, "_scratch", numpy_engine._Scratch())
         grid, field = _problem(shape)
+        patched = self._warm_apply(monkeypatch, kind, grid, field, region,
+                                   limit)
+        if kind == "compressed" and region == grid.domain:
+            slabs = -(-shape[0] // numpy_engine._slab_thickness(
+                shape[1] * shape[2] * 8))
+            assert Counter(patched) == {
+                (-1, 0, 0): 1, (1, 0, 0): 1, (0, -1, 0): slabs,
+                (0, 1, 0): slabs, (0, 0, -1): slabs, (0, 0, 1): slabs}
+        else:
+            assert patched == []
+
+    def test_face_constant_ring_leaves_two_patched_gathers(self,
+                                                           monkeypatch):
+        grid, field = _problem((32, 128, 128), boundary=DirichletBoundary(0.5))
+        patched = self._warm_apply(monkeypatch, "compressed", grid, field,
+                                   grid.domain, 512 << 10)
+        assert patched == [(-1, 0, 0), (1, 0, 0)]
+
+    @staticmethod
+    def _warm_apply(monkeypatch, kind, grid, field, region, limit):
+        """Pin a warm apply's allocations; the offsets it patched."""
+        monkeypatch.setattr(numpy_engine, "_scratch", numpy_engine._Scratch())
         engine = get_engine("numpy")
         engine.apply(jacobi7(), _storage(kind, grid, field), region, 1)
         storage = _storage(kind, grid, field)
@@ -153,3 +192,8 @@ class TestAllocationFree:
         get_engine(ORACLE).apply(jacobi7(), want, region, 1)
         assert np.array_equal(storage.extract_region(region, 1),
                               want.extract_region(region, 1))
+        # Host-independent: which copies a warm apply patches.
+        spied = _storage(kind, grid, field)
+        patched = _spy_patched_gathers(monkeypatch, spied)
+        engine.apply(jacobi7(), spied, region, 1)
+        return patched

@@ -21,12 +21,17 @@ advantage on spawn/segment *counters*, never on a wall clock.
 
 from __future__ import annotations
 
+import io
+import json
+from dataclasses import replace
+from typing import get_args
+
 import numpy as np
 import pytest
 
 import repro
-from repro import Grid3D, PipelineConfig, RelaxedSpec, SolveJob
-from repro.core.parameters import BarrierSpec
+from repro import Grid3D, PipelineConfig, RelaxedSpec, SolveJob, SolveResult
+from repro.core.parameters import BarrierSpec, SyncSpec
 from repro.grid import DirichletBoundary, random_field
 from repro.kernels import reference_sweeps
 from repro.kernels.stencils import StarStencil
@@ -188,15 +193,103 @@ class TestResultCache:
         reader = ResultCache(max_entries=2, disk_dir=tmp_path)
         hit = reader.get(key)
         assert hit is not None and reader.disk_hits == 1
-        assert np.array_equal(hit.field, res.field)
+        assert hit.field.tobytes() == res.field.tobytes()
+        # The metadata comes back equal and typed; only the trace, an
+        # observability artefact, stays in the memory tier.
+        assert hit.config == res.config and hit.stats == res.stats
+        for name in ("levels_advanced", "backend", "topology", "n_ranks",
+                     "halo", "bytes_exchanged", "messages", "metrics"):
+            assert getattr(hit, name) == getattr(res, name), name
+        assert hit.trace is None
+        assert [p.name for p in tmp_path.iterdir()] == [f"{key}.entry"]
+        writer.clear(disk=True)
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("sync", [BarrierSpec(), RelaxedSpec(2, 5, 1)])
+    def test_result_json_round_trips_every_sync_spec(self, sync):
+        # The (de)serialisation lives with the types; a new field the
+        # JSON document cannot carry, or a new SyncSpec, fails here.
+        job = make_job()
+        res = _result_for(job)
+        res = replace(res, config=replace(res.config, sync=sync))
+        doc = json.loads(json.dumps(res.to_json()))
+        back = SolveResult.from_json(doc, res.field)
+        assert replace(back, field=None) == replace(res, field=None, trace=None)
+        assert type(back.config.sync) is type(sync)
+        assert get_args(SyncSpec) == (BarrierSpec, RelaxedSpec)
 
     def test_corrupt_disk_entry_is_a_miss_and_removed(self, tmp_path):
         key = "d" * 64
-        path = tmp_path / f"{key}.pkl"
-        path.write_bytes(b"not a pickle")
+        path = tmp_path / f"{key}.entry"
+        path.write_bytes(b"not an entry")
         cache = ResultCache(disk_dir=tmp_path)
         assert cache.get(key) is None
         assert not path.exists()
+
+    @pytest.mark.parametrize("damage", [
+        "truncated-field", "truncated-header", "bit-flipped-field",
+        "bit-flipped-header", "foreign-pickle", "foreign-zip",
+        "foreign-header"])
+    def test_damaged_disk_entry_is_a_removed_miss(self, tmp_path, damage):
+        job = make_job()
+        key = job.content_key()
+        ResultCache(disk_dir=tmp_path).put(key, _result_for(job))
+        path = tmp_path / f"{key}.entry"
+        data = path.read_bytes()
+        header, _, field = data.partition(b"\n")
+        buf = io.BytesIO()
+        if damage == "truncated-field":
+            data = data[:len(data) - len(field) // 2]
+        elif damage == "truncated-header":
+            data = header[:len(header) // 2]
+        elif damage == "bit-flipped-field":
+            data = data[:-1] + bytes([data[-1] ^ 0x01])
+        elif damage == "bit-flipped-header":
+            # A metadata digit that still parses.
+            at = data.index(b'"levels_advanced": ') + 19
+            data = data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1:]
+            assert json.loads(data.partition(b"\n")[0])["result"] != \
+                json.loads(header)["result"]
+        elif damage == "foreign-pickle":
+            # A pickled object array: refused, never unpickled.
+            np.save(buf, np.array([{"x": 1}], dtype=object), allow_pickle=True)
+            data = header + b"\n" + buf.getvalue()
+        elif damage == "foreign-zip":
+            np.savez(buf, field=np.zeros(3))
+            data = header + b"\n" + buf.getvalue()
+        else:
+            data = b'{"format": 1, "sha256": "' + b"0" * 64 + b'"}\n' + field
+        path.write_bytes(data)
+        cache = ResultCache(disk_dir=tmp_path)
+        assert cache.get(key) is None
+        assert cache.misses == 1 and cache.disk_hits == 0
+        assert not any(tmp_path.iterdir())
+
+    def test_intact_entry_of_an_engine_missing_here_is_kept(self, tmp_path):
+        # Entries are shared by semantics class: one written by a process
+        # with an optional engine is a miss where that engine is absent,
+        # and is still there for a process that has it.
+        from repro.engine import Engine, register_engine, unregister_engine
+
+        class Elsewhere(Engine):
+            name = "elsewhere"
+
+        job = make_job()
+        res = _result_for(job)
+        key = job.content_key()
+        register_engine(Elsewhere())
+        try:
+            ResultCache(disk_dir=tmp_path).put(key, replace(
+                res, config=replace(res.config, engine="elsewhere")))
+            unregister_engine("elsewhere")
+            assert ResultCache(disk_dir=tmp_path).get(key) is None
+            assert len(list(tmp_path.iterdir())) == 1
+            register_engine(Elsewhere())
+            hit = ResultCache(disk_dir=tmp_path).get(key)
+            assert hit.config.engine == "elsewhere"
+            assert hit.field.tobytes() == res.field.tobytes()
+        finally:
+            unregister_engine("elsewhere")
 
 
 # ---------------------------------------------------------------------------

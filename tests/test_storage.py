@@ -15,6 +15,14 @@ from repro.grid import Box, DirichletBoundary, Grid3D, random_field
 
 RNG = np.random.default_rng(3)
 
+BOUNDARIES = {
+    "scalar": DirichletBoundary(1.25),
+    "faces": DirichletBoundary(0.5, faces={(0, -1): 2.0, (1, 1): -0.5,
+                                           (2, -1): 0.75, (2, 1): 3.0}),
+    "func": DirichletBoundary(
+        func=lambda z, y, x: 0.1 * z + 0.2 * y - 0.05 * x),
+}
+
 
 def make_twogrid(shape=(6, 5, 5), bc=None):
     grid = Grid3D(shape, boundary=bc)
@@ -117,9 +125,16 @@ class TestCompressed:
         return grid, field, st
 
     def test_margin_allocation(self):
+        # A margin of upp cells along the shifted axis; a one-cell ring
+        # on the two it leaves alone, folded into every level's origin.
         grid, field, st = self.make(upp=4)
-        assert st._array.shape == (12, 5, 5)
-        assert st.margin == (4, 0, 0)
+        assert st.margin == (4, 0, 0) and st.ring == (0, 1, 1)
+        arr, origin = st.raw_read_array(0)
+        assert arr.shape == (8 + 4, 5 + 2, 5 + 2)
+        assert [st.raw_read_array(v)[1][0] for v in range(9)] == [
+            4, 3, 2, 1, 0, 1, 2, 3, 4]
+        assert {st.raw_read_array(v)[1][1:] for v in range(9)} == {(1, 1)}
+        np.testing.assert_array_equal(arr[grid.domain.slices(origin)], field)
 
     def test_offsets_forward_and_unwind(self):
         _, _, st = self.make(upp=4)
@@ -134,9 +149,15 @@ class TestCompressed:
         grid, field, st = self.make()
         region = grid.domain
         vals = np.full(region.shape, 1.5)
+        old, origin0 = st.raw_read_array(0)
         st.write(region, 1, vals)
-        # Level-1 values live one cell lower in storage.
-        np.testing.assert_array_equal(st._array[3:11], vals)
+        # Level-1 values live one cell lower in storage; the top cell's
+        # level-0 position is the one the write did not reach.
+        arr, origin1 = st.raw_read_array(1)
+        assert arr is old and origin1 == (origin0[0] - 1,) + origin0[1:]
+        np.testing.assert_array_equal(arr[region.slices(origin1)], vals)
+        np.testing.assert_array_equal(
+            arr[Box((7, 0, 0), (8, 5, 5)).slices(origin0)], field[7:])
         np.testing.assert_array_equal(st.extract(1), vals)
 
     def test_clobber_detected_on_read(self):
@@ -161,8 +182,41 @@ class TestCompressed:
             st._read_inside(Box((0, 0, 0), (1, 5, 5)), 3)
 
     def test_single_array_bytes(self):
+        # One array: interior, z margin and the y/x ring — still well
+        # under the two ring arrays of the two-grid layout.
         grid, field, st = self.make(upp=4)
-        assert st.array_bytes == 12 * 5 * 5 * 8
+        assert st.array_bytes == (8 + 4) * (5 + 2) * (5 + 2) * 8
+        assert st.array_bytes == st.raw_read_array(0)[0].nbytes
+        assert st.array_bytes < TwoGridStorage(grid, field).array_bytes * 0.7
+        ringless = CompressedStorage(Grid3D(grid.shape, boundary=BOUNDARIES[
+            "func"]), field, (1, 0, 0), 4)
+        assert ringless.ring == (0, 0, 0)
+        assert ringless.array_bytes == 12 * 5 * 5 * 8
+
+    @pytest.mark.parametrize("bc", sorted(BOUNDARIES))
+    def test_gather_is_a_view_across_ring_faces_only(self, bc):
+        # The ring never moves and is never written: reads across a y or
+        # x face are views at every level; a z face (shifted) or any
+        # face of a func boundary is patched into a copy.
+        grid = Grid3D((8, 5, 6), boundary=BOUNDARIES[bc])
+        field = random_field(grid.shape, RNG)
+        st = CompressedStorage(grid, field, (1, 0, 0), 4)
+        region = grid.domain
+        st.write(region, 1, field + 1.0)
+        for dim in range(3):
+            for side in (-1, 1):
+                off = tuple(side if d == dim else 0 for d in range(3))
+                out = st.gather(region, off, 1)
+                view = np.shares_memory(out, st.raw_read_array(1)[0])
+                assert view == (bc != "func" and dim > 0)
+                face = region.outer_face(dim, side)
+                rel = face.shift(tuple(-o for o in off)).slices()
+                np.testing.assert_array_equal(
+                    out[rel], grid.boundary.values_for_face(dim, side, face))
+                inner = region.intersect(region.shift(tuple(-o for o in off)))
+                np.testing.assert_array_equal(
+                    out[inner.slices()],
+                    field[inner.shift(off).slices()] + 1.0)
 
     def test_rejects_bad_shift_vec(self):
         grid = Grid3D((4, 4, 4))
@@ -205,11 +259,17 @@ class TestWriteView:
         view = st.write_view(region, 1)
         assert view.shape == region.shape
         view[...] = 3.0
+        arr, origin = st.raw_read_array(1)
+        np.testing.assert_array_equal(arr[region.slices(origin)], 3.0)
         st.commit_write(region, 1)
         np.testing.assert_array_equal(st.extract(1),
                                       np.full(grid.shape, 3.0))
-        # Positions shifted by -1 along z now carry level 1.
-        assert bool(np.all(st._pos_level[3:11] == 1))
+        # Positions shifted by -1 along z now carry level 1: cells 0..6
+        # lost their level-0 values, cell 7 (one position up) kept it.
+        with pytest.raises(StorageError, match="compressed-grid"):
+            st.read(Box((0, 0, 0), (7, 5, 5)), 0)
+        np.testing.assert_array_equal(st.read(Box((7, 0, 0), (8, 5, 5)), 0),
+                                      field[7:])
 
     def test_compressed_uncommitted_view_is_not_readable(self):
         grid = Grid3D((8, 5, 5))
@@ -236,15 +296,6 @@ class TestFactory:
         grid = Grid3D((4, 4, 4))
         with pytest.raises(ValueError):
             make_storage("tiled", grid, np.zeros(grid.shape), (1, 0, 0), 2)
-
-
-BOUNDARIES = {
-    "scalar": DirichletBoundary(1.25),
-    "faces": DirichletBoundary(0.5, faces={(0, -1): 2.0, (1, 1): -0.5,
-                                           (2, -1): 0.75, (2, 1): 3.0}),
-    "func": DirichletBoundary(
-        func=lambda z, y, x: 0.1 * z + 0.2 * y - 0.05 * x),
-}
 
 
 def _assert_ring_intact(grid, st):

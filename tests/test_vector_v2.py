@@ -15,7 +15,10 @@ it **bitwise** (``tobytes``: the sign of zero counts, which
 ``array_equal`` would forgive).  The second half covers what the flat
 run adds to the numpy engine: which regions take it, that the ghost ring
 is read but never written, and that nothing about it is per-process
-state threads could race on.
+state threads could race on; then the compressed grid's ring on its
+unshifted axes — bytes equal to the two-grid layout and the reference
+across tilings, passes, boundaries, dtypes and backends, patched reads
+only where no ring can exist, margin positions never read.
 """
 
 from __future__ import annotations
@@ -33,11 +36,11 @@ from hypothesis import assume, given, settings, strategies as st
 import repro
 from repro import Grid3D, PipelineConfig, RelaxedSpec, reference_sweeps, solve
 from repro.core.executor import PipelineExecutor
-from repro.core.storage import CompressedStorage, TwoGridStorage
+from repro.core.storage import CompressedStorage, StorageError, TwoGridStorage
 from repro.engine import (NumbaDeepEngine, NumbaEngine, get_engine,
                           numpy_engine, register_engine, unregister_engine)
 from repro.engine.numpy_engine import accumulate_padded
-from repro.grid import DirichletBoundary, random_field
+from repro.grid import Box, DirichletBoundary, random_field
 from repro.grid.blocks import axis_row
 from repro.kernels import (AXIS_OFFSETS, StarStencil, anisotropic_jacobi,
                            jacobi5_2d, jacobi7)
@@ -273,16 +276,16 @@ def paths(monkeypatch):
     """Which slab routine ran, and on how many planes: ``[(name, nz)]``."""
     seen = []
 
-    def spy(name):
+    def spy(name, planes):
         inner = getattr(numpy_engine, name)
 
-        def wrapper(groups, src, dst, sz, sy, sx):
-            seen.append((name, sz.n))
-            inner(groups, src, dst, sz, sy, sx)
+        def wrapper(*args):
+            seen.append((name, planes(*args)))
+            inner(*args)
         monkeypatch.setattr(numpy_engine, name, wrapper)
 
-    spy("_slab_run")
-    spy("_slab_views")
+    spy("_slab_run", lambda groups, src, first, out: out.shape[0])
+    spy("_slab_views", lambda groups, src, dst, sz, sy, sx: sz.n)
     return seen
 
 
@@ -468,6 +471,148 @@ class TestThreads:
 
 
 # ---------------------------------------------------------------------------
+# The compressed grid: a ring on the unshifted axes, flat runs inside
+# ---------------------------------------------------------------------------
+
+RING_BCS = {
+    "scalar": DirichletBoundary(0.25),
+    "faces": DirichletBoundary(0.5, faces={(0, -1): 1.0, (1, 1): -0.0,
+                                           (2, -1): -2.0}),
+    "func": LINEAR,     # varies along z, where the positions move
+}
+#: ``(shape, block)``: tiled in z only (interior slabs run flat), in y
+#: or x only (ring on the other two, views), in z and y (ring on x),
+#: and one-cell y / x axes under z tiling.
+RING_CASES = {
+    "z-flat": ((12, 5, 6), (5, 99, 99)),
+    "y-views": ((6, 11, 5), (99, 4, 99)),
+    "x-views": ((6, 5, 11), (99, 99, 4)),
+    "zy": ((9, 7, 6), (4, 3, 99)),
+    "one-cell-y": ((12, 1, 6), (5, 99, 99)),
+    "one-cell-x": ((12, 6, 1), (5, 99, 99)),
+}
+#: Two planes of the z-flat case: five-plane regions walk 2 + 2 + 1.
+RING_SLAB_BYTES = 2 * 5 * 6 * 8
+
+
+def _ring_cfg(block, storage, passes, engine="numpy"):
+    return PipelineConfig(teams=1, threads_per_team=2, updates_per_thread=1,
+                          block_size=block, sync=RelaxedSpec(1, 2),
+                          storage=storage, passes=passes, engine=engine)
+
+
+@pytest.fixture
+def compressed_reads(monkeypatch):
+    """Per compressed region update: ``[storage.ring, patched gathers]``."""
+    regions = []
+    current = threading.local()
+    accumulate = numpy_engine._accumulate_inplace
+    gather = CompressedStorage.gather
+
+    def accumulate_spy(stencil, storage, region, level):
+        current.entry = [storage.ring, 0]
+        regions.append(current.entry)
+        accumulate(stencil, storage, region, level)
+
+    def gather_spy(self, region, off, level):
+        out = gather(self, region, off, level)
+        if not np.may_share_memory(out, self.raw_read_array(level)[0]):
+            current.entry[1] += 1
+        return out
+    monkeypatch.setattr(numpy_engine, "_accumulate_inplace", accumulate_spy)
+    monkeypatch.setattr(CompressedStorage, "gather", gather_spy)
+    return regions
+
+
+class TestCompressedRing:
+    @pytest.mark.parametrize("bc", sorted(RING_BCS))
+    @pytest.mark.parametrize("passes", [1, 2, 3])
+    @pytest.mark.parametrize("case", sorted(RING_CASES))
+    def test_bits_equal_twogrid_and_reference(self, paths, compressed_reads,
+                                              monkeypatch, case, passes, bc):
+        shape, block = RING_CASES[case]
+        monkeypatch.setattr(numpy_engine, "SLAB_BYTES", RING_SLAB_BYTES)
+        for dtype, validate, backend in (
+                (np.float64, True, "shared"), (np.float32, False, "shared"),
+                (np.float64, False, "threads"), (np.float32, True, "threads")):
+            grid = Grid3D(shape, boundary=RING_BCS[bc], dtype=dtype)
+            field = random_field(shape, np.random.default_rng(7)).astype(dtype)
+            want = reference_sweeps(grid, field, 2 * passes, STENCIL)
+            for storage in ("twogrid", "compressed"):
+                paths.clear()
+                got = solve(grid, field, _ring_cfg(block, storage, passes),
+                            stencil=STENCIL, validate=validate,
+                            backend=backend)
+                assert_same_bits(got.field, want, f"{storage}/{backend}")
+            ran_flat = "_slab_run" in {name for name, _ in paths}
+            assert ran_flat == (bc != "func" and block[1:] == (99, 99))
+        rings = {ring for ring, _ in compressed_reads}
+        patched = [n for _, n in compressed_reads]
+        if bc == "func":
+            # Every face of a func boundary is patched, never a ring.
+            assert rings == {(0, 0, 0)} and max(patched) > 0
+        else:
+            assert rings == {tuple(int(b >= n) for b, n in zip(block, shape))}
+            if case != "zy":
+                # One shifted axis: its first and last slab at most.
+                assert max(patched) <= 2
+
+    @pytest.mark.parametrize("case", ["z-flat", "y-views", "zy"])
+    def test_margin_positions_are_never_read(self, monkeypatch, case):
+        # -inf in every position no level-0 value lives in, +inf / NaN
+        # in the ring corners (which the flat runs' ghost columns read):
+        # a margin read would change bits or, against a +inf, warn.
+        shape, block = RING_CASES[case]
+        monkeypatch.setattr(numpy_engine, "SLAB_BYTES", RING_SLAB_BYTES)
+        grid = Grid3D(shape, boundary=RING_BCS["faces"])
+        field = random_field(shape, np.random.default_rng(8))
+        cfg = _ring_cfg(block, "compressed", 3)
+        ex = PipelineExecutor(grid, field, cfg, STENCIL)
+        arr, origin = ex.storage.raw_read_array(0)
+        on_ring = np.zeros(arr.shape, np.int64)
+        for axis in np.flatnonzero(ex.storage.ring):
+            for at in (0, -1):
+                on_ring[(slice(None),) * axis + (at,)] += 1
+        live = np.zeros(arr.shape, bool)
+        live[grid.domain.slices(origin)] = True
+        arr[~live & (on_ring == 0)] = -np.inf
+        corners = np.flatnonzero(on_ring > 1)
+        arr.reshape(-1)[corners[::2]] = np.nan
+        arr.reshape(-1)[corners[1::2]] = np.inf
+        ring = arr[on_ring > 0].tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ex.run()
+        assert arr[on_ring > 0].tobytes() == ring
+        assert_same_bits(got, reference_sweeps(grid, field, cfg.total_updates,
+                                               STENCIL))
+
+    @pytest.mark.parametrize("bc", ["scalar", "func"])
+    def test_validated_slabs_catch_a_clobbered_read(self, monkeypatch, bc):
+        # Cells 6.. advanced first: cell 6's level-1 value now sits where
+        # cell 5's level-0 value lived.  The slab reading it — a flat one
+        # under the ring, a gathered one without — must say so.
+        monkeypatch.setattr(numpy_engine, "SLAB_BYTES", RING_SLAB_BYTES)
+        grid = Grid3D((12, 5, 6), boundary=RING_BCS[bc])
+        storage = CompressedStorage(
+            grid, random_field(grid.shape, np.random.default_rng(1)),
+            (1, 0, 0), 4)
+        engine = get_engine("numpy")
+        engine.apply(STENCIL, storage, Box((6, 0, 0), (12, 5, 6)), 1)
+        with pytest.raises(StorageError, match="compressed-grid"):
+            engine.apply(STENCIL, storage, Box((0, 0, 0), (6, 5, 6)), 1)
+
+    @pytest.mark.parametrize("bc", ["faces", "func"])
+    def test_numba_deep_reads_the_ringed_layout(self, deep_engine, bc):
+        shape, block = RING_CASES["z-flat"]
+        grid = Grid3D(shape, boundary=RING_BCS[bc])
+        field = random_field(shape, np.random.default_rng(9))
+        cfg = _ring_cfg(block, "compressed", 2, engine="numba-deep")
+        assert_same_bits(solve(grid, field, cfg, stencil=STENCIL).field,
+                         reference_sweeps(grid, field, 4, STENCIL))
+
+
+# ---------------------------------------------------------------------------
 # Serve cache: one vector-v2 key, and nothing older is ever served
 # ---------------------------------------------------------------------------
 
@@ -538,10 +683,10 @@ class TestServeKeys:
         fresh = solve(new.grid, new.field, new.config)
         poison = solve(new.grid, new.field + 1.0, new.config)
         ResultCache(disk_dir=tmp_path).put(old_key, poison)
-        assert (tmp_path / f"{old_key}.pkl").is_file()
+        assert (tmp_path / f"{old_key}.entry").is_file()
         with Service(workers=0, cache_dir=tmp_path) as svc:
             fut = svc.submit_job(_job())
             svc.drain()
             assert not fut.cache_hit and svc.stats.backend_solves == 1
             assert_same_bits(fut.result(timeout=0).field, fresh.field)
-        assert (tmp_path / f"{new.content_key()}.pkl").is_file()
+        assert (tmp_path / f"{new.content_key()}.entry").is_file()
