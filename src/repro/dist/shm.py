@@ -157,7 +157,7 @@ class ShmPool:
 
     def create_array(self, shape: Tuple[int, ...], dtype,
                      ) -> Tuple[ShmArrayHandle, np.ndarray]:
-        """Allocate a zero-initialised shared ndarray.
+        """Allocate a shared ndarray, zeroed by the kernel (a new segment).
 
         Returns the picklable handle plus the parent's own mapped view
         (valid until :meth:`cleanup`).
@@ -166,7 +166,6 @@ class ShmPool:
         n = int(np.prod(shape)) if shape else 1
         shm = self._new_segment(n * dt.itemsize)
         arr = np.ndarray(shape, dtype=dt, buffer=shm.buf)
-        arr.fill(0)
         self._views.append(arr)
         return ShmArrayHandle(name=shm.name, shape=tuple(int(s) for s in shape),
                               dtype=dt.str), arr

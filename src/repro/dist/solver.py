@@ -177,8 +177,8 @@ def _sweeps_rank_body(comm: Comm, rank: int, boundary: DirichletBoundary,
     """One rank of the multi-halo sweeps scheme.
 
     ``stored_field`` holds the rank's stored-box values (a view is fine;
-    it is copied immediately).  Returns the global core box, its final
-    values, and the traffic counters.  ``engine`` picks the
+    it is copied immediately).  Returns the global core box, a view of
+    its final values, and the traffic counters.  ``engine`` picks the
     kernel-execution engine for the trapezoid sweeps — resolved from
     the registry *inside* the rank, so both transports (threads and
     spawned processes) dispatch identically.
@@ -190,7 +190,7 @@ def _sweeps_rank_body(comm: Comm, rank: int, boundary: DirichletBoundary,
                    boundary=_shifted_boundary(boundary, off),
                    dtype=dtype)
     # Padded pair: local stored box + the one-cell Dirichlet ring.
-    cur = lgrid.padded(np.ascontiguousarray(stored_field))
+    cur = lgrid.padded(stored_field)
     nxt = cur.copy()
     core_l = geo.core.shift(neg)
     nbytes = messages = 0
@@ -210,7 +210,7 @@ def _sweeps_rank_body(comm: Comm, rank: int, boundary: DirichletBoundary,
             reference_sweep_region(cur, nxt, region.lo, region.hi, stencil,
                                    engine=engine)
             cur, nxt = nxt, cur
-    return geo.core, cur[core_l.slices((1, 1, 1))].copy(), nbytes, messages
+    return geo.core, cur[core_l.slices((1, 1, 1))], nbytes, messages
 
 
 def _pipelined_rank_body(comm: Comm, rank: int, boundary: DirichletBoundary,
@@ -220,7 +220,7 @@ def _pipelined_rank_body(comm: Comm, rank: int, boundary: DirichletBoundary,
                          order: str, validate: bool,
                          tracer: Tracer = NULL_TRACER,
                          ) -> Tuple[Box, np.ndarray, int, int, ExecutionStats]:
-    """One rank of the hybrid scheme: pipelined executor + halo exchange."""
+    """One rank of the hybrid scheme; returns the core as a storage view."""
     h = config.updates_per_pass
     geo = decomp.geometry(rank)
     off = geo.stored.lo
@@ -238,9 +238,8 @@ def _pipelined_rank_body(comm: Comm, rank: int, boundary: DirichletBoundary,
 
     with tracer.span("rank", cat="dist", rank=rank):
         ex = PipelineExecutor(
-            lgrid, np.ascontiguousarray(stored_field),
-            config, stencil, order=order, active_fn=active_fn,
-            validate=validate, tracer=tracer,
+            lgrid, stored_field, config, stencil, order=order,
+            active_fn=active_fn, validate=validate, tracer=tracer,
         )
         storage = ex.storage
         nbytes = messages = 0
@@ -258,8 +257,9 @@ def _pipelined_rank_body(comm: Comm, rank: int, boundary: DirichletBoundary,
             messages += m
             ex.run_pass(p)
         final = config.passes * h
-        core_vals = storage.extract_region(core_l, final)
-    return geo.core, core_vals, nbytes, messages, ex.stats
+        if validate:
+            storage.check_uniform_level(core_l, final)
+    return geo.core, storage.read(core_l, final), nbytes, messages, ex.stats
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,13 @@ hands over the region as three :class:`~repro.grid.blocks.AxisSpan`
 table entries whose ready-made slices index the ring arrays directly
 (:meth:`NumpyEngine.apply_spans`), so a region that is one slab costs
 its ufuncs and the ≤ 8 ``array[slices]`` lookups, nothing else.  A
-region spanning the whole interior of its two trailing axes
-(``AxisSpan.full``) is evaluated over the *contiguous run* of the ring
-array from its first to its last interior cell: every offset is a flat
-displacement of one 1-D view, the ghost columns inside the run compute
-values nobody reads, and only the final pass — interior of the scratch
-run into the destination — is strided.
+region whose first slab's *contiguous run* in the ring array is at most
+:data:`FLAT_RUN_MAX` times its cells (cost, not shape: 128³ full-width
+regions and a rank's x-clipped trapezoids; not ``(8, 16, 16)`` blocks)
+is evaluated over that run.  Every offset is a flat displacement of one
+1-D view, the run's other cells compute values nobody reads, and only
+the final pass is strided.  Flat regions never warn (one ``np.errstate``:
+discarded lanes may meet ``inf - inf``); their bytes are unchanged.
 
 The compressed grid is updated in place, slab by slab in the legal
 direction.  With a ring on y and x, a full-width slab a plane away from
@@ -51,6 +52,10 @@ __all__ = ["NumpyEngine", "accumulate_padded", "SLAB_BYTES"]
 #: measured best of 64 KiB … 512 KiB on the reference host; a single
 #: plane larger than this is one slab.
 SLAB_BYTES = 256 * 1024
+
+#: Largest run/cells of a flat region's first slab: on a 2-core Xeon flat
+#: beat 3-D span slices up to 1.67 and lost from 2.0 (EXPERIMENTS.md E19).
+FLAT_RUN_MAX = 1.5
 
 #: Shaped scratch views a thread keeps before starting over.
 _VIEWS_KEPT = 64
@@ -139,8 +144,8 @@ def _run(flat: np.ndarray, first: int, count: int, plane: int, row: int,
 
 def _slab_run(groups, src: np.ndarray, first: int, out: np.ndarray) -> None:
     """``out``'s cells over the contiguous run of ``src`` from flat index
-    ``first`` (``out[0, 0, 0]``'s cell) on; ``src`` is C-contiguous, ringed
-    on its two trailing axes, and ``out`` spans their whole interior."""
+    ``first`` (``out[0, 0, 0]``'s cell) on; ``src`` is C-contiguous and
+    ringed on its two trailing axes, ``out`` any box of its cells."""
     _, rows, row = src.shape
     plane = rows * row
     nz, ny, nx = out.shape
@@ -155,9 +160,11 @@ def _slab_run(groups, src: np.ndarray, first: int, out: np.ndarray) -> None:
 
 def _ring_run(groups, src: np.ndarray, dst: np.ndarray,
               sz: AxisSpan, sy: AxisSpan, sx: AxisSpan) -> None:
-    """:func:`_slab_run` on one slab, full in y and x, of a ring pair."""
+    """:func:`_slab_run` on one slab of a ring pair."""
     _, rows, row = src.shape
-    _slab_run(groups, src, (sz.zero.start * rows + 1) * row + 1, dst[sz.zero, sy.zero, sx.zero])
+    _slab_run(groups, src,
+              (sz.zero.start * rows + sy.zero.start) * row + sx.zero.start,
+              dst[sz.zero, sy.zero, sx.zero])
 
 
 def _slab_views(groups, src: np.ndarray, dst: np.ndarray,
@@ -172,14 +179,26 @@ def _accumulate_ring(groups, src: np.ndarray, dst: np.ndarray,
                      spans: Spans) -> None:
     """Stencil of ``src`` into ``dst`` on the cells ``spans`` address.
 
-    Both are ghost-ring arrays of one layout and must not alias.  A
-    region full in y and x runs flat (:func:`_slab_run`) — unless
-    ``src`` is not C-contiguous, whose flat "view" would be a copy.
+    Both are ghost-ring arrays of one layout and must not alias.  The
+    region runs flat (:func:`_slab_run`, in one ``np.errstate``) when
+    ``src`` is C-contiguous — a flat "view" of any other is a copy — and
+    its first slab's run is at most :data:`FLAT_RUN_MAX` times its cells.
     """
     sz, sy, sx = spans
-    slab = (_ring_run if sy.full and sx.full and src.flags.c_contiguous
-            else _slab_views)
+    _, rows, row = src.shape
     thick = _slab_thickness(sy.n * sx.n * dst.itemsize)
+    t = sz.n if sz.n < thick else thick
+    run = (t - 1) * rows * row + (sy.n - 1) * row + sx.n
+    if not (src.flags.c_contiguous and run <= FLAT_RUN_MAX * t * sy.n * sx.n):
+        _slabs(_slab_views, groups, src, dst, spans, thick)
+        return
+    with np.errstate(all="ignore"):
+        _slabs(_ring_run, groups, src, dst, spans, thick)
+
+
+def _slabs(slab, groups, src, dst, spans: Spans, thick: int) -> None:
+    """``slab`` over the region in pieces of ``thick`` planes."""
+    sz, sy, sx = spans
     if sz.n <= thick:
         slab(groups, src, dst, sz, sy, sx)
         return

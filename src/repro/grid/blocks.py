@@ -58,8 +58,8 @@ class AxisSpan(NamedTuple):
     length clamped at zero; a fully clipped interval keeps its raw
     ``hi <= lo`` (what :meth:`Box.intersect` returns) and zero-length
     slices.  Slices are meaningful for spans inside the domain only.
-    ``full`` says the span is the domain's whole extent along its axis,
-    i.e. its slices address every interior index of the ring array.
+    ``zero.start`` is the ring-array index of cell ``lo``, which is all
+    an engine needs to address the span's cells as a flat run.
     """
 
     zero: slice
@@ -67,13 +67,11 @@ class AxisSpan(NamedTuple):
     lo: int
     hi: int
     n: int
-    full: bool
     minus: slice
 
     def sub(self, a: int, b: int) -> "AxisSpan":
         """The span of this one's cells ``a .. b`` (relative; slab walks)."""
-        return _span(self.minus.start + a, self.lo + a, self.lo + b,
-                     self.full and a == 0 and b == self.n)
+        return _span(self.minus.start + a, self.lo + a, self.lo + b)
 
 
 #: The three spans of one region, and one axis' spans by block index.
@@ -81,14 +79,13 @@ Spans = Tuple[AxisSpan, AxisSpan, AxisSpan]
 Row = Tuple[AxisSpan, ...]
 
 
-def _span(at: int, lo: int, hi: int, full: bool) -> AxisSpan:
-    """Span of cells ``[lo, hi)`` whose ``-1`` neighbour sits at index ``at``;
-    ``full`` if they are the axis' whole interior."""
+def _span(at: int, lo: int, hi: int) -> AxisSpan:
+    """Span of cells ``[lo, hi)`` whose ``-1`` neighbour sits at index ``at``."""
     n = max(0, hi - lo)
     if not n:
         at = 0
     return AxisSpan(slice(at + 1, at + 1 + n), slice(at + 2, at + 2 + n),
-                    lo, hi, n, full, slice(at, at + n))
+                    lo, hi, n, slice(at, at + n))
 
 
 @lru_cache(maxsize=ROW_MEMO_SIZE)
@@ -109,17 +106,16 @@ def axis_row(dom_lo: int, dom_hi: int, block: int, count: int, offset: int,
         if mirror:
             lo, hi = dom_lo + dom_hi - hi, dom_lo + dom_hi - lo
         lo, hi = max(lo, act_lo), min(hi, act_hi)
-        row.append(_span(lo - dom_lo, lo, hi, (lo, hi) == (dom_lo, dom_hi)))
+        row.append(_span(lo - dom_lo, lo, hi))
     return tuple(row)
 
 
 def box_spans(box: Box, domain: Box) -> Spans:
     """Per-axis spans addressing ``box`` in the ring array of ``domain``."""
     (b0, b1, b2), (h0, h1, h2) = box.lo, box.hi
-    (d0, d1, d2), (e0, e1, e2) = domain.lo, domain.hi
-    return (_span(b0 - d0, b0, h0, (b0, h0) == (d0, e0)),
-            _span(b1 - d1, b1, h1, (b1, h1) == (d1, e1)),
-            _span(b2 - d2, b2, h2, (b2, h2) == (d2, e2)))
+    d0, d1, d2 = domain.lo
+    return (_span(b0 - d0, b0, h0), _span(b1 - d1, b1, h1),
+            _span(b2 - d2, b2, h2))
 
 
 def spans_box(spans: Spans) -> Box:

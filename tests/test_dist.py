@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro import Grid3D, PipelineConfig, RelaxedSpec
+from repro.core.executor import PipelineExecutor
+from repro.core.storage import StorageError
 from repro.dist.decomp import CartesianDecomposition
 from repro.dist.simmpi import RankComm, SimMPIError, run_ranks
 from repro.dist.solver import (
     distributed_jacobi_pipelined,
     distributed_jacobi_sweeps,
 )
+from repro.engine import numpy_engine
 from repro.grid import DirichletBoundary, random_field
 from repro.kernels import reference_sweeps
 
@@ -186,3 +191,73 @@ class TestHybridPipelinedSolver:
         assert res.bytes_exchanged > 0
         assert res.halo == 2
         assert res.n_ranks == 2
+
+
+def _x_split(shape, passes=2):
+    grid = Grid3D(shape)
+    field = random_field(grid.shape, np.random.default_rng(13))
+    cfg = PipelineConfig(teams=1, threads_per_team=2, updates_per_thread=1,
+                         block_size=(8, 999, 999), sync=RelaxedSpec(1, 2),
+                         passes=passes)
+    return grid, field, cfg
+
+
+class TestRankLifecycle:
+    """A rank hands its stored box to the executor uncopied and its final
+    core back as a view of the storage, copied once into the result."""
+
+    def test_validated_core_read_catches_a_tampered_level(self, monkeypatch):
+        grid, field, cfg = _x_split((8, 8, 16))
+        run_pass = PipelineExecutor.run_pass
+
+        def tampered(self, p):
+            run_pass(self, p)
+            if p == cfg.passes - 1:
+                # A stored-box centre cell lies in every rank's core.
+                nz, ny, nx = self.grid.shape
+                self.storage.levels[nz // 2, ny // 2, nx // 2] -= 1
+
+        monkeypatch.setattr(PipelineExecutor, "run_pass", tampered)
+        with pytest.raises(StorageError, match="uniformly at level"):
+            distributed_jacobi_pipelined(grid, field, (1, 1, 2), cfg)
+        # Unvalidated, there are no levels to tamper with or check.
+        monkeypatch.setattr(PipelineExecutor, "run_pass", run_pass)
+        res = distributed_jacobi_pipelined(grid, field, (1, 1, 2), cfg,
+                                           validate=False)
+        assert np.array_equal(res.field, reference_sweeps(
+            grid, field, cfg.total_updates))
+        assert res.field.flags.owndata
+
+    def test_peak_allocation_is_rings_plus_the_assembled_field(
+            self, monkeypatch):
+        # While the ranks run, each holds its two ring arrays and its
+        # engine scratch; at assembly, the ring its final level lives in
+        # (the returned core is a view of it) and the assembled field.
+        # At 64^3 one rank's stored box (1.1 MB) is well above the 10 %
+        # slack, so a staging copy of it, or a core copy alive beside
+        # the rings, fails.  A small slab keeps the scratch small.
+        monkeypatch.setattr(numpy_engine, "SLAB_BYTES", 64 << 10)
+        grid, field, cfg = _x_split((64, 64, 64))
+        decomp = CartesianDecomposition(grid.shape, (1, 1, 2),
+                                        cfg.updates_per_pass)
+        rings = sum(np.prod([n + 2 for n in decomp.geometry(r).stored.shape])
+                    for r in range(decomp.n_ranks)) * field.itemsize
+        # Per rank thread two buffers, each one slab's run: at most
+        # FLAT_RUN_MAX times a slab of SLAB_BYTES.
+        scratch = decomp.n_ranks * 2 * (numpy_engine.FLAT_RUN_MAX
+                                        * numpy_engine.SLAB_BYTES)
+        bound = 1.1 * max(2 * rings + scratch, rings + field.nbytes)
+        distributed_jacobi_pipelined(grid, field, (1, 1, 2), cfg,
+                                     validate=False)       # warm imports
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            res = distributed_jacobi_pipelined(grid, field, (1, 1, 2), cfg,
+                                               validate=False)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, f"{peak} B peak, bound {bound:.0f} B"
+        assert np.array_equal(res.field, reference_sweeps(
+            grid, field, cfg.total_updates))

@@ -190,6 +190,18 @@ class TestSharedMemoryFields:
             run_procs(4, _mutate_shared_fn, args=(handle,), timeout=60.0)
             assert arr.tolist() == [1.0, 2.0, 3.0, 4.0]
 
+    @pytest.mark.parametrize("shape, dtype", [
+        ((3, 5, 7), np.float64), ((1023,), np.float32), ((4097, 3), np.int8),
+        ((), np.complex128)])
+    def test_new_arrays_are_zero_without_a_fill(self, shape, dtype):
+        # Odd sizes: a segment's tail page is the kernel's zeros too.
+        with ShmPool() as pool:
+            for _ in range(3):
+                _, arr = pool.create_array(shape, dtype)
+                assert arr.shape == shape and arr.dtype == np.dtype(dtype)
+                assert not arr.reshape(-1).view(np.uint8).any()
+                arr[...] = 1
+
     def test_pool_cleanup_is_idempotent(self):
         pool = ShmPool()
         pool.create_array((8,), np.float64)

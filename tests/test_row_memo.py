@@ -194,7 +194,8 @@ class TestOverheadTripwire:
         # The bound is tight on purpose: one pass loop over CounterBoard
         # measures 33.7 where the polled loop it replaced measured 31.7,
         # and a draft that took the board's lock on every poll and
-        # publish measured 44.6.
+        # publish measured 44.6.  The engine's cost rule walks slabs in
+        # one more call per update (34.8).
         updates = res.stats.updates
         assert updates > 1000
         assert stats.total_calls / updates <= 36, stats.total_calls / updates

@@ -31,7 +31,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 import repro
 from repro import Grid3D, PipelineConfig, RelaxedSpec, reference_sweeps, solve
@@ -41,7 +41,7 @@ from repro.engine import (NumbaDeepEngine, NumbaEngine, get_engine,
                           numpy_engine, register_engine, unregister_engine)
 from repro.engine.numpy_engine import accumulate_padded
 from repro.grid import Box, DirichletBoundary, random_field
-from repro.grid.blocks import axis_row
+from repro.grid.blocks import axis_row, box_spans
 from repro.kernels import (AXIS_OFFSETS, StarStencil, anisotropic_jacobi,
                            jacobi5_2d, jacobi7)
 
@@ -271,19 +271,55 @@ class TestStraightVersion:
 # The flat run
 # ---------------------------------------------------------------------------
 
+def _run_over_cells(shape, first, last):
+    """Flat-run length from cell ``first`` to cell ``last`` (inclusive) of
+    a C-ordered array of ``shape``, over the cells of the box they span."""
+    run = (np.ravel_multi_index(last, shape)
+           - np.ravel_multi_index(first, shape) + 1)
+    return run / np.prod([b - a + 1 for a, b in zip(first, last)])
+
+
+def _rule_path(src, dst, spans):
+    """The slab routine the cost rule picks for a ring-pair region."""
+    sz, sy, sx = spans
+    t = min(sz.n, max(1, numpy_engine.SLAB_BYTES
+                      // (sy.n * sx.n * dst.itemsize)))
+    first = (sz.zero.start, sy.zero.start, sx.zero.start)
+    last = (sz.zero.start + t - 1, sy.zero.stop - 1, sx.zero.stop - 1)
+    flat = (src.flags.c_contiguous and _run_over_cells(src.shape, first, last)
+            <= numpy_engine.FLAT_RUN_MAX)
+    return "_slab_run" if flat else "_slab_views"
+
+
 @pytest.fixture
 def paths(monkeypatch):
-    """Which slab routine ran, and on how many planes: ``[(name, nz)]``."""
+    """Which slab routine ran, and on how many planes: ``[(name, nz)]``.
+
+    Every ring-pair region is also held to the cost rule, recomputed
+    here from flat indices: a slab that took the other routine fails.
+    """
     seen = []
+    region = threading.local()
 
     def spy(name, planes):
         inner = getattr(numpy_engine, name)
 
         def wrapper(*args):
             seen.append((name, planes(*args)))
+            assert getattr(region, "path", name) == name, "not the rule's path"
             inner(*args)
         monkeypatch.setattr(numpy_engine, name, wrapper)
 
+    ring = numpy_engine._accumulate_ring
+
+    def ring_spy(groups, src, dst, spans):
+        region.path = _rule_path(src, dst, spans)
+        try:
+            ring(groups, src, dst, spans)
+        finally:
+            del region.path
+
+    monkeypatch.setattr(numpy_engine, "_accumulate_ring", ring_spy)
     spy("_slab_run", lambda groups, src, first, out: out.shape[0])
     spy("_slab_views", lambda groups, src, dst, sz, sy, sx: sz.n)
     return seen
@@ -292,6 +328,11 @@ def paths(monkeypatch):
 def _padded_case(shape=(5, 6, 7), seed=3):
     grid = Grid3D(shape, boundary=LINEAR)
     return grid, grid.padded(random_field(shape, np.random.default_rng(seed)))
+
+
+#: Wide enough that a full region's run is ≤ 1.37 times its cells; full
+#: 6×7 planes read 1.24 alone but 1.56–1.62 three to five at a time.
+WIDE = (5, 10, 11)
 
 
 STENCIL = anisotropic_jacobi(1.0, 2.0, 0.5).damped(0.8)
@@ -309,8 +350,8 @@ def _check_region(src, lo, hi, paths, expect, dst=None):
 
 class TestFlatRun:
     def test_full_width_regions_run_flat(self, paths):
-        _, src = _padded_case()
-        _check_region(src, (1, 0, 0), (4, 6, 7), paths, "_slab_run")
+        _, src = _padded_case(WIDE)
+        _check_region(src, (1, 0, 0), (4, 10, 11), paths, "_slab_run")
 
     @pytest.mark.parametrize("lo, hi", [
         ((0, 1, 0), (5, 6, 7)), ((0, 0, 0), (5, 5, 7)),
@@ -328,7 +369,10 @@ class TestFlatRun:
         if storage == "compressed" and shape == (1, 1, 1):
             pytest.skip("the compressed grid needs a tiled axis to shift on")
         grid, src = _padded_case(shape)
-        _check_region(src, (0, 0, 0), shape, paths, "_slab_run")
+        # One plane reads 1.0 / 1.24 and runs flat; six planes of one
+        # row or one column read 3.4 / 3.7, mostly ring, and do not.
+        _check_region(src, (0, 0, 0), shape, paths,
+                      "_slab_run" if shape[0] == 1 else "_slab_views")
         field = src[1:-1, 1:-1, 1:-1].copy()
         cfg = PipelineConfig(teams=1, threads_per_team=2,
                              updates_per_thread=1, block_size=block,
@@ -358,15 +402,16 @@ class TestFlatRun:
         assert np.array_equal(src, base)
 
     def test_non_contiguous_destination_still_runs_flat(self, paths):
-        _, src = _padded_case()
+        _, src = _padded_case(WIDE)
         dst = np.asfortranarray(np.full(src.shape, 7.5))
-        _check_region(src, (0, 0, 0), (5, 6, 7), paths, "_slab_run", dst)
+        _check_region(src, (0, 0, 0), WIDE, paths, "_slab_run", dst)
 
     @pytest.mark.parametrize("block", [(2, 99, 99), (2, 3, 4)])
     def test_ghost_ring_is_read_but_never_written(self, paths, block):
         # NaN edges and corners: the run's ghost columns read them into
         # values nobody keeps, silently — and both rings stay as filled.
-        grid = Grid3D((6, 5, 7), boundary=LINEAR)
+        # 9×10 planes: two-plane full slabs read 1.32 and run flat.
+        grid = Grid3D((6, 9, 10), boundary=LINEAR)
         field = random_field(grid.shape, np.random.default_rng(4))
         cfg = PipelineConfig(teams=1, threads_per_team=2,
                              updates_per_thread=2, block_size=block,
@@ -394,15 +439,19 @@ class TestFlatRun:
         assert ring_hash() == before
         assert_same_bits(got, straight_sweeps(STENCIL, grid, field,
                                               cfg.total_updates))
-        assert {name for name, _ in paths} == {
-            "_slab_run" if block[1] == 99 else "_slab_views"}
+        # Full regions run flat; 3×4 blocks take span slices, except the
+        # one-row (run/cells 1.0) regions the shift clips off their edges.
+        assert {name for name, _ in paths} == (
+            {"_slab_run"} if block[1] == 99 else {"_slab_run", "_slab_views"})
 
     @pytest.mark.parametrize("backend", ["simmpi", "procmpi"])
     @pytest.mark.parametrize("topology, expect", [
         ((2, 1, 1), "_slab_run"), ((1, 1, 2), "_slab_views")])
     def test_trapezoid_regions(self, paths, backend, topology, expect):
-        # Cut in z the shrinking active boxes stay full in y and x; cut
-        # in x they are clipped there and fall back to the span slices.
+        # Cut in z the shrinking active boxes stay full in y and x and
+        # run flat.  Cut in x they are clipped there: at 6..10 of a
+        # rank's 12 padded columns some cross the rule and take the span
+        # slices, each region the rule's path (the fixture checks).
         grid = Grid3D((12, 6, 12), boundary=LINEAR)
         field = random_field(grid.shape, np.random.default_rng(5))
         cfg = PipelineConfig(teams=1, threads_per_team=2,
@@ -413,7 +462,120 @@ class TestFlatRun:
         assert_same_bits(got.field, straight_sweeps(STENCIL, grid, field,
                                                     cfg.total_updates))
         if backend == "simmpi":         # procmpi ranks are other processes
-            assert {name for name, _ in paths} == {expect}
+            assert {name for name, _ in paths} == (
+                {expect} if topology[0] == 2 else {"_slab_run", expect})
+
+    @pytest.mark.parametrize("validate", [False, True])
+    def test_x_split_trapezoids_run_flat(self, paths, validate):
+        # dist-halo's geometry scaled down: full y, 16–18 of a rank's 20
+        # padded columns, run/cells 1.16–1.31.  Every region runs flat.
+        grid = Grid3D((16, 32, 32), boundary=LINEAR)
+        field = random_field(grid.shape, np.random.default_rng(12))
+        cfg = PipelineConfig(teams=1, threads_per_team=2,
+                             updates_per_thread=1, block_size=(4, 99, 99),
+                             sync=RelaxedSpec(1, 2), passes=3)
+        got = solve(grid, field, cfg, stencil=STENCIL, topology=(1, 1, 2),
+                    backend="simmpi", validate=validate)
+        assert_same_bits(got.field, reference_sweeps(
+            grid, field, cfg.total_updates, STENCIL))
+        assert {name for name, _ in paths} == {"_slab_run"}
+
+
+#: A 10×12 ring-pair plane (12×14 padded) and regions around the constant.
+RULE_DOMAIN = (3, 10, 12)
+
+
+class TestCostRule:
+    @pytest.mark.parametrize("lo, hi, slab_planes, limit, ratio, want", [
+        # One plane, 9 of 12 columns: the run is exactly 1.5 its cells.
+        ((1, 0, 0), (2, 10, 9), 1, 1.5, 1.5, [("_slab_run", 1)]),
+        ((1, 0, 3), (2, 10, 12), 1, 1.5, 1.5, [("_slab_run", 1)]),
+        # One plane, 8 columns: 1.675.
+        ((1, 0, 2), (2, 10, 10), 1, 1.5, 1.675, [("_slab_views", 1)]),
+        # 10 columns: 1.36 a plane at a time, 1.52 two at a time — the
+        # first slab decides for the region, whose last slab is one plane.
+        ((0, 0, 2), (3, 10, 12), 1, 1.5, 1.36, [("_slab_run", 1)] * 3),
+        ((0, 0, 1), (3, 10, 11), 2, 1.5, 1.52,
+         [("_slab_views", 2), ("_slab_views", 1)]),
+        # The same region once the constant allows 1.52.
+        ((0, 0, 1), (3, 10, 11), 2, 1.55, 1.52,
+         [("_slab_run", 2), ("_slab_run", 1)]),
+    ], ids=["at-lo", "at-hi", "above", "below-thin-slabs", "above-thick-slab",
+            "raised-constant"])
+    def test_regions_at_the_constant(self, paths, monkeypatch, lo, hi,
+                                     slab_planes, limit, ratio, want):
+        _, src = _padded_case(RULE_DOMAIN)
+        plane = (hi[1] - lo[1]) * (hi[2] - lo[2]) * src.itemsize
+        monkeypatch.setattr(numpy_engine, "SLAB_BYTES", slab_planes * plane)
+        monkeypatch.setattr(numpy_engine, "FLAT_RUN_MAX", limit)
+        first = tuple(a + 1 for a in lo)
+        last = (lo[0] + slab_planes, hi[1], hi[2])
+        assert _run_over_cells(src.shape, first, last) == pytest.approx(
+            ratio, abs=5e-3)
+        _check_region(src, lo, hi, paths, want[0][0])
+        assert paths == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(stencil=stencils(), data=st.data())
+    def test_any_ring_region_matches_the_straight_version(self, stencil,
+                                                          data):
+        # Random ring shapes (one-cell axes too), random sub-boxes, random
+        # slab sizes and memory orders: the engine's region update equals
+        # the straight version's, and nothing else of dst or src moves.
+        shape = tuple(data.draw(st.integers(1, 8)) for _ in range(3))
+        lo = tuple(data.draw(st.integers(0, n - 1)) for n in shape)
+        hi = tuple(data.draw(st.integers(a + 1, n)) for a, n in zip(lo, shape))
+        dtype = np.dtype(data.draw(st.sampled_from([np.float64, np.float32])))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        ring = tuple(n + 2 for n in shape)
+        src, dst = (np.asarray(rng.uniform(-2.0, 2.0, ring), dtype=dtype,
+                               order=data.draw(st.sampled_from("CF")))
+                    for _ in range(2))
+        before = src.copy()
+        want = dst.copy()
+        straight_region(stencil, src, want, lo, hi)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numpy_engine, "SLAB_BYTES",
+                       data.draw(st.integers(1, 4096)))
+            event(_rule_path(src, dst, box_spans(Box.make(lo, hi),
+                                                 Box.from_shape(shape))))
+            accumulate_padded(stencil, src, dst, lo, hi)
+        assert_same_bits(dst, want)
+        assert_same_bits(src, before)
+
+
+#: +inf on the low x face, -inf on the high one: a flat run's discarded
+#: lanes add them (row end + next row's start) long before a kept cell
+#: could — twelve columns keep them apart for five sweeps.
+INF_FACES = DirichletBoundary(faces={(2, -1): np.inf, (2, 1): -np.inf})
+
+
+class TestFloatingPointSilence:
+    @pytest.mark.parametrize("rail", ["reference", "shared", "threads",
+                                      "simmpi"])
+    def test_discarded_lanes_raise_nothing(self, paths, rail):
+        # Split in x, a rank's trapezoids run flat at 12–13 columns of
+        # 16 padded ones (6–7 of 10 would not).
+        grid = Grid3D((12, 12, 24 if rail == "simmpi" else 12),
+                      boundary=INF_FACES)
+        field = random_field(grid.shape, np.random.default_rng(14))
+        with np.errstate(all="ignore"):
+            want = _apply_sweeps(jacobi7(), grid, field, 2)
+        cfg = PipelineConfig(teams=1, threads_per_team=2,
+                             updates_per_thread=1, block_size=(4, 12, 12),
+                             sync=RelaxedSpec(1, 2))
+        # Stage and rank threads keep numpy's default error state, so a
+        # warning there is made an error by the filter instead.
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if rail == "reference":
+                got = reference_sweeps(grid, field, 2)
+            else:
+                got = solve(grid, field, cfg, validate=False, backend=rail,
+                            topology=(1, 1, 2) if rail == "simmpi"
+                            else None).field
+        assert_same_bits(got, want)
+        assert "_slab_run" in {name for name, _ in paths}
 
 
 class TestThreads:
@@ -422,11 +584,12 @@ class TestThreads:
         # at a 1 us switch interval, every one driving full-width regions
         # of its own problem through the one registered engine from a
         # cold row memo.  Scratch is per thread; nothing else is shared.
+        # 9–10 × 10 planes: two-plane slabs read ≤ 1.32 and run flat.
         cfg = PipelineConfig(teams=1, threads_per_team=2,
                              updates_per_thread=2, block_size=(2, 99, 99),
                              sync=RelaxedSpec(1, 2), passes=2)
         n_threads = 8
-        shapes = [(6 + i % 3, 5 + i % 2, 7) for i in range(n_threads)]
+        shapes = [(6 + i % 3, 9 + i % 2, 10) for i in range(n_threads)]
         fields = [random_field(s, np.random.default_rng(20 + i))
                   for i, s in enumerate(shapes)]
         want = [reference_sweeps(Grid3D(s), f, cfg.total_updates)
@@ -468,6 +631,37 @@ class TestThreads:
             got = solve(grid, field, cfg, backend="threads")
             assert_same_bits(got.field, want)
         assert {name for name, _ in paths} == {"_slab_run"}
+
+    def test_hammer_flat_runs_over_cells_another_stage_writes(self, paths,
+                                                               monkeypatch):
+        # Tiled on all three axes, (4, 22, 22) regions are not full yet
+        # run flat (run/cells 1.34): their discarded lanes are interior
+        # cells of the neighbouring blocks, which the other stage thread
+        # may be writing right then.  Only kept cells may reach dst.
+        grid = Grid3D((24, 24, 24), boundary=LINEAR)
+        field = random_field(grid.shape, np.random.default_rng(15))
+        cfg = PipelineConfig(teams=1, threads_per_team=2,
+                             updates_per_thread=2, block_size=(4, 22, 22),
+                             sync=RelaxedSpec(1, 2), passes=2)
+        want = reference_sweeps(grid, field, cfg.total_updates, STENCIL)
+        widths = []
+        slab_run = numpy_engine._slab_run
+
+        def spy(groups, src, first, out):
+            widths.append(out.shape[1:])
+            slab_run(groups, src, first, out)
+        monkeypatch.setattr(numpy_engine, "_slab_run", spy)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                got = solve(grid, field, cfg, stencil=STENCIL,
+                            backend="threads", validate=True)
+                assert_same_bits(got.field, want)
+        finally:
+            sys.setswitchinterval(interval)
+        assert any(w != grid.shape[1:] and min(w) > 1 for w in widths)
+        assert "_slab_views" in {name for name, _ in paths}
 
 
 # ---------------------------------------------------------------------------
