@@ -45,10 +45,10 @@ class SolveResult:
     field: np.ndarray
     #: Time levels the field was advanced by.
     levels_advanced: int
-    #: Aggregate executor counters (``None`` for non-pipelined solvers).
-    stats: Optional[ExecutionStats]
-    #: The pipeline configuration (``None`` for non-pipelined solvers).
-    config: Optional[PipelineConfig]
+    #: Aggregate executor counters, summed over every rank.
+    stats: ExecutionStats
+    #: The pipeline configuration every rank ran.
+    config: PipelineConfig
     #: Which backend produced this result (one of ``repro.BACKENDS``).
     backend: str = "shared"
     #: Process-grid topology the solve ran on.
@@ -69,22 +69,22 @@ class SolveResult:
     @property
     def cells_updated(self) -> int:
         """Total cell updates performed (incl. trapezoid extra work)."""
-        return self.stats.cells_updated if self.stats is not None else 0
+        return self.stats.cells_updated
 
     def to_json(self) -> Dict[str, Any]:
         """Everything but ``field`` and the traces, JSON-ready;
         :meth:`from_json` rebuilds the result around a field."""
         doc = {f.name: getattr(self, f.name) for f in fields(self)
                if f.name not in ("field", "trace")}
-        return dict(doc, stats=self.stats and self.stats.to_json(),
-                    config=self.config and self.config.to_json())
+        return dict(doc, stats=self.stats.to_json(),
+                    config=self.config.to_json())
 
     @classmethod
     def from_json(cls, doc: Dict[str, Any], field: np.ndarray) -> "SolveResult":
         return cls(**dict(
             doc, field=field, topology=tuple(doc["topology"]),
-            stats=doc["stats"] and ExecutionStats(**doc["stats"]),
-            config=doc["config"] and PipelineConfig.from_json(doc["config"])))
+            stats=ExecutionStats(**doc["stats"]),
+            config=PipelineConfig.from_json(doc["config"])))
 
 
 def plan(grid: Grid3D, config: PipelineConfig, verify_coverage: bool = True):

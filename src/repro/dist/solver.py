@@ -1,36 +1,36 @@
 """Distributed-memory solvers: multi-halo Jacobi and the hybrid scheme.
 
-Two front-ends, both returning the unified
+Two front-ends over *one* per-rank body, both returning the unified
 :class:`~repro.core.pipeline.SolveResult`:
 
-* :func:`distributed_jacobi_sweeps` — the paper's Sect. 2.1 scheme in
-  isolation: exchange ``h`` ghost layers, run ``h`` plain Jacobi updates
-  where update ``s`` covers a region ``h − s`` layers larger than the
-  core (the shrinking trapezoid), repeat.  Ground truth for the hybrid
-  scheme and the cheapest way to see the ghost-cell expansion work.
-
-* :func:`distributed_jacobi_pipelined` — the paper's headline hybrid:
-  every rank drives the *shared-memory* pipelined executor
+* :func:`distributed_jacobi_pipelined` — the paper's headline hybrid
+  (Sect. 2.2): every rank drives the *shared-memory* pipelined executor
   (:class:`~repro.core.executor.PipelineExecutor`) over its trapezoid via
   the executor's ``active_fn`` hook, with ``h = n·t·T`` chosen so one
   executor pass consumes exactly one halo exchange.  Between passes the
   ranks run the 3-phase ghost-cell-expansion exchange of
   :mod:`repro.dist.exchange` over a :class:`~repro.dist.comm.Comm`.
 
-Both front-ends run on either **transport**: ``"simmpi"`` executes one
-thread per rank (:func:`repro.dist.simmpi.run_ranks`), ``"procmpi"`` one
-OS process per rank (:func:`repro.dist.procmpi.run_procs`) with the
-global field, the assembled result and the halo rings living in
-:mod:`multiprocessing.shared_memory` blocks.  The per-rank algorithm is
-*one* function shared by both transports (:func:`_sweeps_rank_body` /
-:func:`_pipelined_rank_body`), so the transports cannot diverge — the
-cross-backend differential battery in ``tests/test_backend_equivalence``
-pins them bit-identical to each other.
+* :func:`distributed_jacobi_sweeps` — the paper's Sect. 2.1 scheme in
+  isolation: exchange ``h`` ghost layers, run ``h`` plain Jacobi updates
+  where update ``s`` covers a region ``h − s`` layers larger than the
+  core (the shrinking trapezoid), repeat.  It is the hybrid's one-stage,
+  ``T = h`` case on one untiled block, so it runs the same rank body.
+
+Both run on either **transport**: ``"simmpi"`` executes one thread per
+rank (:func:`repro.dist.simmpi.run_ranks`), ``"procmpi"`` one OS process
+per rank (:func:`repro.dist.procmpi.run_procs`) with the global field,
+the assembled result and the halo rings living in
+:mod:`multiprocessing.shared_memory` blocks.  The per-rank algorithm
+(:func:`_pipelined_rank_body`) is shared by both transports, so they
+cannot diverge — the cross-backend differential battery in
+``tests/test_backend_equivalence`` pins them bit-identical to each other.
 
 Every ghost cell a rank updates is *also* updated by its owner from the
-same inputs, so the redundant trapezoid work is bit-consistent across
-ranks and the assembled field matches the single-domain solver to
-floating-point accuracy — which ``tests/test_dist.py`` pins at 1e-13.
+same inputs and the same per-cell floating-point sequence, so the
+redundant trapezoid work is bit-consistent across ranks and the
+assembled field is byte-identical to ``reference_sweeps`` on the
+undecomposed domain.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from ..core.pipeline import SolveResult
 from ..grid.grid3d import DirichletBoundary, Grid3D
 from ..grid.region import Box
 from ..kernels.jacobi import jacobi7
-from ..kernels.reference import reference_sweep_region
 from ..kernels.stencils import StarStencil
 from ..obs.tracer import NULL_TRACER, Tracer
 from .comm import Comm
@@ -168,51 +167,6 @@ def _neg(off: Coord) -> Coord:
 # Per-rank algorithm bodies, shared by the thread and process transports.
 # ---------------------------------------------------------------------------
 
-def _sweeps_rank_body(comm: Comm, rank: int, boundary: DirichletBoundary,
-                      dtype, decomp: CartesianDecomposition,
-                      plan: List[ExchangeEntry], stored_field: np.ndarray,
-                      supersteps: int, halo: int, stencil: StarStencil,
-                      engine: str = "numpy",
-                      ) -> Tuple[Box, np.ndarray, int, int]:
-    """One rank of the multi-halo sweeps scheme.
-
-    ``stored_field`` holds the rank's stored-box values (a view is fine;
-    it is copied immediately).  Returns the global core box, a view of
-    its final values, and the traffic counters.  ``engine`` picks the
-    kernel-execution engine for the trapezoid sweeps — resolved from
-    the registry *inside* the rank, so both transports (threads and
-    spawned processes) dispatch identically.
-    """
-    geo = decomp.geometry(rank)
-    off = geo.stored.lo
-    neg = _neg(off)
-    lgrid = Grid3D(geo.stored.shape,
-                   boundary=_shifted_boundary(boundary, off),
-                   dtype=dtype)
-    # Padded pair: local stored box + the one-cell Dirichlet ring.
-    cur = lgrid.padded(stored_field)
-    nxt = cur.copy()
-    core_l = geo.core.shift(neg)
-    nbytes = messages = 0
-
-    def extract(box: Box) -> np.ndarray:
-        return cur[box.shift(neg).slices((1, 1, 1))].copy()
-
-    def inject(box: Box, vals: np.ndarray) -> None:
-        cur[box.shift(neg).slices((1, 1, 1))] = vals
-
-    for _ in range(supersteps):
-        b, m = _run_exchange(comm, plan, extract, inject)
-        nbytes += b
-        messages += m
-        for s in range(1, halo + 1):
-            region = core_l.grow(halo - s).intersect(lgrid.domain)
-            reference_sweep_region(cur, nxt, region.lo, region.hi, stencil,
-                                   engine=engine)
-            cur, nxt = nxt, cur
-    return geo.core, cur[core_l.slices((1, 1, 1))], nbytes, messages
-
-
 def _pipelined_rank_body(comm: Comm, rank: int, boundary: DirichletBoundary,
                          dtype, decomp: CartesianDecomposition,
                          plan: List[ExchangeEntry], stored_field: np.ndarray,
@@ -284,31 +238,14 @@ class _ProcTask:
     stencil: StarStencil
     field_in: ShmArrayHandle
     field_out: ShmArrayHandle
-    # sweeps parameters (the pipelined path carries its engine inside
-    # ``config``, so the spawned ranks inherit it with no extra plumbing)
-    supersteps: int = 0
-    engine: str = "numpy"
-    # pipelined parameters
-    config: Optional[PipelineConfig] = None
+    #: The rank's pipeline; its ``engine`` rides along, so spawned
+    #: ranks dispatch the same kernels as thread ranks.
+    config: PipelineConfig
     order: str = "round_robin"
     validate: bool = True
     #: Record an observability trace in the rank and ship it back with
     #: the results (defaulted, so pickled tasks stay compatible).
     trace: bool = False
-
-
-def _proc_sweeps_entry(comm: Comm, rank: int, task: _ProcTask):
-    decomp = CartesianDecomposition(task.shape, task.proc_grid, task.halo)
-    plan = exchange_plan(decomp, decomp.geometry(rank))
-    with attach_array(task.field_in) as fin, \
-            attach_array(task.field_out) as fout:
-        geo = decomp.geometry(rank)
-        core, vals, nbytes, messages = _sweeps_rank_body(
-            comm, rank, task.boundary, np.dtype(task.dtype), decomp, plan,
-            fin[geo.stored.slices()], task.supersteps, task.halo,
-            task.stencil, engine=task.engine)
-        fout[core.slices()] = vals
-    return core, nbytes, messages
 
 
 def _proc_pipelined_entry(comm: Comm, rank: int, task: _ProcTask):
@@ -337,11 +274,12 @@ class ProcSolverSession:
     shared-memory field blocks and (3) the per-pair halo rings *per
     call*.  This session hoists all three into construction time: it
     owns a :class:`~repro.dist.procmpi.ProcWorld` plus the input/output
-    field segments, and :meth:`solve_pipelined` / :meth:`solve_sweeps`
-    only copy the field in, dispatch one job to the warm ranks and read
-    the assembled result back.  ``repro.serve``'s worker pools keep
-    sessions alive across jobs; the one-shot front-ends below create and
-    close one per call, so both paths execute identical code.
+    field segments, and its one solve method, :meth:`solve_pipelined`,
+    only copies the field in, dispatches one job to the warm ranks and
+    reads the assembled result back (the multi-halo sweeps are its
+    one-stage config).  ``repro.serve``'s worker pools keep sessions
+    alive across jobs; the one-shot front-ends below create and close
+    one per call, so both paths execute identical code.
 
     A session is keyed by ``(shape, dtype, proc_grid, halo)`` — see
     :meth:`compatible`.  Boundary, stencil and pipeline config travel
@@ -404,9 +342,21 @@ class ProcSolverSession:
                 and self.proc_grid == tuple(int(p) for p in proc_grid)
                 and self.halo == int(halo))
 
-    def _run(self, entry, grid: Grid3D, field: np.ndarray,
-             stencil: StarStencil, **task_kwargs):
-        """One job against the warm world: seed, dispatch, read back."""
+    def solve_pipelined(self, grid: Grid3D, field: np.ndarray,
+                        config: PipelineConfig,
+                        stencil: Optional[StarStencil] = None,
+                        order: str = "round_robin",
+                        validate: bool = True,
+                        tracer: Tracer = NULL_TRACER) -> SolveResult:
+        """The hybrid scheme on the warm ranks; ``h`` must match the session.
+
+        Seeds the input segment, dispatches one job to the warm world and
+        reads the assembled result back.
+        """
+        if config.updates_per_pass != self.halo:
+            raise ValueError(
+                f"config h={config.updates_per_pass} != session halo "
+                f"{self.halo}")
         if self.closed:
             raise ProcMPIError("this solver session is closed")
         if grid.shape != self.shape or np.dtype(grid.dtype) != self.dtype:
@@ -420,40 +370,27 @@ class ProcSolverSession:
         task = _ProcTask(shape=self.shape, dtype=self.dtype.str,
                          boundary=grid.boundary,
                          proc_grid=self.proc_grid, halo=self.halo,
-                         stencil=stencil, field_in=self._fin_handle,
-                         field_out=self._fout_handle, **task_kwargs)
+                         stencil=stencil or jacobi7(),
+                         field_in=self._fin_handle,
+                         field_out=self._fout_handle, config=config,
+                         order=order, validate=validate,
+                         trace=tracer.enabled)
+        # Anchor for merging rank traces: the ranks' clock origins are
+        # not comparable to ours under spawn, so their spans are slid
+        # onto this dispatch timestamp when absorbed.
+        dispatch = time.perf_counter()
         try:
-            outs = self._world.run_job(entry, args=(task,))
+            outs = self._world.run_job(_proc_pipelined_entry, args=(task,))
         except BaseException:
             # Crash-only: the world is already down; release the field
             # segments too so a failed session never leaks /dev/shm.
             self.close()
             raise
         self.solves += 1
-        return outs, np.array(self._fout, copy=True)
-
-    def solve_pipelined(self, grid: Grid3D, field: np.ndarray,
-                        config: PipelineConfig,
-                        stencil: Optional[StarStencil] = None,
-                        order: str = "round_robin",
-                        validate: bool = True,
-                        tracer: Tracer = NULL_TRACER) -> SolveResult:
-        """The hybrid scheme on the warm ranks; ``h`` must match the session."""
-        if config.updates_per_pass != self.halo:
-            raise ValueError(
-                f"config h={config.updates_per_pass} != session halo "
-                f"{self.halo}")
-        # Anchor for merging rank traces: the ranks' clock origins are
-        # not comparable to ours under spawn, so their spans are slid
-        # onto this dispatch timestamp when absorbed.
-        dispatch = time.perf_counter()
-        outs, assembled = self._run(
-            _proc_pipelined_entry, grid, field, stencil or jacobi7(),
-            config=config, order=order, validate=validate,
-            trace=tracer.enabled)
+        assembled = np.array(self._fout, copy=True)
         if tracer.enabled:
             for rank, o in enumerate(outs):
-                if len(o) > 4 and o[4] is not None:
+                if o[4] is not None:
                     tracer.absorb(o[4], pid=rank + 1, at=dispatch,
                                   label=f"rank {rank} (proc)")
         return SolveResult(
@@ -461,29 +398,6 @@ class ProcSolverSession:
             levels_advanced=config.total_updates,
             stats=ExecutionStats().merge(*(o[3] for o in outs)),
             config=config,
-            backend="procmpi",
-            topology=self.proc_grid,
-            n_ranks=self.decomp.n_ranks,
-            halo=self.halo,
-            bytes_exchanged=sum(o[1] for o in outs),
-            messages=sum(o[2] for o in outs),
-        )
-
-    def solve_sweeps(self, grid: Grid3D, field: np.ndarray,
-                     supersteps: int,
-                     stencil: Optional[StarStencil] = None,
-                     engine: str = "numpy") -> SolveResult:
-        """The multi-halo sweeps scheme on the warm ranks."""
-        if supersteps < 1:
-            raise ValueError("supersteps must be >= 1")
-        outs, assembled = self._run(
-            _proc_sweeps_entry, grid, field, stencil or jacobi7(),
-            supersteps=supersteps, engine=engine)
-        return SolveResult(
-            field=assembled,
-            levels_advanced=supersteps * self.halo,
-            stats=None,
-            config=None,
             backend="procmpi",
             topology=self.proc_grid,
             n_ranks=self.decomp.n_ranks,
@@ -523,45 +437,27 @@ def distributed_jacobi_sweeps(
     """``supersteps`` rounds of (h-layer exchange, then h trapezoid sweeps).
 
     Advances the field by ``supersteps * halo`` time levels, equal to that
-    many plain Jacobi sweeps on the undecomposed domain.  ``transport``
-    picks thread ranks (``"simmpi"``) or process ranks (``"procmpi"``);
-    ``engine`` picks the kernel-execution engine (bit-identical across
-    engines, so it moves throughput only).
+    many plain Jacobi sweeps on the undecomposed domain.  This is the
+    hybrid scheme at its smallest: one stage doing ``T = halo`` updates
+    per pass on one block as large as the domain, so update ``s`` of a
+    superstep covers the core grown by ``halo − s`` layers — the
+    shrinking trapezoid — and each pass drains one exchange.
+    ``transport`` picks thread ranks (``"simmpi"``) or process ranks
+    (``"procmpi"``); ``engine`` picks the kernel-execution engine
+    (bit-identical across engines, so it moves throughput only).
     """
     if supersteps < 1:
         raise ValueError("supersteps must be >= 1")
-    _check_transport(transport)
-    st = stencil or jacobi7()
-    decomp, plans = _prepare(grid, field, proc_grid, halo)
-
-    if transport == "procmpi":
-        # One-shot session: identical code path to the serve layer's
-        # warm pools, paying the full setup for this single solve.
-        with ProcSolverSession(grid.shape, grid.dtype, decomp.proc_grid,
-                               halo, decomp=decomp, plans=plans) as session:
-            return session.solve_sweeps(grid, field, supersteps, stencil=st,
-                                        engine=engine)
-
-    def rank_fn(comm: Comm, rank: int):
-        geo = decomp.geometry(rank)
-        return _sweeps_rank_body(comm, rank, grid.boundary, grid.dtype,
-                                 decomp, plans[rank],
-                                 field[geo.stored.slices()], supersteps,
-                                 halo, st, engine=engine)
-
-    outs = run_ranks(decomp.n_ranks, rank_fn)
-    return SolveResult(
-        field=_assemble(grid, [(core, vals) for core, vals, _, _ in outs]),
-        levels_advanced=supersteps * halo,
-        stats=None,
-        config=None,
-        backend="simmpi",
-        topology=decomp.proc_grid,
-        n_ranks=decomp.n_ranks,
-        halo=halo,
-        bytes_exchanged=sum(o[2] for o in outs),
-        messages=sum(o[3] for o in outs),
-    )
+    if halo < 1:
+        raise ValueError(f"halo must be >= 1, got {halo}")
+    config = PipelineConfig(teams=1, threads_per_team=1,
+                            updates_per_thread=halo, passes=supersteps,
+                            block_size=grid.shape, engine=engine)
+    # Level validation would triple the cost of this plain scheme; its
+    # results are pinned byte-equal to ``reference_sweeps`` instead.
+    return distributed_jacobi_pipelined(grid, field, proc_grid, config,
+                                        stencil=stencil, validate=False,
+                                        transport=transport)
 
 
 # ---------------------------------------------------------------------------

@@ -419,7 +419,7 @@ def calibrate(engines: Optional[Sequence[str]] = None,
                 t0 = clock()
                 res = run_pipelined(grid, field, ecfg, validate=False)
                 t1 = clock()
-                cells = res.stats.cells_updated if res.stats else 0
+                cells = res.cells_updated
                 dt = t1 - t0
                 if dt > 0.0 and cells > 0:
                     best = max(best, cells / dt / 1e6)

@@ -226,7 +226,7 @@ def _sum_host_kernel(cells: int):
 
 
 def _sum_solve(payload, wall: float) -> Dict[str, Metric]:
-    cells = payload.stats.cells_updated if payload.stats else 0
+    cells = payload.cells_updated
     out = {
         "mcups": Metric(ratio(cells, wall) / 1e6, unit="Mcell/s",
                         gate=False),
@@ -634,8 +634,7 @@ def _register_solvers() -> None:
                 "not_worse": measured[chosen] >= measured[DEFAULT_ENGINE],
                 "bit_identical": bool(np.array_equal(res_auto.field,
                                                      res_def.field)),
-                "cells": (res_auto.stats.cells_updated
-                          if res_auto.stats else 0),
+                "cells": res_auto.cells_updated,
             }
 
         register(Scenario(

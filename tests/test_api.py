@@ -19,6 +19,7 @@ from repro import (
 )
 from repro.core.executor import ExecutionStats
 from repro.core.schedule import make_decomposition
+from repro.dist.decomp import CartesianDecomposition
 from repro.dist.solver import distributed_jacobi_sweeps
 from repro.grid import random_field
 from repro.kernels import reference_sweeps
@@ -42,9 +43,8 @@ class TestDispatch:
         res = solve(grid, field, cfg)
         assert res.backend == "shared"
         assert res.n_ranks == 1 and res.topology == (1, 1, 1)
-        np.testing.assert_allclose(
-            res.field, reference_sweeps(grid, field, cfg.total_updates),
-            rtol=0, atol=1e-13)
+        assert (res.field.tobytes()
+                == reference_sweeps(grid, field, cfg.total_updates).tobytes())
 
     def test_simmpi_dispatch(self):
         grid, field, cfg = small_problem()
@@ -52,21 +52,19 @@ class TestDispatch:
         assert res.backend == "simmpi"
         assert res.n_ranks == 2 and res.topology == (2, 1, 1)
         assert res.halo == cfg.updates_per_pass
-        np.testing.assert_allclose(
-            res.field, reference_sweeps(grid, field, cfg.total_updates),
-            rtol=0, atol=1e-13)
+        assert (res.field.tobytes()
+                == reference_sweeps(grid, field, cfg.total_updates).tobytes())
 
     def test_procmpi_dispatch(self):
-        # The PR's acceptance shape: procmpi on (1, 1, 2) must be
-        # allclose to the shared backend.
+        # The acceptance shape: procmpi on (1, 1, 2) must be
+        # byte-identical to the shared backend.
         grid, field, cfg = small_problem()
         shared = solve(grid, field, cfg)
         res = solve(grid, field, cfg, topology=(1, 1, 2), backend="procmpi")
         assert res.backend == "procmpi"
         assert res.n_ranks == 2 and res.topology == (1, 1, 2)
         assert res.halo == cfg.updates_per_pass
-        np.testing.assert_allclose(res.field, shared.field,
-                                   rtol=0, atol=1e-13)
+        assert res.field.tobytes() == shared.field.tobytes()
 
     def test_backends_bit_identical_on_trivial_topology(self):
         grid, field, cfg = small_problem()
@@ -103,10 +101,8 @@ class TestDispatch:
         res = solve(grid, field, cfg, backend=backend, stencil=st,
                     validate=validate)
         assert res.backend == backend
-        np.testing.assert_allclose(
-            res.field,
-            reference_sweeps(grid, field, cfg.total_updates, stencil=st),
-            rtol=0, atol=1e-13)
+        ref = reference_sweeps(grid, field, cfg.total_updates, stencil=st)
+        assert res.field.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("package", ["repro", "repro.core", "repro.dist",
                                          "repro.obs", "repro.serve",
@@ -132,13 +128,38 @@ class TestResultParity:
         assert dist.messages > 0 and dist.bytes_exchanged > 0
 
     def test_sweeps_solver_returns_solve_result(self):
+        # The multi-halo sweeps count every trapezoid cell their ranks
+        # update: per rank and superstep, |core.grow(h - s) ∩ stored|
+        # for s = 1..h, derived from the decomposition alone.
+        for shape, topo, supersteps, halo, want in [
+                ((12, 10, 8), (2, 1, 1), 2, 2, 4160),
+                ((10, 9, 8), (1, 1, 2), 2, 2, 3240)]:
+            grid = Grid3D(shape)
+            field = random_field(shape, RNG)
+            res = distributed_jacobi_sweeps(grid, field, topo,
+                                            supersteps=supersteps, halo=halo)
+            assert isinstance(res, SolveResult)
+            assert res.levels_advanced == supersteps * halo
+            assert res.config.n_stages == 1
+            assert res.config.updates_per_pass == halo
+            decomp = CartesianDecomposition(shape, topo, halo)
+            cells = 0
+            for rank in range(decomp.n_ranks):
+                geo = decomp.geometry(rank)
+                cells += supersteps * sum(
+                    geo.core.grow(halo - s).intersect(geo.stored).ncells
+                    for s in range(1, halo + 1))
+            assert cells == want
+            assert res.cells_updated == res.stats.cells_updated == cells
+
+    def test_sweeps_solver_keeps_its_argument_errors(self):
         grid, field, _ = small_problem()
-        res = distributed_jacobi_sweeps(grid, field, (2, 1, 1),
-                                        supersteps=1, halo=2)
-        assert isinstance(res, SolveResult)
-        assert res.stats is None and res.config is None
-        assert res.levels_advanced == 2
-        assert res.cells_updated == 0  # no executor stats to count
+        with pytest.raises(ValueError, match="halo must be >= 1"):
+            distributed_jacobi_sweeps(grid, field, (2, 1, 1),
+                                      supersteps=1, halo=0)
+        with pytest.raises(ValueError, match="supersteps must be >= 1"):
+            distributed_jacobi_sweeps(grid, field, (2, 1, 1),
+                                      supersteps=0, halo=2)
 
     def test_stats_aggregated_across_ranks(self):
         grid, field, cfg = small_problem()

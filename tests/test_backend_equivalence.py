@@ -4,11 +4,10 @@ The correctness story of the ``procmpi`` backend is carried entirely by
 differential testing: every backend runs the *same* problem and the
 fields must agree — bit-identically on a ``(1, 1, 1)`` topology and
 between the two distributed transports on any topology (same per-rank
-body, same exchange plan, different transport), and to 1e-13 against
+body, same exchange plan, different transport) — and byte-identical to
 the shared backend and the plain-Jacobi reference on multi-rank
-topologies (rank trapezoids reorder no arithmetic, but assembling from
-different subdomain layouts is only guaranteed to floating-point
-accuracy).
+topologies too (a rank's trapezoid and its owner update every ghost cell
+with the same per-cell floating-point sequence).
 
 The battery sweeps seeded randomized grids × kernels (7-point Jacobi,
 embedded-2-D and anisotropic star stencils, plus the D2Q9 LBM kernel
@@ -109,9 +108,9 @@ class TestKernelTopologyMatrix:
         shared, sim, proc = run_all_backends(grid, field, cfg, topology,
                                              stencil=st)
         ref = reference_sweeps(grid, field, cfg.total_updates, stencil=st)
-        np.testing.assert_allclose(shared.field, ref, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(sim.field, ref, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(proc.field, ref, rtol=0, atol=1e-13)
+        assert shared.field.tobytes() == ref.tobytes()
+        assert sim.field.tobytes() == ref.tobytes()
+        assert proc.field.tobytes() == ref.tobytes()
         assert np.array_equal(sim.field, proc.field)
         assert_metadata_consistent(shared, sim, proc, cfg, topology)
 
@@ -138,8 +137,8 @@ class TestRandomizedProblems:
         field = random_field(shape, rng)
         shared, sim, proc = run_all_backends(grid, field, cfg, topology)
         ref = reference_sweeps(grid, field, cfg.total_updates)
-        np.testing.assert_allclose(proc.field, ref, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(sim.field, ref, rtol=0, atol=1e-13)
+        assert proc.field.tobytes() == ref.tobytes()
+        assert sim.field.tobytes() == ref.tobytes()
         assert np.array_equal(sim.field, proc.field)
         assert_metadata_consistent(shared, sim, proc, cfg, topology)
 
@@ -156,7 +155,7 @@ class TestSweepsSolverTransports:
                                          transport="procmpi")
         ref = reference_sweeps(grid, field, 4)
         assert np.array_equal(sim.field, proc.field)
-        np.testing.assert_allclose(proc.field, ref, rtol=0, atol=1e-13)
+        assert proc.field.tobytes() == ref.tobytes()
         assert sim.bytes_exchanged == proc.bytes_exchanged
         assert sim.messages == proc.messages
         assert (sim.levels_advanced, sim.halo) \

@@ -6,11 +6,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import Grid3D, PipelineConfig, RelaxedSpec
 from repro.core.executor import PipelineExecutor
 from repro.core.storage import StorageError
 from repro.dist.decomp import CartesianDecomposition
+from repro.dist.exchange import exchange_plan
 from repro.dist.simmpi import RankComm, SimMPIError, run_ranks
 from repro.dist.solver import (
     distributed_jacobi_pipelined,
@@ -19,6 +21,7 @@ from repro.dist.solver import (
 from repro.engine import numpy_engine
 from repro.grid import DirichletBoundary, random_field
 from repro.kernels import reference_sweeps
+from repro.kernels.jacobi import anisotropic_jacobi, jacobi5_2d, jacobi7
 
 RNG = np.random.default_rng(5)
 
@@ -108,7 +111,7 @@ class TestSweepSolver:
         res = distributed_jacobi_sweeps(grid, field, proc_grid,
                                         supersteps=2, halo=2)
         ref = reference_sweeps(grid, field, 4)
-        np.testing.assert_allclose(res.field, ref, rtol=0, atol=1e-13)
+        assert res.field.tobytes() == ref.tobytes()
 
     def test_larger_halo(self):
         grid = Grid3D((16, 12, 12))
@@ -116,7 +119,7 @@ class TestSweepSolver:
         res = distributed_jacobi_sweeps(grid, field, (2, 2, 1),
                                         supersteps=1, halo=4)
         ref = reference_sweeps(grid, field, 4)
-        np.testing.assert_allclose(res.field, ref, rtol=0, atol=1e-13)
+        assert res.field.tobytes() == ref.tobytes()
 
     def test_corner_data_via_expansion(self):
         # 2x2x2 grid forces diagonal dependencies through all corners;
@@ -126,7 +129,7 @@ class TestSweepSolver:
         res = distributed_jacobi_sweeps(grid, field, (2, 2, 2),
                                         supersteps=2, halo=3)
         ref = reference_sweeps(grid, field, 6)
-        np.testing.assert_allclose(res.field, ref, rtol=0, atol=1e-13)
+        assert res.field.tobytes() == ref.tobytes()
 
     def test_nonzero_boundary(self):
         bc = DirichletBoundary(1.0, faces={(0, -1): -2.0, (1, 1): 3.0})
@@ -135,7 +138,7 @@ class TestSweepSolver:
         res = distributed_jacobi_sweeps(grid, field, (2, 2, 1),
                                         supersteps=2, halo=2)
         ref = reference_sweeps(grid, field, 4)
-        np.testing.assert_allclose(res.field, ref, rtol=0, atol=1e-13)
+        assert res.field.tobytes() == ref.tobytes()
 
     def test_single_rank_degenerate(self):
         grid = Grid3D((8, 8, 8))
@@ -143,7 +146,7 @@ class TestSweepSolver:
         res = distributed_jacobi_sweeps(grid, field, (1, 1, 1),
                                         supersteps=3, halo=2)
         ref = reference_sweeps(grid, field, 6)
-        np.testing.assert_allclose(res.field, ref, rtol=0, atol=1e-13)
+        assert res.field.tobytes() == ref.tobytes()
 
     def test_halo_thicker_than_core_rejected(self):
         grid = Grid3D((8, 8, 8))
@@ -151,6 +154,75 @@ class TestSweepSolver:
         with pytest.raises(ValueError, match="at least h cells"):
             distributed_jacobi_sweeps(grid, field, (4, 1, 1),
                                       supersteps=1, halo=4)
+
+
+def _ramp_boundary(z, y, x):
+    # Module-level so procmpi ranks can unpickle it under spawn.
+    return 0.25 * z - 0.5 * y + 0.125 * x
+
+
+def _planned_traffic(grid, proc_grid, supersteps, halo):
+    """(bytes, messages) read off every rank's exchange plan."""
+    decomp = CartesianDecomposition(grid.shape, proc_grid, halo)
+    sends = [send for r in range(decomp.n_ranks)
+             for (_, _, _, send, _) in exchange_plan(decomp,
+                                                     decomp.geometry(r))]
+    itemsize = np.dtype(grid.dtype).itemsize
+    return (supersteps * sum(b.ncells * itemsize for b in sends),
+            supersteps * len(sends))
+
+
+_DIFF_STENCILS = {"jacobi7": jacobi7, "jacobi5_2d": jacobi5_2d,
+                  "anisotropic": lambda: anisotropic_jacobi(1.0, 2.0, 0.5)}
+
+
+@st.composite
+def _sweeps_problems(draw):
+    halo = draw(st.integers(1, 4))
+    supersteps = draw(st.integers(1, 3))
+    proc_grid = tuple(draw(st.integers(1, 2)) for _ in range(3))
+    # Every rank core must be at least h cells thick along a cut axis.
+    shape = tuple(draw(st.integers(p * halo if p > 1 else 1,
+                                   max(p * halo, 4) + 4))
+                  for p in proc_grid)
+    stencil = draw(st.sampled_from(sorted(_DIFF_STENCILS)))
+    if draw(st.booleans()):
+        bc = DirichletBoundary(0.5, func=_ramp_boundary)
+    else:
+        bc = DirichletBoundary(draw(st.floats(-2, 2)),
+                               faces={(0, -1): draw(st.floats(-2, 2)),
+                                      (2, 1): draw(st.floats(-2, 2))})
+    seed = draw(st.integers(0, 2**16))
+    return shape, proc_grid, halo, supersteps, stencil, bc, seed
+
+
+class TestSweepsDifferential:
+    """The sweeps scheme against the plain reference and the plan."""
+
+    @staticmethod
+    def _check(shape, proc_grid, halo, supersteps, stencil, bc, seed,
+               transport):
+        grid = Grid3D(shape, boundary=bc)
+        field = random_field(shape, np.random.default_rng(seed))
+        sten = _DIFF_STENCILS[stencil]()
+        res = distributed_jacobi_sweeps(grid, field, proc_grid,
+                                        supersteps=supersteps, halo=halo,
+                                        stencil=sten, transport=transport)
+        ref = reference_sweeps(grid, field, supersteps * halo, stencil=sten)
+        assert res.field.tobytes() == ref.tobytes()
+        assert res.levels_advanced == supersteps * halo
+        assert (res.bytes_exchanged, res.messages) == _planned_traffic(
+            grid, proc_grid, supersteps, halo)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_sweeps_problems())
+    def test_simmpi_matches_reference_and_plan(self, problem):
+        self._check(*problem, transport="simmpi")
+
+    def test_procmpi_matches_reference_and_plan(self):
+        bc = DirichletBoundary(0.5, func=_ramp_boundary)
+        self._check((10, 9, 8), (2, 1, 2), 3, 2, "anisotropic", bc, 4,
+                    transport="procmpi")
 
 
 class TestHybridPipelinedSolver:
@@ -162,7 +234,7 @@ class TestHybridPipelinedSolver:
                              sync=RelaxedSpec(1, 2), passes=2)
         res = distributed_jacobi_pipelined(grid, field, (2, 1, 1), cfg)
         ref = reference_sweeps(grid, field, cfg.total_updates)
-        np.testing.assert_allclose(res.field, ref, rtol=0, atol=1e-13)
+        assert res.field.tobytes() == ref.tobytes()
 
     def test_two_teams_across_ranks(self):
         grid = Grid3D((24, 10, 10))
@@ -172,7 +244,7 @@ class TestHybridPipelinedSolver:
                              sync=RelaxedSpec(1, 3), passes=1)
         res = distributed_jacobi_pipelined(grid, field, (2, 2, 1), cfg)
         ref = reference_sweeps(grid, field, cfg.total_updates)
-        np.testing.assert_allclose(res.field, ref, rtol=0, atol=1e-13)
+        assert res.field.tobytes() == ref.tobytes()
 
     def test_compressed_rejected(self):
         grid = Grid3D((12, 8, 8))

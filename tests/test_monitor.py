@@ -670,7 +670,7 @@ class TestLimplockAcceptance:
         held: "queue.Queue" = queue.Queue()       # (sid, release event)
         observed: "queue.Queue" = queue.Queue()   # WorkerScore per job
         releases = []
-        real_run = ProcSolverSession._run
+        real_run = ProcSolverSession.solve_pipelined
         real_observe = mon.detector.observe
 
         def held_run(session, *args, **kwargs):
@@ -686,7 +686,7 @@ class TestLimplockAcceptance:
             observed.put(score)
             return score
 
-        monkeypatch.setattr(ProcSolverSession, "_run", held_run)
+        monkeypatch.setattr(ProcSolverSession, "solve_pipelined", held_run)
         monkeypatch.setattr(mon.detector, "observe", observe)
 
         def finish(release, cost):
