@@ -39,6 +39,15 @@ length-``L`` intervals ``k·b + a`` and ``(k+Δ)·b + a'`` overlap iff
 into an integer interval of conflicting per-dim deltas.  Domain-edge
 clipping only ever *shrinks* regions, so the interior analysis is
 complete (no missed hazards) and exact away from the last blocks.
+
+The compressed grid's Dirichlet ring needs no analysis of its own.  A
+ring cell is a cell one step past the domain and moves with the level
+as an interior cell does: on the leading face its level-``L`` position
+is not occupied yet, on the trailing face it takes the level-``L-1``
+slot of the last interior plane, which the region's own slab walk reads
+before the commit that stores the ring.  That is the interior in-place
+argument moved one cell, and the unclipped boxes analysed here already
+contain those cells.
 """
 
 from __future__ import annotations

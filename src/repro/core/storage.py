@@ -17,19 +17,19 @@ Two schemes from the paper:
   wrote it; a gather asserts the position still holds the requested level,
   so any schedule that would clobber live data is caught deterministically.
 
-The two-grid arrays carry a one-cell **ghost ring**, filled once from
-``grid.boundary`` and never written again, so every shifted read is a
-plain view.  Compressed positions move with the time level along the
-shifted axes only, so a face-constant boundary gets the same fixed ring
-on the others (:attr:`CompressedStorage.ring`); ``gather`` patches the
-rest — shifted-axis faces, every face of a ``func`` boundary — from the
-boundary object.  Level bookkeeping exists to *validate* schedules and
-is allocated and written only under ``validate=True``.
+Both layouts store a one-cell Dirichlet **ring** on every face, so every
+shifted read — :meth:`_StorageBase.gather` — is a plain view.  The
+two-grid rings are filled once from ``grid.boundary`` and never written
+again.  A compressed ring cell moves with the level exactly as an
+interior cell does, so :meth:`CompressedStorage.commit_write` stores the
+ring next to each committed region (see the class).  Level bookkeeping
+exists to *validate* schedules and is allocated and written only under
+``validate=True``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Tuple
+from typing import Any, List, Tuple
 
 import numpy as np
 
@@ -44,17 +44,16 @@ class StorageError(RuntimeError):
 
 
 class _StorageBase:
-    """Shared machinery: level tracking, boundary patching, injection."""
-
-    #: Per axis, 1 where the stored arrays carry the one-cell Dirichlet
-    #: ring; ``(1, 1, 1)`` is the two-grid layout (``ring_array``).
-    ring: Tuple[int, int, int] = (0, 0, 0)
+    """Shared machinery: level tracking, ring reads, injection."""
 
     def __init__(self, grid: Grid3D, field: np.ndarray, validate: bool = True) -> None:
         if field.shape != grid.shape:
             raise ValueError(f"field shape {field.shape} != grid shape {grid.shape}")
         self.grid = grid
         self.domain = grid.domain
+        #: Cells whose reads are level-checked: the domain, plus the ring
+        #: cells a layout rewrites per level.
+        self._checked = self.domain
         self.validate = bool(validate)
         #: Current time level of every interior cell; validation only,
         #: ``None`` otherwise.
@@ -158,54 +157,29 @@ class _StorageBase:
         return self.extract_region(self.domain, level)
 
     def gather(self, region: Box, off: Tuple[int, int, int], level: int) -> np.ndarray:
-        """Values of the cells ``region + off`` at time ``level``.
+        """Values of the cells ``region + off`` at time ``level``: a view.
 
-        The in-domain part is validated.  Unless it is the whole box or
-        ``off`` points along a :attr:`ring` axis (a view, then), the part
-        outside — at most a one-cell slab, since ``region`` lies inside
-        the domain and ``|off| = 1`` — is patched with Dirichlet values.
+        ``region`` lies inside the domain and ``|off| <= 1``, so the
+        cells stay within the stored ring.  Under validation the cells a
+        layout level-checks (:meth:`check_traversal`) are checked.
         """
-        if region.is_empty:
-            return np.empty(region.shape, dtype=self.grid.dtype)
-        if self.validate and not self.domain.contains_box(region):
-            raise StorageError(f"gather region {region} outside stored domain")
         nb = region.shift(off)
-        inside = nb.intersect(self.domain)
-        if inside == nb or any(o and r for o, r in zip(off, self.ring)):
-            if self.validate:
-                self._check_read(inside, level)
-            return self._view(nb, level)
-        out = np.empty(nb.shape, dtype=self.grid.dtype)
-        if not inside.is_empty:
-            rel = tuple(slice(inside.lo[d] - nb.lo[d], inside.hi[d] - nb.lo[d])
-                        for d in range(3))
-            out[rel] = self._read_inside(inside, level)
-        dim = next(d for d in range(3) if off[d] != 0)
-        side = 1 if off[dim] > 0 else -1
-        if side < 0:
-            face = Box(nb.lo, tuple(
-                self.domain.lo[d] if d == dim else nb.hi[d] for d in range(3)))
-        else:
-            face = Box(tuple(
-                self.domain.hi[d] if d == dim else nb.lo[d] for d in range(3)), nb.hi)
-        if not face.is_empty:
-            rel = tuple(slice(face.lo[d] - nb.lo[d], face.hi[d] - nb.lo[d])
-                        for d in range(3))
-            out[rel] = self.grid.boundary.values_for_face(
-                dim, side, face, dtype=self.grid.dtype)
-        return out
+        if self.validate:
+            if not self.domain.contains_box(region):
+                raise StorageError(f"gather region {region} outside stored domain")
+            self._check_read(nb.intersect(self._checked), level)
+        return self._view(nb, level)
 
     def check_traversal(self, region: Box, offsets, level: int) -> None:
         """Validate every read a fused block traversal would perform.
 
-        Deep-JIT engines execute gather + boundary patch + write in one
-        compiled region, reading the raw arrays directly — so the
-        legality validation that :meth:`read`/:meth:`gather` would have
-        run per offset happens here instead, up front: the centre read
-        plus the in-domain part of each shifted read, with exactly the
-        checks (two-buffer window, compressed-position tracking) a
-        per-offset gather sequence performs.  No-op when validation is
-        off or ``region`` is empty.
+        Fused engines read the raw arrays directly, so the legality
+        validation :meth:`gather` would run per offset happens here
+        instead, up front: the centre read plus each shifted read, on
+        the domain and on the ring cells the layout rewrites per level,
+        with the checks (two-buffer window, compressed-position
+        tracking) a per-offset gather sequence performs.  No-op when
+        validation is off or ``region`` is empty.
         """
         if not self.validate or region.is_empty:
             return
@@ -213,19 +187,18 @@ class _StorageBase:
             raise StorageError(f"gather region {region} outside stored domain")
         self._check_read(region, level)
         for off in offsets:
-            inside = region.shift(off).intersect(self.domain)
-            if not inside.is_empty:
-                self._check_read(inside, level)
+            cells = region.shift(off).intersect(self._checked)
+            if not cells.is_empty:
+                self._check_read(cells, level)
 
     def raw_read_array(self, level: int) -> Tuple[np.ndarray, Tuple[int, int, int]]:
         """The backing array holding ``level`` plus its index origin.
 
         Raw access for fused engines: returns ``(array, origin)`` such
-        that the value of interior cell ``c`` at time ``level`` lives at
-        ``array[c + origin]`` — and so does every ring cell's along the
-        axes :attr:`ring` marks.  Reads through this path bypass the
-        legality validation — callers must run :meth:`check_traversal`
-        first (and pair destination access with
+        that the value of cell ``c`` at time ``level`` — interior or
+        ring — lives at ``array[c + origin]``.  Reads through this path
+        bypass the legality validation — callers must run
+        :meth:`check_traversal` first (and pair destination access with
         :meth:`write_view`/:meth:`commit_write` as usual).
         """
         raise NotImplementedError
@@ -249,7 +222,7 @@ class TwoGridStorage(_StorageBase):
     """
 
     n_arrays = 2
-    ring = _ORIGIN = (1, 1, 1)
+    _ORIGIN = (1, 1, 1)
 
     def __init__(self, grid: Grid3D, field: np.ndarray, validate: bool = True) -> None:
         super().__init__(grid, field, validate)
@@ -307,10 +280,18 @@ class CompressedStorage(_StorageBase):
         the next ("alternate team sweeps shift by (-1,-1,-1) and
         (+1,+1,+1)").
 
-    Along an axis the shift leaves alone positions never move, so a
-    face-constant boundary (``func is None``) gets a one-cell :attr:`ring`
-    there, spanning the stored shifted axes in full, filled once and never
-    written.  A ``func`` boundary varies along the shifted axes: no ring.
+    The array carries a one-cell Dirichlet ring on every face.  A ring
+    cell is a cell one step past the domain and moves with the level as
+    an interior cell does: its position at level ``L`` is either not yet
+    occupied (leading face) or the level-``L-1`` slot of the last
+    interior plane (trailing face), which the region's own slab walk
+    reads before the commit.  So on a *moving* face — every face of a
+    shifted axis, every face of a ``func`` boundary —
+    :meth:`commit_write` stores the ring cells next to the region from a
+    table built once (level 0's too, from the constructor).  The faces
+    of an unshifted axis under a face-constant boundary hold the same
+    bytes at every level: filled once over the stored length, never
+    written.
     """
 
     n_arrays = 1
@@ -326,23 +307,27 @@ class CompressedStorage(_StorageBase):
         self.shift_vec = tuple(int(v) for v in shift_vec)
         self.updates_per_pass = int(updates_per_pass)
         self.margin = tuple(self.updates_per_pass * v for v in self.shift_vec)
-        face_constant = grid.boundary.func is None
-        self.ring = tuple(int(face_constant and not v)  # type: ignore[assignment]
-                          for v in self.shift_vec)
-        #: Index of cell 0 at offset 0: margin and ring folded together.
-        self._lo = tuple(m + r for m, r in zip(self.margin, self.ring))
-        store_shape = tuple(n + m + 2 * r for n, m, r in zip(grid.shape, self.margin, self.ring))
+        #: Index of cell 0 at offset 0: margin plus the ring.
+        self._lo = tuple(m + 1 for m in self.margin)
+        store_shape = tuple(n + m + 2 for n, m in zip(grid.shape, self.margin))
         self._array = np.full(store_shape, np.nan, dtype=grid.dtype)
-        for d in range(3):
-            for side, at in ((-1, 0), (1, -1)) if self.ring[d] else ():
-                self._array[(slice(None),) * d + (at,)] = grid.boundary.face_value(d, side)
-        init_sl = self.domain.slices(self._lo)
-        self._array[init_sl] = field
         #: Level that last wrote each storage position (-1 = never).
         self._pos_level: Any = None
         if self.validate:
             self._pos_level = np.full(store_shape, -1, dtype=np.int64)
-            self._pos_level[init_sl] = 0
+        moving = tuple(int(v or grid.boundary.func is not None) for v in self.shift_vec)
+        self._checked = self.domain.grow_vec(moving)
+        #: ``(dim, side, ring box, its values)`` per moving face.
+        self._faces: List[Tuple[int, int, Box, np.ndarray]] = []
+        for d in range(3):
+            for side, at in ((-1, 0), (1, -1)):
+                face = self.domain.outer_face(d, side)
+                if moving[d]:
+                    self._faces.append((d, side, face, grid.face_values(d, side)))
+                else:
+                    self._array[(slice(None),) * d + (at,)] = grid.boundary.face_value(d, side)
+        self._view(self.domain, 0)[...] = field
+        self.commit_write(self.domain, 0)
 
     def offset_scalar(self, level: int) -> int:
         """Cumulative shift (<= 0) of level ``level`` along shifted dims."""
@@ -371,12 +356,28 @@ class CompressedStorage(_StorageBase):
             )
 
     def commit_write(self, region: Box, level: int) -> None:
-        if self.validate and not region.is_empty:
-            self._pos_level[region.slices(self._origin(level))] = level
+        """Mark ``region`` written and store its moving-face ring cells.
+
+        Called after every read of ``region``'s update, so the trailing
+        face's store lands on a slot nobody reads any more.
+        """
+        if region.is_empty:
+            return
+        origin = self._origin(level)
+        for d, side, face, values in self._faces:
+            cells = region.outer_face(d, side)
+            if cells.lo[d] != face.lo[d]:
+                continue
+            at = cells.slices(origin)
+            self._array[at] = values[cells.slices(tuple(-c for c in face.lo))]
+            if self.validate:
+                self._pos_level[at] = level
+        if self.validate:
+            self._pos_level[region.slices(origin)] = level
             self.levels[region.slices()] = level
 
     def raw_read_array(self, level: int) -> Tuple[np.ndarray, Tuple[int, int, int]]:
-        """The compressed array; origin folds in level shift, margin, ring."""
+        """The compressed array; origin folds in level shift, margin and ring."""
         return self._array, self._origin(level)
 
     @property

@@ -31,9 +31,8 @@ Two entry points cover the two ways the repo stores fields:
   of *one* array), so the engine reads
   through ``storage.read``/``storage.gather`` (Dirichlet values
   included) or, after ``storage.check_traversal``, straight from
-  ``storage.raw_read_array`` — which reaches the Dirichlet ring too on
-  the axes ``storage.ring`` marks (all three for the two-grid layout,
-  the unshifted ones of a face-constant compressed grid) — and writes
+  ``storage.raw_read_array`` — which reaches the Dirichlet ring on
+  every face of both layouts — and writes
   through ``storage.write`` or ``storage.write_view`` + ``commit_write``.
 * :meth:`Engine.apply_padded` — a padded two-array pair, used by the
   reference sweeps, the host micro-benchmarks and the multi-halo

@@ -27,10 +27,10 @@ the final pass is strided.  Flat regions never warn (one ``np.errstate``:
 discarded lanes may meet ``inf - inf``); their bytes are unchanged.
 
 The compressed grid is updated in place, slab by slab in the legal
-direction.  With a ring on y and x, a full-width slab a plane away from
-both z faces takes the same flat run over its one array (the final pass
-writes interior cells only, after every read); other slabs read through
-``storage.gather`` — views, but for reads across a ring-less face.
+direction.  Its one array is ringed on every face too, so a slab that
+spans y and x in full takes the same flat run over it (the final pass
+writes the slab's cells only, after every read); other slabs read views
+through ``storage.gather``.
 """
 
 from __future__ import annotations
@@ -101,8 +101,7 @@ def _fma(out: np.ndarray, groups, read, shape: Tuple[int, ...],
     """The ``vector-v2`` sequence of ``groups`` into ``out``.
 
     ``read(off)`` returns the previous values displaced by ``off`` as an
-    array of ``shape`` — a view, or a patched copy that is dropped as
-    soon as it is consumed — and ``cells`` maps such an array onto
+    array of ``shape`` (a view) and ``cells`` maps such an array onto
     ``out``'s cells (the identity unless ``shape`` is a run that also
     covers cells ``out`` does not have).  Sums and products go through
     the two scratch buffers; the last pass alone stores into ``out``,
@@ -211,8 +210,9 @@ def _accumulate_inplace(stencil, storage, region: Box, level: int) -> None:
 
     Slabs are walked along the axis and in the direction that make the
     overlapping write legal, each stored only after all of its reads.  A
-    slab full in ringed y and x and a plane away from both z faces runs
-    flat (:func:`_slab_run`); any other reads through ``storage.gather``.
+    region that spans y and x in full leaves them unshifted, so its every
+    slab is a z range that runs flat (:func:`_slab_run`, in one
+    ``np.errstate``); any other reads views through ``storage.gather``.
     """
     groups = stencil.groups
     axis, step = plane_axis_and_step(storage, level)
@@ -222,21 +222,21 @@ def _accumulate_inplace(stencil, storage, region: Box, level: int) -> None:
     lo, hi = region.lo, region.hi
     src, (oz, oy, ox) = storage.raw_read_array(level - 1)
     _, rows, row = src.shape
-    nz = storage.grid.shape[0]
-    flat = storage.ring[1:] == (1, 1) and lo[1:] == (0, 0) and hi[1:] == (rows - 2, row - 2)
-    for s in range(0, n, thick):
-        a, b = ((s, min(s + thick, n)) if step > 0
-                else (max(n - s - thick, 0), n - s))
-        slab = Box(lo[:axis] + (lo[axis] + a,) + lo[axis + 1:],
-                   hi[:axis] + (lo[axis] + b,) + hi[axis + 1:])
-        out = dst[(slice(None),) * axis + (slice(a, b),)]
-        if flat and 0 < slab.lo[0] and slab.hi[0] < nz:
-            if storage.validate:
-                storage.check_traversal(slab, stencil.offsets, level - 1)
-            _slab_run(groups, src, ((slab.lo[0] + oz) * rows + oy) * row + ox, out)
-        else:
-            _fma(out, groups,
-                 partial(storage.gather, slab, level=level - 1), slab.shape)
+    flat = lo[1:] == (0, 0) and hi[1:] == storage.grid.shape[1:]
+    with np.errstate(all="ignore" if flat else None):
+        for s in range(0, n, thick):
+            a, b = ((s, min(s + thick, n)) if step > 0
+                    else (max(n - s - thick, 0), n - s))
+            slab = Box(lo[:axis] + (lo[axis] + a,) + lo[axis + 1:],
+                       hi[:axis] + (lo[axis] + b,) + hi[axis + 1:])
+            out = dst[(slice(None),) * axis + (slice(a, b),)]
+            if flat:
+                if storage.validate:
+                    storage.check_traversal(slab, stencil.offsets, level - 1)
+                _slab_run(groups, src, ((slab.lo[0] + oz) * rows + oy) * row + ox, out)
+            else:
+                _fma(out, groups,
+                     partial(storage.gather, slab, level=level - 1), slab.shape)
     storage.commit_write(region, level)
 
 
@@ -261,14 +261,14 @@ class NumpyEngine(Engine):
     def apply(self, stencil, storage, region, level: int) -> None:
         if region.is_empty:
             return
-        if storage.ring == (1, 1, 1):
+        if storage.n_arrays == 2:
             self.apply_spans(stencil, storage,
                              box_spans(region, storage.domain), level)
         else:
             _accumulate_inplace(stencil, storage, region, level)
 
     def apply_spans(self, stencil, storage, spans: Spans, level: int) -> None:
-        if storage.ring != (1, 1, 1):
+        if storage.n_arrays != 2:
             self.apply(stencil, storage, spans_box(spans), level)
             return
         # Every shifted read is a view of the raw array, ring included;

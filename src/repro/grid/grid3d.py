@@ -3,13 +3,12 @@
 The paper's Jacobi solver (Eq. 1) updates the *interior* of a cubic domain
 while a one-cell boundary ring supplies fixed (Dirichlet) values.  The
 ring is *described* by a :class:`DirichletBoundary` object.  As in the
-original C code, the two-grid storage materialises it once as ghost cells
-(:meth:`Grid3D.padded` / :meth:`Grid3D.fill_ghost_ring`).  The compressed
-grid, whose positions move every update along its shifted axes, does
-the same on the axes it does not shift when the boundary is
-face-constant (:meth:`DirichletBoundary.face_value`), and patches the
-remaining out-of-domain reads from the boundary object — bit-equivalent
-by construction.
+original C code, every storage materialises it as ghost cells: the
+two-grid storage once (:meth:`Grid3D.padded` /
+:meth:`Grid3D.fill_ghost_ring`), the compressed grid, whose positions
+move with the level, per level on the faces that move
+(:meth:`Grid3D.face_values` tables built once) and once
+on the rest (:meth:`DirichletBoundary.face_value`).
 """
 
 from __future__ import annotations
@@ -59,47 +58,20 @@ class DirichletBoundary:
         """Scalar value of a face (ignores ``func``)."""
         return self.faces.get((dim, side), self.default)
 
-    def values(self, box: Box, dtype=np.float64) -> np.ndarray:
-        """Boundary values for the cells of ``box``.
+    def values_for_face(self, dim: int, side: int, box: Box, dtype=np.float64) -> np.ndarray:
+        """Boundary values for ``box``, which lies on face ``(dim, side)``.
 
-        ``box`` must consist purely of boundary cells of one face, i.e. be
-        degenerate (width 1) in exactly the dimension that sticks out of the
-        interior.  The caller (storage gather) guarantees this; we only need
-        the coordinates to evaluate ``func`` or pick the face constant.
+        ``func`` evaluated on the box's cell coordinates, or the face's
+        scalar, broadcast (read-only) to the box's shape.
         """
-        shape = box.shape
-        if self.func is not None:
+        if self.func is None:
+            vals = np.asarray(self.face_value(dim, side), dtype=dtype)
+        else:
             z = np.arange(box.lo[0], box.hi[0]).reshape(-1, 1, 1)
             y = np.arange(box.lo[1], box.hi[1]).reshape(1, -1, 1)
             x = np.arange(box.lo[2], box.hi[2]).reshape(1, 1, -1)
-            out = np.broadcast_to(np.asarray(self.func(z, y, x), dtype=dtype), shape)
-            return np.ascontiguousarray(out)
-        # Identify which face the box hugs to pick the per-face constant.
-        val = self.default
-        for dim in range(3):
-            if box.hi[dim] - box.lo[dim] == 1:
-                if box.lo[dim] < 0:
-                    val = self.face_value(dim, -1)
-                    break
-                # side determined by caller context; high faces have lo >= n,
-                # but `values` does not know n, so rely on per-face scalars
-                # stored for the positive side when lo > 0.
-                if (dim, 1) in self.faces and box.lo[dim] > 0:
-                    val = self.face_value(dim, 1)
-                    break
-        return np.full(shape, val, dtype=dtype)
-
-    def values_for_face(self, dim: int, side: int, box: Box, dtype=np.float64) -> np.ndarray:
-        """Boundary values for ``box`` known to lie on face ``(dim, side)``.
-
-        This is the precise entry point used by the execution engines: the
-        face identity is passed explicitly, so per-face constants are always
-        resolved correctly (unlike :meth:`values`, which has to guess for
-        high faces).
-        """
-        if self.func is not None:
-            return self.values(box, dtype=dtype)
-        return np.full(box.shape, self.face_value(dim, side), dtype=dtype)
+            vals = np.asarray(self.func(z, y, x), dtype=dtype)
+        return np.broadcast_to(vals, box.shape)
 
 
 InitSpec = Union[float, np.ndarray, Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]]
@@ -175,15 +147,17 @@ class Grid3D:
         self.fill_ghost_ring(out)
         return out
 
+    def face_values(self, dim: int, side: int) -> np.ndarray:
+        """Boundary values of the whole ring face ``(dim, side)`` (read-only)."""
+        return self.boundary.values_for_face(
+            dim, side, self.domain.outer_face(dim, side), dtype=self.dtype)
+
     def fill_ghost_ring(self, padded: np.ndarray) -> None:
         """(Re)fill the one-cell ghost ring of ``padded`` with boundary values."""
         n = self.shape
-        b = self.boundary
-        interior = Box.from_shape(n)
         for dim in range(3):
             for side in (-1, 1):
-                face_box = interior.outer_face(dim, side, 1)
-                vals = b.values_for_face(dim, side, face_box, dtype=self.dtype)
+                vals = self.face_values(dim, side)
                 sl = [slice(1, n[d] + 1) for d in range(3)]
                 sl[dim] = slice(0, 1) if side < 0 else slice(n[dim] + 1, n[dim] + 2)
                 padded[tuple(sl)] = vals

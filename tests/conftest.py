@@ -59,7 +59,7 @@ def deep_engine():
     body (``prange`` is plain ``range`` there) and registered for the
     test's duration: the per-cell operation sequence is the same either
     way, so this certifies the fused traversal — plane ordering,
-    permuted axes, boundary patching, destination writes — in a clean
+    permuted axes, ring reads, destination writes — in a clean
     environment.
     """
     if HAVE_NUMBA:

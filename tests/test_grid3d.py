@@ -29,6 +29,23 @@ class TestDirichletBoundary:
         np.testing.assert_array_equal(bc.values_for_face(2, -1, box),
                                       np.full((2, 2, 1), -1.0))
 
+    def test_one_row_on_the_high_x_face_is_not_the_high_y_value(self):
+        # A z-row at y=2 on the +x face of a (4, 3, 4) grid: the face is
+        # named, never guessed from which extent happens to be one.
+        bc = DirichletBoundary(0.0, faces={(1, 1): 5.0})
+        box = Grid3D((4, 3, 4)).domain.outer_face(2, 1).intersect(
+            Box((0, 2, 0), (4, 3, 5)))
+        assert box.shape == (4, 1, 1)
+        np.testing.assert_array_equal(bc.values_for_face(2, 1, box),
+                                      np.zeros(box.shape))
+        assert not hasattr(bc, "values")
+
+    def test_func_values_are_read_only_broadcasts(self):
+        bc = DirichletBoundary(func=lambda z, y, x: 2.0 * z + 0 * y + 0 * x)
+        out = bc.values_for_face(1, -1, Box((0, -1, 0), (3, 0, 4)))
+        assert out.shape == (3, 1, 4) and not out.flags.writeable
+        np.testing.assert_array_equal(out[:, 0, 0], [0.0, 2.0, 4.0])
+
     def test_bad_face_key(self):
         with pytest.raises(ValueError):
             DirichletBoundary(0.0, faces={(3, 1): 1.0})

@@ -125,14 +125,14 @@ class TestCompressed:
         return grid, field, st
 
     def test_margin_allocation(self):
-        # A margin of upp cells along the shifted axis; a one-cell ring
-        # on the two it leaves alone, folded into every level's origin.
+        # A margin of upp cells along the shifted axis and a one-cell
+        # ring on every face, folded into every level's origin.
         grid, field, st = self.make(upp=4)
-        assert st.margin == (4, 0, 0) and st.ring == (0, 1, 1)
+        assert st.margin == (4, 0, 0)
         arr, origin = st.raw_read_array(0)
-        assert arr.shape == (8 + 4, 5 + 2, 5 + 2)
+        assert arr.shape == (8 + 4 + 2, 5 + 2, 5 + 2)
         assert [st.raw_read_array(v)[1][0] for v in range(9)] == [
-            4, 3, 2, 1, 0, 1, 2, 3, 4]
+            5, 4, 3, 2, 1, 2, 3, 4, 5]
         assert {st.raw_read_array(v)[1][1:] for v in range(9)} == {(1, 1)}
         np.testing.assert_array_equal(arr[grid.domain.slices(origin)], field)
 
@@ -152,12 +152,14 @@ class TestCompressed:
         old, origin0 = st.raw_read_array(0)
         st.write(region, 1, vals)
         # Level-1 values live one cell lower in storage; the top cell's
-        # level-0 position is the one the write did not reach.
+        # level-0 position now holds the level-1 ring of the +z face.
         arr, origin1 = st.raw_read_array(1)
         assert arr is old and origin1 == (origin0[0] - 1,) + origin0[1:]
         np.testing.assert_array_equal(arr[region.slices(origin1)], vals)
         np.testing.assert_array_equal(
-            arr[Box((7, 0, 0), (8, 5, 5)).slices(origin0)], field[7:])
+            arr[Box((7, 0, 0), (8, 5, 5)).slices(origin0)], 0.0)
+        np.testing.assert_array_equal(
+            arr[Box((8, 0, 0), (9, 5, 5)).slices(origin1)], 0.0)
         np.testing.assert_array_equal(st.extract(1), vals)
 
     def test_clobber_detected_on_read(self):
@@ -182,22 +184,22 @@ class TestCompressed:
             st._read_inside(Box((0, 0, 0), (1, 5, 5)), 3)
 
     def test_single_array_bytes(self):
-        # One array: interior, z margin and the y/x ring — still well
-        # under the two ring arrays of the two-grid layout.
+        # One array: interior, z margin and the ring on every face —
+        # for every boundary, and still well under the two ring arrays
+        # of the two-grid layout.
         grid, field, st = self.make(upp=4)
-        assert st.array_bytes == (8 + 4) * (5 + 2) * (5 + 2) * 8
+        assert st.array_bytes == (8 + 4 + 2) * (5 + 2) * (5 + 2) * 8
         assert st.array_bytes == st.raw_read_array(0)[0].nbytes
-        assert st.array_bytes < TwoGridStorage(grid, field).array_bytes * 0.7
-        ringless = CompressedStorage(Grid3D(grid.shape, boundary=BOUNDARIES[
+        assert st.array_bytes <= TwoGridStorage(grid, field).array_bytes * 0.7
+        func = CompressedStorage(Grid3D(grid.shape, boundary=BOUNDARIES[
             "func"]), field, (1, 0, 0), 4)
-        assert ringless.ring == (0, 0, 0)
-        assert ringless.array_bytes == 12 * 5 * 5 * 8
+        assert func.array_bytes == st.array_bytes
 
     @pytest.mark.parametrize("bc", sorted(BOUNDARIES))
     def test_gather_is_a_view_across_ring_faces_only(self, bc):
-        # The ring never moves and is never written: reads across a y or
-        # x face are views at every level; a z face (shifted) or any
-        # face of a func boundary is patched into a copy.
+        # Every face carries the ring, the moving ones (z here, every
+        # face of a func boundary) stored per level: each read across a
+        # face is a view holding that level's Dirichlet values.
         grid = Grid3D((8, 5, 6), boundary=BOUNDARIES[bc])
         field = random_field(grid.shape, RNG)
         st = CompressedStorage(grid, field, (1, 0, 0), 4)
@@ -207,8 +209,7 @@ class TestCompressed:
             for side in (-1, 1):
                 off = tuple(side if d == dim else 0 for d in range(3))
                 out = st.gather(region, off, 1)
-                view = np.shares_memory(out, st.raw_read_array(1)[0])
-                assert view == (bc != "func" and dim > 0)
+                assert np.shares_memory(out, st.raw_read_array(1)[0])
                 face = region.outer_face(dim, side)
                 rel = face.shift(tuple(-o for o in off)).slices()
                 np.testing.assert_array_equal(
@@ -265,11 +266,13 @@ class TestWriteView:
         np.testing.assert_array_equal(st.extract(1),
                                       np.full(grid.shape, 3.0))
         # Positions shifted by -1 along z now carry level 1: cells 0..6
-        # lost their level-0 values, cell 7 (one position up) kept it.
+        # lost their level-0 values, cell 7 its slot to the +z ring.
         with pytest.raises(StorageError, match="compressed-grid"):
             st.read(Box((0, 0, 0), (7, 5, 5)), 0)
-        np.testing.assert_array_equal(st.read(Box((7, 0, 0), (8, 5, 5)), 0),
-                                      field[7:])
+        with pytest.raises(StorageError, match="compressed-grid"):
+            st.read(Box((7, 0, 0), (8, 5, 5)), 0)
+        np.testing.assert_array_equal(
+            st.gather(Box((7, 0, 0), (8, 5, 5)), (1, 0, 0), 1), 0.0)
 
     def test_compressed_uncommitted_view_is_not_readable(self):
         grid = Grid3D((8, 5, 5))

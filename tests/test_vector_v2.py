@@ -15,10 +15,11 @@ it **bitwise** (``tobytes``: the sign of zero counts, which
 ``array_equal`` would forgive).  The second half covers what the flat
 run adds to the numpy engine: which regions take it, that the ghost ring
 is read but never written, and that nothing about it is per-process
-state threads could race on; then the compressed grid's ring on its
-unshifted axes — bytes equal to the two-grid layout and the reference
-across tilings, passes, boundaries, dtypes and backends, patched reads
-only where no ring can exist, margin positions never read.
+state threads could race on; then the compressed grid's ring on every
+face — bytes equal to the two-grid layout and the reference across
+tilings, passes, boundaries, dtypes and backends, no patched read, margin
+positions never read, and a generated differential against the
+reference on the shared and threads rails.
 """
 
 from __future__ import annotations
@@ -34,13 +35,16 @@ import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
 import repro
-from repro import Grid3D, PipelineConfig, RelaxedSpec, reference_sweeps, solve
-from repro.core.executor import PipelineExecutor
+from repro import (BarrierSpec, Grid3D, PipelineConfig, RelaxedSpec,
+                   reference_sweeps, run_pipelined, solve)
+from repro.analysis import analyze_schedule
+from repro.core.executor import ORDERS, PipelineExecutor
+from repro.core.schedule import traversal_neighbors_gap
 from repro.core.storage import CompressedStorage, StorageError, TwoGridStorage
 from repro.engine import (NumbaDeepEngine, NumbaEngine, get_engine,
                           numpy_engine, register_engine, unregister_engine)
 from repro.engine.numpy_engine import accumulate_padded
-from repro.grid import Box, DirichletBoundary, random_field
+from repro.grid import BlockDecomposition, Box, DirichletBoundary, random_field
 from repro.grid.blocks import axis_row, box_spans
 from repro.kernels import (AXIS_OFFSETS, StarStencil, anisotropic_jacobi,
                            jacobi5_2d, jacobi7)
@@ -665,7 +669,7 @@ class TestThreads:
 
 
 # ---------------------------------------------------------------------------
-# The compressed grid: a ring on the unshifted axes, flat runs inside
+# The compressed grid: a ring on every face, flat runs at full width
 # ---------------------------------------------------------------------------
 
 RING_BCS = {
@@ -674,9 +678,9 @@ RING_BCS = {
                                            (2, -1): -2.0}),
     "func": LINEAR,     # varies along z, where the positions move
 }
-#: ``(shape, block)``: tiled in z only (interior slabs run flat), in y
-#: or x only (ring on the other two, views), in z and y (ring on x),
-#: and one-cell y / x axes under z tiling.
+#: ``(shape, block)``: tiled in z only (full-width slabs run flat), in y
+#: or x only (views), in z and y (views), and one-cell y / x axes under
+#: z tiling.
 RING_CASES = {
     "z-flat": ((12, 5, 6), (5, 99, 99)),
     "y-views": ((6, 11, 5), (99, 4, 99)),
@@ -697,21 +701,24 @@ def _ring_cfg(block, storage, passes, engine="numpy"):
 
 @pytest.fixture
 def compressed_reads(monkeypatch):
-    """Per compressed region update: ``[storage.ring, patched gathers]``."""
+    """Per compressed region update: ``[full width, gathers, patched]``."""
     regions = []
     current = threading.local()
     accumulate = numpy_engine._accumulate_inplace
     gather = CompressedStorage.gather
 
     def accumulate_spy(stencil, storage, region, level):
-        current.entry = [storage.ring, 0]
+        full = (region.lo[1:] == (0, 0)
+                and region.hi[1:] == storage.grid.shape[1:])
+        current.entry = [full, 0, 0]
         regions.append(current.entry)
         accumulate(stencil, storage, region, level)
 
     def gather_spy(self, region, off, level):
         out = gather(self, region, off, level)
+        current.entry[1] += 1
         if not np.may_share_memory(out, self.raw_read_array(level)[0]):
-            current.entry[1] += 1
+            current.entry[2] += 1
         return out
     monkeypatch.setattr(numpy_engine, "_accumulate_inplace", accumulate_spy)
     monkeypatch.setattr(CompressedStorage, "gather", gather_spy)
@@ -739,23 +746,21 @@ class TestCompressedRing:
                             backend=backend)
                 assert_same_bits(got.field, want, f"{storage}/{backend}")
             ran_flat = "_slab_run" in {name for name, _ in paths}
-            assert ran_flat == (bc != "func" and block[1:] == (99, 99))
-        rings = {ring for ring, _ in compressed_reads}
-        patched = [n for _, n in compressed_reads]
-        if bc == "func":
-            # Every face of a func boundary is patched, never a ring.
-            assert rings == {(0, 0, 0)} and max(patched) > 0
-        else:
-            assert rings == {tuple(int(b >= n) for b, n in zip(block, shape))}
-            if case != "zy":
-                # One shifted axis: its first and last slab at most.
-                assert max(patched) <= 2
+            assert ran_flat == (block[1:] == (99, 99))
+        # The ring is stored on every face, func included: no read is
+        # ever patched, and every full-width region runs flat throughout.
+        assert compressed_reads
+        for full, gathers, patched in compressed_reads:
+            assert patched == 0
+            assert (gathers == 0) == full
 
     @pytest.mark.parametrize("case", ["z-flat", "y-views", "zy"])
     def test_margin_positions_are_never_read(self, monkeypatch, case):
-        # -inf in every position no level-0 value lives in, +inf / NaN
-        # in the ring corners (which the flat runs' ghost columns read):
-        # a margin read would change bits or, against a +inf, warn.
+        # -inf in every position level 0 left unwritten (margins, and
+        # the moving ring's cells of later levels, which their commit
+        # stores before any read), +inf / NaN in the corners of the
+        # fixed ring (which the flat runs' ghost columns read): a read
+        # of either would change bits or, against a +inf, warn.
         shape, block = RING_CASES[case]
         monkeypatch.setattr(numpy_engine, "SLAB_BYTES", RING_SLAB_BYTES)
         grid = Grid3D(shape, boundary=RING_BCS["faces"])
@@ -764,12 +769,10 @@ class TestCompressedRing:
         ex = PipelineExecutor(grid, field, cfg, STENCIL)
         arr, origin = ex.storage.raw_read_array(0)
         on_ring = np.zeros(arr.shape, np.int64)
-        for axis in np.flatnonzero(ex.storage.ring):
+        for axis in np.flatnonzero(np.equal(ex.storage.shift_vec, 0)):
             for at in (0, -1):
                 on_ring[(slice(None),) * axis + (at,)] += 1
-        live = np.zeros(arr.shape, bool)
-        live[grid.domain.slices(origin)] = True
-        arr[~live & (on_ring == 0)] = -np.inf
+        arr[np.isnan(arr)] = -np.inf
         corners = np.flatnonzero(on_ring > 1)
         arr.reshape(-1)[corners[::2]] = np.nan
         arr.reshape(-1)[corners[1::2]] = np.inf
@@ -804,6 +807,80 @@ class TestCompressedRing:
         cfg = _ring_cfg(block, "compressed", 2, engine="numba-deep")
         assert_same_bits(solve(grid, field, cfg, stencil=STENCIL).field,
                          reference_sweeps(grid, field, 4, STENCIL))
+
+
+_FACES = [(d, side) for d in range(3) for side in (-1, 1)]
+
+
+@st.composite
+def compressed_cases(draw):
+    """A compressed solve: shape (1-cell axes too), blocks on every axis
+    (dividing or not), ``n, t, T``, passes, interleaver order, a legal
+    sync and a scalar, per-face (``-0.0`` included) or ``func`` boundary
+    that varies along every axis."""
+    shape = tuple(draw(st.integers(1, 9)) for _ in range(3))
+    block = tuple(draw(st.integers(1, n + 1)) for n in shape)
+    assume(any(b < n for b, n in zip(block, shape)))  # an axis to shift
+    cfg = dict(teams=draw(st.integers(1, 2)),
+               threads_per_team=draw(st.integers(1, 3)),
+               updates_per_thread=draw(st.integers(1, 2)),
+               block_size=block, passes=draw(st.integers(1, 3)),
+               storage="compressed")
+    shift = cfg["teams"] * cfg["threads_per_team"] * cfg["updates_per_thread"]
+    gap = traversal_neighbors_gap(BlockDecomposition(
+        Box.from_shape(shape), block, shift - 1))
+    cfg["sync"] = (BarrierSpec() if draw(st.booleans()) else RelaxedSpec(
+        gap, gap + draw(st.integers(0, 3)), draw(st.integers(0, 2))))
+    kind = draw(st.sampled_from(["scalar", "faces", "func"]))
+    values = st.sampled_from([-0.0, 0.0, 0.75, -2.5, 1e3])
+    if kind == "scalar":
+        bc = DirichletBoundary(draw(values))
+    elif kind == "faces":
+        bc = DirichletBoundary(draw(values), faces=draw(
+            st.dictionaries(st.sampled_from(_FACES), values)))
+    else:
+        a, b, c = (draw(st.sampled_from([-1.5, 0.25, 2.0])) for _ in range(3))
+        bc = DirichletBoundary(func=lambda z, y, x: a * z + b * y + c * x)
+    event(kind)
+    return (Grid3D(shape, boundary=bc), PipelineConfig(**cfg),
+            draw(st.sampled_from(ORDERS)), draw(st.integers(0, 2**16)))
+
+
+class TestCompressedDifferential:
+    """The compressed rail against ``reference_sweeps``, generated."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(compressed_cases())
+    def test_validated_solves_equal_the_reference(self, case):
+        grid, cfg, order, seed = case
+        field = random_field(grid.shape, np.random.default_rng(seed))
+        want = reference_sweeps(grid, field, cfg.total_updates).tobytes()
+        got = run_pipelined(grid, field, cfg, order=order, validate=True,
+                            rng=np.random.default_rng(seed + 1))
+        assert got.field.tobytes() == want
+        # Analyzer legal => run correct: certified draws run threaded too.
+        if analyze_schedule(cfg, grid.shape).ok:
+            event("threads")
+            threaded = solve(grid, field, cfg, backend="threads",
+                             validate=True)
+            assert threaded.field.tobytes() == want
+
+    @pytest.mark.parametrize("bc", ["scalar", "func"])
+    def test_skipping_a_moving_face_store_is_caught(self, bc):
+        # z is shifted, so both z faces move; a func boundary moves all
+        # six.  Drop any one face's per-level store and a validated
+        # solve must refuse the stale ring read.
+        grid = Grid3D((9, 5, 6), boundary=RING_BCS[bc])
+        field = random_field(grid.shape, np.random.default_rng(3))
+        cfg = _ring_cfg((4, 99, 99), "compressed", 2)
+        moving = _FACES if bc == "func" else _FACES[:2]
+        for face in moving:
+            ex = PipelineExecutor(grid, field, cfg, STENCIL)
+            kept = [f for f in ex.storage._faces if f[:2] != face]
+            assert len(kept) == len(moving) - 1
+            ex.storage._faces = kept
+            with pytest.raises(StorageError, match="compressed-grid"):
+                ex.run()
 
 
 # ---------------------------------------------------------------------------
