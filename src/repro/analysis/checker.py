@@ -37,7 +37,6 @@ from .hazards import (
     ConstraintTable,
     build_constraints,
     check_coverage_static,
-    check_inplace_order,
     decomposition_for,
 )
 from .model import ScheduleSpec
@@ -307,7 +306,6 @@ def _local_shape(shape: Tuple[int, int, int],
 
 def analyze_schedule(config, shape: Sequence[int] = (32, 32, 32),
                      topology: Sequence[int] = (1, 1, 1), *,
-                     radius: int = 1,
                      halo: Optional[int] = None,
                      max_states: int = 200_000,
                      coverage_blocks: int = 512) -> Report:
@@ -324,9 +322,6 @@ def analyze_schedule(config, shape: Sequence[int] = (32, 32, 32),
     topology:
         Process grid; anything but ``(1, 1, 1)`` adds the distributed
         legality checks and analyzes the per-rank trapezoid geometry.
-    radius:
-        Stencil radius to analyze for (configs only; a ``ScheduleSpec``
-        carries its own).  The shipped kernels are radius 1.
     halo:
         Ghost-layer width for the distributed checks; defaults to the
         schedule's ``n*t*T`` (the paper's choice).
@@ -345,7 +340,7 @@ def analyze_schedule(config, shape: Sequence[int] = (32, 32, 32),
     if isinstance(config, ScheduleSpec):
         spec = config
     else:
-        spec = ScheduleSpec.from_config(config, radius=radius)
+        spec = ScheduleSpec.from_config(config)
     shape_t: Tuple[int, int, int] = tuple(int(s) for s in shape)  # type: ignore[assignment]
     topo: Tuple[int, int, int] = tuple(int(p) for p in topology)  # type: ignore[assignment]
     where = f"{spec.describe()} on {shape_t}"
@@ -377,7 +372,6 @@ def analyze_schedule(config, shape: Sequence[int] = (32, 32, 32),
     table = build_constraints(spec, decomp, report)
     check_coverage_static(spec, decomp, report,
                           max_blocks=coverage_blocks)
-    check_inplace_order(spec, decomp, report)
     explore_counters(spec, table, decomp.n_traversal_blocks, report,
                      max_states=max_states)
     need = table.required_d_l()
@@ -388,15 +382,14 @@ def analyze_schedule(config, shape: Sequence[int] = (32, 32, 32),
 
 def assert_legal(config, shape: Sequence[int],
                  topology: Sequence[int] = (1, 1, 1), *,
-                 radius: int = 1,
                  halo: Optional[int] = None) -> Report:
     """``analyze_schedule`` that raises :class:`StaticAnalysisError`.
 
     This is what ``repro.solve(..., validate="static")`` calls before
-    handing the schedule to any executor.
+    handing the schedule to an executor, and what the executor itself
+    calls, unconditionally, before it starts stage threads.
     """
-    report = analyze_schedule(config, shape, topology,
-                              radius=radius, halo=halo)
+    report = analyze_schedule(config, shape, topology, halo=halo)
     if not report.ok:
         raise StaticAnalysisError(report)
     return report
@@ -408,7 +401,11 @@ def quick_check(config, shape: Sequence[int] = (32, 32, 32),
 
     Skips the quadratic coverage check and caps the automaton low so a
     few hundred candidate configs stay cheap; a config rejected here
-    would also be rejected by the full analyzer.
+    would also be rejected by the full analyzer.  With a topology it
+    also answers whether the decomposition can be built at all and
+    whether the storage runs distributed (``dist-geometry`` /
+    ``dist-storage`` errors), so it is the whole of autoconf's
+    validity test.
     """
     report = analyze_schedule(config, shape, topology,
                               max_states=5_000, coverage_blocks=0)

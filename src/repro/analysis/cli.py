@@ -66,10 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cs.add_argument("--team-delay", type=int, default=0)
     cs.add_argument("--storage", choices=("twogrid", "compressed"),
                     default="twogrid")
-    cs.add_argument("--engine", default="numpy")
     cs.add_argument("--passes", type=int, default=1)
-    cs.add_argument("--radius", type=int, default=1,
-                    help="stencil radius to analyze (shipped kernels: 1)")
     cs.add_argument("--halo", type=int, default=None,
                     help="ghost layers per exchange (default: n*t*T)")
     cs.add_argument("-v", "--verbose", action="store_true",
@@ -90,8 +87,7 @@ def _suite_reports(args) -> List[Report]:
 
     reports = []
     for name, shape, config, topology in solver_schedules(args.suite):
-        report = analyze_schedule(config, shape, topology,
-                                  radius=args.radius)
+        report = analyze_schedule(config, shape, topology)
         report.subject = f"{name}: {report.subject}"
         reports.append(report)
     return reports
@@ -115,9 +111,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sync_kind=args.sync,
             d_l=args.d_l, d_u=args.d_u, team_delay=args.team_delay,
             storage=args.storage,
-            engine=args.engine,
             passes=args.passes,
-            radius=args.radius,
         )
         reports = [analyze_schedule(spec, args.shape, args.topology,
                                     halo=args.halo)]

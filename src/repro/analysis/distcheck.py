@@ -5,9 +5,9 @@ invariants, all checkable without running a rank:
 
 * **Halo depth** — a rank runs the full ``h = n·t·T``-update pass
   between exchanges, and update ``u`` covers the core grown by
-  ``h - u`` layers; its stencil reads reach one ``radius`` further, so
-  the stored box (core grown by the exchanged halo) must contain
-  ``core.grow(h - 1 + radius)``: the halo must be at least ``h``.
+  ``h - u`` layers; its radius-1 stencil reads reach one layer further,
+  so the stored box (core grown by the exchanged halo) must contain
+  ``core.grow(h)``: the halo must be at least ``h``.
 * **Trapezoid consistency** — every update's active region and its
   reads must stay inside the stored box, matching the shrinking
   trapezoid the solver drives (``active(u) = core.grow(h - u)``).
@@ -82,7 +82,7 @@ def check_distributed(spec: ScheduleSpec, shape: Coord, topology: Coord,
             f"a superstep advances every core cell by {h} levels but "
             f"only {halo} ghost layers are exchanged",
             f"update 1 covers core.grow({h - 1}) and reads "
-            f"core.grow({h - 1 + spec.radius}); the stored box only "
+            f"core.grow({h}); the stored box only "
             f"spans core.grow({halo}) — the trapezoid base is starved",
         )
     elif halo > h:
@@ -115,7 +115,7 @@ def check_distributed(spec: ScheduleSpec, shape: Coord, topology: Coord,
         # stored box for every update of the pass.
         for u in range(1, h + 1):
             active = geo.core.grow(h - u).intersect(domain)
-            reads = active.grow(spec.radius).intersect(domain)
+            reads = active.grow(1).intersect(domain)
             if not geo.stored.contains_box(reads):
                 corner = tuple(
                     min(max(reads.lo[d], geo.stored.lo[d] - 1),
@@ -127,7 +127,7 @@ def check_distributed(spec: ScheduleSpec, shape: Coord, topology: Coord,
                     f"active region {active} reads {reads}, which "
                     f"escapes the stored box {geo.stored}",
                     f"e.g. cell {corner} is read but never stored on "
-                    f"this rank (halo {halo}, needs {h - u + spec.radius} "
+                    f"this rank (halo {halo}, needs {h - u + 1} "
                     f"layers at this update)",
                 )
                 break

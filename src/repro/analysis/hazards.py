@@ -26,9 +26,12 @@ Three kinds cover everything, derived from the storage position maps
   that previous occupant, or a stale value would land on top of a
   newer one.
 
+The reads are the radius-1 star, the only stencil the runtime can run
+(:class:`~repro.kernels.stencils.StarStencil` refuses wider offsets).
 Deltas whose two ops belong to one stage are checked against program
-order right here (a violation no counter window can fix — e.g. any
-radius-2 stencil under the one-cell shift); deltas that cross stages
+order right here (a violation no counter window can fix; the one-cell
+shift is exactly what keeps radius-1 reads from producing one, and this
+check is where that is proven); deltas that cross stages
 become *lead constraints* ``c_other - c_self >= Δ + 1`` for the counter
 automaton in :mod:`repro.analysis.checker` to test against every
 reachable counter assignment.
@@ -53,35 +56,25 @@ contain those cells.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..grid.blocks import BlockDecomposition
 from ..grid.region import Box
+from ..kernels.stencils import AXIS_OFFSETS
 from .findings import Report
 from .model import ScheduleSpec
 
 __all__ = [
     "Constraint",
     "ConstraintTable",
-    "star_offsets",
     "build_constraints",
     "check_coverage_static",
-    "check_inplace_order",
 ]
 
 Coord = Tuple[int, int, int]
 
-
-def star_offsets(radius: int) -> List[Coord]:
-    """All read offsets of a radius-``r`` star stencil, centre included."""
-    offs: List[Coord] = [(0, 0, 0)]
-    for d in range(3):
-        for r in range(1, radius + 1):
-            for sign in (-1, 1):
-                o = [0, 0, 0]
-                o[d] = sign * r
-                offs.append(tuple(o))  # type: ignore[arg-type]
-    return offs
+#: The seven reads of an update: the centre and the six axis neighbours.
+READS: Tuple[Coord, ...] = ((0, 0, 0),) + AXIS_OFFSETS
 
 
 @dataclass(frozen=True)
@@ -182,7 +175,7 @@ def _witness_cells(decomp: BlockDecomposition, spec: ScheduleSpec,
     v = decomp.shift_vec
     b = decomp.block_size
     k = tuple(
-        -(-(spec.max_shift + spec.radius) // b[d]) if v[d] else 0
+        -(-(spec.max_shift + 1) // b[d]) if v[d] else 0
         for d in range(3))
     box_a = decomp.block_box(k).shift(
         tuple(-shift_a * v[d] + off_a[d] for d in range(3)))
@@ -199,7 +192,10 @@ def _witness_cells(decomp: BlockDecomposition, spec: ScheduleSpec,
 # -- the relation catalogue ---------------------------------------------------
 
 
-def _relations(spec: ScheduleSpec) -> Iterator[Tuple[str, int, int, List[Coord], int, List[Coord]]]:
+Relation = Tuple[str, int, int, Sequence[Coord], int, Sequence[Coord]]
+
+
+def _relations(spec: ScheduleSpec, decomp: BlockDecomposition) -> Iterator[Relation]:
     """Yield ``(kind, u, shift_a, offs_a, w, offs_b)`` hazard relations.
 
     ``offs_a`` are the offsets applied to the executing op's base box
@@ -209,40 +205,31 @@ def _relations(spec: ScheduleSpec) -> Iterator[Tuple[str, int, int, List[Coord],
     ``w-1``).  Order requirement is always: op ``w`` before op ``u``.
     """
     h = spec.updates_per_pass
-    reads = star_offsets(spec.radius)
     center = [(0, 0, 0)]
-    back = [(-1, -1, -1)]  # scaled by the shift vector inside _conflict_deltas?
-    # NOTE: the compressed-grid "one shift behind" cell set is the write
-    # region translated by -1 along tiled dims; untiled components are
-    # masked below by passing the offset through the tiled-aware
-    # interval arithmetic (off is ignored on untiled dims only if 0, so
-    # build the offset per tiled dim instead).
+    # The compressed grid's "one shift behind" cells: the write region
+    # moved one cell back along every tiled (shifted) dimension.
+    v = decomp.shift_vec
+    back = [(-v[0], -v[1], -v[2])]
     for u in range(1, h + 1):
         sa = u - 1
         # RAW: reads of level u-1 vs. the producers of level u-1.
         if u >= 2:
-            yield ("raw", u, sa, reads, u - 1, center)
+            yield ("raw", u, sa, READS, u - 1, center)
         if spec.storage == "twogrid":
             # WAR: writing u (array u%2) destroys level u-2 of the same
             # cells, still wanted by update u-1 readers.
             if u >= 2:
-                yield ("war", u, sa, center, u - 1, reads)
+                yield ("war", u, sa, center, u - 1, READS)
             # WAW: that destroyed value was written by update u-2.
             if u >= 3:
                 yield ("waw", u, sa, center, u - 2, center)
         else:  # compressed
             # Writing u at position c - u*v destroys level u-1 of cell
             # c - v (the "one shift behind" cell), read by update u...
-            yield ("war", u, sa, back, u, reads)
+            yield ("war", u, sa, back, u, READS)
             # ...and written by update u-1.
             if u >= 2:
                 yield ("waw", u, sa, back, u - 1, center)
-
-
-def _mask_untiled(off: Coord, decomp: BlockDecomposition) -> Coord:
-    """Zero an offset's components on untiled dims (shift-vector scaling)."""
-    v = decomp.shift_vec
-    return tuple(off[d] * v[d] for d in range(3))  # type: ignore[return-value]
 
 
 def build_constraints(spec: ScheduleSpec, decomp: BlockDecomposition,
@@ -258,12 +245,11 @@ def build_constraints(spec: ScheduleSpec, decomp: BlockDecomposition,
     table = ConstraintTable()
     strides = _traversal_strides(decomp)
     seen_structural = set()
-    for kind, u, sa, offs_a, w, offs_b in _relations(spec):
+    for kind, u, sa, offs_a, w, offs_b in _relations(spec, decomp):
         sb = w - 1
         stage_u = spec.stage_of_update(u)
         stage_w = spec.stage_of_update(w)
-        for off_a in offs_a:
-            oa = _mask_untiled(off_a, decomp) if off_a == (-1, -1, -1) else off_a
+        for oa in offs_a:
             for off_b in offs_b:
                 for dk in _conflict_deltas(decomp, sa, oa, sb, off_b):
                     if u == w and dk == (0, 0, 0):
@@ -289,10 +275,9 @@ def build_constraints(spec: ScheduleSpec, decomp: BlockDecomposition,
                             f"{delta:+d}, which the same thread executes "
                             "later — no counter window can order ops of "
                             "one thread",
-                            f"{cells}; with radius "
-                            f"{spec.radius} and the one-cell shift the "
-                            f"read/write footprints of the two updates "
-                            "overlap ahead of the traversal",
+                            f"{cells}; with radius-1 reads and the "
+                            "one-cell shift the read/write footprints of "
+                            "the two updates overlap ahead of the traversal",
                         )
                         continue
                     table.add(Constraint(
@@ -313,10 +298,9 @@ def check_coverage_static(spec: ScheduleSpec, decomp: BlockDecomposition,
     """Each level's shifted regions must partition the domain exactly.
 
     The quadratic disjointness check is skipped (with a note) above
-    ``max_blocks`` traversal blocks; for consistent inputs it cannot
-    fail — it guards hand-built decompositions, mirroring
-    :func:`repro.core.schedule.check_coverage` without requiring a
-    validated config.
+    ``max_blocks`` traversal blocks.  For consistent inputs it cannot
+    fail; it guards the block decomposition itself, and it is the only
+    coverage check there is.
     """
     from ..grid.region import boxes_partition
 
@@ -335,65 +319,6 @@ def check_coverage_static(spec: ScheduleSpec, decomp: BlockDecomposition,
                 "some cells would be updated twice or never at this level",
             )
             return  # one witness level is enough
-
-
-# -- in-place (fused) engine ordering ----------------------------------------
-
-
-def check_inplace_order(spec: ScheduleSpec, decomp: BlockDecomposition,
-                        report: Report) -> None:
-    """Compressed-grid aliasing safety of fused in-place execution.
-
-    A fused engine fills ``storage.write_view`` piece by piece, so
-    inside one region the write of plane ``p`` at level ``u`` lands on
-    the positions holding plane ``p-1``'s level ``u-1`` values.  Those
-    are still live reads of the planes *behind* ``p`` — legal iff the
-    traversal walks in the direction the storage offsets move
-    (ascending on even passes, where offsets descend), which is what
-    :func:`repro.engine.base.plane_axis_and_step` hands every fused
-    engine, and only while no read reaches further than one plane.
-    Engines that materialise the whole region before writing
-    (``fused_inplace`` False) are immune; the two-grid layout is immune
-    for every engine (the destination is the other array).
-    """
-    from ..engine import get_engine
-
-    try:
-        engine = get_engine(spec.engine)
-    except ValueError as exc:
-        report.add("engine-unknown", "error", f"engine {spec.engine!r}",
-                   str(exc))
-        return
-    fused = bool(getattr(engine, "fused_inplace", False))
-    if spec.storage != "compressed" or not decomp.tiled_dims:
-        if fused:
-            report.note(
-                f"engine {spec.engine!r} is fused in-place but the "
-                f"{spec.storage} layout has no destination aliasing")
-        return
-    if not fused:
-        report.note(
-            f"engine {spec.engine!r} materialises regions before writing; "
-            "compressed-grid destination aliasing cannot occur")
-        return
-    axis = decomp.tiled_dims[0]
-    if spec.radius >= 2:
-        report.add(
-            "inplace-aliasing", "error",
-            f"engine {spec.engine!r}, axis {axis}",
-            f"radius-{spec.radius} reads make fused in-place updates "
-            "illegal in either direction on the compressed grid",
-            f"writing plane p at level u destroys the level u-1 value of "
-            f"plane p-1; planes p-1-{spec.radius - 1}..p-1+{spec.radius - 1} "
-            "read it, so pending planes exist on both sides of the write",
-        )
-        return
-    # Even passes: offsets descend (off(u) = off(u-1) - 1), so a plane's
-    # write destroys the plane one *below* it; ascending is safe.
-    report.note(
-        f"in-place plane order on axis {axis} verified: ascending "
-        "traversal matches the descending storage offsets (mirrored "
-        "symmetrically on odd passes)")
 
 
 def decomposition_for(spec: ScheduleSpec, shape: Coord) -> Optional[BlockDecomposition]:

@@ -10,15 +10,13 @@ plain value, nothing is rejected, and the checkers derive the same
 quantities (``n_stages``, ``updates_per_pass``, effective per-stage
 windows) that the runtime derives from a validated config.
 
-It also carries one knob the runtime fixes by construction, so the
-analyzer can explore the neighbourhood of the design space: ``radius``,
-the stencil radius.  The shipped kernels are radius-1 star stencils
-(``repro.kernels.stencils`` enforces it); the analyzer *proves* that
-choice necessary: with the one-cell shift, radius 2 makes the minimum
-legal lead exceed ``d_l = 1`` on the two-grid layout and breaks the
-compressed grid outright.  (The in-place walk direction is not a knob:
-every fused engine derives it from the storage offsets through
-:func:`repro.engine.base.plane_axis_and_step`.)
+It models exactly the schedules the runtime can build, and nothing the
+runtime fixes by construction: the stencil is radius 1
+(:class:`~repro.kernels.stencils.StarStencil` refuses anything wider),
+and the engine is not a field because every engine runs the same
+regions in the same order — the compressed grid's in-place walk
+direction is derived from the storage offsets by
+:func:`repro.engine.base.plane_axis_and_step`, for every engine alike.
 """
 
 from __future__ import annotations
@@ -47,12 +45,10 @@ class ScheduleSpec:
     d_u: int = 4
     team_delay: int = 0
     storage: str = "twogrid"            # "twogrid" | "compressed"
-    engine: str = "numpy"
     passes: int = 1
-    radius: int = 1
 
     @staticmethod
-    def from_config(config, radius: int = 1) -> "ScheduleSpec":
+    def from_config(config) -> "ScheduleSpec":
         """Mirror a validated :class:`PipelineConfig` into the loose model."""
         from ..core.parameters import BarrierSpec, RelaxedSpec
 
@@ -71,9 +67,7 @@ class ScheduleSpec:
             sync_kind=kind,
             d_l=d_l, d_u=d_u, team_delay=d_t,
             storage=config.storage,
-            engine=config.engine,
             passes=config.passes,
-            radius=radius,
         )
 
     # -- derived quantities (same formulas as PipelineConfig) -----------------
@@ -152,8 +146,6 @@ class ScheduleSpec:
             probs.append(f"storage={self.storage!r} (twogrid|compressed)")
         if self.sync_kind not in ("barrier", "relaxed"):
             probs.append(f"sync_kind={self.sync_kind!r} (barrier|relaxed)")
-        if self.radius < 1:
-            probs.append(f"radius={self.radius} (need >= 1)")
         if self.team_delay < 0:
             probs.append(f"team_delay={self.team_delay} (need >= 0)")
         return probs
@@ -163,7 +155,6 @@ class ScheduleSpec:
         sync = ("barrier" if self.sync_kind == "barrier"
                 else f"relaxed(d_l={self.d_l},d_u={self.d_u}"
                      + (f",d_t={self.team_delay})" if self.team_delay else ")"))
-        extra = f",radius={self.radius}" if self.radius != 1 else ""
         return (f"schedule(n={self.teams},t={self.threads_per_team},"
                 f"T={self.updates_per_thread},b={self.block_size},{sync},"
-                f"{self.storage},{self.engine}{extra})")
+                f"{self.storage})")

@@ -115,7 +115,8 @@ def solve(
         :class:`~repro.analysis.StaticAnalysisError` with a witness on
         an illegal schedule — and then runs with the per-pass runtime
         checks switched off (the proof replaces the assertions).
-        ``False`` skips both.
+        ``False`` skips both.  The ``threads`` backend is certified by
+        its executor whatever this says, once per solve.
     trace:
         ``True`` records an observability trace (:mod:`repro.obs`):
         spans for every pass/block/engine-apply and halo-exchange
@@ -147,13 +148,14 @@ def solve(
         raise ValueError(
             f"validate must be True, False or 'static', got {validate!r}")
     runtime_validate = bool(validate) and validate != "static"
-    if validate == "static":
+    if validate == "static" and backend != "threads":
         # Prove the schedule race/deadlock-free before touching the
-        # field; the executor's runtime checks are then redundant.
+        # field; the executor's runtime checks are then redundant.  The
+        # threads executor certifies every schedule itself, whatever
+        # ``validate`` says, so it is not certified twice.
         from .analysis import assert_legal
 
-        radius = stencil.radius if stencil is not None else 1
-        assert_legal(config, grid.shape, topo, radius=radius)
+        assert_legal(config, grid.shape, topo)
     if backend in ("shared", "threads") and topo != (1, 1, 1):
         raise ValueError(
             f"the {backend} backend is single-process; topology {topo} "

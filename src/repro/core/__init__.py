@@ -17,9 +17,9 @@ Public surface:
 from .parameters import BarrierSpec, PipelineConfig, RelaxedSpec, SyncSpec
 from .sync import BarrierPolicy, RelaxedPolicy, SyncPolicy, make_policy
 from .storage import CompressedStorage, StorageError, TwoGridStorage, make_storage
-from .schedule import ScheduleError, check_coverage, check_skew, make_decomposition
+from .schedule import ScheduleError, check_skew, make_decomposition
 from .executor import ExecutionStats, ORDERS, PipelineExecutor, ScheduleDeadlock
-from .pipeline import SolveResult, plan, run_pipelined
+from .pipeline import SolveResult, run_pipelined
 from .autotune import TuneResult, autotune
 from .wavefront import compare_wavefront, wavefront_balance, wavefront_config
 
@@ -37,7 +37,6 @@ __all__ = [
     "StorageError",
     "make_storage",
     "ScheduleError",
-    "check_coverage",
     "check_skew",
     "make_decomposition",
     "PipelineExecutor",
@@ -45,7 +44,6 @@ __all__ = [
     "ScheduleDeadlock",
     "ORDERS",
     "SolveResult",
-    "plan",
     "run_pipelined",
     "TuneResult",
     "autotune",

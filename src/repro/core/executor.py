@@ -217,7 +217,7 @@ class PipelineExecutor:
                     "stage threads run whatever the OS scheduler produces")
             from ..analysis import assert_legal
 
-            assert_legal(config, grid.shape, (1, 1, 1), radius=stencil.radius)
+            assert_legal(config, grid.shape, (1, 1, 1))
         self.grid = grid
         self.config = config
         self.stencil = stencil

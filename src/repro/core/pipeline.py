@@ -27,9 +27,8 @@ from ..kernels.stencils import StarStencil
 from ..obs.tracer import Trace, Tracer
 from .executor import ExecutionStats, PipelineExecutor
 from .parameters import PipelineConfig
-from .schedule import check_coverage, make_decomposition
 
-__all__ = ["SolveResult", "plan", "run_pipelined"]
+__all__ = ["SolveResult", "run_pipelined"]
 
 
 @dataclass
@@ -85,20 +84,6 @@ class SolveResult:
             doc, field=field, topology=tuple(doc["topology"]),
             stats=ExecutionStats(**doc["stats"]),
             config=PipelineConfig.from_json(doc["config"])))
-
-
-def plan(grid: Grid3D, config: PipelineConfig, verify_coverage: bool = True):
-    """Validate a configuration against a grid and return its decomposition.
-
-    Fails fast with a descriptive error if the shifted blocks would not
-    tile the domain (which cannot happen for consistent inputs, but guards
-    against hand-built decompositions) or if the block size is degenerate
-    for the requested pipeline depth.
-    """
-    decomp = make_decomposition(grid.domain, config)
-    if verify_coverage:
-        check_coverage(decomp, config)
-    return decomp
 
 
 def run_pipelined(

@@ -1,67 +1,41 @@
-"""Schedule-level geometry checks for the pipelined scheme.
+"""The block decomposition a configuration implies, and the skew oracle.
 
-These helpers validate *global* properties of a pipeline schedule that the
-per-operation storage validators cannot see:
+Legality of a schedule — coverage, the Eq. 3 window, the minimum block
+distance — is decided in one place, :mod:`repro.analysis`, before
+anything runs.  What stays here:
 
-* **coverage** — for every time level, the shifted-and-clipped block
-  regions tile the active domain exactly once (no cell skipped, none
-  updated twice);
-* **skew bound** — after any prefix of a legal execution, the time-level
-  surface has spatial slope at most one along shifted dimensions (this is
-  the property that makes the two-buffer window sufficient).
-
-They are used by the test-suite and by :func:`repro.core.pipeline.plan`
-to fail fast on inconsistent configurations.
+* :func:`make_decomposition` — the traversal geometry the executor and
+  the DES build from a configuration;
+* :func:`check_skew` — a test oracle on a *running* schedule: after any
+  prefix of a legal execution the time-level surface has spatial slope
+  at most one along shifted dimensions (the property that makes the
+  two-buffer window sufficient).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from ..grid.blocks import BlockDecomposition
-from ..grid.region import Box, boxes_partition
+from ..grid.region import Box
 from .parameters import PipelineConfig
 
 __all__ = [
     "make_decomposition",
-    "check_coverage",
     "check_skew",
     "ScheduleError",
 ]
 
-ActiveFn = Callable[[int], Box]
-
 
 class ScheduleError(ValueError):
-    """A schedule-level inconsistency (coverage hole, bad skew, ...)."""
+    """The time-level surface of a running schedule broke the skew bound."""
 
 
 def make_decomposition(domain: Box, config: PipelineConfig) -> BlockDecomposition:
     """Build the block decomposition implied by a pipeline configuration."""
     return BlockDecomposition(domain, config.block_size, config.max_shift)
-
-
-def check_coverage(decomp: BlockDecomposition, config: PipelineConfig,
-                   active_fn: Optional[ActiveFn] = None) -> None:
-    """Verify that every pass-local level's regions partition its domain.
-
-    Raises :class:`ScheduleError` on the first violation.  ``active_fn``
-    maps a pass-local update number (1-based) to the active box (defaults
-    to the full domain; the distributed trapezoid passes its shrinking
-    boxes).
-    """
-    for u in range(1, config.updates_per_pass + 1):
-        active = active_fn(u) if active_fn is not None else decomp.domain
-        regions = decomp.level_regions(u - 1, active)
-        if not boxes_partition(regions, active):
-            covered = sum(r.ncells for r in regions)
-            raise ScheduleError(
-                f"update {u}: regions cover {covered} cells but active "
-                f"domain has {active.ncells}; the shifted blocks do not "
-                "tile the domain"
-            )
 
 
 def check_skew(levels: np.ndarray, shift_vec: Tuple[int, int, int],
@@ -90,22 +64,3 @@ def check_skew(levels: np.ndarray, shift_vec: Tuple[int, int, int],
                 f"time-level skew {worst} along dim {d} exceeds bound "
                 f"{max_skew}; the one-cell-shift discipline is broken"
             )
-
-
-def traversal_neighbors_gap(decomp: BlockDecomposition) -> int:
-    """Traversal-index distance that makes a predecessor's regions safe.
-
-    For a 1-D pipeline (single tiled dimension) consecutive traversal
-    blocks are spatially adjacent and the paper's minimum distance of one
-    block suffices.  When more dimensions are tiled, lexicographic
-    traversal places spatially adjacent blocks ``extended_counts`` apart,
-    so the *effective* minimum ``d_l`` grows; this helper returns that
-    distance for diagnostics and the autotuner.
-    """
-    counts = decomp.extended_counts
-    tiled = decomp.tiled_dims
-    if not tiled:
-        return 1
-    # Stride of one step along the slowest tiled dimension.
-    strides = (counts[1] * counts[2], counts[2], 1)
-    return max(strides[d] for d in tiled)

@@ -85,7 +85,11 @@ def plane_axis_and_step(storage, level: int) -> Tuple[int, int]:
     direction the storage offset of ``level`` moves relative to
     ``level-1`` (descending offsets — even passes — need ascending
     planes, and vice versa), so a committed plane only ever overwrites
-    positions no later plane still reads.  For the two-grid layout any
+    positions no later plane still reads.  That holds for every engine
+    because stencils are radius 1 by construction
+    (:class:`~repro.kernels.stencils.StarStencil`): a plane's write
+    destroys only the previous level of the plane one step behind it,
+    which no plane still to come reads.  For the two-grid layout any
     order is legal; ascending axis 0 keeps the walk cache-friendly.
     """
     shift_vec = getattr(storage, "shift_vec", None)
@@ -114,10 +118,6 @@ class Engine:
         byte-identical results on identical inputs; it — not the
         engine name — enters the service's content keys, so caches are
         shared within a class and never across classes.
-    fused_inplace:
-        Capability flag: fills ``storage.write_view`` piecewise (no
-        full-region temporary), so on the compressed grid the walk
-        direction matters — :mod:`repro.analysis` checks it.
     jit:
         Capability flag: compiles the update loop (optional deps).
     requires:
@@ -126,7 +126,6 @@ class Engine:
 
     name: str = "abstract"
     semantics: str = "vector-v2"
-    fused_inplace: bool = False
     jit: bool = False
     requires = None
 
@@ -179,9 +178,7 @@ class Engine:
 
     def describe(self) -> str:
         """One-line summary for tables and reports."""
-        caps = [flag for flag, on in (("fused-inplace", self.fused_inplace),
-                                      ("jit", self.jit)) if on]
-        extra = f" [{', '.join(caps)}]" if caps else ""
+        extra = " [jit]" if self.jit else ""
         return f"{self.name}({self.semantics}){extra}"
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -117,7 +117,6 @@ class NumbaDeepEngine(NumbaEngine):
 
     name = "numba-deep"
     semantics = "vector-v2"
-    fused_inplace = True
     jit = True
     requires = "numba"
 

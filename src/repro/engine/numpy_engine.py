@@ -256,7 +256,6 @@ class NumpyEngine(Engine):
 
     name = "numpy"
     semantics = "vector-v2"
-    fused_inplace = True
 
     def apply(self, stencil, storage, region, level: int) -> None:
         if region.is_empty:

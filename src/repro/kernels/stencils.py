@@ -64,11 +64,6 @@ class StarStencil:
         object.__setattr__(self, "weights", dict(self.weights))
 
     @property
-    def radius(self) -> int:
-        """1, by construction; what the static legality gate reads."""
-        return 1
-
-    @property
     def offsets(self) -> List[Offset]:
         """Gathered offsets in canonical order (subset of AXIS_OFFSETS)."""
         return [o for o in AXIS_OFFSETS if o in self.weights]

@@ -5,10 +5,11 @@ huge" and that its reported optima were found experimentally;
 :func:`repro.autotune` automates that experiment on the calibrated
 machine model.  This module puts it behind the service: a job submitted
 with ``config="auto"`` gets the best *valid* configuration from a small
-deterministic sweep — ranked by simulated MLUP/s, then filtered against
-the job's actual grid and placement (coverage check, distributed
-storage constraint), falling back to a conservative default when the
-whole sweep is infeasible for a tiny grid.
+deterministic sweep — ranked by simulated MLUP/s, then filtered by the
+static analyzer against the job's actual grid and placement (its
+certificate covers the decomposition and the distributed storage
+constraint), falling back to a conservative default when the whole
+sweep is infeasible for a tiny grid.
 
 Everything here is deterministic: the DES is seeded, the ranking sort
 is stable, and resolutions are memoised per (machine, geometry), so the
@@ -32,7 +33,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.autotune import TuneResult, autotune
 from ..core.parameters import PipelineConfig, RelaxedSpec
-from ..core.pipeline import plan
 from ..grid.grid3d import Grid3D
 from ..machine.topology import MachineSpec
 
@@ -69,35 +69,16 @@ def _default_machine() -> MachineSpec:
 
 def _valid(cfg: PipelineConfig, grid: Grid3D,
            topology: Tuple[int, int, int]) -> bool:
-    """Whether ``cfg`` can actually run this job (fail-fast dry checks).
+    """Whether ``cfg`` can run this job: the static analyzer certifies it.
 
-    Beyond the geometric dry-run (can the decomposition and the pass
-    plan even be built?), every candidate must be *certified* by the
-    static schedule analyzer: auto-configured jobs never hand the
-    worker pool a schedule whose race/deadlock freedom has not been
-    proven.
+    Auto-configured jobs never hand the worker pool a schedule whose
+    race/deadlock freedom has not been proven.  The same check refuses
+    a decomposition the grid cannot take and a storage the distributed
+    rail cannot run.
     """
     from ..analysis import quick_check  # late: keeps serve import-light
 
-    try:
-        if not quick_check(cfg, grid.shape, tuple(topology)):
-            return False
-        if topology == (1, 1, 1):
-            plan(grid, cfg)
-            return True
-        if cfg.storage != "twogrid":
-            return False
-        from ..dist.decomp import CartesianDecomposition
-
-        decomp = CartesianDecomposition(grid.shape, topology,
-                                        cfg.updates_per_pass)
-        for rank in range(decomp.n_ranks):
-            local = Grid3D(decomp.geometry(rank).stored.shape,
-                           dtype=grid.dtype)
-            plan(local, cfg)
-        return True
-    except (ValueError, KeyError):
-        return False
+    return quick_check(cfg, grid.shape, topology)
 
 
 def ranked_candidates(machine: MachineSpec,
@@ -126,8 +107,8 @@ def auto_config(grid: Grid3D,
                 machine: Optional[MachineSpec] = None) -> PipelineConfig:
     """The configuration a ``config="auto"`` job resolves to.
 
-    Best simulated throughput among the sweep points that pass the
-    coverage/placement checks for this grid and topology; memoised, so
+    Best simulated throughput among the sweep points the analyzer
+    certifies for this grid and topology; memoised, so
     repeated auto jobs on one geometry resolve (and therefore cache)
     identically.
     """

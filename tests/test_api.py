@@ -94,8 +94,8 @@ class TestDispatch:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_explicit_stencil_on_every_backend(self, backend, validate,
                                                stencil):
-        # validate="static" reads the stencil's radius for the legality
-        # gate, as the thread driver always does.
+        # Every stencil is radius 1, so the legality gate (solve's for
+        # validate="static", the thread driver's always) never reads it.
         grid, field, cfg = small_problem()
         st = stencil()
         res = solve(grid, field, cfg, backend=backend, stencil=st,

@@ -308,52 +308,63 @@ class TestThreadsBitIdentity:
 # ---------------------------------------------------------------------------
 
 
-class _WideStencil:
-    """Stub with the only attribute the static gate reads: radius 2.
+def _tampered_config():
+    """A config whose window was forced to ``d_l = 0`` after construction.
 
-    Radius 2 at d_l=1 violates the one-block distance (the analyzer
-    proves a witness interleaving), and the Pipeline/RelaxedSpec
-    constructors cannot reject it — only ``assert_legal`` sees the
-    stencil — which makes it the exact lever for testing that the
-    threaded entry refuses what the analyzer refuses.
+    ``RelaxedSpec`` refuses ``d_l < 1``, but a frozen dataclass can be
+    overwritten; the analyzer rejects the result with a RAW witness (a
+    stage may read a level its predecessor has not written), which
+    makes it the lever for testing that every threaded entry refuses
+    what the analyzer refuses.
     """
+    cfg = small_config()
+    object.__setattr__(cfg.sync, "d_l", 0)
+    return cfg
 
-    radius = 2
+
+@pytest.fixture
+def started(monkeypatch):
+    """Names of the threads whose ``start`` was called (none ever run)."""
+    names = []
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: names.append(self.name))
+    return names
 
 
 class TestUnconditionalLegalityGate:
     @pytest.mark.parametrize("validate", [True, False, "static"])
-    def test_refuses_illegal_schedule_any_validate(self, validate):
+    def test_refuses_illegal_schedule_any_validate(self, validate, started):
+        grid = Grid3D((16, 12, 12))
+        field = np.full(grid.shape, 7.0)
+        before = field.copy()
+        with pytest.raises(StaticAnalysisError) as exc:
+            solve(grid, field, _tampered_config(), backend="threads",
+                  validate=validate)
+        assert exc.value.report.errors[0].checker == "raw-hazard"
+        # No thread ever launched: the input is untouched.
+        assert started == []
+        assert np.array_equal(field, before)
+
+    def test_direct_entry_refuses_too(self, started):
         grid = Grid3D((16, 12, 12))
         field = np.full(grid.shape, 7.0)
         before = field.copy()
         with pytest.raises(StaticAnalysisError):
-            solve(grid, field, small_config(), backend="threads",
-                  stencil=_WideStencil(), validate=validate)
-        # No thread ever launched: the input is untouched.
+            run_pipelined(grid, field, _tampered_config(), validate=False,
+                          threads=True)
+        assert started == []
         assert np.array_equal(field, before)
 
-    def test_direct_entry_refuses_too(self):
-        grid = Grid3D((16, 12, 12))
-        field = np.zeros(grid.shape)
-        with pytest.raises(StaticAnalysisError):
-            run_pipelined(grid, field, small_config(),
-                          stencil=_WideStencil(), validate=False,
-                          threads=True)
-
     @pytest.mark.parametrize("validate", [True, False])
-    def test_executor_itself_refuses(self, validate, monkeypatch):
+    def test_executor_itself_refuses(self, validate, started):
         # The gate lives in the executor, so constructing it directly —
         # the one entry that used to skip certification — refuses too,
         # before a single stage thread exists.
-        started = []
-        monkeypatch.setattr(threading.Thread, "start",
-                            lambda self: started.append(self.name))
         grid = Grid3D((16, 12, 12))
         field = np.full(grid.shape, 7.0)
         before = field.copy()
         with pytest.raises(StaticAnalysisError):
-            PipelineExecutor(grid, field, small_config(), _WideStencil(),
+            PipelineExecutor(grid, field, _tampered_config(), jacobi7(),
                              validate=validate, threads=True)
         assert started == []
         assert np.array_equal(field, before)
@@ -372,8 +383,7 @@ class TestUnconditionalLegalityGate:
         cfg = PipelineConfig(teams=1, threads_per_team=2,
                              updates_per_thread=2, block_size=(3, 64, 64),
                              sync=RelaxedSpec(2, 4), passes=1)
-        res = solve(grid, field, cfg, backend="threads",
-                    stencil=_make_radius2_compatible())
+        res = solve(grid, field, cfg, backend="threads")
         assert res.levels_advanced == cfg.total_updates
 
     def test_threads_backend_rejects_topology(self):
@@ -382,11 +392,6 @@ class TestUnconditionalLegalityGate:
         with pytest.raises(ValueError, match="single-process"):
             solve(grid, field, small_config(), backend="threads",
                   topology=(1, 1, 2))
-
-
-def _make_radius2_compatible():
-    """A real radius-1 stencil: d_l=2 schedules are legal for it."""
-    return jacobi7()
 
 
 # ---------------------------------------------------------------------------

@@ -39,12 +39,11 @@ from repro import (BarrierSpec, Grid3D, PipelineConfig, RelaxedSpec,
                    reference_sweeps, run_pipelined, solve)
 from repro.analysis import analyze_schedule
 from repro.core.executor import ORDERS, PipelineExecutor
-from repro.core.schedule import traversal_neighbors_gap
 from repro.core.storage import CompressedStorage, StorageError, TwoGridStorage
 from repro.engine import (NumbaDeepEngine, NumbaEngine, get_engine,
                           numpy_engine, register_engine, unregister_engine)
 from repro.engine.numpy_engine import accumulate_padded
-from repro.grid import BlockDecomposition, Box, DirichletBoundary, random_field
+from repro.grid import Box, DirichletBoundary, random_field
 from repro.grid.blocks import axis_row, box_spans
 from repro.kernels import (AXIS_OFFSETS, StarStencil, anisotropic_jacobi,
                            jacobi5_2d, jacobi7)
@@ -826,11 +825,9 @@ def compressed_cases(draw):
                updates_per_thread=draw(st.integers(1, 2)),
                block_size=block, passes=draw(st.integers(1, 3)),
                storage="compressed")
-    shift = cfg["teams"] * cfg["threads_per_team"] * cfg["updates_per_thread"]
-    gap = traversal_neighbors_gap(BlockDecomposition(
-        Box.from_shape(shape), block, shift - 1))
+    d_l = draw(st.integers(1, 3))
     cfg["sync"] = (BarrierSpec() if draw(st.booleans()) else RelaxedSpec(
-        gap, gap + draw(st.integers(0, 3)), draw(st.integers(0, 2))))
+        d_l, d_l + draw(st.integers(0, 3)), draw(st.integers(0, 2))))
     kind = draw(st.sampled_from(["scalar", "faces", "func"]))
     values = st.sampled_from([-0.0, 0.0, 0.75, -2.5, 1e3])
     if kind == "scalar":
