@@ -368,6 +368,11 @@ def analyze_schedule(config, shape: Sequence[int] = (32, 32, 32),
                    f"cannot build a block decomposition of {local} with "
                    f"blocks {spec.block_size} and max shift {spec.max_shift}")
         return report
+    if spec.storage == "compressed" and not decomp.tiled_dims:
+        report.add("config-error", "error", "block geometry",
+                   f"compressed storage needs a tiled axis to shift along: "
+                   f"blocks {spec.block_size} cover all of {local}")
+        return report
 
     table = build_constraints(spec, decomp, report)
     check_coverage_static(spec, decomp, report,

@@ -17,7 +17,8 @@ cannot know:
   *constructs* a pool must visibly close it (``cleanup()`` or a
   ``with`` block), or segments leak past process exit.
 * **engine-contract** — execution engines may touch destinations only
-  through ``storage.write``/``write_view``+``commit_write`` (private
+  through ``storage.write``/``write_view``+``commit_write``, or the raw
+  arrays after ``check_update`` and before ``commit_write`` (private
   storage internals are how silent bit-corruption starts), a
   ``write_view`` without a matching ``commit_write`` leaves the level
   bookkeeping stale, and every :class:`~repro.engine.base.Engine`

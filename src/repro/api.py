@@ -109,11 +109,15 @@ def solve(
         (:mod:`repro.perf.db`) — the static default when no
         measurements apply, so it is always safe.
     validate:
-        ``True`` (default) keeps the runtime coverage checks of the
-        executor.  ``"static"`` first certifies the schedule with the
-        :mod:`repro.analysis` happens-before checker — raising
-        :class:`~repro.analysis.StaticAnalysisError` with a witness on
-        an illegal schedule — and then runs with the per-pass runtime
+        ``True`` (default) runs the storage's level checks: before
+        each update region is computed, its stencil reads (two-buffer
+        window, compressed-position tracking) and its write are checked
+        once, in one level pass over the region and its outer faces, so
+        an illegal schedule raises :class:`~repro.core.storage.StorageError`
+        at its first illegal read.  ``"static"`` first certifies the
+        schedule with the :mod:`repro.analysis` happens-before checker —
+        raising :class:`~repro.analysis.StaticAnalysisError` with a
+        witness on an illegal schedule — and then runs with the level
         checks switched off (the proof replaces the assertions).
         ``False`` skips both.  The ``threads`` backend is certified by
         its executor whatever this says, once per solve.

@@ -7,7 +7,8 @@ Two schemes from the paper:
   legal iff the neighbor's current level is ``v`` or ``v+1`` — one level
   higher is fine because that update wrote the *other* array.  This
   "two-buffer window" is exactly what the one-cell shift of the pipelined
-  schedule guarantees, and the storage validates it on every gather.
+  schedule guarantees, and the storage validates it on every stencil
+  read — once per update region (:meth:`_StorageBase.check_update`).
 
 * **Compressed grid** (Sect. 1.3): one grid; every update writes shifted by
   one cell along the tiled dimensions, alternate passes shift back,
@@ -24,12 +25,17 @@ again.  A compressed ring cell moves with the level exactly as an
 interior cell does, so :meth:`CompressedStorage.commit_write` stores the
 ring next to each committed region (see the class).  Level bookkeeping
 exists to *validate* schedules and is allocated and written only under
-``validate=True``.
+``validate=True``.  An update's reads — its region and the region
+displaced by each stencil offset — cover the region plus one outer face
+per offset, so validation tests each of those cells once: the region
+against the layout's read predicate (and the write's uniform level), the
+faces against the read predicate.  Only a failed test replays the
+per-read checks, so the error names the first illegal read.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Tuple
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
@@ -37,6 +43,15 @@ from ..grid.grid3d import Grid3D
 from ..grid.region import Box
 
 __all__ = ["StorageError", "TwoGridStorage", "CompressedStorage", "make_storage"]
+
+#: Level bookkeeping dtype: levels stay far below 2**31, and half the
+#: bytes of int64 are half the traffic of every validated update.
+_LEVEL = np.int32
+
+#: ``(axis, bit)`` of every radius-1 axis offset: bit 1 is the low outer
+#: face of a region, bit 2 the high one.
+_FACE_BIT = {(-1, 0, 0): (0, 1), (1, 0, 0): (0, 2), (0, -1, 0): (1, 1),
+             (0, 1, 0): (1, 2), (0, 0, -1): (2, 1), (0, 0, 1): (2, 2)}
 
 
 class StorageError(RuntimeError):
@@ -57,7 +72,7 @@ class _StorageBase:
         self.validate = bool(validate)
         #: Current time level of every interior cell; validation only,
         #: ``None`` otherwise.
-        self.levels: Any = (np.zeros(grid.shape, dtype=np.int64)
+        self.levels: Any = (np.zeros(grid.shape, dtype=_LEVEL)
                             if self.validate else None)
 
     # -- interface implemented by subclasses -------------------------------------
@@ -68,6 +83,15 @@ class _StorageBase:
 
     def _check_read(self, box: Box, level: int) -> None:
         """Raise unless ``box`` is legally readable at ``level``."""
+        raise NotImplementedError
+
+    def _read_levels(self, level: int) -> Tuple[np.ndarray, Tuple[int, int, int], int]:
+        """The read predicate of :meth:`_check_read`, as data.
+
+        ``(array, origin, window)``: cell ``c`` is readable at ``level``
+        iff ``array[c + origin]`` is ``level`` (``window`` 1) or
+        ``level`` or ``level + 1`` (``window`` 2).
+        """
         raise NotImplementedError
 
     # -- common operations ---------------------------------------------------------
@@ -139,7 +163,10 @@ class _StorageBase:
         """Copy out ``box`` at a uniform ``level`` (validated)."""
         if self.validate:
             self.check_uniform_level(box, level)
-        return self._read_inside(box, level).copy()
+            # A two-grid cell at exactly ``level`` is readable at it.
+            if self._read_levels(level)[0] is not self.levels:
+                self._check_read(box, level)
+        return self._view(box, level).copy()
 
     def inject(self, box: Box, level: int, values: np.ndarray) -> None:
         """Overwrite ``box`` with externally produced values at ``level``.
@@ -178,10 +205,90 @@ class _StorageBase:
         instead, up front: the centre read plus each shifted read, on
         the domain and on the ring cells the layout rewrites per level,
         with the checks (two-buffer window, compressed-position
-        tracking) a per-offset gather sequence performs.  No-op when
-        validation is off or ``region`` is empty.
+        tracking) a per-offset gather sequence performs.  ``offsets``
+        are radius-1 axis offsets, as every star stencil's are.  Each
+        cell is tested once; a failure raises the error the per-offset
+        sequence raises first.  No-op when validation is off or
+        ``region`` is empty.
         """
-        if not self.validate or region.is_empty:
+        if self.validate and self._bad_update(region, offsets, level, False):
+            self._replay_reads(region, offsets, level)
+            raise AssertionError(f"level test and per-read replay disagree on {region}")
+
+    def check_update(self, region: Box, offsets, level: int) -> None:
+        """:meth:`check_traversal` at ``level - 1``, then :meth:`check_write`.
+
+        Every legality check of the update ``level-1 -> level`` on
+        ``region``, in one call: the fused engines' entry point, after
+        which they read :meth:`raw_read_array` ``(level - 1)``, write
+        :meth:`raw_read_array` ``(level)`` and call :meth:`commit_write`.
+        Raises exactly what the two calls would, in that order.
+        """
+        if self.validate and self._bad_update(region, offsets, level - 1, True):
+            self._replay_reads(region, offsets, level - 1)
+            self.check_write(region, level)
+            raise AssertionError(f"level test and per-read replay disagree on {region}")
+
+    def _bad_update(self, region: Box, offsets, level: int, write: bool) -> bool:
+        """Whether some check of :meth:`check_traversal` (and, with
+        ``write``, the uniform level :meth:`check_write` asks for) fails
+        on ``region`` read at ``level``.
+
+        The reads of the region and of the region displaced by each
+        offset cover the region plus, per offset, the outer face on its
+        side, clipped to the level-checked cells.  One array over their
+        star hull holds each cell's distance above ``level``; the region
+        and each axis' faces (one strided slice) are tested on it.
+        """
+        lo, hi = region.lo, region.hi
+        if hi[0] <= lo[0] or hi[1] <= lo[1] or hi[2] <= lo[2]:
+            return False
+        dlo, dhi = self.domain.lo, self.domain.hi
+        if not (dlo[0] <= lo[0] and dlo[1] <= lo[1] and dlo[2] <= lo[2]
+                and hi[0] <= dhi[0] and hi[1] <= dhi[1] and hi[2] <= dhi[2]):
+            return True
+        sides = [0, 0, 0]
+        for off in offsets:
+            if off in _FACE_BIT:
+                d, bit = _FACE_BIT[off]
+                sides[d] |= bit
+            elif any(off):
+                raise ValueError(f"offset {off} is not a radius-1 axis offset")
+        arr, origin, window = self._read_levels(level)
+        clo, chi = self._checked.lo, self._checked.hi
+        hull: List[slice] = []
+        inner: List[slice] = []
+        outer: List[Optional[slice]] = []
+        for d in range(3):
+            low = int(sides[d] & 1 and lo[d] > clo[d])
+            high = int(sides[d] & 2 and hi[d] < chi[d])
+            n = hi[d] - lo[d]
+            at = lo[d] + origin[d] - low
+            hull.append(slice(at, at + low + n + high))
+            inner.append(slice(low, low + n))
+            outer.append(slice(0, n + 2, n + 1) if low and high else slice(0, 1) if low
+                         else slice(n, n + 1) if high else None)
+        # Unsigned (``_LEVEL``'s width): 0 at ``level``, 1 one above,
+        # huge below or beyond.
+        dist = (arr[tuple(hull)] - level).view(np.uint32)
+        here = dist[tuple(inner)]
+        if write and np.count_nonzero(here if arr is self.levels else
+                                      self.levels[region.slices()] != level):
+            return True
+        # A two-grid cell uniformly at ``level`` is inside the window.
+        if not (write and arr is self.levels) and _outside(here, window):
+            return True
+        for d, face in enumerate(outer):
+            if face is not None:
+                cells = list(inner)
+                cells[d] = face
+                if _outside(dist[tuple(cells)], window):
+                    return True
+        return False
+
+    def _replay_reads(self, region: Box, offsets, level: int) -> None:
+        """The per-read checks of :meth:`check_traversal`, in order."""
+        if region.is_empty:
             return
         if not self.domain.contains_box(region):
             raise StorageError(f"gather region {region} outside stored domain")
@@ -196,10 +303,11 @@ class _StorageBase:
 
         Raw access for fused engines: returns ``(array, origin)`` such
         that the value of cell ``c`` at time ``level`` — interior or
-        ring — lives at ``array[c + origin]``.  Reads through this path
-        bypass the legality validation — callers must run
-        :meth:`check_traversal` first (and pair destination access with
-        :meth:`write_view`/:meth:`commit_write` as usual).
+        ring — lives at ``array[c + origin]``, which is also where the
+        update to ``level`` writes it.  Access through this path
+        bypasses the legality validation — callers run
+        :meth:`check_update` (or :meth:`check_traversal` and
+        :meth:`write_view`) first and :meth:`commit_write` after.
         """
         raise NotImplementedError
 
@@ -245,6 +353,9 @@ class TwoGridStorage(_StorageBase):
                 f"[{level}, {level + 1}])"
             )
 
+    def _read_levels(self, level: int) -> Tuple[np.ndarray, Tuple[int, int, int], int]:
+        return self.levels, (0, 0, 0), 2
+
     def ring_array(self, level: int) -> np.ndarray:
         """Padded array ``level % 2``: holds ``level``, receives the update
         to it.
@@ -252,8 +363,8 @@ class TwoGridStorage(_StorageBase):
         Index 0 is cell ``-1``, the layout the slices of a
         :class:`~repro.grid.blocks.AxisSpan` address, so a region and its
         shifted reads are ``array[sz[dz], sy[dy], sx[dx]]``.  Raw access:
-        callers run :meth:`check_traversal` before reading and
-        :meth:`check_write` / :meth:`commit_write` around writing.
+        callers run :meth:`check_update` before and :meth:`commit_write`
+        after the update.
         """
         return self._arrays[level % 2]
 
@@ -314,7 +425,7 @@ class CompressedStorage(_StorageBase):
         #: Level that last wrote each storage position (-1 = never).
         self._pos_level: Any = None
         if self.validate:
-            self._pos_level = np.full(store_shape, -1, dtype=np.int64)
+            self._pos_level = np.full(store_shape, -1, dtype=_LEVEL)
         moving = tuple(int(v or grid.boundary.func is not None) for v in self.shift_vec)
         self._checked = self.domain.grow_vec(moving)
         #: ``(dim, side, ring box, its values)`` per moving face.
@@ -355,6 +466,9 @@ class CompressedStorage(_StorageBase):
                 "clobbered live data or the value was never produced"
             )
 
+    def _read_levels(self, level: int) -> Tuple[np.ndarray, Tuple[int, int, int], int]:
+        return self._pos_level, self._origin(level), 1
+
     def commit_write(self, region: Box, level: int) -> None:
         """Mark ``region`` written and store its moving-face ring cells.
 
@@ -384,6 +498,11 @@ class CompressedStorage(_StorageBase):
     def array_bytes(self) -> int:
         """Bytes held by the (single) value array, margin and ring included."""
         return self._array.nbytes
+
+
+def _outside(dist: np.ndarray, window: int) -> bool:
+    """Whether a distance above the read level leaves ``[0, window)``."""
+    return bool(np.count_nonzero(dist >= window if window > 1 else dist))
 
 
 def make_storage(scheme: str, grid: Grid3D, field: np.ndarray,

@@ -123,12 +123,13 @@ class NumbaDeepEngine(NumbaEngine):
     def apply(self, stencil, storage, region, level: int) -> None:
         if region.is_empty:
             return
-        # All validation a per-offset gather sequence would run happens
-        # up front (reads), then via write_view (destination); the
-        # compiled traversal itself touches raw arrays.
-        storage.check_traversal(
-            region, [off for off, _ in stencil.terms if any(off)], level - 1)
-        dst = storage.write_view(region, level)
+        # All validation a per-offset gather sequence and write_view
+        # would run happens up front, in one storage call; the compiled
+        # traversal itself touches raw arrays.
+        storage.check_update(
+            region, [off for off, _ in stencil.terms if any(off)], level)
+        out, at = storage.raw_read_array(level)
+        dst = out[region.slices(at)]
         if not stencil.groups:
             dst[...] = 0
             storage.commit_write(region, level)

@@ -30,7 +30,7 @@ The compressed grid is updated in place, slab by slab in the legal
 direction.  Its one array is ringed on every face too, so a slab that
 spans y and x in full takes the same flat run over it (the final pass
 writes the slab's cells only, after every read); other slabs read views
-through ``storage.gather``.
+of the array.
 """
 
 from __future__ import annotations
@@ -212,7 +212,8 @@ def _accumulate_inplace(stencil, storage, region: Box, level: int) -> None:
     overlapping write legal, each stored only after all of its reads.  A
     region that spans y and x in full leaves them unshifted, so its every
     slab is a z range that runs flat (:func:`_slab_run`, in one
-    ``np.errstate``); any other reads views through ``storage.gather``.
+    ``np.errstate``); any other reads views of the array.  Under
+    validation each slab's reads are checked once, before its first.
     """
     groups = stencil.groups
     axis, step = plane_axis_and_step(storage, level)
@@ -220,7 +221,7 @@ def _accumulate_inplace(stencil, storage, region: Box, level: int) -> None:
     n = dst.shape[axis]
     thick = _slab_thickness(dst.nbytes // n)
     lo, hi = region.lo, region.hi
-    src, (oz, oy, ox) = storage.raw_read_array(level - 1)
+    src, origin = storage.raw_read_array(level - 1)
     _, rows, row = src.shape
     flat = lo[1:] == (0, 0) and hi[1:] == storage.grid.shape[1:]
     with np.errstate(all="ignore" if flat else None):
@@ -230,14 +231,23 @@ def _accumulate_inplace(stencil, storage, region: Box, level: int) -> None:
             slab = Box(lo[:axis] + (lo[axis] + a,) + lo[axis + 1:],
                        hi[:axis] + (lo[axis] + b,) + hi[axis + 1:])
             out = dst[(slice(None),) * axis + (slice(a, b),)]
+            if storage.validate:
+                storage.check_traversal(slab, stencil.offsets, level - 1)
             if flat:
-                if storage.validate:
-                    storage.check_traversal(slab, stencil.offsets, level - 1)
-                _slab_run(groups, src, ((slab.lo[0] + oz) * rows + oy) * row + ox, out)
+                _slab_run(groups, src, ((slab.lo[0] + origin[0]) * rows
+                                        + origin[1]) * row + origin[2], out)
             else:
-                _fma(out, groups,
-                     partial(storage.gather, slab, level=level - 1), slab.shape)
+                _fma(out, groups, partial(_shifted, src, slab.slices(origin)),
+                     slab.shape)
     storage.commit_write(region, level)
+
+
+def _shifted(src: np.ndarray, at: Tuple[slice, slice, slice],
+             off: Tuple[int, int, int]) -> np.ndarray:
+    """The view of ``src[at]`` displaced by ``off``."""
+    z, y, x = at
+    return src[z.start + off[0]:z.stop + off[0], y.start + off[1]:y.stop + off[1],
+               x.start + off[2]:x.stop + off[2]]
 
 
 def accumulate_padded(stencil, src: np.ndarray, dst: np.ndarray,
@@ -274,8 +284,7 @@ class NumpyEngine(Engine):
         # validation needs the region as a Box, the arithmetic does not.
         region = spans_box(spans) if storage.validate else None
         if region is not None:
-            storage.check_traversal(region, stencil.offsets, level - 1)
-            storage.check_write(region, level)
+            storage.check_update(region, stencil.offsets, level)
         _accumulate_ring(stencil.groups, storage.ring_array(level - 1),
                          storage.ring_array(level), spans)
         if region is not None:

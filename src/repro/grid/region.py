@@ -67,7 +67,8 @@ class Box:
     @property
     def is_empty(self) -> bool:
         """True if the box contains no cells."""
-        return any(self.hi[d] <= self.lo[d] for d in range(3))
+        lo, hi = self.lo, self.hi
+        return hi[0] <= lo[0] or hi[1] <= lo[1] or hi[2] <= lo[2]
 
     def contains(self, cell: Sequence[int]) -> bool:
         """True if ``cell`` lies inside the box."""
@@ -174,10 +175,10 @@ class Box:
         ``offset``, ``arr[box.slices(offset)]`` views exactly the box.
         Empty boxes produce zero-length slices.
         """
-        return tuple(
-            slice(self.lo[d] + offset[d], max(self.lo[d], self.hi[d]) + offset[d])
-            for d in range(3)
-        )  # type: ignore[return-value]
+        (l0, l1, l2), (h0, h1, h2) = self.lo, self.hi
+        o0, o1, o2 = offset
+        return (slice(l0 + o0, max(l0, h0) + o0), slice(l1 + o1, max(l1, h1) + o1),
+                slice(l2 + o2, max(l2, h2) + o2))
 
     def iter_cells(self) -> Iterator[Coord]:
         """Iterate over all cell coordinates (small boxes only; O(ncells))."""

@@ -18,11 +18,12 @@ Three layers of evidence that the analyzer means what it says:
 
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import repro
 from repro.analysis import (
@@ -210,8 +211,6 @@ def constructible_cases(draw):
                                                        "compressed"])),
                          passes=draw(st.integers(1, 2)))
     tiled = sum(b < n for b, n in zip(block, shape))
-    # The compressed grid needs an axis to shift its levels along.
-    assume(tiled or cfg.storage == "twogrid")
     event(f"{tiled} tiled axes")
     return (shape, cfg, draw(st.sampled_from(ORDERS)),
             draw(st.integers(0, 2**16)))
@@ -227,11 +226,21 @@ def test_certified_schedules_run_byte_identical(case):
     # schedule is certified, and every certified one must run exactly.
     shape, cfg, order, seed = case
     report = analyze_schedule(cfg, shape)
-    assert report.ok, report.describe()
     grid = Grid3D(shape)
     field = random_field(shape, np.random.default_rng(seed))
-    got = repro.run_pipelined(grid, field, cfg, order=order, validate=True,
-                              rng=np.random.default_rng(seed + 1))
+    run = partial(repro.run_pipelined, grid, field, cfg, order=order,
+                  validate=True, rng=np.random.default_rng(seed + 1))
+    if cfg.storage == "compressed" and all(
+            b >= n for b, n in zip(cfg.block_size, shape)):
+        # No tiled axis to shift the compressed levels along: the
+        # analyzer refuses what the storage refuses.
+        assert [f.checker for f in report.errors] == ["config-error"]
+        assert not quick_check(cfg, shape)
+        with pytest.raises(ValueError, match="bad shift vector"):
+            run()
+        return
+    assert report.ok, report.describe()
+    got = run()
     want = reference_sweeps(grid, field, cfg.total_updates)
     assert got.field.tobytes() == want.tobytes()
 
@@ -302,6 +311,31 @@ def test_auto_config_refuses_what_the_analyzer_refuses():
     assert not quick_check(PipelineConfig(), (2, 2, 2), (1, 1, 4))
     with pytest.raises(ValueError, match="no valid pipeline configuration"):
         auto_config(Grid3D((2, 2, 2)), (1, 1, 4))
+
+
+@pytest.mark.parametrize("backend, refusal", [
+    ("shared", ValueError), ("threads", StaticAnalysisError)])
+def test_compressed_without_a_tiled_axis_is_a_config_error(backend, refusal):
+    # Certified, then refused by the storage ("bad shift vector"), until
+    # the analyzer learned that compressed levels shift along tiled axes.
+    cfg = PipelineConfig(teams=1, threads_per_team=2, updates_per_thread=1,
+                         block_size=(8, 8, 8), storage="compressed")
+    report = analyze_schedule(cfg, (8, 8, 8))
+    assert [(f.checker, f.message.split(":")[0]) for f in report.errors] == [
+        ("config-error", "compressed storage needs a tiled axis to shift along")]
+    assert not quick_check(cfg, (8, 8, 8))
+    grid = Grid3D((8, 8, 8))
+    # The storage refuses it; the threads rail's certificate now first.
+    with pytest.raises(refusal):
+        repro.solve(grid, random_field(grid.shape, np.random.default_rng(0)),
+                    cfg, backend=backend)
+    # So the service's sweep never offers one; without the check it
+    # ranked such configs 3rd, 4th, 15th, ... for an 8^3 grid.
+    from repro.serve.autoconf import _default_machine, ranked_candidates
+
+    for c in ranked_candidates(_default_machine(), (8, 8, 8), False):
+        assert c.config.storage == "twogrid" or any(
+            b < 8 for b in c.config.block_size), c.config
 
 
 def test_quick_check_boolean_face():

@@ -175,20 +175,33 @@ class TestValidationThroughTheTables:
             ex.run()
 
 
+def _profiled_solve(validate):
+    """A warm 32^3 solve in ``(4, 8, 8)`` blocks under cProfile."""
+    grid = Grid3D((32, 32, 32))
+    field = random_field(grid.shape, np.random.default_rng(19))
+    cfg = PipelineConfig(teams=1, threads_per_team=2, updates_per_thread=2,
+                         block_size=(4, 8, 8), sync=RelaxedSpec(1, 4),
+                         passes=2)
+    repro.solve(grid, field, cfg, validate=validate)    # warm
+    misses = axis_row.cache_info().misses
+    prof = cProfile.Profile()
+    res = prof.runcall(repro.solve, grid, field, cfg, validate=validate)
+    assert res.field.tobytes() == reference_sweeps(
+        grid, field, cfg.total_updates).tobytes()
+    # Nothing is derived again: no row is rebuilt.
+    assert axis_row.cache_info().misses == misses
+    return cfg, res, pstats.Stats(prof)
+
+
+def _module_calls(stats, module):
+    return sum(ncalls for (path, _line, _func), (_cc, ncalls, *_rest)
+               in stats.stats.items()
+               if path.replace("\\", "/").endswith("repro/" + module))
+
+
 class TestOverheadTripwire:
     def test_python_calls_per_update_and_no_geometry_in_the_loop(self):
-        grid = Grid3D((32, 32, 32))
-        field = random_field(grid.shape, np.random.default_rng(19))
-        cfg = PipelineConfig(teams=1, threads_per_team=2, updates_per_thread=2,
-                             block_size=(4, 8, 8), sync=RelaxedSpec(1, 4),
-                             passes=2)
-        repro.solve(grid, field, cfg, validate=False)       # warm
-        misses = axis_row.cache_info().misses
-        prof = cProfile.Profile()
-        res = prof.runcall(repro.solve, grid, field, cfg, validate=False)
-        stats = pstats.Stats(prof)
-        assert np.array_equal(res.field, reference_sweeps(
-            grid, field, cfg.total_updates))
+        cfg, res, stats = _profiled_solve(validate=False)
 
         # Before the row tables: 210 calls per update; they leave ~32.
         # The bound is tight on purpose: one pass loop over CounterBoard
@@ -200,10 +213,8 @@ class TestOverheadTripwire:
         assert updates > 1000
         assert stats.total_calls / updates <= 36, stats.total_calls / updates
 
-        # Nothing is derived again: no row is rebuilt, and per block op
-        # grid/blocks.py does one index split, per update of a pass one
-        # row lookup — no Box algebra from grid/region.py at all.
-        assert axis_row.cache_info().misses == misses
+        # Per block op grid/blocks.py does one index split, per update of
+        # a pass one row lookup — no Box algebra from grid/region.py at all.
         calls = {}
         for (path, _line, func), (_cc, ncalls, *_rest) in stats.stats.items():
             path = path.replace("\\", "/")
@@ -215,3 +226,15 @@ class TestOverheadTripwire:
         assert in_loop == {("grid/blocks.py", "block_index"):
                            res.stats.block_ops}, calls
         assert calls["grid/blocks.py", "level_rows"] == cfg.total_updates
+
+    def test_validated_updates_check_their_reads_once(self):
+        # validate=True, the default of solve() and Service: each update
+        # tests its region and outer faces in one level pass, with no
+        # Box algebra.  Seven per-read checks measured 340 calls per
+        # update, 169 of them in grid/region.py.
+        _cfg, res, stats = _profiled_solve(validate=True)
+        updates = res.stats.updates
+        assert updates > 1000
+        assert stats.total_calls / updates <= 100, stats.total_calls / updates
+        region = _module_calls(stats, "grid/region.py")
+        assert region / updates <= 8, region / updates

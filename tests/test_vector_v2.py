@@ -700,11 +700,12 @@ def _ring_cfg(block, storage, passes, engine="numpy"):
 
 @pytest.fixture
 def compressed_reads(monkeypatch):
-    """Per compressed region update: ``[full width, gathers, patched]``."""
+    """Per compressed region update: ``[full width, slab reads, copies]``;
+    a slab read is one offset's source of a slab not run flat."""
     regions = []
     current = threading.local()
     accumulate = numpy_engine._accumulate_inplace
-    gather = CompressedStorage.gather
+    shifted = numpy_engine._shifted
 
     def accumulate_spy(stencil, storage, region, level):
         full = (region.lo[1:] == (0, 0)
@@ -713,14 +714,14 @@ def compressed_reads(monkeypatch):
         regions.append(current.entry)
         accumulate(stencil, storage, region, level)
 
-    def gather_spy(self, region, off, level):
-        out = gather(self, region, off, level)
+    def shifted_spy(src, at, off):
+        out = shifted(src, at, off)
         current.entry[1] += 1
-        if not np.may_share_memory(out, self.raw_read_array(level)[0]):
+        if not np.may_share_memory(out, src):
             current.entry[2] += 1
         return out
     monkeypatch.setattr(numpy_engine, "_accumulate_inplace", accumulate_spy)
-    monkeypatch.setattr(CompressedStorage, "gather", gather_spy)
+    monkeypatch.setattr(numpy_engine, "_shifted", shifted_spy)
     return regions
 
 
@@ -749,9 +750,9 @@ class TestCompressedRing:
         # The ring is stored on every face, func included: no read is
         # ever patched, and every full-width region runs flat throughout.
         assert compressed_reads
-        for full, gathers, patched in compressed_reads:
-            assert patched == 0
-            assert (gathers == 0) == full
+        for full, reads, copies in compressed_reads:
+            assert copies == 0
+            assert (reads == 0) == full
 
     @pytest.mark.parametrize("case", ["z-flat", "y-views", "zy"])
     def test_margin_positions_are_never_read(self, monkeypatch, case):
