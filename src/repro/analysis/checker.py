@@ -30,6 +30,7 @@ bound — the minimum reachable gap between two stages under the policy
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .findings import Report, StaticAnalysisError
@@ -307,8 +308,7 @@ def _local_shape(shape: Tuple[int, int, int],
 def analyze_schedule(config, shape: Sequence[int] = (32, 32, 32),
                      topology: Sequence[int] = (1, 1, 1), *,
                      halo: Optional[int] = None,
-                     max_states: int = 200_000,
-                     coverage_blocks: int = 512) -> Report:
+                     max_states: int = 200_000) -> Report:
     """Statically verify a schedule on a domain; never executes anything.
 
     Parameters
@@ -328,8 +328,6 @@ def analyze_schedule(config, shape: Sequence[int] = (32, 32, 32),
     max_states:
         Budget for exhaustive counter exploration before the analytic
         fallback engages.
-    coverage_blocks:
-        Budget for the quadratic partition check.
 
     Returns
     -------
@@ -375,8 +373,7 @@ def analyze_schedule(config, shape: Sequence[int] = (32, 32, 32),
         return report
 
     table = build_constraints(spec, decomp, report)
-    check_coverage_static(spec, decomp, report,
-                          max_blocks=coverage_blocks)
+    check_coverage_static(spec, decomp, report)
     explore_counters(spec, table, decomp.n_traversal_blocks, report,
                      max_states=max_states)
     need = table.required_d_l()
@@ -385,33 +382,50 @@ def analyze_schedule(config, shape: Sequence[int] = (32, 32, 32),
     return report
 
 
+#: Verdicts the memo of :func:`assert_legal` keeps (least recent out first).
+VERDICT_MEMO_SIZE = 256
+
+
+@lru_cache(maxsize=VERDICT_MEMO_SIZE)
+def _verdict(spec: ScheduleSpec, shape: Tuple[int, ...],
+             topology: Tuple[int, ...], halo: Optional[int]) -> Report:
+    """The analyzer's report, memoised by value; never handed out."""
+    return analyze_schedule(spec, shape, topology, halo=halo)
+
+
 def assert_legal(config, shape: Sequence[int],
                  topology: Sequence[int] = (1, 1, 1), *,
                  halo: Optional[int] = None) -> Report:
     """``analyze_schedule`` that raises :class:`StaticAnalysisError`.
 
-    This is what ``repro.solve(..., validate="static")`` calls before
-    handing the schedule to an executor, and what the executor itself
-    calls, unconditionally, before it starts stage threads.
+    Called by ``repro.solve(..., validate="static")`` and the threads
+    executor.  Memoised process-wide by value (spec, shape, topology,
+    halo): a repeated geometry runs no analysis, a config changed after
+    construction is analyzed again, every call gets a fresh report, and
+    ``assert_legal.cache_clear()`` empties the memo.
     """
-    report = analyze_schedule(config, shape, topology, halo=halo)
+    spec = (config if isinstance(config, ScheduleSpec)
+            else ScheduleSpec.from_config(config))
+    cached = _verdict(spec, tuple(map(int, shape)), tuple(map(int, topology)),
+                      halo)
+    report = Report(cached.subject, list(cached.findings), list(cached.notes))
     if not report.ok:
         raise StaticAnalysisError(report)
     return report
+
+
+assert_legal.cache_clear = _verdict.cache_clear  # type: ignore[attr-defined]
 
 
 def quick_check(config, shape: Sequence[int] = (32, 32, 32),
                 topology: Sequence[int] = (1, 1, 1)) -> bool:
     """Cheap certification used as a sweep pre-filter (autotune, serve).
 
-    Skips the quadratic coverage check and caps the automaton low so a
-    few hundred candidate configs stay cheap; a config rejected here
-    would also be rejected by the full analyzer.  With a topology it
-    also answers whether the decomposition can be built at all and
-    whether the storage runs distributed (``dist-geometry`` /
-    ``dist-storage`` errors), so it is the whole of autoconf's
-    validity test.
+    Caps the automaton low so a few hundred candidate configs stay
+    cheap; a config rejected here would also be rejected by the full
+    analyzer.  With a topology it also answers whether the decomposition
+    can be built at all and whether the storage runs distributed
+    (``dist-geometry`` / ``dist-storage`` errors), so it is the whole of
+    autoconf's validity test.
     """
-    report = analyze_schedule(config, shape, topology,
-                              max_states=5_000, coverage_blocks=0)
-    return report.ok
+    return analyze_schedule(config, shape, topology, max_states=5_000).ok

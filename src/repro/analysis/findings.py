@@ -12,7 +12,7 @@ certification: no error-severity findings means the subject passed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List
 
 __all__ = [
     "SEVERITIES",
@@ -76,8 +76,8 @@ class Report:
 
     ``subject`` says what was analyzed (a config description, a list of
     paths); ``notes`` records analysis-mode decisions that affect how to
-    read the result (exhaustive vs. analytic exploration, skipped
-    coverage check, ...).
+    read the result (exhaustive vs. analytic exploration, a capped
+    traversal horizon, ...).
     """
 
     subject: str
@@ -104,11 +104,6 @@ class Report:
     def note(self, text: str) -> None:
         """Record an analysis-mode note."""
         self.notes.append(text)
-
-    def extend(self, other: "Report") -> None:
-        """Absorb another report's findings and notes."""
-        self.findings.extend(other.findings)
-        self.notes.extend(other.notes)
 
     def describe(self, verbose: bool = False) -> str:
         """Full human-readable rendering (the CLI output)."""
@@ -138,12 +133,3 @@ class StaticAnalysisError(ValueError):
     def __init__(self, report: Report) -> None:
         self.report = report
         super().__init__(report.describe())
-
-
-def worst_severity(findings: Sequence[Finding]) -> Optional[str]:
-    """The most severe level present, or ``None`` for an empty sequence."""
-    present: Tuple[str, ...] = tuple(f.severity for f in findings)
-    for sev in SEVERITIES:
-        if sev in present:
-            return sev
-    return None

@@ -293,32 +293,32 @@ def build_constraints(spec: ScheduleSpec, decomp: BlockDecomposition,
 
 
 def check_coverage_static(spec: ScheduleSpec, decomp: BlockDecomposition,
-                          report: Report,
-                          max_blocks: int = 512) -> None:
+                          report: Report) -> None:
     """Each level's shifted regions must partition the domain exactly.
 
-    The quadratic disjointness check is skipped (with a note) above
-    ``max_blocks`` traversal blocks.  For consistent inputs it cannot
-    fail; it guards the block decomposition itself, and it is the only
-    coverage check there is.
+    A level's regions are the products of its per-axis rows (the
+    :meth:`BlockDecomposition.level_rows` the executor runs on), and a
+    product of 1-D partitions is a 3-D partition: the check is linear in
+    the blocks along each axis.  For consistent inputs it cannot fail; it
+    guards the block decomposition itself, and it is the only coverage
+    check there is.
     """
-    from ..grid.region import boxes_partition
-
-    if decomp.n_traversal_blocks > max_blocks:
-        report.note(
-            f"coverage check skipped: {decomp.n_traversal_blocks} traversal "
-            f"blocks exceed the {max_blocks}-block partition-check budget")
-        return
+    dom = decomp.domain
     for u in range(1, spec.updates_per_pass + 1):
-        regions = decomp.level_regions(u - 1)
-        if not boxes_partition(regions, decomp.domain):
-            report.add(
-                "coverage", "error", f"update {u}",
-                f"the shift-{u - 1} block regions do not partition the "
-                f"domain {decomp.domain}",
-                "some cells would be updated twice or never at this level",
-            )
-            return  # one witness level is enough
+        for d, row in enumerate(decomp.level_rows(u - 1)):
+            # The spans tile [lo, hi) iff, sorted, each starts where the
+            # one before it ends: their starts + [hi] == [lo] + their ends.
+            spans = sorted((s.lo, s.hi) for s in row if s.n)
+            if ([lo for lo, _ in spans] + [dom.hi[d]]
+                    != [dom.lo[d]] + [hi for _, hi in spans]):
+                report.add(
+                    "coverage", "error", f"update {u}",
+                    f"the shift-{u - 1} block regions do not partition the "
+                    f"domain {dom}",
+                    f"along axis {d}, [{dom.lo[d]}, {dom.hi[d]}): some cells "
+                    "would be updated twice or never at this level",
+                )
+                return  # one witness level is enough
 
 
 def decomposition_for(spec: ScheduleSpec, shape: Coord) -> Optional[BlockDecomposition]:

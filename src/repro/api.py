@@ -120,7 +120,7 @@ def solve(
         witness on an illegal schedule — and then runs with the level
         checks switched off (the proof replaces the assertions).
         ``False`` skips both.  The ``threads`` backend is certified by
-        its executor whatever this says, once per solve.
+        its executor whatever this says, once per geometry per process.
     trace:
         ``True`` records an observability trace (:mod:`repro.obs`):
         spans for every pass/block/engine-apply and halo-exchange
@@ -152,11 +152,9 @@ def solve(
         raise ValueError(
             f"validate must be True, False or 'static', got {validate!r}")
     runtime_validate = bool(validate) and validate != "static"
-    if validate == "static" and backend != "threads":
+    if validate == "static":
         # Prove the schedule race/deadlock-free before touching the
-        # field; the executor's runtime checks are then redundant.  The
-        # threads executor certifies every schedule itself, whatever
-        # ``validate`` says, so it is not certified twice.
+        # field; the executor's runtime checks are then redundant.
         from .analysis import assert_legal
 
         assert_legal(config, grid.shape, topo)

@@ -186,8 +186,9 @@ class PipelineExecutor:
     threads:
         One OS thread per stage instead of the interleaver: the OS picks
         the interleaving, so ``order`` / ``rng`` are rejected, and the
-        schedule is certified **unconditionally**, here, whatever
-        ``validate`` says (:class:`~repro.analysis.StaticAnalysisError`).
+        schedule is certified **unconditionally** (once per geometry per
+        process), here, whatever ``validate`` says
+        (:class:`~repro.analysis.StaticAnalysisError`).
     watchdog_s:
         Bound on any single sync wait of a stage thread; a legal
         schedule never trips it (:class:`~repro.core.sync.SyncWaitTimeout`).

@@ -639,23 +639,26 @@ class ProcWorld:
                 q.put(("stop",))
             except Exception:  # pragma: no cover - queue already broken
                 pass
-        procs, self._procs = self._procs, []
-        for p in procs:
-            p.join(timeout=10.0)
-        for p in procs:
-            if p.is_alive():  # pragma: no cover - wedged child
-                p.terminate()
-                p.join(timeout=5.0)
-                if p.is_alive():
-                    p.kill()
+        # A rank whose start() raised has no process to join.
+        procs, self._procs = [p for p in self._procs if p.pid is not None], []
+        try:
+            for p in procs:
+                p.join(timeout=10.0)
+            for p in procs:
+                if p.is_alive():  # pragma: no cover - wedged child
+                    p.terminate()
                     p.join(timeout=5.0)
-        for q in [self._result_q, *self._inboxes, *self._task_qs]:
-            try:
-                q.close()
-                q.join_thread()
-            except Exception:  # pragma: no cover
-                pass
-        self._pool.cleanup()
+                    if p.is_alive():
+                        p.kill()
+                        p.join(timeout=5.0)
+        finally:
+            for q in [self._result_q, *self._inboxes, *self._task_qs]:
+                try:
+                    q.close()
+                    q.join_thread()
+                except Exception:  # pragma: no cover
+                    pass
+            self._pool.cleanup()
 
     def __enter__(self) -> "ProcWorld":
         return self

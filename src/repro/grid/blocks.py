@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .region import Box
 
@@ -270,10 +270,6 @@ class BlockDecomposition:
             if not r.is_empty:
                 out.append(r)
         return out
-
-    def iter_traversal(self) -> Iterator[int]:
-        """Linear traversal indices in pipeline order."""
-        return iter(range(self.n_traversal_blocks))
 
     # -- sizes for cost models -----------------------------------------------------
 

@@ -251,8 +251,10 @@ def test_certified_schedules_run_byte_identical(case):
 ])
 def test_each_solve_certifies_at_most_once(backend, validate, calls,
                                            monkeypatch):
-    # The threads executor certifies unconditionally; solve() leaves
-    # that rail to it instead of proving the same schedule twice.
+    # The threads executor certifies unconditionally and solve(...,
+    # validate="static") certifies on every backend; the verdict memo
+    # makes the second certification of one geometry free, so no solve
+    # runs the analyzer twice, and a second solve does not run it at all.
     from repro.analysis import checker
 
     seen = []
@@ -263,6 +265,7 @@ def test_each_solve_certifies_at_most_once(backend, validate, calls,
         return real(*args, **kwargs)
 
     monkeypatch.setattr(checker, "analyze_schedule", spy)
+    assert_legal.cache_clear()
     grid = Grid3D((12, 10, 10))
     field = random_field(grid.shape, np.random.default_rng(3))
     cfg = PipelineConfig(teams=1, threads_per_team=2,
@@ -272,6 +275,10 @@ def test_each_solve_certifies_at_most_once(backend, validate, calls,
     assert len(seen) == calls
     ref = reference_sweeps(grid, field, cfg.total_updates)
     assert res.field.tobytes() == ref.tobytes()
+    # The second solve of the same geometry certifies 0 times.
+    again = repro.solve(grid, field, cfg, backend=backend, validate=validate)
+    assert len(seen) == calls
+    assert again.field.tobytes() == ref.tobytes()
 
 
 def test_solve_validate_static_rejects_before_running():

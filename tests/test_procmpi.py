@@ -15,6 +15,7 @@ import pytest
 from repro.dist.procmpi import (
     ProcComm,
     ProcMPIError,
+    ProcWorld,
     default_start_method,
     run_procs,
 )
@@ -265,4 +266,27 @@ class TestDriver:
 
     def test_no_zombie_processes_after_runs(self):
         run_procs(3, _barrier_fn, timeout=60.0)
+        assert mp.active_children() == []
+
+    def test_failed_rank_start_propagates_and_cleans_up(self, monkeypatch):
+        # Rank 1's start() fails (fork EAGAIN, or a spawn child that
+        # re-imports an unguarded main): the constructor's teardown must
+        # skip the never-started process, re-raise the real error, and
+        # still unlink the ring segments (the fixture checks /dev/shm).
+        import errno
+        from multiprocessing.process import BaseProcess
+
+        real_start = BaseProcess.start
+        calls = []
+
+        def flaky_start(self):
+            calls.append(self.name)
+            if len(calls) == 2:
+                raise OSError(errno.EAGAIN, "fork: resource unavailable")
+            real_start(self)
+
+        monkeypatch.setattr(BaseProcess, "start", flaky_start)
+        with pytest.raises(OSError, match="resource unavailable"):
+            ProcWorld(2, pair_bytes={(0, 1): 4096, (1, 0): 4096})
+        assert len(calls) == 2
         assert mp.active_children() == []
