@@ -10,8 +10,9 @@ returns either a certification or a concrete witness.
 
 This walkthrough certifies the paper's default window, rejects three
 adversarial neighbours (showing each witness), pre-prunes an autotune
-sweep, and runs a certified schedule with ``validate="static"`` —
-the proof standing in for the runtime checks.
+sweep, and runs a certified schedule with ``validate="static"`` (the
+default ``validate=True`` spelled out) — the proof is the run's only
+legality check.
 
 Run:  python examples/analysis.py
 """

@@ -32,7 +32,7 @@ def main() -> None:
     tol = 1e-3
     prev = field.copy()
     for chunk in range(1, 201):
-        ex = PipelineExecutor(grid, prev, cfg, jacobi7(), validate=False)
+        ex = PipelineExecutor(grid, prev, cfg, jacobi7())
         cur = ex.run()
         delta = change_norm(cur, prev)
         if chunk % 10 == 0 or delta < tol:

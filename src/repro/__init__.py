@@ -107,8 +107,9 @@ _SERVE_EXPORTS = frozenset({
 })
 _AUTOTUNE_EXPORTS = frozenset({"TuneResult", "autotune"})
 
-#: Symbols re-exported from the static analyzer (lazy: nothing on the
-#: execution path needs it unless ``validate="static"`` is requested).
+#: Symbols re-exported from the static analyzer (lazy: only a certified
+#: solve — ``validate=True``, the default — and the threads executor
+#: import it, at call time).
 _ANALYSIS_EXPORTS = frozenset({
     "ScheduleSpec",
     "StaticAnalysisError",

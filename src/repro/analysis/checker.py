@@ -398,11 +398,12 @@ def assert_legal(config, shape: Sequence[int],
                  halo: Optional[int] = None) -> Report:
     """``analyze_schedule`` that raises :class:`StaticAnalysisError`.
 
-    Called by ``repro.solve(..., validate="static")`` and the threads
-    executor.  Memoised process-wide by value (spec, shape, topology,
-    halo): a repeated geometry runs no analysis, a config changed after
-    construction is analyzed again, every call gets a fresh report, and
-    ``assert_legal.cache_clear()`` empties the memo.
+    Called by ``repro.solve`` (``validate=True``), the service's procmpi
+    path and the threads executor.  Memoised process-wide by value
+    (spec, shape, topology, halo): a repeated geometry runs no analysis,
+    a config changed after construction is analyzed again, every call
+    gets a fresh report, and ``assert_legal.cache_clear()`` empties the
+    memo.
     """
     spec = (config if isinstance(config, ScheduleSpec)
             else ScheduleSpec.from_config(config))

@@ -74,7 +74,7 @@ def check_distributed(spec: ScheduleSpec, shape: Coord, topology: Coord,
             "dist-storage", "error", f"storage {spec.storage!r}",
             "the distributed rail requires the two-grid layout: ghost "
             "injections jump cells forward in time, which the compressed "
-            "grid's position tracking cannot represent",
+            "grid's shifted positions cannot absorb",
         )
     if halo < h:
         report.add(

@@ -124,7 +124,7 @@ class Report:
 
 
 class StaticAnalysisError(ValueError):
-    """Raised by ``assert_legal``/``solve(validate='static')`` on rejection.
+    """Raised by ``assert_legal`` (and so by ``solve``) on rejection.
 
     Carries the full :class:`Report` so callers can inspect the witness
     programmatically instead of parsing the message.

@@ -18,13 +18,13 @@ cannot know:
   ``with`` block), or segments leak past process exit.
 * **engine-contract** — execution engines may touch destinations only
   through ``storage.write``/``write_view``+``commit_write``, or the raw
-  arrays after ``check_update`` and before ``commit_write`` (private
-  storage internals are how silent bit-corruption starts), a
-  ``write_view`` without a matching ``commit_write`` leaves the level
-  bookkeeping stale, and every :class:`~repro.engine.base.Engine`
-  subclass must declare ``name`` and ``semantics`` — the serve cache
-  key depends on the semantics class, so an engine without one would
-  poison content addressing.
+  arrays followed by ``commit_write`` (private storage internals are how
+  silent bit-corruption starts), a ``write_view`` without a matching
+  ``commit_write`` leaves the compressed grid's moving ring unstored,
+  and every :class:`~repro.engine.base.Engine` subclass must declare
+  ``name`` and ``semantics`` — the serve cache key depends on the
+  semantics class, so an engine without one would poison content
+  addressing.
 * **span-pairing** — observability spans (``tracer.span(...)``) must be
   the context expression of a ``with`` statement (or sit inside a
   ``try``/``finally``): a span entered any other way stays open when an
@@ -326,8 +326,8 @@ def check_engine_contract(path: str, tree: ast.Module,
         if "write_view" in calls and "commit_write" not in calls:
             yield ("engine-contract", node.lineno,
                    f"{node.name!r} obtains a write_view but never calls "
-                   "commit_write: level bookkeeping (and compressed-grid "
-                   "position tracking) would go stale",
+                   "commit_write: the compressed grid's moving-face ring "
+                   "cells would never be stored",
                    f"def {node.name}(...)")
 
 

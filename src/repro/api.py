@@ -28,8 +28,7 @@ Backends
     OS thread per pipeline stage**, sleeping on condition-variable sync
     counters.  Bit-identical to ``"shared"``; the executor certifies
     the schedule with :func:`repro.analysis.assert_legal`
-    unconditionally before any thread starts (a true-threads run
-    cannot rely on runtime interleaving checks alone).
+    unconditionally before any thread starts.
 ``"simmpi"``
     One thread-backed simulated-MPI rank per subdomain —
     :func:`repro.dist.solver.distributed_jacobi_pipelined`.
@@ -109,18 +108,14 @@ def solve(
         (:mod:`repro.perf.db`) — the static default when no
         measurements apply, so it is always safe.
     validate:
-        ``True`` (default) runs the storage's level checks: before
-        each update region is computed, its stencil reads (two-buffer
-        window, compressed-position tracking) and its write are checked
-        once, in one level pass over the region and its outer faces, so
-        an illegal schedule raises :class:`~repro.core.storage.StorageError`
-        at its first illegal read.  ``"static"`` first certifies the
-        schedule with the :mod:`repro.analysis` happens-before checker —
-        raising :class:`~repro.analysis.StaticAnalysisError` with a
-        witness on an illegal schedule — and then runs with the level
-        checks switched off (the proof replaces the assertions).
-        ``False`` skips both.  The ``threads`` backend is certified by
-        its executor whatever this says, once per geometry per process.
+        ``True`` (default) certifies the schedule before touching the
+        field: :func:`repro.analysis.assert_legal`, the happens-before
+        checker, raises :class:`~repro.analysis.StaticAnalysisError`
+        with a witness on an illegal schedule and is memoised per
+        geometry per process.  The run itself checks nothing.
+        ``"static"`` is another spelling of ``True``.  ``False`` skips
+        the certificate; the ``threads`` backend is certified by its
+        executor whatever this says.
     trace:
         ``True`` records an observability trace (:mod:`repro.obs`):
         spans for every pass/block/engine-apply and halo-exchange
@@ -139,6 +134,14 @@ def solve(
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r}; choose from {BACKENDS}")
+    if validate not in (True, False, "static"):
+        raise ValueError(
+            f"validate must be True, False or 'static', got {validate!r}")
+    topo = _check_topology(topology)
+    if backend in ("shared", "threads") and topo != (1, 1, 1):
+        raise ValueError(
+            f"the {backend} backend is single-process; topology {topo} "
+            "needs backend='simmpi' or 'procmpi'")
     if engine == "auto":
         # Resolve eagerly from the measured perf database: the static
         # default engine when this host has no applicable measurements.
@@ -147,28 +150,17 @@ def solve(
         engine = resolve_auto_engine(config.storage, grid.shape)
     if engine is not None and engine != config.engine:
         config = replace(config, engine=engine)
-    topo = _check_topology(topology)
-    if validate not in (True, False, "static"):
-        raise ValueError(
-            f"validate must be True, False or 'static', got {validate!r}")
-    runtime_validate = bool(validate) and validate != "static"
-    if validate == "static":
-        # Prove the schedule race/deadlock-free before touching the
-        # field; the executor's runtime checks are then redundant.
+    if validate:
+        # Prove the schedule race/deadlock-free before touching the field.
         from .analysis import assert_legal
 
         assert_legal(config, grid.shape, topo)
-    if backend in ("shared", "threads") and topo != (1, 1, 1):
-        raise ValueError(
-            f"the {backend} backend is single-process; topology {topo} "
-            "needs backend='simmpi' or 'procmpi'")
     tracer = Tracer(pid=0, label="driver") if trace else NULL_TRACER
     with tracer.span("solve", cat="solve", backend=backend,
                      topo=f"{topo[0]}x{topo[1]}x{topo[2]}"):
         if backend in ("shared", "threads"):
             result = run_pipelined(grid, field, config, stencil=stencil,
-                                   validate=runtime_validate, tracer=tracer,
-                                   threads=backend == "threads")
+                                   tracer=tracer, threads=backend == "threads")
         else:
             # Imported lazily, mirroring the top-level re-exports: the
             # shared backend must work even where the distributed rail
@@ -177,7 +169,7 @@ def solve(
 
             result = distributed_jacobi_pipelined(
                 grid, field, topo, config, stencil=stencil,
-                transport=backend, validate=runtime_validate, tracer=tracer)
+                transport=backend, tracer=tracer)
     if trace:
         result.trace = tracer.finish()
         result.metrics = trace_metrics(result.trace)

@@ -3,9 +3,11 @@
 This engine runs the paper's scheme *as an algorithm*: pipeline stages
 walk the block traversal, each performing its ``T`` one-cell-shifted
 updates per block, gated by the synchronisation policy (global barrier
-or relaxed counters, Eq. 3); every storage access is validated, so an
-illegal schedule raises instead of silently producing a wrong (or even a
-right) answer.
+or relaxed counters, Eq. 3).  The executor checks no levels at run
+time: a schedule's legality is certified before it runs
+(:func:`repro.analysis.assert_legal`; ``repro.solve(validate=True)``
+and the stage-thread driver call it), and the tests pin every rail
+byte-equal to :func:`repro.kernels.reference_sweeps`.
 
 There is one pass loop.  :meth:`PipelineExecutor.run_pass` builds a
 :class:`~repro.core.sync.CounterBoard` — the only holder of the pass's
@@ -19,10 +21,10 @@ window permits, hence bit-identical on every schedule
 :func:`repro.analysis.assert_legal` certifies — and the executor
 certifies, unconditionally, before it starts a thread.  What a stage
 thread touches, and why that is safe: field arrays — disjoint slices by
-legality, and validation reads stay inside the two-buffer window;
-engines — stateless between calls (:mod:`repro.engine.base`); work
-counts — each stage writes only its own tally and board counter, folded
-after the join; the tracer — per-thread buffers merged on ``finish()``.
+legality, and reads stay inside the two-buffer window; engines —
+stateless between calls (:mod:`repro.engine.base`); work counts — each
+stage writes only its own tally and board counter, folded after the
+join; the tracer — per-thread buffers merged on ``finish()``.
 
 The geometry of a pass is resolved once, not per block: before a pass
 starts, every update of every stage is bound to the three per-axis span
@@ -174,9 +176,6 @@ class PipelineExecutor:
         Optional map from *global* time level to the active box for that
         update; used by the distributed trapezoid.  Defaults to the whole
         interior.
-    validate:
-        Enable storage validation (two-buffer / compressed-position
-        checks).  Tests run with it on; large demo runs may switch it off.
     record_trace:
         Keep the (pass, stage, block) publication order in the stats.
     tracer:
@@ -187,8 +186,7 @@ class PipelineExecutor:
         One OS thread per stage instead of the interleaver: the OS picks
         the interleaving, so ``order`` / ``rng`` are rejected, and the
         schedule is certified **unconditionally** (once per geometry per
-        process), here, whatever ``validate`` says
-        (:class:`~repro.analysis.StaticAnalysisError`).
+        process), here (:class:`~repro.analysis.StaticAnalysisError`).
     watchdog_s:
         Bound on any single sync wait of a stage thread; a legal
         schedule never trips it (:class:`~repro.core.sync.SyncWaitTimeout`).
@@ -203,7 +201,6 @@ class PipelineExecutor:
         order: str = "round_robin",
         rng: Optional[np.random.Generator] = None,
         active_fn: Optional[ActiveFn] = None,
-        validate: bool = True,
         record_trace: bool = False,
         tracer: Optional[Tracer] = None,
         threads: bool = False,
@@ -235,7 +232,7 @@ class PipelineExecutor:
         self.engine = get_engine(config.engine)
         self.storage = make_storage(config.storage, grid, field,
                                     self.decomp.shift_vec,
-                                    config.updates_per_pass, validate=validate)
+                                    config.updates_per_pass)
         self.stats = ExecutionStats(per_stage_blocks=[0] * config.n_stages,
                                     trace=[] if record_trace else None)
         self.tracer = tracer if tracer is not None else NULL_TRACER

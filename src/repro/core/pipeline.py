@@ -93,7 +93,6 @@ def run_pipelined(
     stencil: Optional[StarStencil] = None,
     order: str = "round_robin",
     rng: Optional[np.random.Generator] = None,
-    validate: bool = True,
     record_trace: bool = False,
     tracer: Optional[Tracer] = None,
     threads: bool = False,
@@ -108,7 +107,7 @@ def run_pipelined(
     st = stencil or jacobi7()
     ex = PipelineExecutor(
         grid, field, config, st,
-        order=order, rng=rng, validate=validate, record_trace=record_trace,
+        order=order, rng=rng, record_trace=record_trace,
         tracer=tracer, threads=threads,
     )
     out = ex.run()

@@ -42,12 +42,13 @@ def check_skew(levels: np.ndarray, shift_vec: Tuple[int, int, int],
                max_skew: int = 1) -> None:
     """Verify the time-level surface has bounded slope along shifted dims.
 
-    ``levels`` is the executor's per-cell level array at any instant of a
-    legal execution.  Along each shifted dimension, adjacent cells may
-    differ by at most ``max_skew`` levels; along unshifted dimensions they
-    must be *equal* away from active-region boundaries — we only check the
-    shifted dims here because trapezoid clipping legitimately creates
-    steps along all dims near the rim.
+    ``levels`` holds each cell's current time level at any instant of a
+    legal execution (a test records it around the engine).  Along each
+    shifted dimension, adjacent cells may differ by at most ``max_skew``
+    levels; along unshifted dimensions they must be *equal* away from
+    active-region boundaries — we only check the shifted dims here
+    because trapezoid clipping legitimately creates steps along all dims
+    near the rim.
     """
     for d in range(3):
         if not shift_vec[d]:

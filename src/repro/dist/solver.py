@@ -171,8 +171,7 @@ def _pipelined_rank_body(comm: Comm, rank: int, boundary: DirichletBoundary,
                          dtype, decomp: CartesianDecomposition,
                          plan: List[ExchangeEntry], stored_field: np.ndarray,
                          config: PipelineConfig, stencil: StarStencil,
-                         order: str, validate: bool,
-                         tracer: Tracer = NULL_TRACER,
+                         order: str, tracer: Tracer = NULL_TRACER,
                          ) -> Tuple[Box, np.ndarray, int, int, ExecutionStats]:
     """One rank of the hybrid scheme; returns the core as a storage view."""
     h = config.updates_per_pass
@@ -193,7 +192,7 @@ def _pipelined_rank_body(comm: Comm, rank: int, boundary: DirichletBoundary,
     with tracer.span("rank", cat="dist", rank=rank):
         ex = PipelineExecutor(
             lgrid, stored_field, config, stencil, order=order,
-            active_fn=active_fn, validate=validate, tracer=tracer,
+            active_fn=active_fn, tracer=tracer,
         )
         storage = ex.storage
         nbytes = messages = 0
@@ -211,8 +210,6 @@ def _pipelined_rank_body(comm: Comm, rank: int, boundary: DirichletBoundary,
             messages += m
             ex.run_pass(p)
         final = config.passes * h
-        if validate:
-            storage.check_uniform_level(core_l, final)
     return geo.core, storage.read(core_l, final), nbytes, messages, ex.stats
 
 
@@ -242,7 +239,6 @@ class _ProcTask:
     #: ranks dispatch the same kernels as thread ranks.
     config: PipelineConfig
     order: str = "round_robin"
-    validate: bool = True
     #: Record an observability trace in the rank and ship it back with
     #: the results (defaulted, so pickled tasks stay compatible).
     trace: bool = False
@@ -258,7 +254,7 @@ def _proc_pipelined_entry(comm: Comm, rank: int, task: _ProcTask):
         core, vals, nbytes, messages, stats = _pipelined_rank_body(
             comm, rank, task.boundary, np.dtype(task.dtype), decomp, plan,
             fin[geo.stored.slices()], task.config, task.stencil,
-            task.order, task.validate, tracer=tracer)
+            task.order, tracer=tracer)
         fout[core.slices()] = vals
     # The trace rides the existing result queue back to the driver as a
     # plain picklable dataclass; timestamps stay rank-clock-local and
@@ -346,7 +342,6 @@ class ProcSolverSession:
                         config: PipelineConfig,
                         stencil: Optional[StarStencil] = None,
                         order: str = "round_robin",
-                        validate: bool = True,
                         tracer: Tracer = NULL_TRACER) -> SolveResult:
         """The hybrid scheme on the warm ranks; ``h`` must match the session.
 
@@ -373,8 +368,7 @@ class ProcSolverSession:
                          stencil=stencil or jacobi7(),
                          field_in=self._fin_handle,
                          field_out=self._fout_handle, config=config,
-                         order=order, validate=validate,
-                         trace=tracer.enabled)
+                         order=order, trace=tracer.enabled)
         # Anchor for merging rank traces: the ranks' clock origins are
         # not comparable to ours under spawn, so their spans are slid
         # onto this dispatch timestamp when absorbed.
@@ -453,11 +447,8 @@ def distributed_jacobi_sweeps(
     config = PipelineConfig(teams=1, threads_per_team=1,
                             updates_per_thread=halo, passes=supersteps,
                             block_size=grid.shape, engine=engine)
-    # Level validation would triple the cost of this plain scheme; its
-    # results are pinned byte-equal to ``reference_sweeps`` instead.
     return distributed_jacobi_pipelined(grid, field, proc_grid, config,
-                                        stencil=stencil, validate=False,
-                                        transport=transport)
+                                        stencil=stencil, transport=transport)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +462,6 @@ def distributed_jacobi_pipelined(
     config: PipelineConfig,
     stencil: Optional[StarStencil] = None,
     order: str = "round_robin",
-    validate: bool = True,
     transport: str = "simmpi",
     tracer: Tracer = NULL_TRACER,
 ) -> SolveResult:
@@ -502,8 +492,7 @@ def distributed_jacobi_pipelined(
         with ProcSolverSession(grid.shape, grid.dtype, decomp.proc_grid,
                                h, decomp=decomp, plans=plans) as session:
             return session.solve_pipelined(grid, field, config, stencil=st,
-                                           order=order, validate=validate,
-                                           tracer=tracer)
+                                           order=order, tracer=tracer)
 
     def rank_fn(comm: Comm, rank: int):
         geo = decomp.geometry(rank)
@@ -513,7 +502,7 @@ def distributed_jacobi_pipelined(
         body = _pipelined_rank_body(comm, rank, grid.boundary, grid.dtype,
                                     decomp, plans[rank],
                                     field[geo.stored.slices()], config, st,
-                                    order, validate, tracer=rtracer)
+                                    order, tracer=rtracer)
         return body + ((rtracer.finish() if tracer.enabled else None),)
 
     outs = run_ranks(decomp.n_ranks, rank_fn)

@@ -1,6 +1,6 @@
 """repro.engine — the pluggable kernel-execution layer.
 
-The temporal-blocking *schedule* (which cell advances when, validated
+The temporal-blocking *schedule* (which cell advances when, driven
 by :mod:`repro.core`) is independent of how the innermost stencil
 update is *executed*; this package makes the execution strategy a
 first-class, registry-dispatched choice — Sect. 1.1/1.4's point that

@@ -30,10 +30,12 @@ Two entry points cover the two ways the repo stores fields:
   separate arrays; for the compressed grid they are shifted positions
   of *one* array), so the engine reads
   through ``storage.read``/``storage.gather`` (Dirichlet values
-  included) or, after ``storage.check_traversal``, straight from
-  ``storage.raw_read_array`` — which reaches the Dirichlet ring on
-  every face of both layouts — and writes
-  through ``storage.write`` or ``storage.write_view`` + ``commit_write``.
+  included) or straight from ``storage.raw_read_array`` — which
+  reaches the Dirichlet ring on every face of both layouts — and
+  writes through ``storage.write``, or ``storage.write_view`` or the
+  raw array followed by ``commit_write``.  The storage checks nothing:
+  the schedule driving an engine is certified before it runs
+  (:func:`repro.analysis.assert_legal`).
 * :meth:`Engine.apply_padded` — a padded two-array pair, used by the
   reference sweeps, the host micro-benchmarks and the multi-halo
   distributed sweeps.
@@ -136,10 +138,10 @@ class Engine:
 
         ``region`` is a :class:`~repro.grid.region.Box` inside the
         storage's domain (empty boxes are a no-op); ``storage`` is a
-        scheme from :mod:`repro.core.storage`, whose validation hooks
-        (two-buffer window, compressed-position tracking) stay active —
-        an engine that reads or writes illegally raises deterministically
-        instead of corrupting the schedule.
+        scheme from :mod:`repro.core.storage`.  A compressed-grid engine
+        writes in the direction the storage offsets move and only after
+        all reads of what it overwrites (:func:`plane_axis_and_step`),
+        then calls ``commit_write``.
         """
         raise NotImplementedError
 

@@ -123,11 +123,8 @@ class NumbaDeepEngine(NumbaEngine):
     def apply(self, stencil, storage, region, level: int) -> None:
         if region.is_empty:
             return
-        # All validation a per-offset gather sequence and write_view
-        # would run happens up front, in one storage call; the compiled
-        # traversal itself touches raw arrays.
-        storage.check_update(
-            region, [off for off, _ in stencil.terms if any(off)], level)
+        # The compiled traversal touches raw arrays; the commit stores
+        # the compressed grid's moving ring.
         out, at = storage.raw_read_array(level)
         dst = out[region.slices(at)]
         if not stencil.groups:

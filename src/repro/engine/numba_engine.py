@@ -15,8 +15,8 @@ flattened by :func:`~repro.engine.base.group_table`: each group's values
 summed in order, one multiply by the group weight, products added in
 order, the first product starting the accumulator — in the field dtype,
 with ``fastmath`` left off so no reassociation or FMA contraction is
-allowed.  The region gathers (with their Dirichlet patching and storage
-validation) stay on the storage scheme; only the arithmetic is compiled.
+allowed.  The region gathers (ring reads included) stay on the storage
+scheme; only the arithmetic is compiled.
 
 Each loop exists in two compiled flavours with the identical per-cell
 operation sequence (so they are bit-identical to each other and to

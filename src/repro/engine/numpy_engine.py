@@ -212,8 +212,7 @@ def _accumulate_inplace(stencil, storage, region: Box, level: int) -> None:
     overlapping write legal, each stored only after all of its reads.  A
     region that spans y and x in full leaves them unshifted, so its every
     slab is a z range that runs flat (:func:`_slab_run`, in one
-    ``np.errstate``); any other reads views of the array.  Under
-    validation each slab's reads are checked once, before its first.
+    ``np.errstate``); any other reads views of the array.
     """
     groups = stencil.groups
     axis, step = plane_axis_and_step(storage, level)
@@ -231,8 +230,6 @@ def _accumulate_inplace(stencil, storage, region: Box, level: int) -> None:
             slab = Box(lo[:axis] + (lo[axis] + a,) + lo[axis + 1:],
                        hi[:axis] + (lo[axis] + b,) + hi[axis + 1:])
             out = dst[(slice(None),) * axis + (slice(a, b),)]
-            if storage.validate:
-                storage.check_traversal(slab, stencil.offsets, level - 1)
             if flat:
                 _slab_run(groups, src, ((slab.lo[0] + origin[0]) * rows
                                         + origin[1]) * row + origin[2], out)
@@ -281,14 +278,9 @@ class NumpyEngine(Engine):
             self.apply(stencil, storage, spans_box(spans), level)
             return
         # Every shifted read is a view of the raw array, ring included;
-        # validation needs the region as a Box, the arithmetic does not.
-        region = spans_box(spans) if storage.validate else None
-        if region is not None:
-            storage.check_update(region, stencil.offsets, level)
+        # a two-grid commit stores nothing, so none is made.
         _accumulate_ring(stencil.groups, storage.ring_array(level - 1),
                          storage.ring_array(level), spans)
-        if region is not None:
-            storage.commit_write(region, level)
 
     def apply_padded(self, stencil, src: np.ndarray, dst: np.ndarray,
                      lo: Sequence[int], hi: Sequence[int]) -> None:

@@ -376,7 +376,7 @@ def calibrate(engines: Optional[Sequence[str]] = None,
               ) -> Dict[Tuple[str, str], float]:
     """Microbenchmark every engine x storage point and record the rates.
 
-    A small real pipelined solve per point (``validate=False`` — the
+    A small real pipelined solve per point (uncertified — the
     schedule is a stock legal one; we are timing kernels, not
     re-proving legality), best-of-``repeats`` MLUP/s, recorded under
     this host for the ``jacobi`` kernel.  By default the measurement
@@ -417,7 +417,7 @@ def calibrate(engines: Optional[Sequence[str]] = None,
             best = 0.0
             for _ in range(max(1, repeats)):
                 t0 = clock()
-                res = run_pipelined(grid, field, ecfg, validate=False)
+                res = run_pipelined(grid, field, ecfg)
                 t1 = clock()
                 cells = res.cells_updated
                 dt = t1 - t0

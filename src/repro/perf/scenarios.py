@@ -626,9 +626,8 @@ def _register_solvers() -> None:
             chosen = resolve_auto_engine(cfg.storage, grid.shape, db=db)
             ranked = sorted(measured, key=lambda e: -measured[e])
             res_auto = run_pipelined(grid, field_,
-                                     replace(cfg, engine=chosen),
-                                     validate=False)
-            res_def = run_pipelined(grid, field_, cfg, validate=False)
+                                     replace(cfg, engine=chosen))
+            res_def = run_pipelined(grid, field_, cfg)
             return {
                 "rank": ranked.index(chosen),
                 "not_worse": measured[chosen] >= measured[DEFAULT_ENGINE],

@@ -513,6 +513,10 @@ class Service:
         """
         self._metrics.inc("backend_solves")
         if job.backend == "procmpi":
+            # Warm sessions bypass solve(), so certify here, as it would.
+            from ..analysis import assert_legal
+
+            assert_legal(job.config, job.grid.shape, job.topology)
             tracer = Tracer(pid=0, label="serve") if record else NULL_TRACER
             session = self._sessions.acquire(job)
             try:

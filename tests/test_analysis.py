@@ -219,7 +219,7 @@ def constructible_cases(draw):
 @settings(max_examples=80, deadline=None)
 @given(constructible_cases())
 def test_certified_schedules_run_byte_identical(case):
-    # Analyzer legal => validated run correct.  The one-cell shift along
+    # Analyzer legal => run correct.  The one-cell shift along
     # every tiled axis keeps each read of update u inside blocks that
     # precede the current one lexicographically, so one block of lead
     # is enough however many axes are tiled: every constructible
@@ -229,7 +229,7 @@ def test_certified_schedules_run_byte_identical(case):
     grid = Grid3D(shape)
     field = random_field(shape, np.random.default_rng(seed))
     run = partial(repro.run_pipelined, grid, field, cfg, order=order,
-                  validate=True, rng=np.random.default_rng(seed + 1))
+                  rng=np.random.default_rng(seed + 1))
     if cfg.storage == "compressed" and all(
             b >= n for b, n in zip(cfg.block_size, shape)):
         # No tiled axis to shift the compressed levels along: the
@@ -246,15 +246,16 @@ def test_certified_schedules_run_byte_identical(case):
 
 
 @pytest.mark.parametrize("backend,validate,calls", [
-    ("shared", True, 0), ("shared", False, 0), ("shared", "static", 1),
+    ("shared", True, 1), ("shared", False, 0), ("shared", "static", 1),
     ("threads", True, 1), ("threads", False, 1), ("threads", "static", 1),
 ])
 def test_each_solve_certifies_at_most_once(backend, validate, calls,
                                            monkeypatch):
     # The threads executor certifies unconditionally and solve(...,
-    # validate="static") certifies on every backend; the verdict memo
-    # makes the second certification of one geometry free, so no solve
-    # runs the analyzer twice, and a second solve does not run it at all.
+    # validate=True or "static") certifies on every backend; the verdict
+    # memo makes the second certification of one geometry free, so no
+    # solve runs the analyzer twice, and a second solve does not run it
+    # at all.
     from repro.analysis import checker
 
     seen = []

@@ -225,6 +225,30 @@ class TestErrorPaths:
         with pytest.raises(ValueError, match="single-process"):
             solve(grid, field, cfg, topology=(2, 1, 1), backend="shared")
 
+    @pytest.mark.parametrize("validate", [True, "static"])
+    @pytest.mark.parametrize("backend", ["shared", "threads"])
+    def test_topology_is_refused_before_certification(self, backend,
+                                                      validate, monkeypatch):
+        # The analyzer would refuse this schedule's exchange plan, which
+        # a single-process backend never runs: the argument check speaks
+        # first and nothing is certified.
+        from repro.analysis import assert_legal, checker
+
+        calls = []
+        real = checker.analyze_schedule
+        monkeypatch.setattr(checker, "analyze_schedule",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        assert_legal.cache_clear()
+        grid = Grid3D((8, 8, 8))
+        field = random_field(grid.shape, RNG)
+        cfg = PipelineConfig(teams=1, threads_per_team=2,
+                             updates_per_thread=4, block_size=(4, 8, 8),
+                             sync=RelaxedSpec(1, 4))
+        with pytest.raises(ValueError, match="single-process"):
+            solve(grid, field, cfg, topology=(1, 1, 4), backend=backend,
+                  validate=validate)
+        assert calls == []
+
     def test_bad_topology_shape(self):
         grid, field, cfg = small_problem()
         with pytest.raises(ValueError, match="triple"):

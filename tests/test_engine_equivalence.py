@@ -337,11 +337,10 @@ class TestEdgeCases:
     def test_empty_region_is_a_noop(self, engine):
         grid, field = _problem((4, 4, 4))
         storage = TwoGridStorage(grid, field)
-        before = storage.extract(0)
-        levels = storage.levels.copy()
+        raw = [storage.raw_read_array(v)[0].tobytes() for v in (0, 1)]
         get_engine(engine).apply(jacobi7(), storage, Box.empty(), 1)
-        assert np.array_equal(storage.extract(0), before)
-        assert np.array_equal(storage.levels, levels)
+        assert [storage.raw_read_array(v)[0].tobytes()
+                for v in (0, 1)] == raw
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_empty_padded_region_is_a_noop(self, engine):
@@ -457,17 +456,13 @@ class TestDeepTraversal:
         assert deep_engine.jit and deep_engine.requires == "numba"
 
     def test_storage_deep_access_validates_reads(self, deep_engine):
-        """check_traversal runs the same legality validation a gather
-        sequence would — an illegal read is refused up front."""
-        from repro.core.storage import StorageError, TwoGridStorage
+        """Named for the up-front read check the storage no longer runs
+        (the schedule is certified instead); what the deep traversal
+        relies on is the raw-array contract."""
+        from repro.core.storage import TwoGridStorage
 
         grid, field = _problem((6, 6, 6))
         storage = TwoGridStorage(grid, field)
-        inside = Box((0, 0, 0), (2, 6, 6))
-        storage.check_traversal(inside, [(0, 0, 1)], 0)  # legal: no raise
-        with pytest.raises(StorageError):
-            storage.check_traversal(Box((0, 0, 0), (7, 6, 6)),
-                                    [(0, 0, 1)], 0)
         # The raw contract: cell c of the level lives at arr[c + origin].
         arr, origin = storage.raw_read_array(0)
         assert np.array_equal(arr[grid.domain.slices(origin)], field)

@@ -114,8 +114,8 @@ class TestScratchReuse:
 
 def _storage(kind, grid, field):
     if kind == "twogrid":
-        return TwoGridStorage(grid, field, validate=False)
-    return CompressedStorage(grid, field, (1, 0, 0), 2, validate=False)
+        return TwoGridStorage(grid, field)
+    return CompressedStorage(grid, field, (1, 0, 0), 2)
 
 
 class TestAllocationFree:

@@ -21,7 +21,6 @@ import pytest
 import repro
 from repro import Grid3D, PipelineConfig, RelaxedSpec, reference_sweeps
 from repro.core.executor import PipelineExecutor
-from repro.core.storage import StorageError
 from repro.grid import Box, random_field
 from repro.grid.blocks import ROW_MEMO_SIZE, BlockDecomposition, axis_row
 from repro.kernels import jacobi7
@@ -162,17 +161,20 @@ class _AlwaysReady:
 class TestValidationThroughTheTables:
     @pytest.mark.parametrize("storage", ["twogrid", "compressed"])
     def test_overtaking_stage_raises_storage_error(self, storage):
-        # Three tiled axes; the rear stage runs first and would read
-        # level-1 values nobody produced yet.
+        # Named for the runtime level check the bytes now stand in for.
+        # Three tiled axes; the rear stage runs first and reads level-1
+        # values nobody produced yet, so the result is not the reference.
         grid = Grid3D((8, 8, 8))
         field = random_field(grid.shape, np.random.default_rng(18))
         cfg = PipelineConfig(teams=1, threads_per_team=2, updates_per_thread=1,
                              block_size=(4, 4, 4), storage=storage)
+        want = reference_sweeps(grid, field, cfg.total_updates).tobytes()
         ex = PipelineExecutor(grid, field, cfg, jacobi7(), order="rear_first")
         assert ex.decomp.tiled_dims == (0, 1, 2)
+        assert ex.run().tobytes() == want       # the window keeps it exact
+        ex = PipelineExecutor(grid, field, cfg, jacobi7(), order="rear_first")
         ex.policy = _AlwaysReady()
-        with pytest.raises(StorageError):
-            ex.run()
+        assert ex.run().tobytes() != want
 
 
 def _profiled_solve(validate):
@@ -228,13 +230,14 @@ class TestOverheadTripwire:
         assert calls["grid/blocks.py", "level_rows"] == cfg.total_updates
 
     def test_validated_updates_check_their_reads_once(self):
-        # validate=True, the default of solve() and Service: each update
-        # tests its region and outer faces in one level pass, with no
-        # Box algebra.  Seven per-read checks measured 340 calls per
-        # update, 169 of them in grid/region.py.
+        # validate=True, the default of solve() and Service, certifies
+        # the schedule (a memo hit when warm) and checks no read at run
+        # time, so it costs what an unvalidated solve costs.  A one-pass
+        # level test per update measured 72 calls per update, seven
+        # per-read checks 340, 169 of them in grid/region.py.
         _cfg, res, stats = _profiled_solve(validate=True)
         updates = res.stats.updates
         assert updates > 1000
-        assert stats.total_calls / updates <= 100, stats.total_calls / updates
+        assert stats.total_calls / updates <= 36, stats.total_calls / updates
         region = _module_calls(stats, "grid/region.py")
-        assert region / updates <= 8, region / updates
+        assert region / updates <= 1, region / updates

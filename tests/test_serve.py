@@ -480,7 +480,8 @@ class TestService:
                 np.testing.assert_allclose(res.field, ref, rtol=0,
                                            atol=1e-13)
             # A config invalid for the distributed placement fails only
-            # its own job, and map re-raises that original error.
+            # its own job (its certificate refuses the layout), and map
+            # re-raises that original error.
             bad_cfg = PipelineConfig(teams=1, threads_per_team=2,
                                      updates_per_thread=2,
                                      block_size=(4, 64, 64),
@@ -488,7 +489,7 @@ class TestService:
                                      storage="compressed")
             bad = SolveJob(grid=grid, field=jobs[0].field, config=bad_cfg,
                            topology=(1, 1, 2), backend="simmpi")
-            with pytest.raises(ValueError, match="twogrid"):
+            with pytest.raises(ValueError, match="two-grid"):
                 svc.map([jobs[0], bad])
 
     def test_cancel_before_start(self):
@@ -529,6 +530,45 @@ class TestService:
         assert st.sessions_created == 1
         assert st.sessions_reused == 3
         assert st.process_spawns == 2  # one warm world of two ranks
+
+    def test_procmpi_jobs_are_certified_before_a_session(self):
+        # Warm sessions bypass solve(), so the service certifies first:
+        # an exchange plan the analyzer refuses spawns nothing.
+        from repro.analysis import StaticAnalysisError, assert_legal
+
+        assert_legal.cache_clear()
+        grid = Grid3D((8, 8, 8))
+        cfg = PipelineConfig(teams=1, threads_per_team=2,
+                             updates_per_thread=4, block_size=(4, 8, 8),
+                             sync=RelaxedSpec(1, 4))
+        with Service(workers=0, cache=False) as svc:
+            fut = svc.submit(grid, random_field(grid.shape,
+                                                np.random.default_rng(0)),
+                             cfg, topology=(1, 1, 2), backend="procmpi")
+            svc.drain()
+            with pytest.raises(StaticAnalysisError, match="exchange-plan"):
+                fut.result(timeout=0)
+            assert svc.stats.sessions_created == 0
+
+    def test_in_thread_jobs_of_one_geometry_certify_once(self, monkeypatch):
+        from repro.analysis import assert_legal, checker
+
+        calls = []
+        real = checker.analyze_schedule
+        monkeypatch.setattr(checker, "analyze_schedule",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        assert_legal.cache_clear()
+        grid, _, cfg = small_problem()
+        fields = [random_field(grid.shape, np.random.default_rng(i))
+                  for i in range(2)]
+        with Service(workers=0, cache=False) as svc:
+            futs = [svc.submit(grid, f, cfg) for f in fields]
+            svc.drain()
+            for f, fut in zip(fields, futs):
+                assert fut.result(timeout=0).field.tobytes() == \
+                    reference_sweeps(grid, f, cfg.total_updates).tobytes()
+            assert svc.stats.backend_solves == 2
+        assert len(calls) == 1
 
     def test_submit_after_close_raises(self):
         grid, field, cfg = small_problem()

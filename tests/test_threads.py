@@ -350,22 +350,21 @@ class TestUnconditionalLegalityGate:
         field = np.full(grid.shape, 7.0)
         before = field.copy()
         with pytest.raises(StaticAnalysisError):
-            run_pipelined(grid, field, _tampered_config(), validate=False,
-                          threads=True)
+            run_pipelined(grid, field, _tampered_config(), threads=True)
         assert started == []
         assert np.array_equal(field, before)
 
-    @pytest.mark.parametrize("validate", [True, False])
-    def test_executor_itself_refuses(self, validate, started):
+    @pytest.mark.parametrize("record_trace", [True, False])
+    def test_executor_itself_refuses(self, record_trace, started):
         # The gate lives in the executor, so constructing it directly —
         # the one entry that used to skip certification — refuses too,
-        # before a single stage thread exists.
+        # before a single stage thread exists, whatever it records.
         grid = Grid3D((16, 12, 12))
         field = np.full(grid.shape, 7.0)
         before = field.copy()
         with pytest.raises(StaticAnalysisError):
             PipelineExecutor(grid, field, _tampered_config(), jacobi7(),
-                             validate=validate, threads=True)
+                             record_trace=record_trace, threads=True)
         assert started == []
         assert np.array_equal(field, before)
 

@@ -39,7 +39,7 @@ from repro import (BarrierSpec, Grid3D, PipelineConfig, RelaxedSpec,
                    reference_sweeps, run_pipelined, solve)
 from repro.analysis import analyze_schedule
 from repro.core.executor import ORDERS, PipelineExecutor
-from repro.core.storage import CompressedStorage, StorageError, TwoGridStorage
+from repro.core.storage import CompressedStorage, TwoGridStorage
 from repro.engine import (NumbaDeepEngine, NumbaEngine, get_engine,
                           numpy_engine, register_engine, unregister_engine)
 from repro.engine.numpy_engine import accumulate_padded
@@ -788,16 +788,25 @@ class TestCompressedRing:
     def test_validated_slabs_catch_a_clobbered_read(self, monkeypatch, bc):
         # Cells 6.. advanced first: cell 6's level-1 value now sits where
         # cell 5's level-0 value lived.  The slab reading it — a flat one
-        # under the ring, a gathered one without — must say so.
+        # under the ring, a gathered one without — computes other bytes
+        # than the legal order does (named for the level check they
+        # replaced).
         monkeypatch.setattr(numpy_engine, "SLAB_BYTES", RING_SLAB_BYTES)
         grid = Grid3D((12, 5, 6), boundary=RING_BCS[bc])
-        storage = CompressedStorage(
-            grid, random_field(grid.shape, np.random.default_rng(1)),
-            (1, 0, 0), 4)
+        field = random_field(grid.shape, np.random.default_rng(1))
         engine = get_engine("numpy")
-        engine.apply(STENCIL, storage, Box((6, 0, 0), (12, 5, 6)), 1)
-        with pytest.raises(StorageError, match="compressed-grid"):
-            engine.apply(STENCIL, storage, Box((0, 0, 0), (6, 5, 6)), 1)
+        lower, upper = Box((0, 0, 0), (6, 5, 6)), Box((6, 0, 0), (12, 5, 6))
+
+        def lower_after(*regions):
+            storage = CompressedStorage(grid, field, (1, 0, 0), 4)
+            for region in regions:
+                engine.apply(STENCIL, storage, region, 1)
+            return storage.extract_region(lower, 1)
+
+        legal = lower_after(lower, upper)
+        assert_same_bits(legal, reference_sweeps(
+            grid, field, 1, STENCIL)[lower.slices()])
+        assert lower_after(upper, lower).tobytes() != legal.tobytes()
 
     @pytest.mark.parametrize("bc", ["faces", "func"])
     def test_numba_deep_reads_the_ringed_layout(self, deep_engine, bc):
@@ -853,7 +862,7 @@ class TestCompressedDifferential:
         grid, cfg, order, seed = case
         field = random_field(grid.shape, np.random.default_rng(seed))
         want = reference_sweeps(grid, field, cfg.total_updates).tobytes()
-        got = run_pipelined(grid, field, cfg, order=order, validate=True,
+        got = run_pipelined(grid, field, cfg, order=order,
                             rng=np.random.default_rng(seed + 1))
         assert got.field.tobytes() == want
         # Analyzer legal => run correct: certified draws run threaded too.
@@ -866,19 +875,20 @@ class TestCompressedDifferential:
     @pytest.mark.parametrize("bc", ["scalar", "func"])
     def test_skipping_a_moving_face_store_is_caught(self, bc):
         # z is shifted, so both z faces move; a func boundary moves all
-        # six.  Drop any one face's per-level store and a validated
-        # solve must refuse the stale ring read.
+        # six.  Drop any one face's per-level store and the stale ring
+        # read changes the result's bytes.
         grid = Grid3D((9, 5, 6), boundary=RING_BCS[bc])
         field = random_field(grid.shape, np.random.default_rng(3))
         cfg = _ring_cfg((4, 99, 99), "compressed", 2)
+        want = reference_sweeps(grid, field, cfg.total_updates,
+                                STENCIL).tobytes()
         moving = _FACES if bc == "func" else _FACES[:2]
         for face in moving:
             ex = PipelineExecutor(grid, field, cfg, STENCIL)
             kept = [f for f in ex.storage._faces if f[:2] != face]
             assert len(kept) == len(moving) - 1
             ex.storage._faces = kept
-            with pytest.raises(StorageError, match="compressed-grid"):
-                ex.run()
+            assert ex.run().tobytes() != want, face
 
 
 # ---------------------------------------------------------------------------
