@@ -9,7 +9,7 @@ marker matches the measurement while the T=2 marker overshoots.
 
 Thin wrapper over the ``fig3_left@<scale>`` perf scenario: the data
 comes from :mod:`repro.perf`, the table from
-:mod:`repro.bench.reporting`, and the run also persists
+:mod:`repro.text`, and the run also persists
 ``benchmarks/results/fig3_left.json``.
 """
 

@@ -70,11 +70,10 @@ map = map_jobs
 
 __version__ = "1.15.0"
 
-#: Symbols re-exported from the distributed rail.  Resolved lazily (PEP
-#: 562) so that `import repro` — and with it the shared-memory rail and
-#: the figure-independent bench utilities — keeps working even if
-#: ``repro.dist`` (or a future hard MPI dependency of it) is broken or
-#: absent in a stripped-down deployment.
+#: Symbols re-exported from the distributed rail, resolved lazily (PEP
+#: 562): ``import repro`` and a single-process solve never load
+#: ``repro.dist``, so they keep working where it (or a future hard MPI
+#: dependency of it) is broken or absent.
 _DIST_EXPORTS = frozenset({
     "CartesianDecomposition",
     "ClusterModel",
@@ -94,10 +93,11 @@ _DIST_EXPORTS = frozenset({
     "run_ranks",
 })
 
-#: Symbols re-exported from the serving layer (also lazy: the service
-#: pulls in the distributed rail) and the autotuner.  ``submit``/``map``
-#: are *not* here — they come eagerly from :mod:`repro.api`, whose
-#: wrappers import the service at call time.
+#: Symbols re-exported from the serving layer and the autotuner, lazy
+#: too: the autotuner ranks on the machine model and the DES, which no
+#: solve loads (``tests/test_api.py::TestImportFootprint``).
+#: ``submit``/``map`` are *not* here — they come eagerly from
+#: :mod:`repro.api`, whose wrappers import the service at call time.
 _SERVE_EXPORTS = frozenset({
     "Service",
     "ServiceStats",
@@ -117,9 +117,8 @@ _ANALYSIS_EXPORTS = frozenset({
     "assert_legal",
 })
 
-#: Symbols re-exported from the observability layer (lazy for symmetry;
-#: the hot-path pieces — ``Tracer``, ``NULL_TRACER`` — are imported
-#: directly by the rails that use them).
+#: Symbols re-exported from the observability layer (lazy for symmetry:
+#: the rails import its tracer themselves, so it is loaded anyway).
 _OBS_EXPORTS = frozenset({
     "Trace",
     "Tracer",
@@ -148,9 +147,11 @@ def __getattr__(name: str):
 
         return getattr(serve, name)
     if name in _AUTOTUNE_EXPORTS:
-        from . import core
+        # The submodule itself: ``repro.core.autotune`` may be bound to
+        # it or to the function of the same name.
+        import importlib
 
-        return getattr(core, name)
+        return getattr(importlib.import_module(".core.autotune", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -3,10 +3,11 @@
 The analyzer certifies a pipelined temporal-blocking schedule *without
 executing a single stencil update*: it builds the write/read geometry
 of the one-cell-shift pipeline symbolically, derives the minimum
-ordering lead every pair of stages must keep, and then explores the
-counter automaton of the relaxed-synchronisation window to either
-prove no permitted interleaving violates a lead (and no drain state
-deadlocks) or produce a concrete witness interleaving.  A companion
+ordering lead every pair of stages must keep, and then decides in
+closed form whether the synchronisation window's minimum reachable
+counter gap meets every lead and whether the window can freeze — each
+refusal with a concrete witness interleaving of the executor's own
+policy.  A companion
 AST lint pass machine-checks the project's process/shared-memory and
 engine-contract invariants.
 
@@ -27,7 +28,7 @@ or from the command line::
     python -m repro.analysis lint src/
 """
 
-from .checker import analyze_schedule, assert_legal, quick_check
+from .checker import analyze_schedule, assert_legal
 from .findings import Finding, Report, StaticAnalysisError
 from .lint import lint_paths, lint_source
 from .model import ScheduleSpec
@@ -39,7 +40,6 @@ __all__ = [
     "StaticAnalysisError",
     "analyze_schedule",
     "assert_legal",
-    "quick_check",
     "lint_paths",
     "lint_source",
 ]

@@ -1,40 +1,28 @@
-"""Happens-before checking over every permitted counter assignment.
+"""Closed-form legality of the counter protocol against the lead table.
 
-:mod:`repro.analysis.hazards` reduces the schedule to lead constraints
-"stage ``s`` may start block ``i`` only if stage ``s'`` has completed
-block ``i + Δ``".  This module checks those constraints against the
-*synchronisation semantics* — the volatile-counter protocol of Eq. 3
-(or the global barrier) — by exhaustively exploring the counter
-automaton: states are per-stage progress counters, transitions are
-"a ready stage completes its next block", readiness is exactly the
-predicate of :class:`repro.core.sync.RelaxedPolicy` /
-:class:`~repro.core.sync.BarrierPolicy` (reimplemented over the
-unvalidated :class:`~repro.analysis.model.ScheduleSpec`, so illegal
-windows are explorable instead of unconstructible).
+:mod:`repro.analysis.hazards` reduces a schedule to lead constraints:
+stage ``s`` may start block ``i`` only once an earlier stage ``s'`` has
+completed block ``i + Δ``, i.e. with a counter gap ``c_{s'} - c_s`` of
+at least the *lead* ``Δ + 1``.  :func:`_analytic_check` decides whether
+the synchronisation policy lets a stage start short of a lead (a race)
+or freezes with work left (a deadlock).  The policy is the executor's
+own, built from the spec's raw windows (:meth:`ScheduleSpec.policy`),
+and both answers are closed forms: no counter state is enumerated.
 
-Every reachable state where a *permitted* move violates a lead
-constraint is a data race, reported with the concrete interleaving
-that reaches it; every reachable state with unfinished stages and no
-ready stage is a deadlock, likewise with its path.  The exploration is
-exact: the automaton is finite because the window bounds every
-adjacent-stage gap, and a traversal horizon of a few windows beyond
-the pipeline depth exhibits every gap pattern longer traversals can
-reach (the policy is translation-invariant in the interior; the drain
-waiver only *loosens* constraints near the end).
-
-When the window product makes exhaustive exploration too large (deep
-pipelines with loose windows), the checker falls back to the analytic
-bound — the minimum reachable gap between two stages under the policy
-— and says so in the report notes.
+Every error carries an interleaving: the same ``rear_first`` drive of
+a real :class:`~repro.core.sync.CounterBoard`, stopped at the violating
+start or the frozen state, with the policy's ``blockers`` as the reason.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
+from ..core.sync import CounterBoard, RelaxedPolicy, SyncPolicy
 from .findings import Report, StaticAnalysisError
 from .hazards import (
+    Constraint,
     ConstraintTable,
     build_constraints,
     check_coverage_static,
@@ -42,57 +30,47 @@ from .hazards import (
 )
 from .model import ScheduleSpec
 
-__all__ = ["analyze_schedule", "assert_legal", "quick_check"]
-
-State = Tuple[int, ...]
+__all__ = ["analyze_schedule", "assert_legal"]
 
 
-# -- synchronisation semantics over raw specs --------------------------------
+# -- the closed form ----------------------------------------------------------
 
 
-class _Readiness:
-    """Policy predicate mirroring :mod:`repro.core.sync`, unvalidated."""
-
-    def __init__(self, spec: ScheduleSpec) -> None:
-        self.spec = spec
-        self.n = spec.n_stages
-        self.barrier = spec.sync_kind == "barrier"
-        self.d_l_eff, self.d_u_eff = spec.effective_windows()
-
-    def ready(self, stage: int, c: Sequence[int],
-              finished: Sequence[bool]) -> bool:
-        if self.barrier:
-            rounds = [c[s] + s for s in range(self.n) if not finished[s]]
-            return c[stage] + stage == min(rounds)
-        if stage > 0 and not finished[stage - 1]:
-            if c[stage - 1] - c[stage] < self.d_l_eff[stage]:
-                return False
-        if stage < self.n - 1:
-            if c[stage] - c[stage + 1] > self.d_u_eff[stage]:
-                return False
-        return True
-
-    def why_blocked(self, stage: int, c: Sequence[int],
-                    finished: Sequence[bool]) -> str:
-        """Human-readable blocking reason for deadlock witnesses."""
-        if self.barrier:
-            return (f"stage {stage} at round {c[stage] + stage} waits for "
-                    "the minimum outstanding round")
-        parts = []
-        if stage > 0 and not finished[stage - 1]:
-            gap = c[stage - 1] - c[stage]
-            if gap < self.d_l_eff[stage]:
-                parts.append(f"needs c_{stage - 1} - c_{stage} >= "
-                             f"{self.d_l_eff[stage]}, has {gap}")
-        if stage < self.n - 1:
-            gap = c[stage] - c[stage + 1]
-            if gap > self.d_u_eff[stage]:
-                parts.append(f"needs c_{stage} - c_{stage + 1} <= "
-                             f"{self.d_u_eff[stage]}, has {gap}")
-        return f"stage {stage}: " + ("; ".join(parts) or "ready")
+def _min_gap(policy: SyncPolicy, other: int, stage: int, block: int) -> int:
+    """Least ``c_other - c_stage`` the policy permits as ``stage`` starts
+    ``block`` (the bound of :func:`_analytic_check`, edges included)."""
+    if not isinstance(policy, RelaxedPolicy):
+        return stage - other  # barrier rounds
+    d_l = policy.d_l_eff
+    c = max(0, block + d_l[stage])
+    for k in range(stage - 1, other, -1):
+        c = max(0, c + d_l[k] - 1) if c else 0
+    return c - block
 
 
-def _format_path(path: List[Tuple[int, int]], limit: int = 28) -> str:
+def _races(policy: SyncPolicy, table: ConstraintTable,
+           n_blocks: int) -> List[Tuple[Constraint, int, int]]:
+    """Each constraint some permitted start violates, with the block
+    window ``[lo, hi]`` where it is the one that binds."""
+    out = []
+    for (s, other), by_lead in sorted(table.by_pair.items()):
+        # From this block on every link of the chain has started, and
+        # the minimum gap is the plain sum.
+        settled = (sum(abs(d) + 1 for d in policy.d_l_eff[other + 1:s + 1]) + 1
+                   if isinstance(policy, RelaxedPolicy) else 0)
+        stronger: Optional[int] = None
+        for lead in sorted(by_lead, reverse=True):
+            delta = lead - 1
+            lo = max(0, -delta, 0 if stronger is None else n_blocks - stronger)
+            hi = n_blocks - 1 - max(0, delta)
+            stronger = delta
+            if any(_min_gap(policy, other, s, i) < lead
+                   for i in range(lo, min(hi, max(lo, settled)) + 1)):
+                out.append((by_lead[lead], lo, hi))
+    return out
+
+
+def _format_path(path: Sequence[Tuple[int, int]], limit: int = 28) -> str:
     """Compact ``stage:block`` interleaving rendering."""
     steps = [f"t{s}:b{b}" for s, b in path]
     if len(steps) > limit:
@@ -101,183 +79,108 @@ def _format_path(path: List[Tuple[int, int]], limit: int = 28) -> str:
     return " ".join(steps) if steps else "(initial state)"
 
 
-def _reconstruct(parent: Dict[State, Optional[Tuple[State, int]]],
-                 state: State) -> List[Tuple[int, int]]:
-    """Path of ``(stage, block)`` moves from the initial state."""
-    path: List[Tuple[int, int]] = []
-    cur: Optional[State] = state
-    while cur is not None:
-        link = parent[cur]
-        if link is None:
+def _witness(spec: ScheduleSpec, policy: SyncPolicy, n_blocks: int,
+             races: List[Tuple[Constraint, int, int]], frozen: bool,
+             report: Report) -> None:
+    """Drive the policy ``rear_first`` on a real board; report each
+    violating start and the frozen state with the interleaving so far."""
+    board = CounterBoard(policy, spec.n_stages, n_blocks, record_log=True)
+    counters, log = board.counters, board.log
+    assert log is not None
+    pending = list(races)
+    while pending or frozen:
+        ready = board.poll()
+        if not ready:
+            if not board.done:
+                report.add(
+                    "deadlock", "error", f"counters {tuple(counters)}",
+                    "the pipeline reaches a state where no unfinished "
+                    "stage is ready and no counter can ever change",
+                    f"interleaving: {_format_path(log)}\n"
+                    + board.describe_wait(), tuple(log))
             break
-        prev, stage = link
-        path.append((stage, prev[stage]))
-        cur = prev
-    path.reverse()
-    return path
+        s = max(ready)
+        i = counters[s]
+        for item in [r for r in pending if r[0].stage == s]:
+            cons, lo, hi = item
+            gap = counters[cons.other] - i
+            if not (lo <= i <= hi and gap < cons.lead):
+                continue
+            pending.remove(item)
+            report.add(
+                f"{cons.kind}-hazard", "error",
+                f"stage {s}, block {i}, update {cons.u}",
+                f"the window permits stage {s} to start block {i} while "
+                f"stage {cons.other} has completed only "
+                f"{counters[cons.other]} blocks: its op (block "
+                f"{i + cons.delta}, update {cons.w}) is pending and "
+                f"conflicts ({cons.kind.upper()})",
+                f"witness interleaving: {_format_path(log)}\n"
+                f"then stage {s} starts block {i}; required lead "
+                f"c_{cons.other} - c_{s} >= {cons.lead}, permitted gap "
+                f"{gap}; {cons.cells()}", tuple(log))
+        board.publish(s)
+    if pending:  # the drive reaches every minimum gap: never certify past it
+        raise AssertionError(f"no rear_first start reached {pending}")
 
 
-def explore_counters(spec: ScheduleSpec, table: ConstraintTable,
-                     n_blocks: int, report: Report,
-                     max_states: int = 200_000) -> None:
-    """Exhaustive (or analytic-fallback) check of the counter automaton."""
-    policy = _Readiness(spec)
+def _analytic_check(spec: ScheduleSpec, table: ConstraintTable,
+                    n_blocks: int, report: Report) -> None:
+    """Races and deadlocks of the counter protocol, in closed form.
+
+    **Races.**  Let ``d_l(k)`` be stage ``k``'s lower bound, team delay
+    included (:func:`~repro.core.sync.effective_windows`).  When ``s``
+    starts a block, ``c_{s-1} - c_s >= d_l(s)``: its own window (a finished
+    predecessor owes no lead).  Each started link ``k`` ahead saw
+    ``c_{k-1} - c_k >= d_l(k)`` at its last start, one block ago, and
+    counters only grow, so ``c_{k-1} - c_k >= d_l(k) - 1`` now.  Over a
+    chain of ``k = s - s'`` links, ``c_{s'} - c_s >= Σ d_l - (k - 1)``.
+    The bound is met: in the executor's ``rear_first`` order a stage moves
+    only when no stage behind it can, and its move opens at most its
+    successor's window, which moves next.  So every started link rests at
+    ``d_l(k) - 1``, and ``s`` starts every block with the chain at the
+    bound: it is the minimum gap, and a pair races iff it is below the
+    lead.  At the edges, :func:`_min_gap` also counts links not yet started
+    (owing only ``c_{k-1} >= 0``, which matters behind a ``d_l <= 0``
+    window), and :func:`_races` owes a lead only to a block that exists, so
+    a pair's weaker leads bind at its last blocks.  Under the barrier a
+    stage starts with every predecessor at its round: the gap is ``s - s'``.
+
+    **Deadlocks.**  Every adjacent window has the same slack
+    ``d_u + 1 - d_l``: the team delay is added on both sides of a team
+    boundary.  With slack ``>= 0``, the frontmost unfinished stage can only
+    be held by its successor's gap; that gap exceeds ``d_u >= 0`` (a
+    structural rule), so it meets the successor's ``d_l``, and so on to the
+    rear stage, which has no upper window: some stage is always ready.
+    With slack ``< 0`` a predecessor stops ``d_u + 1`` blocks ahead, short
+    of ``d_l``, so the stages run one at a time, each freed by the drain
+    waiver, and none races.  Stage ``s < P - 1`` stops for good after
+    ``d_u(s) + 1`` blocks, so the pipeline freezes iff that is short of the
+    traversal.  The barrier never freezes.
+    """
     P = spec.n_stages
     if P == 1:
         report.note("single pipeline stage: program order is total, no "
                     "counter races possible")
         return
-    max_lead = max((c.lead for c in table.lead.values()), default=1)
-    horizon = min(n_blocks,
-                  max(8, max_lead + max(policy.d_u_eff, default=1) + P + 2))
-    if horizon < n_blocks:
-        report.note(
-            f"traversal horizon capped at {horizon} of {n_blocks} blocks "
-            "(gap patterns are translation-invariant in the interior)")
-    # Descending-lead constraint lists per stage pair: the first
-    # constraint whose conflicting block exists is the binding one.
-    per_pair: Dict[Tuple[int, int], List] = {}
-    for c in table.constraints:
-        per_pair.setdefault((c.stage, c.other), []).append(c)
-    for lst in per_pair.values():
-        lst.sort(key=lambda c: -c.lead)
-        # One entry per distinct lead is enough.
-        seen, uniq = set(), []
-        for c in lst:
-            if c.lead not in seen:
-                seen.add(c.lead)
-                uniq.append(c)
-        lst[:] = uniq
-
-    est = horizon
-    for s in range(1, P):
-        width = (policy.d_u_eff[s - 1] - policy.d_l_eff[s] + 3
-                 if not policy.barrier else 2)
-        est *= max(2, width)
-        if est > max_states:
-            break
-    if est > max_states:
-        report.note(
-            f"state space estimate {est} exceeds {max_states}; using the "
-            "analytic minimum-gap bound instead of exhaustive exploration")
-        _analytic_check(spec, policy, table, report)
-        return
-
-    init: State = (0,) * P
-    parent: Dict[State, Optional[Tuple[State, int]]] = {init: None}
-    frontier: List[State] = [init]
-    reported: set = set()
-    deadlocked = False
-    n_seen = 1
-    while frontier:
-        state = frontier.pop()
-        finished = [state[s] >= horizon for s in range(P)]
-        if all(finished):
-            continue
-        ready = [s for s in range(P)
-                 if not finished[s] and policy.ready(s, state, finished)]
-        if not ready:
-            if not deadlocked:
-                deadlocked = True
-                path = _reconstruct(parent, state)
-                why = "\n".join(policy.why_blocked(s, state, finished)
-                                for s in range(P) if not finished[s])
-                report.add(
-                    "deadlock", "error", f"counters {state}",
-                    "the pipeline reaches a state where no unfinished "
-                    "stage is ready and no counter can ever change",
-                    f"interleaving: {_format_path(path)}\n{why}",
-                )
-            continue
-        for s in ready:
-            i = state[s]
-            for other in range(P):
-                if (s, other) not in per_pair:
-                    continue
-                for cons in per_pair[(s, other)]:
-                    j = i + cons.delta
-                    if j >= horizon or j >= n_blocks:
-                        continue  # conflicting block beyond the traversal
-                    if state[other] > j:
-                        break  # binding lead satisfied; weaker ones too
-                    key = (s, other, cons.kind)
-                    if key not in reported:
-                        reported.add(key)
-                        path = _reconstruct(parent, state)
-                        report.add(
-                            f"{cons.kind}-hazard", "error",
-                            f"stage {s}, block {i}, update {cons.u}",
-                            f"the window permits stage {s} to start block "
-                            f"{i} while stage {other} has completed only "
-                            f"{state[other]} blocks: its op (block {j}, "
-                            f"update {cons.w}) is pending and conflicts "
-                            f"({cons.kind.upper()})",
-                            f"witness interleaving: {_format_path(path)}\n"
-                            f"then stage {s} starts block {i}; "
-                            f"required lead c_{other} - c_{s} >= "
-                            f"{cons.lead}, permitted gap "
-                            f"{state[other] - i}; {cons.cells}",
-                        )
-                    break  # deeper constraints share the binding lead
-            nxt = list(state)
-            nxt[s] += 1
-            nstate: State = tuple(nxt)
-            if nstate not in parent:
-                parent[nstate] = (state, s)
-                frontier.append(nstate)
-                n_seen += 1
-                if n_seen > max_states:
-                    report.note(
-                        f"exploration truncated at {max_states} states; "
-                        "falling back to the analytic minimum-gap bound")
-                    _analytic_check(spec, policy, table, report)
-                    return
-    mode = "barrier rounds" if policy.barrier else "relaxed counters"
+    policy = spec.policy()
+    races: List[Tuple[Constraint, int, int]] = []
+    frozen = False
+    if isinstance(policy, RelaxedPolicy) and any(
+            policy.d_u_eff[s] + 1 < policy.d_l_eff[s + 1] for s in range(P - 1)):
+        # An empty window runs the stages one after another: no race, and
+        # a freeze unless every stage drains within its d_u(s) + 1 blocks.
+        frozen = any(d_u + 1 < n_blocks for d_u in policy.d_u_eff[:-1])
+    else:
+        races = _races(policy, table, n_blocks)
+    if races or frozen:
+        _witness(spec, policy, n_blocks, races, frozen, report)
+    mode = ("relaxed counters" if isinstance(policy, RelaxedPolicy)
+            else "barrier rounds")
     report.note(
-        f"exhaustively explored {n_seen} counter states over a "
-        f"{horizon}-block horizon ({mode}); every permitted interleaving "
-        "checked")
-
-
-def _analytic_check(spec: ScheduleSpec, policy: _Readiness,
-                    table: ConstraintTable, report: Report) -> None:
-    """Closed-form check: minimum reachable gap vs. required lead.
-
-    Under the relaxed policy the gap to the immediate predecessor is at
-    least ``d_l_eff`` at the moment a stage starts a block, and each
-    further link of the chain can be mid-block, one below its own
-    bound; the barrier keeps every adjacent gap at exactly one block.
-    """
-    for (s, other), cons in sorted(table.lead.items()):
-        if policy.barrier:
-            min_gap = s - other
-        else:
-            chain = [policy.d_l_eff[k] for k in range(other + 1, s + 1)]
-            min_gap = sum(chain) - (len(chain) - 1)
-        if min_gap < cons.lead:
-            report.add(
-                f"{cons.kind}-hazard", "error",
-                f"stage {s} vs stage {other}",
-                f"the permitted minimum counter gap c_{other} - c_{s} = "
-                f"{min_gap} is below the required lead {cons.lead} "
-                f"(update {cons.u} vs pending update {cons.w})",
-                f"{cons.cells}; any interleaving holding the chain of "
-                "adjacent gaps at its lower bound exhibits the race",
-            )
-    if not policy.barrier:
-        for s in range(spec.n_stages - 1):
-            if policy.d_u_eff[s] + 1 < policy.d_l_eff[s + 1]:
-                report.add(
-                    "deadlock", "error", f"stages {s} and {s + 1}",
-                    f"the window is empty: stage {s} stalls once its lead "
-                    f"reaches d_u+1 = {policy.d_u_eff[s] + 1}, below the "
-                    f"d_l = {policy.d_l_eff[s + 1]} stage {s + 1} needs "
-                    "to ever start",
-                    "both counters freeze before either stage finishes; "
-                    "the drain waiver never engages",
-                )
-    report.note("analytic minimum-gap analysis (no interleaving witness "
-                "paths in this mode)")
+        f"closed form ({mode}): {len(table.by_pair)} stage pair(s) checked, "
+        "minimum reachable counter gap against required lead, and the "
+        "windows' slack against freezing")
 
 
 # -- top-level entry points --------------------------------------------------
@@ -307,8 +210,7 @@ def _local_shape(shape: Tuple[int, int, int],
 
 def analyze_schedule(config, shape: Sequence[int] = (32, 32, 32),
                      topology: Sequence[int] = (1, 1, 1), *,
-                     halo: Optional[int] = None,
-                     max_states: int = 200_000) -> Report:
+                     halo: Optional[int] = None) -> Report:
     """Statically verify a schedule on a domain; never executes anything.
 
     Parameters
@@ -325,9 +227,6 @@ def analyze_schedule(config, shape: Sequence[int] = (32, 32, 32),
     halo:
         Ghost-layer width for the distributed checks; defaults to the
         schedule's ``n*t*T`` (the paper's choice).
-    max_states:
-        Budget for exhaustive counter exploration before the analytic
-        fallback engages.
 
     Returns
     -------
@@ -374,8 +273,7 @@ def analyze_schedule(config, shape: Sequence[int] = (32, 32, 32),
 
     table = build_constraints(spec, decomp, report)
     check_coverage_static(spec, decomp, report)
-    explore_counters(spec, table, decomp.n_traversal_blocks, report,
-                     max_states=max_states)
+    _analytic_check(spec, table, decomp.n_traversal_blocks, report)
     need = table.required_d_l()
     report.note(f"binding adjacent-stage lead: {need} block(s) "
                 f"(the paper's d_l >= 1 bound{'' if need <= 1 else ' is insufficient here'})")
@@ -416,17 +314,3 @@ def assert_legal(config, shape: Sequence[int],
 
 
 assert_legal.cache_clear = _verdict.cache_clear  # type: ignore[attr-defined]
-
-
-def quick_check(config, shape: Sequence[int] = (32, 32, 32),
-                topology: Sequence[int] = (1, 1, 1)) -> bool:
-    """Cheap certification used as a sweep pre-filter (autotune, serve).
-
-    Caps the automaton low so a few hundred candidate configs stay
-    cheap; a config rejected here would also be rejected by the full
-    analyzer.  With a topology it also answers whether the decomposition
-    can be built at all and whether the storage runs distributed
-    (``dist-geometry`` / ``dist-storage`` errors), so it is the whole of
-    autoconf's validity test.
-    """
-    return analyze_schedule(config, shape, topology, max_states=5_000).ok

@@ -12,7 +12,7 @@ certification: no error-severity findings means the subject passed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Tuple
 
 __all__ = [
     "SEVERITIES",
@@ -48,6 +48,10 @@ class Finding:
         counter interleaving that reaches the race, the exact cells two
         regions share, the offending source line.  Empty when the rule
         is self-evident from the message.
+    steps:
+        The witness interleaving itself, when there is one: the
+        ``(stage, block)`` starts in order, for a replay on a real
+        :class:`~repro.core.sync.CounterBoard`.
     """
 
     checker: str
@@ -55,6 +59,7 @@ class Finding:
     location: str
     message: str
     witness: str = ""
+    steps: Tuple[Tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
         if self.severity not in SEVERITIES:
@@ -76,8 +81,8 @@ class Report:
 
     ``subject`` says what was analyzed (a config description, a list of
     paths); ``notes`` records analysis-mode decisions that affect how to
-    read the result (exhaustive vs. analytic exploration, a capped
-    traversal horizon, ...).
+    read the result (what the counter check decided, the binding lead,
+    ...).
     """
 
     subject: str
@@ -95,9 +100,10 @@ class Report:
         return not self.errors
 
     def add(self, checker: str, severity: str, location: str,
-            message: str, witness: str = "") -> Finding:
+            message: str, witness: str = "",
+            steps: Tuple[Tuple[int, int], ...] = ()) -> Finding:
         """Record one finding and return it."""
-        f = Finding(checker, severity, location, message, witness)
+        f = Finding(checker, severity, location, message, witness, steps)
         self.findings.append(f)
         return f
 

@@ -32,9 +32,9 @@ Deltas whose two ops belong to one stage are checked against program
 order right here (a violation no counter window can fix; the one-cell
 shift is exactly what keeps radius-1 reads from producing one, and this
 check is where that is proven); deltas that cross stages
-become *lead constraints* ``c_other - c_self >= Δ + 1`` for the counter
-automaton in :mod:`repro.analysis.checker` to test against every
-reachable counter assignment.
+become *lead constraints* ``c_other - c_self >= Δ + 1``, which
+:mod:`repro.analysis.checker` holds against the minimum counter gap the
+synchronisation window permits.
 
 Everything is computed per dimension on unclipped interior boxes: two
 length-``L`` intervals ``k·b + a`` and ``(k+Δ)·b + a'`` overlap iff
@@ -56,7 +56,8 @@ contain those cells.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..grid.blocks import BlockDecomposition
 from ..grid.region import Box
@@ -92,7 +93,9 @@ class Constraint:
     kind: str           # "raw" | "war" | "waw"
     u: int              # executing update (pass-local, 1-based)
     w: int              # conflicting update
-    cells: str          # human-readable shared-cells witness fragment
+    #: Renders the shared-cells witness fragment, only for a finding: a
+    #: legal schedule builds no witness boxes.
+    cells: Callable[[], str] = field(repr=False, compare=False)
 
     @property
     def lead(self) -> int:
@@ -104,23 +107,21 @@ class Constraint:
 class ConstraintTable:
     """The compressed dependence structure of one schedule."""
 
-    #: Cross-stage constraints, every delta kept for witness quality.
-    constraints: List[Constraint] = field(default_factory=list)
-    #: ``lead[(stage, other)]`` = binding (max) lead over all constraints.
-    lead: Dict[Tuple[int, int], Constraint] = field(default_factory=dict)
+    #: ``by_pair[(stage, other)][lead]``: the first constraint found
+    #: with that lead.  A pair's strongest lead binds; a weaker one binds
+    #: only at the last blocks, where the stronger ones point past the
+    #: traversal.
+    by_pair: Dict[Tuple[int, int], Dict[int, Constraint]] = field(
+        default_factory=dict)
 
     def add(self, c: Constraint) -> None:
-        """Record a constraint and update the binding-lead table."""
-        self.constraints.append(c)
-        key = (c.stage, c.other)
-        cur = self.lead.get(key)
-        if cur is None or c.lead > cur.lead:
-            self.lead[key] = c
+        """Record a constraint unless its pair already has that lead."""
+        self.by_pair.setdefault((c.stage, c.other), {}).setdefault(c.lead, c)
 
     def required_d_l(self) -> int:
         """Largest adjacent-stage lead — the minimum legal ``d_l``."""
-        return max((c.lead for (s, o), c in self.lead.items() if s - o == 1),
-                   default=0)
+        return max((max(leads) for (s, o), leads in self.by_pair.items()
+                    if s - o == 1), default=0)
 
 
 # -- per-dimension interval arithmetic ---------------------------------------
@@ -237,7 +238,7 @@ def build_constraints(spec: ScheduleSpec, decomp: BlockDecomposition,
     """Compute the dependence table; same-stage violations go to ``report``.
 
     Cross-stage requirements come back as a :class:`ConstraintTable`
-    for the automaton; ordering requirements *within* one stage are
+    for the counter check; ordering requirements *within* one stage are
     decided here against program order (block ascending, update
     ascending within a block) — a violation means the schedule is
     broken independently of any synchronisation window.
@@ -283,8 +284,8 @@ def build_constraints(spec: ScheduleSpec, decomp: BlockDecomposition,
                     table.add(Constraint(
                         stage=stage_u, other=stage_w, delta=delta,
                         kind=kind, u=u, w=w,
-                        cells=_witness_cells(decomp, spec, sa, oa,
-                                             sb, off_b, dk),
+                        cells=partial(_witness_cells, decomp, spec, sa, oa,
+                                      sb, off_b, dk),
                     ))
     return table
 

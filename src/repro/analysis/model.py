@@ -6,9 +6,11 @@ values (``d_l < 1``, empty windows) — which is exactly right for the
 execution path and exactly wrong for an analyzer whose job is to
 *demonstrate* why those schedules are illegal, witness included.
 :class:`ScheduleSpec` is the permissive mirror image: every field is a
-plain value, nothing is rejected, and the checkers derive the same
-quantities (``n_stages``, ``updates_per_pass``, effective per-stage
-windows) that the runtime derives from a validated config.
+plain value and no window is rejected.  It derives nothing on its own:
+the stage layout is :class:`~repro.core.parameters.StageLayout`, the
+structural rules are :data:`~repro.core.parameters.STRUCTURAL_RULES`
+and the synchronisation is the executor's own policy
+(:meth:`ScheduleSpec.policy`), all shared with the runtime.
 
 It models exactly the schedules the runtime can build, and nothing the
 runtime fixes by construction: the stencil is radius 1
@@ -24,11 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
+from ..core.parameters import BarrierSpec, RelaxedSpec, StageLayout
+from ..core.sync import BarrierPolicy, RelaxedPolicy, SyncPolicy, effective_windows
+
 __all__ = ["ScheduleSpec"]
 
 
 @dataclass(frozen=True)
-class ScheduleSpec:
+class ScheduleSpec(StageLayout):
     """A pipelined-blocking schedule as raw numbers, legal or not.
 
     Field meanings match :class:`~repro.core.parameters.PipelineConfig`;
@@ -50,104 +55,41 @@ class ScheduleSpec:
     @staticmethod
     def from_config(config) -> "ScheduleSpec":
         """Mirror a validated :class:`PipelineConfig` into the loose model."""
-        from ..core.parameters import BarrierSpec, RelaxedSpec
-
         sync = config.sync
         if isinstance(sync, BarrierSpec):
-            kind, d_l, d_u, d_t = "barrier", 1, 1, 0
+            window = dict(sync_kind="barrier", d_l=1, d_u=1)
         elif isinstance(sync, RelaxedSpec):
-            kind, d_l, d_u, d_t = "relaxed", sync.d_l, sync.d_u, sync.team_delay
+            window = dict(sync_kind="relaxed", d_l=sync.d_l, d_u=sync.d_u,
+                          team_delay=sync.team_delay)
         else:
             raise TypeError(f"unknown sync spec {sync!r}")
         return ScheduleSpec(
-            teams=config.teams,
-            threads_per_team=config.threads_per_team,
+            teams=config.teams, threads_per_team=config.threads_per_team,
             updates_per_thread=config.updates_per_thread,
-            block_size=tuple(config.block_size),
-            sync_kind=kind,
-            d_l=d_l, d_u=d_u, team_delay=d_t,
-            storage=config.storage,
-            passes=config.passes,
-        )
+            block_size=tuple(config.block_size), storage=config.storage,
+            passes=config.passes, **window)
 
-    # -- derived quantities (same formulas as PipelineConfig) -----------------
-
-    @property
-    def n_stages(self) -> int:
-        """Pipeline depth ``P = n * t``."""
-        return self.teams * self.threads_per_team
-
-    @property
-    def updates_per_pass(self) -> int:
-        """Time levels per pass ``h = n * t * T``."""
-        return self.n_stages * self.updates_per_thread
-
-    @property
-    def max_shift(self) -> int:
-        """Largest region shift within a pass."""
-        return self.updates_per_pass - 1
-
-    def stage_of_update(self, u: int) -> int:
-        """Pipeline stage owning pass-local update ``u`` (1-based)."""
-        return (u - 1) // self.updates_per_thread
-
-    def stage_updates(self, stage: int) -> range:
-        """Pass-local update numbers performed by ``stage``."""
-        T = self.updates_per_thread
-        return range(stage * T + 1, (stage + 1) * T + 1)
-
-    def is_team_front(self, stage: int) -> bool:
-        """True on the first thread of a team (mirrors PipelineConfig)."""
-        return stage % self.threads_per_team == 0
-
-    def is_team_rear(self, stage: int) -> bool:
-        """True on the last thread of a team (mirrors PipelineConfig)."""
-        return stage % self.threads_per_team == self.threads_per_team - 1
-
-    def effective_windows(self) -> Tuple[List[int], List[int]]:
-        """Per-stage ``(d_l_eff, d_u_eff)`` with the team delay folded in.
-
-        Same arithmetic as :class:`repro.core.sync.RelaxedPolicy`, but
-        computed from the raw integers so illegal windows pass through
-        unchanged for the automaton to condemn.
-        """
-        d_l_eff: List[int] = []
-        d_u_eff: List[int] = []
-        for s in range(self.n_stages):
-            dl, du = self.d_l, self.d_u
-            if self.is_team_front(s) and s > 0:
-                dl += self.team_delay
-            if self.is_team_rear(s) and s < self.n_stages - 1:
-                du += self.team_delay
-            d_l_eff.append(dl)
-            d_u_eff.append(du)
-        return d_l_eff, d_u_eff
+    def policy(self) -> SyncPolicy:
+        """The executor's synchronisation policy over these raw windows."""
+        if self.sync_kind == "barrier":
+            return BarrierPolicy(self.n_stages)
+        return RelaxedPolicy(*effective_windows(
+            self.n_stages, self.threads_per_team, self.d_l, self.d_u,
+            self.team_delay))
 
     def structural_problems(self) -> List[str]:
-        """Violations that prevent even *building* the geometry.
-
-        These mirror the constructor guards of ``PipelineConfig`` that
-        are not schedule semantics but plain type/domain errors; the
-        analyzer reports them as ``config-error`` findings instead of
-        raising, so a sweep over candidate schedules never crashes.
-        """
-        probs: List[str] = []
-        if self.teams < 1:
-            probs.append(f"teams={self.teams} (need >= 1)")
-        if self.threads_per_team < 1:
-            probs.append(f"threads_per_team={self.threads_per_team} (need >= 1)")
-        if self.updates_per_thread < 1:
-            probs.append(f"updates_per_thread={self.updates_per_thread} (need >= 1)")
-        if self.passes < 1:
-            probs.append(f"passes={self.passes} (need >= 1)")
-        if len(self.block_size) != 3 or any(int(b) < 1 for b in self.block_size):
-            probs.append(f"block_size={self.block_size!r} (three extents >= 1)")
-        if self.storage not in ("twogrid", "compressed"):
-            probs.append(f"storage={self.storage!r} (twogrid|compressed)")
+        """The rules :class:`PipelineConfig` raises on, and those its
+        sync types imply, as ``config-error`` text (a sweep never
+        crashes).  A negative ``d_u`` would make a stage wait for its
+        successor to overtake it; any other window is the analyzer's to
+        judge."""
+        probs = super().structural_problems()
         if self.sync_kind not in ("barrier", "relaxed"):
             probs.append(f"sync_kind={self.sync_kind!r} (barrier|relaxed)")
         if self.team_delay < 0:
             probs.append(f"team_delay={self.team_delay} (need >= 0)")
+        if self.sync_kind == "relaxed" and self.d_u < 0:
+            probs.append(f"d_u={self.d_u} (need >= 0)")
         return probs
 
     def describe(self) -> str:

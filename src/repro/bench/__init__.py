@@ -1,6 +1,6 @@
 """Benchmark harness: per-figure data generators + ASCII reporting."""
 
-from .reporting import banner, format_series, format_table, ratio
+from ..text import banner, format_series, format_table, ratio
 from .figures import (
     DEFAULT_SIM_SHAPE,
     ablation_block_size,

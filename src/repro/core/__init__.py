@@ -12,16 +12,37 @@ Public surface:
   for callers that need custom active regions (distributed trapezoids) or
   interleaving control;
 * storage schemes (two-grid / compressed) in :mod:`~repro.core.storage`.
+
+The autotuner and the wavefront comparison rank configurations on the
+machine model, so their names resolve on first use (PEP 562): running
+a schedule never loads :mod:`repro.machine` or :mod:`repro.sim`.
 """
 
+import importlib
+
 from .parameters import BarrierSpec, PipelineConfig, RelaxedSpec, SyncSpec
-from .sync import BarrierPolicy, RelaxedPolicy, SyncPolicy, make_policy
+from .sync import (BarrierPolicy, RelaxedPolicy, SyncPolicy, effective_windows,
+                   make_policy)
 from .storage import CompressedStorage, StorageError, TwoGridStorage, make_storage
-from .schedule import ScheduleError, check_skew, make_decomposition
+from .schedule import make_decomposition
 from .executor import ExecutionStats, ORDERS, PipelineExecutor, ScheduleDeadlock
 from .pipeline import SolveResult, run_pipelined
-from .autotune import TuneResult, autotune
-from .wavefront import compare_wavefront, wavefront_balance, wavefront_config
+
+#: The performance-rail names, by the submodule defining them.
+_LAZY = {"TuneResult": "autotune", "autotune": "autotune",
+         "wavefront_config": "wavefront", "wavefront_balance": "wavefront",
+         "compare_wavefront": "wavefront"}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # Bound as the eager import bound it: the function, not the
+    # submodule of the same name the import just set.
+    value = globals()[name] = getattr(
+        importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    return value
+
 
 __all__ = [
     "BarrierSpec",
@@ -31,13 +52,12 @@ __all__ = [
     "BarrierPolicy",
     "RelaxedPolicy",
     "SyncPolicy",
+    "effective_windows",
     "make_policy",
     "TwoGridStorage",
     "CompressedStorage",
     "StorageError",
     "make_storage",
-    "ScheduleError",
-    "check_skew",
     "make_decomposition",
     "PipelineExecutor",
     "ExecutionStats",

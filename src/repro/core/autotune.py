@@ -71,7 +71,7 @@ def autotune(
 
     With ``prune_illegal=True`` (the default) every candidate is first
     run through the static schedule analyzer
-    (:func:`repro.analysis.quick_check`) and configurations it cannot
+    (:func:`repro.analysis.analyze_schedule`) and configurations it cannot
     certify race- and deadlock-free are dropped *before* the DES run —
     no simulator time is spent ranking schedules the executor could
     never legally run.  The stock sweep axes are all legal, so this
@@ -83,7 +83,7 @@ def autotune(
     from dataclasses import replace as _replace
 
     if prune_illegal:
-        from ..analysis import quick_check  # late: avoid cycle
+        from ..analysis import analyze_schedule  # late: avoid cycle
 
     results: List[TuneResult] = []
     for storage in storages:
@@ -99,8 +99,8 @@ def autotune(
                             sync=RelaxedSpec(1, du),
                             storage=storage,
                         )
-                        if prune_illegal and not quick_check(
-                                cfg, tuple(int(s) for s in shape)):
+                        if prune_illegal and not analyze_schedule(
+                                cfg, tuple(int(s) for s in shape)).ok:
                             continue
                         # One DES run covers every engine: engines are
                         # bit-identical traversal variants the machine

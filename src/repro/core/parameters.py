@@ -16,9 +16,10 @@ captured here as explicit dataclasses:
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Tuple, Union, get_args
+from typing import Any, Callable, Dict, List, Tuple, Union, get_args
 
-__all__ = ["BarrierSpec", "RelaxedSpec", "SyncSpec", "PipelineConfig"]
+__all__ = ["BarrierSpec", "RelaxedSpec", "SyncSpec", "PipelineConfig",
+           "StageLayout", "STRUCTURAL_RULES"]
 
 
 @dataclass(frozen=True)
@@ -90,8 +91,82 @@ class RelaxedSpec:
 SyncSpec = Union[BarrierSpec, RelaxedSpec]
 
 
+#: What makes a configuration buildable, as ``(field, holds, need)``:
+#: :class:`PipelineConfig` raises on, and the analyzer's unvalidated
+#: :class:`~repro.analysis.model.ScheduleSpec` reports, each one broken.
+STRUCTURAL_RULES: Tuple[Tuple[str, Callable[[Any], bool], str], ...] = (
+    ("teams", lambda v: v >= 1, "need >= 1"),
+    ("threads_per_team", lambda v: v >= 1, "need >= 1"),
+    ("updates_per_thread", lambda v: v >= 1, "need >= 1"),
+    ("passes", lambda v: v >= 1, "need >= 1"),
+    ("block_size", lambda b: len(b) == 3 and all(int(x) >= 1 for x in b),
+     "three extents >= 1"),
+    ("storage", lambda v: v in ("twogrid", "compressed"), "twogrid|compressed"),
+)
+
+
+class StageLayout:
+    """The pipeline ``n`` teams of ``t`` threads with ``T`` updates each
+    make: the quantities :class:`PipelineConfig` and the analyzer's
+    :class:`~repro.analysis.model.ScheduleSpec` both derive."""
+
+    teams: int
+    threads_per_team: int
+    updates_per_thread: int
+    passes: int
+
+    @property
+    def n_stages(self) -> int:
+        """Pipeline depth in threads: ``P = n * t``."""
+        return self.teams * self.threads_per_team
+
+    @property
+    def updates_per_pass(self) -> int:
+        """Time levels advanced per pass: ``n * t * T`` (the paper's ``h``)."""
+        return self.n_stages * self.updates_per_thread
+
+    @property
+    def max_shift(self) -> int:
+        """Largest region shift within a pass: ``n*t*T - 1``."""
+        return self.updates_per_pass - 1
+
+    @property
+    def total_updates(self) -> int:
+        """Time levels advanced by the whole run."""
+        return self.passes * self.updates_per_pass
+
+    def stage_team(self, stage: int) -> int:
+        """Team index of pipeline stage ``stage``."""
+        if not 0 <= stage < self.n_stages:
+            raise IndexError(f"stage {stage} out of range")
+        return stage // self.threads_per_team
+
+    def is_team_front(self, stage: int) -> bool:
+        """True if ``stage`` is the front (first) thread of its team."""
+        return stage % self.threads_per_team == 0
+
+    def is_team_rear(self, stage: int) -> bool:
+        """True if ``stage`` is the rear (last) thread of its team."""
+        return stage % self.threads_per_team == self.threads_per_team - 1
+
+    def stage_updates(self, stage: int) -> range:
+        """Pass-local update numbers performed by ``stage`` (1-based)."""
+        T = self.updates_per_thread
+        return range(stage * T + 1, (stage + 1) * T + 1)
+
+    def stage_of_update(self, u: int) -> int:
+        """Pipeline stage owning pass-local update ``u`` (1-based)."""
+        return (u - 1) // self.updates_per_thread
+
+    def structural_problems(self) -> List[str]:
+        """Each rule of :data:`STRUCTURAL_RULES` this layout breaks."""
+        return [f"{name}={getattr(self, name)!r} ({need})"
+                for name, holds, need in STRUCTURAL_RULES
+                if not holds(getattr(self, name))]
+
+
 @dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(StageLayout):
     """Full parameterisation of a pipelined temporal-blocking run.
 
     Parameters
@@ -132,18 +207,9 @@ class PipelineConfig:
     engine: str = "numpy"
 
     def __post_init__(self) -> None:
-        if self.teams < 1:
-            raise ValueError("need at least one team")
-        if self.threads_per_team < 1:
-            raise ValueError("need at least one thread per team")
-        if self.updates_per_thread < 1:
-            raise ValueError("T must be >= 1")
-        if self.passes < 1:
-            raise ValueError("passes must be >= 1")
-        if self.storage not in ("twogrid", "compressed"):
-            raise ValueError(f"unknown storage scheme {self.storage!r}")
-        if len(self.block_size) != 3 or any(int(b) < 1 for b in self.block_size):
-            raise ValueError(f"bad block size {self.block_size!r}")
+        problems = self.structural_problems()
+        if problems:
+            raise ValueError("bad pipeline configuration: " + "; ".join(problems))
         object.__setattr__(self, "block_size",
                            tuple(int(b) for b in self.block_size))
         # Late import: the engine layer is below core in the import
@@ -151,47 +217,6 @@ class PipelineConfig:
         from ..engine import check_engine
 
         check_engine(self.engine)
-
-    # -- derived quantities ------------------------------------------------------
-
-    @property
-    def n_stages(self) -> int:
-        """Pipeline depth in threads: ``P = n * t``."""
-        return self.teams * self.threads_per_team
-
-    @property
-    def updates_per_pass(self) -> int:
-        """Time levels advanced per pass: ``n * t * T`` (the paper's ``h``)."""
-        return self.n_stages * self.updates_per_thread
-
-    @property
-    def max_shift(self) -> int:
-        """Largest region shift within a pass: ``n*t*T - 1``."""
-        return self.updates_per_pass - 1
-
-    @property
-    def total_updates(self) -> int:
-        """Time levels advanced by the whole run."""
-        return self.passes * self.updates_per_pass
-
-    def stage_team(self, stage: int) -> int:
-        """Team index of pipeline stage ``stage``."""
-        if not 0 <= stage < self.n_stages:
-            raise IndexError(f"stage {stage} out of range")
-        return stage // self.threads_per_team
-
-    def is_team_front(self, stage: int) -> bool:
-        """True if ``stage`` is the front (first) thread of its team."""
-        return stage % self.threads_per_team == 0
-
-    def is_team_rear(self, stage: int) -> bool:
-        """True if ``stage`` is the rear (last) thread of its team."""
-        return stage % self.threads_per_team == self.threads_per_team - 1
-
-    def stage_updates(self, stage: int) -> range:
-        """Pass-local update numbers performed by ``stage`` (1-based)."""
-        T = self.updates_per_thread
-        return range(stage * T + 1, (stage + 1) * T + 1)
 
     def to_json(self) -> Dict[str, Any]:
         """A JSON-ready document; :meth:`from_json` rebuilds ``self``."""

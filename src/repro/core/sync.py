@@ -22,8 +22,8 @@ from typing import List, Optional, Protocol, Sequence, Tuple
 
 from .parameters import BarrierSpec, PipelineConfig, RelaxedSpec
 
-__all__ = ["SyncPolicy", "BarrierPolicy", "RelaxedPolicy", "make_policy",
-           "CounterBoard", "SyncAborted", "SyncWaitTimeout"]
+__all__ = ["SyncPolicy", "BarrierPolicy", "RelaxedPolicy", "effective_windows",
+           "make_policy", "CounterBoard", "SyncAborted", "SyncWaitTimeout"]
 
 
 class SyncPolicy(Protocol):
@@ -77,35 +77,37 @@ class BarrierPolicy:
                 if not finished[s] and self._round(s, counters) < me]
 
 
+def effective_windows(n_stages: int, threads_per_team: int, d_l: int,
+                      d_u: int, team_delay: int = 0) -> Tuple[List[int], List[int]]:
+    """Per-stage Eq. 3 bounds ``(d_l_eff, d_u_eff)``: the team delay
+    ``d_t`` is "trivially implemented by adding d_t to d_l on a team's
+    front thread and to d_u on its rear thread" (Sect. 1.3), except on
+    the overall front and rear.  Raw integers, legal or not."""
+    t = threads_per_team
+    d_l_eff = [d_l + (team_delay if s % t == 0 and s > 0 else 0)
+               for s in range(n_stages)]
+    d_u_eff = [d_u + (team_delay if s % t == t - 1 and s < n_stages - 1 else 0)
+               for s in range(n_stages)]
+    return d_l_eff, d_u_eff
+
+
 class RelaxedPolicy:
     """Relaxed synchronisation, Eq. 3 of the paper.
 
     Thread ``i`` may start its next block iff
-    ``c_{i-1} - c_i >= d_l(i)`` and ``c_i - c_{i+1} <= d_u(i)`` where the
-    per-stage bounds include the team delay on team boundaries:
-    ``d_l(i) = d_l + d_t`` on a team's front thread (except the overall
-    front) and ``d_u(i) = d_u + d_t`` on a team's rear thread (except the
-    overall rear).  The overall front/rear threads ignore the first/second
-    condition respectively, and a finished predecessor counts as infinitely
-    far ahead (drain waiver; see :class:`repro.core.parameters.RelaxedSpec`).
+    ``c_{i-1} - c_i >= d_l(i)`` and ``c_i - c_{i+1} <= d_u(i)``, with the
+    per-stage bounds of :func:`effective_windows`.  The overall
+    front/rear threads ignore the first/second condition respectively,
+    and a finished predecessor counts as infinitely far ahead (drain
+    waiver; see :class:`repro.core.parameters.RelaxedSpec`).  Built from
+    raw windows: the executor's by :func:`make_policy`, the analyzer's
+    by :meth:`~repro.analysis.model.ScheduleSpec.policy`, legal or not.
     """
 
-    def __init__(self, config: PipelineConfig) -> None:
-        spec = config.sync
-        if not isinstance(spec, RelaxedSpec):
-            raise TypeError("RelaxedPolicy requires a RelaxedSpec config")
-        self.n_stages = config.n_stages
-        self.d_l_eff: List[int] = []
-        self.d_u_eff: List[int] = []
-        for s in range(self.n_stages):
-            dl = spec.d_l
-            du = spec.d_u
-            if config.is_team_front(s) and s > 0:
-                dl += spec.team_delay
-            if config.is_team_rear(s) and s < self.n_stages - 1:
-                du += spec.team_delay
-            self.d_l_eff.append(dl)
-            self.d_u_eff.append(du)
+    def __init__(self, d_l_eff: Sequence[int], d_u_eff: Sequence[int]) -> None:
+        self.n_stages = len(d_l_eff)
+        self.d_l_eff: List[int] = list(d_l_eff)
+        self.d_u_eff: List[int] = list(d_u_eff)
 
     def ready(self, stage: int, counters: Sequence[int], finished: Sequence[bool]) -> bool:
         """Eq. 3 as a precondition for starting the next block."""
@@ -131,10 +133,13 @@ class RelaxedPolicy:
 
 def make_policy(config: PipelineConfig) -> SyncPolicy:
     """Instantiate the policy matching ``config.sync``."""
-    if isinstance(config.sync, BarrierSpec):
+    sync = config.sync
+    if isinstance(sync, BarrierSpec):
         return BarrierPolicy(config.n_stages)
-    if isinstance(config.sync, RelaxedSpec):
-        return RelaxedPolicy(config)
+    if isinstance(sync, RelaxedSpec):
+        return RelaxedPolicy(*effective_windows(
+            config.n_stages, config.threads_per_team, sync.d_l, sync.d_u,
+            sync.team_delay))
     raise TypeError(f"unknown sync spec {config.sync!r}")
 
 

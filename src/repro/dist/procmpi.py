@@ -65,6 +65,7 @@ from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from ..obs.registry import SPAWNS_COUNTER
 from .comm import Comm, snapshot as _snapshot
 from .shm import ShmBlockHandle, ShmPool, attach_block
 
@@ -324,12 +325,6 @@ class ProcComm(Comm):
 # ---------------------------------------------------------------------------
 # The drivers: a persistent rank world, and the one-shot run_procs on top.
 # ---------------------------------------------------------------------------
-
-#: Registry name (:mod:`repro.obs.registry`) of the monotonic count of
-#: rank processes started: deterministic for a fixed call sequence, so
-#: tests assert setup amortisation without touching a wall clock.
-SPAWNS_COUNTER = "procmpi.process_spawns"
-
 
 def _serve_main(rank: int, links: _Links, task_q: Any) -> None:
     """Entry point of one persistent rank process.

@@ -39,6 +39,8 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from ..obs.registry import SEGMENTS_COUNTER
+
 __all__ = [
     "SEGMENT_PREFIX",
     "ShmBlockHandle",
@@ -52,12 +54,6 @@ __all__ = [
 
 #: Every segment this package creates carries this name prefix.
 SEGMENT_PREFIX = "repro-shm-"
-
-#: Registry name (:mod:`repro.obs.registry`) of the monotonic count of
-#: segments created by this process's pools: deterministic for a fixed
-#: call sequence, so tests assert setup amortisation without a clock.
-SEGMENTS_COUNTER = "shm.segment_creates"
-
 
 @dataclass(frozen=True)
 class ShmBlockHandle:

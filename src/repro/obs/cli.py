@@ -33,7 +33,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from ..bench.reporting import banner, format_table
+from ..text import banner, format_table
 from .export import load_chrome_trace
 from .metrics import trace_metrics
 from .tracer import Trace

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from typing import Dict, Iterable, List, Mapping, Tuple
 
-from ...bench.reporting import banner, format_table
+from ...text import banner, format_table
 from .histogram import FixedHistogram
 
 __all__ = ["metric_name", "to_openmetrics", "validate_openmetrics",

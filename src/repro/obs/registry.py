@@ -24,7 +24,16 @@ import threading
 from typing import Dict
 
 __all__ = ["MetricsRegistry", "REGISTRY", "inc", "set_gauge", "counter",
-           "gauge", "snapshot"]
+           "gauge", "snapshot", "SPAWNS_COUNTER", "SEGMENTS_COUNTER"]
+
+#: The distributed rail's two setup counters: rank processes started
+#: (:mod:`repro.dist.procmpi`) and shared-memory segments created by
+#: this process's pools (:mod:`repro.dist.shm`).  Deterministic for a
+#: fixed call sequence, so tests assert setup amortisation without a
+#: clock.  Named here so that reading them (a service's baseline) does
+#: not import the rail that bumps them.
+SPAWNS_COUNTER = "procmpi.process_spawns"
+SEGMENTS_COUNTER = "shm.segment_creates"
 
 
 class MetricsRegistry:

@@ -29,7 +29,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from ..bench.reporting import banner, format_table
+from ..text import banner, format_table
 from . import compare as cmp
 from . import runner, store
 from .scenarios import SUITES, select_scenarios

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from ..bench.reporting import format_table
+from ..text import format_table
 from .schema import RunRecord
 from .store import records_of
 

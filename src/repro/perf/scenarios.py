@@ -29,7 +29,7 @@ from functools import partial
 from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
-from ..bench.reporting import ratio
+from ..text import ratio
 from ..engine import HAVE_NUMBA
 from .schema import Metric
 

@@ -23,10 +23,11 @@ asks for:
   :class:`Service` context manager (:mod:`repro.serve.service`),
   re-exported as ``repro.submit`` / ``repro.map``;
 * ``config="auto"`` resolution through :func:`repro.autotune`
-  (:mod:`repro.serve.autoconf`).
+  (:mod:`repro.serve.autoconf`), which ranks on the machine model and
+  so is imported on first use, like the distributed rail: a service
+  that only runs in-thread jobs loads neither.
 """
 
-from .autoconf import auto_config, clear_auto_cache
 from .cache import ResultCache
 from .futures import ServeCancelled, SolveFuture, wait_all
 from .job import SolveJob
@@ -45,6 +46,14 @@ from .service import (
 #: ``repro.map`` — the ergonomic name; ``map_jobs`` is the same object
 #: for callers who shadowed the builtin.
 map = map_jobs
+
+
+def __getattr__(name: str):
+    if name in ("auto_config", "clear_auto_cache"):
+        from . import autoconf
+
+        return getattr(autoconf, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "SolveJob",

@@ -69,16 +69,12 @@ def _default_machine() -> MachineSpec:
 
 def _valid(cfg: PipelineConfig, grid: Grid3D,
            topology: Tuple[int, int, int]) -> bool:
-    """Whether ``cfg`` can run this job: the static analyzer certifies it.
+    """Whether the analyzer certifies ``cfg`` for this job: race- and
+    deadlock-free, on a decomposition the grid can take and a storage
+    the rail can run.  The worker pool never gets anything else."""
+    from ..analysis import analyze_schedule  # late: keeps serve import-light
 
-    Auto-configured jobs never hand the worker pool a schedule whose
-    race/deadlock freedom has not been proven.  The same check refuses
-    a decomposition the grid cannot take and a storage the distributed
-    rail cannot run.
-    """
-    from ..analysis import quick_check  # late: keeps serve import-light
-
-    return quick_check(cfg, grid.shape, topology)
+    return analyze_schedule(cfg, grid.shape, topology).ok
 
 
 def ranked_candidates(machine: MachineSpec,

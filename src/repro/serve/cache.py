@@ -55,7 +55,7 @@ def _json(data) -> str:
 def _digest(field: np.ndarray, meta: dict) -> str:
     """SHA-256 over the field's dtype, shape and bytes and ``meta``."""
     h = hashlib.sha256(_json([field.dtype.str, field.shape, meta]).encode())
-    h.update(field.tobytes())
+    h.update(np.ascontiguousarray(field))  # copies only a strided field
     return h.hexdigest()
 
 

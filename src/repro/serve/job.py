@@ -158,8 +158,9 @@ class SolveJob:
         # caller reuses its buffer, and the content key must keep
         # describing the bytes the solve will actually read — a mutated
         # shared array would poison the cache with bit-wrong entries.
+        # C order whatever the input's: the key hashes this buffer as is.
         object.__setattr__(self, "field",
-                           np.array(self.field, copy=True))
+                           np.array(self.field, copy=True, order="C"))
 
     # -- derived -----------------------------------------------------------------
 
@@ -235,7 +236,7 @@ class SolveJob:
         ]
         h.update("\n".join(parts).encode())
         h.update(b"\nfield:")
-        h.update(np.ascontiguousarray(self.field).tobytes())
+        h.update(self.field)  # the C-ordered snapshot: no copy
         digest = h.hexdigest()
         object.__setattr__(self, "_key", digest)
         return digest

@@ -31,12 +31,14 @@ a wall clock.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 import numpy as np
 
-from ..dist.solver import ProcSolverSession
 from .job import SolveJob
+
+if TYPE_CHECKING:
+    from ..dist.solver import ProcSolverSession
 
 __all__ = ["SessionPool"]
 
@@ -90,6 +92,8 @@ class SessionPool:
                 session.close()
         # Build outside the lock too: spawning ranks is the slow part
         # and other workers must keep serving meanwhile.
+        from ..dist.solver import ProcSolverSession  # late: the rank rail
+
         session = ProcSolverSession(shape, dtype, job.topology, halo,
                                     start_method=self.start_method,
                                     timeout=self.timeout)

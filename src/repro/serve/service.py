@@ -58,7 +58,8 @@ import math
 import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -66,16 +67,17 @@ from ..core.parameters import PipelineConfig
 from ..core.pipeline import SolveResult
 from ..grid.grid3d import Grid3D
 from ..kernels.stencils import StarStencil
-from ..machine.topology import MachineSpec
 from ..obs.monitor import Monitor, StragglerPolicy
 from ..obs.registry import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Trace, Tracer
-from .autoconf import auto_config
 from .cache import ResultCache
 from .futures import SolveFuture, wait_all
 from .job import SolveJob
 from .pool import SessionPool
 from .scheduler import Entry, JobQueue, resolve_engine
+
+if TYPE_CHECKING:
+    from ..machine.topology import MachineSpec
 
 __all__ = ["ServiceStats", "Service", "WALL_HISTOGRAM", "QUEUE_HISTOGRAM",
            "default_service", "configure", "submit", "map_jobs", "shutdown"]
@@ -138,8 +140,8 @@ class ServiceStats:
 
 
 def _setup_counters() -> Dict[str, int]:
-    from ..dist import SEGMENTS_COUNTER, SPAWNS_COUNTER
     from ..obs import registry
+    from ..obs.registry import SEGMENTS_COUNTER, SPAWNS_COUNTER
 
     return {"spawns": int(registry.counter(SPAWNS_COUNTER)),
             "segments": int(registry.counter(SEGMENTS_COUNTER))}
@@ -326,6 +328,8 @@ class Service:
         if self._closed:
             raise RuntimeError("service is closed")
         if not job.resolved:
+            from .autoconf import auto_config  # late: loads the machine model
+
             cfg = auto_config(job.grid, job.topology, machine=self.machine)
             job = job.with_config(cfg)
             self._metrics.inc("auto_resolved")

@@ -1,16 +1,16 @@
-"""ASCII reporting helpers for the benchmark harness.
+"""Plain-text tables, series and banners.
 
-Every ``benchmarks/bench_fig*.py`` regenerates one figure's data and
-prints it as aligned text tables/series — the reproducible-artifact
-equivalent of the paper's plots.  These helpers keep the output format
-consistent across benches and EXPERIMENTS.md.
+Every ``benchmarks/bench_fig*.py`` prints its figure's data with these
+helpers, as do the monitor's text export and the command-line reports.
+The module imports nothing of the package, so a module that prints a
+table does not load the performance rail.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-__all__ = ["format_table", "format_series", "banner", "ratio"]
+__all__ = ["banner", "format_table", "format_series", "ratio"]
 
 
 def banner(title: str, width: int = 78) -> str:

@@ -7,9 +7,17 @@ candidate wherever a test needs a second engine on a numba-free host.
 """
 
 import pytest
+from hypothesis import settings
 
 from repro.engine import (HAVE_NUMBA, Engine, NumbaDeepEngine, get_engine,
                           register_engine, unregister_engine)
+
+#: Tier-1 runs the ``dev`` profile (Hypothesis' own default count); the
+#: CI ``analysis`` job runs the counter-automaton oracle under ``ci``
+#: (``--hypothesis-profile=ci``), with ten times the draws.
+settings.register_profile("dev", max_examples=100)
+settings.register_profile("ci", max_examples=1000)
+settings.load_profile("dev")
 
 
 class OracleEngine(Engine):

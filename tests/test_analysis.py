@@ -35,7 +35,6 @@ from repro.analysis import (
     assert_legal,
     lint_paths,
     lint_source,
-    quick_check,
 )
 from repro.core.executor import ORDERS
 from repro.core.parameters import BarrierSpec, PipelineConfig, RelaxedSpec
@@ -83,7 +82,7 @@ def test_report_ok_ignores_warnings():
 def test_certifies_paper_default_window():
     report = analyze_schedule(spec(), SHAPE)
     assert report.ok, report.describe()
-    assert any("explored" in n for n in report.notes)
+    assert any("closed form" in n for n in report.notes)
 
 
 def test_certifies_barrier_and_teams():
@@ -102,9 +101,9 @@ def test_certifies_compressed_inplace():
 
 def test_drain_waiver_precision():
     # d_u = d_l - 1: RelaxedSpec refuses to construct this window, but
-    # the automaton proves it actually drains (the finished-predecessor
-    # waiver unblocks the tail) — the analyzer is *more* precise than
-    # the constructor guard, not a mirror of it.
+    # its slack d_u + 1 - d_l is zero, so it never freezes (the finished-
+    # predecessor waiver unblocks the tail) — the analyzer is *more*
+    # precise than the constructor guard, not a mirror of it.
     report = analyze_schedule(spec(d_l=2, d_u=1), SHAPE)
     assert report.ok, report.describe()
 
@@ -235,7 +234,6 @@ def test_certified_schedules_run_byte_identical(case):
         # No tiled axis to shift the compressed levels along: the
         # analyzer refuses what the storage refuses.
         assert [f.checker for f in report.errors] == ["config-error"]
-        assert not quick_check(cfg, shape)
         with pytest.raises(ValueError, match="bad shift vector"):
             run()
         return
@@ -316,7 +314,7 @@ def test_auto_config_refuses_what_the_analyzer_refuses():
     # and with every candidate refused the resolution fails loudly.
     from repro.serve.autoconf import auto_config
 
-    assert not quick_check(PipelineConfig(), (2, 2, 2), (1, 1, 4))
+    assert not analyze_schedule(PipelineConfig(), (2, 2, 2), (1, 1, 4)).ok
     with pytest.raises(ValueError, match="no valid pipeline configuration"):
         auto_config(Grid3D((2, 2, 2)), (1, 1, 4))
 
@@ -331,7 +329,6 @@ def test_compressed_without_a_tiled_axis_is_a_config_error(backend, refusal):
     report = analyze_schedule(cfg, (8, 8, 8))
     assert [(f.checker, f.message.split(":")[0]) for f in report.errors] == [
         ("config-error", "compressed storage needs a tiled axis to shift along")]
-    assert not quick_check(cfg, (8, 8, 8))
     grid = Grid3D((8, 8, 8))
     # The storage refuses it; the threads rail's certificate now first.
     with pytest.raises(refusal):
@@ -346,12 +343,13 @@ def test_compressed_without_a_tiled_axis_is_a_config_error(backend, refusal):
             b < 8 for b in c.config.block_size), c.config
 
 
-def test_quick_check_boolean_face():
+def test_report_ok_is_the_boolean_face():
+    # What autotune's pre-prune and autoconf's validity test read.
     cfg = PipelineConfig(teams=1, threads_per_team=4,
                          updates_per_thread=1, block_size=BLOCK,
                          sync=RelaxedSpec(1, 4))
-    assert quick_check(cfg, SHAPE)
-    assert not quick_check(spec(d_l=0), SHAPE)
+    assert analyze_schedule(cfg, SHAPE).ok
+    assert not analyze_schedule(spec(d_l=0), SHAPE).ok
 
 
 # -- lint: each rule fires on a minimal bad example --------------------------

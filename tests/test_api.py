@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,7 @@ from repro.kernels import reference_sweeps
 from repro.kernels.jacobi import anisotropic_jacobi, jacobi7
 
 RNG = np.random.default_rng(17)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def small_problem():
@@ -263,3 +268,54 @@ class TestErrorPaths:
         grid, field, cfg = small_problem()
         with pytest.raises(ValueError, match="oversubscribe"):
             solve(grid, field, cfg, topology=(1, 1, 64), backend="simmpi")
+
+
+def loaded_after(code: str) -> set:
+    """The ``repro`` modules a fresh interpreter holds after ``code``."""
+    probe = ("\nimport json, sys\nprint(json.dumps(sorted(m for m in "
+             "sys.modules if m.split('.')[0] == 'repro')))")
+    proc = subprocess.run([sys.executable, "-c", code + probe],
+                          capture_output=True, text=True, check=True,
+                          env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"})
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+PROBLEM = """
+import numpy as np
+import repro
+grid = repro.Grid3D((12, 10, 10))
+field = repro.random_field(grid.shape, np.random.default_rng(0))
+cfg = repro.PipelineConfig(teams=1, threads_per_team=2, block_size=(4, 64, 64),
+                           sync=repro.RelaxedSpec(1, 2))
+want = repro.reference_sweeps(grid, field, cfg.total_updates).tobytes()
+"""
+
+
+class TestImportFootprint:
+    # The performance rail (the DES, the machine and cost models, the
+    # figure generator) and the distributed rail load on first use only.
+    PERF_RAIL = {"repro.bench", "repro.sim", "repro.models", "repro.machine"}
+
+    def test_a_shared_solve_loads_no_performance_rail(self):
+        mods = loaded_after(PROBLEM + """
+assert repro.solve(grid, field, cfg).field.tobytes() == want
+""")
+        assert not mods & self.PERF_RAIL, sorted(mods & self.PERF_RAIL)
+        assert "repro.core" in mods and "repro.analysis" in mods
+
+    def test_lazy_names_still_resolve(self):
+        mods = loaded_after("""
+import repro, repro.core
+from repro.core.autotune import autotune
+assert repro.autotune is autotune and callable(repro.core.wavefront_config)
+assert repro.TuneResult is repro.core.autotune.TuneResult
+""")
+        assert {"repro.core.autotune", "repro.core.wavefront"} <= mods
+
+    def test_an_in_thread_service_job_loads_no_dist_or_machine(self):
+        mods = loaded_after(PROBLEM + """
+from repro.serve import Service
+with Service(workers=1) as svc:
+    assert svc.submit(grid, field, cfg).result().field.tobytes() == want
+""")
+        assert not mods & {"repro.dist", "repro.machine"}, sorted(mods)

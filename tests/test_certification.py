@@ -237,15 +237,16 @@ class TestCertificationTripwire:
     def test_a_small_block_certificate_does_no_pairwise_box_algebra(self):
         # 64^3 in (4, 16, 16) blocks: 425 traversal blocks.  The pairwise
         # partition check made about 306 k Box.intersect calls and
-        # 4.96 M calls in all; the per-axis rows leave only the witness
-        # cells of the hazard table (104 intersects, 9.9 k calls).
+        # 4.96 M calls in all; the per-axis rows left the hazard table's
+        # witness cells (104 intersects, 9.8 k calls), and those are now
+        # built only for a finding (0 intersects, 2.0 k calls).
         prof = cProfile.Profile()
         prof.runcall(assert_legal, small_block_config(), (64, 64, 64))
         stats = pstats.Stats(prof)
         region = _grid_calls(stats, "region.py")
-        assert region.get("intersect", 0) <= 200, region
-        assert sum(region.values()) <= 2_500, region
-        assert stats.total_calls <= 20_000, stats.total_calls
+        assert region.get("intersect", 0) == 0, region
+        assert sum(region.values()) <= 50, region
+        assert stats.total_calls <= 5_000, stats.total_calls
         # Coverage reads one row per axis and level: 4 levels.
         assert _grid_calls(stats, "blocks.py")["level_rows"] == 4
         # A memo hit runs nothing of the analyzer.

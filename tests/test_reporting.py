@@ -1,4 +1,4 @@
-"""Unit coverage for the ASCII reporting helpers (repro.bench.reporting)."""
+"""Unit coverage for the ASCII reporting helpers (repro.text, re-exported by repro.bench)."""
 
 import math
 

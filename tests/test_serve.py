@@ -129,6 +129,43 @@ class TestSolveJob:
         with pytest.raises(ValueError, match="not cacheable"):
             job.content_key()
 
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_digests_keep_their_bytes_for_every_layout(self, layout):
+        # The key hashes the C-ordered snapshot in place and the cache
+        # digest hashes a contiguous field without a copy; both must
+        # equal the formulas that hashed a C-ordered copy's bytes.
+        import hashlib
+
+        from repro.serve import cache as cache_module, job as job_module
+
+        grid, field, cfg = small_problem(seed=3)
+        wide = np.zeros((grid.shape[0], 2 * grid.shape[1], grid.shape[2]))
+        wide[:, ::2, :] = field
+        given = {"C": field, "F": np.asfortranarray(field),
+                 "strided": wide[:, ::2, :]}[layout]
+        assert np.array_equal(given, field)
+        job = SolveJob(grid=grid, field=given, config=cfg)
+        assert job.field.flags.c_contiguous
+        assert job_module.KEY_SCHEMA == 3
+        st = job.stencil or job_module.jacobi7()
+        parts = [f"repro/{repro.__version__}/key{job_module.KEY_SCHEMA}",
+                 f"shape:{grid.shape}",
+                 f"dtype:{np.dtype(grid.dtype).str}",
+                 f"boundary:{job_module._canon_boundary(grid)}",
+                 f"config:{job_module._canon_config(cfg)}",
+                 f"stencil:{job_module._canon_stencil(st)}",
+                 f"semantics:{job.semantics()}",
+                 f"engine:{job.engine_semantics()}"]
+        old = hashlib.sha256("\n".join(parts).encode())
+        old.update(b"\nfield:")
+        old.update(np.ascontiguousarray(given).tobytes())
+        assert job.content_key() == old.hexdigest()
+        meta = {"levels": 4}
+        old = hashlib.sha256(cache_module._json(
+            [given.dtype.str, given.shape, meta]).encode())
+        old.update(given.tobytes())
+        assert cache_module._digest(given, meta) == old.hexdigest()
+
     def test_validation(self):
         grid, field, cfg = small_problem()
         with pytest.raises(ValueError, match="unknown backend"):

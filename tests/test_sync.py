@@ -75,20 +75,20 @@ class TestRelaxedPolicy:
                               sync=RelaxedSpec(dl, du, dt))
 
     def test_front_runs_ahead_up_to_du(self):
-        p = RelaxedPolicy(self.cfg(t=2, dl=1, du=3))
+        p = make_policy(self.cfg(t=2, dl=1, du=3))
         fin = [False, False]
         assert p.ready(0, [0, 0], fin)
         assert p.ready(0, [3, 0], fin)
         assert not p.ready(0, [4, 0], fin)
 
     def test_successor_needs_dl(self):
-        p = RelaxedPolicy(self.cfg(t=2, dl=2, du=4))
+        p = make_policy(self.cfg(t=2, dl=2, du=4))
         fin = [False, False]
         assert not p.ready(1, [1, 0], fin)
         assert p.ready(1, [2, 0], fin)
 
     def test_finished_predecessor_waiver(self):
-        p = RelaxedPolicy(self.cfg(t=2, dl=3, du=5))
+        p = make_policy(self.cfg(t=2, dl=3, du=5))
         # Predecessor finished at counter 4; gap is only 1 but waived.
         assert p.ready(1, [4, 3], [True, False])
         assert not p.ready(1, [4, 3], [False, False])
@@ -97,14 +97,14 @@ class TestRelaxedPolicy:
         cfg = PipelineConfig(teams=2, threads_per_team=2,
                              updates_per_thread=1, block_size=(2, 100, 100),
                              sync=RelaxedSpec(1, 2, team_delay=3))
-        p = RelaxedPolicy(cfg)
+        p = make_policy(cfg)
         # Stage 2 is the front thread of team 1: d_l_eff = 1 + 3.
         assert p.d_l_eff == [1, 1, 4, 1]
         # Stage 1 is the rear thread of team 0: d_u_eff = 2 + 3.
         assert p.d_u_eff == [2, 5, 2, 2]
 
     def test_blockers_names_neighbors(self):
-        p = RelaxedPolicy(self.cfg(t=3, dl=2, du=2))
+        p = make_policy(self.cfg(t=3, dl=2, du=2))
         fin = [False] * 3
         assert p.blockers(1, [1, 0, 0], fin) == [0]
         assert p.blockers(0, [3, 0, 0], fin) == [1]
