@@ -248,13 +248,14 @@ class PipelineExecutor:
 
         Each pass advances every (active) cell by ``n*t*T`` levels; an
         implicit global barrier separates passes, as in the reference
-        implementation.
+        implementation.  The result is the storage's own buffer, so a run
+        consumes its storage (:meth:`~repro.core.storage._StorageBase.release`):
+        drive :meth:`run_pass` to inspect the storage after the last pass.
         """
         n_passes = self.config.passes if passes is None else int(passes)
         for p in range(n_passes):
             self.run_pass(p)
-        final = n_passes * self.config.updates_per_pass
-        return self.storage.extract(final)
+        return self.storage.release(n_passes * self.config.updates_per_pass)
 
     def run_pass(self, pass_idx: int) -> None:
         """Execute one full pipeline pass (every stage over every block)."""

@@ -27,11 +27,15 @@ two-grid rings are filled once from ``grid.boundary`` and never written
 again.  A compressed ring cell moves with the level exactly as an
 interior cell does, so :meth:`CompressedStorage.commit_write` stores the
 ring next to each committed region (see the class).
+
+A solve ends in :meth:`_StorageBase.release`, which returns the final
+level in the storage's own buffer and consumes the storage, so a solve
+peaks at the storage's arrays; :meth:`extract` copies.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Any, List, Tuple
 
 import numpy as np
 
@@ -45,8 +49,18 @@ class StorageError(RuntimeError):
     """Values that do not fit the region they are stored into."""
 
 
+class _Released:
+    """The value arrays of a storage that :meth:`release` consumed."""
+
+    def __getitem__(self, key: Any) -> Any:
+        raise StorageError("storage consumed by release(); build a new one")
+
+
 class _StorageBase:
     """Shared machinery: ring reads, the write protocol, injection."""
+
+    #: The value arrays (two-grid: A and B; compressed: the one grid).
+    _arrays: Any
 
     def __init__(self, grid: Grid3D, field: np.ndarray) -> None:
         if field.shape != grid.shape:
@@ -118,9 +132,39 @@ class _StorageBase:
         self._view(box, level)[...] = values
         self.commit_write(box, level)
 
+    @property
+    def array_bytes(self) -> int:
+        """Bytes held by the value arrays, rings (and margin) included."""
+        return sum(a.nbytes for a in self._arrays)
+
     def extract(self, level: int) -> np.ndarray:
         """The whole interior at a uniform time level."""
         return self.extract_region(self.domain, level)
+
+    def release(self, level: int) -> np.ndarray:
+        """Consume the storage: the interior at ``level`` in its own buffer.
+
+        The interior is compacted to the front of the array holding
+        ``level``, plane by plane ascending: every origin is ``>= 1``, so
+        each destination index lies below its source.  The buffer is
+        then shrunk to the interior (``ndarray.resize``); if anything
+        else still references it, the compacted prefix is copied out
+        instead, so the result is never a view.  Every value array is
+        dropped and any further use raises :class:`StorageError`.
+        """
+        arr = self.raw_read_array(level)[0]
+        interior = self._view(self.domain, level)
+        self._arrays = _Released()
+        shape, size = self.grid.shape, interior.size
+        head = arr.reshape(-1)[:size].reshape(shape)
+        for z in range(shape[0]):
+            head[z] = interior[z]
+        del interior, head
+        try:
+            arr.resize(shape, refcheck=True)
+        except ValueError:
+            return arr.reshape(-1)[:size].reshape(shape).copy()
+        return arr
 
     def gather(self, region: Box, off: Tuple[int, int, int], level: int) -> np.ndarray:
         """Values of the cells ``region + off`` at time ``level``: a view.
@@ -176,11 +220,6 @@ class TwoGridStorage(_StorageBase):
         """:meth:`ring_array`; origin ``(1, 1, 1)`` skips the ring."""
         return self.ring_array(level), self._ORIGIN
 
-    @property
-    def array_bytes(self) -> int:
-        """Bytes held by the value arrays (two grids, ghost rings included)."""
-        return sum(a.nbytes for a in self._arrays)
-
 
 class CompressedStorage(_StorageBase):
     """Single compressed grid with alternating shift direction (Sect. 1.3).
@@ -224,7 +263,8 @@ class CompressedStorage(_StorageBase):
         #: Index of cell 0 at offset 0: margin plus the ring.
         self._lo = tuple(m + 1 for m in self.margin)
         store_shape = tuple(n + m + 2 for n, m in zip(grid.shape, self.margin))
-        self._array = np.full(store_shape, np.nan, dtype=grid.dtype)
+        array = np.full(store_shape, np.nan, dtype=grid.dtype)
+        self._arrays = [array]
         moving = tuple(int(v or grid.boundary.func is not None) for v in self.shift_vec)
         #: ``(dim, side, ring box, its values)`` per moving face.
         self._faces: List[Tuple[int, int, Box, np.ndarray]] = []
@@ -234,7 +274,7 @@ class CompressedStorage(_StorageBase):
                 if moving[d]:
                     self._faces.append((d, side, face, grid.face_values(d, side)))
                 else:
-                    self._array[(slice(None),) * d + (at,)] = grid.boundary.face_value(d, side)
+                    array[(slice(None),) * d + (at,)] = grid.boundary.face_value(d, side)
         self._view(self.domain, 0)[...] = field
         self.commit_write(self.domain, 0)
 
@@ -252,7 +292,7 @@ class CompressedStorage(_StorageBase):
                      zip(self._lo, self.shift_vec))
 
     def _view(self, box: Box, level: int) -> np.ndarray:
-        return self._array[box.slices(self._origin(level))]
+        return self._arrays[0][box.slices(self._origin(level))]
 
     def commit_write(self, region: Box, level: int) -> None:
         """Store the moving-face ring cells beside ``region``.
@@ -267,17 +307,12 @@ class CompressedStorage(_StorageBase):
             cells = region.outer_face(d, side)
             if cells.lo[d] != face.lo[d]:
                 continue
-            self._array[cells.slices(origin)] = values[
+            self._arrays[0][cells.slices(origin)] = values[
                 cells.slices(tuple(-c for c in face.lo))]
 
     def raw_read_array(self, level: int) -> Tuple[np.ndarray, Tuple[int, int, int]]:
         """The compressed array; origin folds in level shift, margin and ring."""
-        return self._array, self._origin(level)
-
-    @property
-    def array_bytes(self) -> int:
-        """Bytes held by the (single) value array, margin and ring included."""
-        return self._array.nbytes
+        return self._arrays[0], self._origin(level)
 
 
 def make_storage(scheme: str, grid: Grid3D, field: np.ndarray,

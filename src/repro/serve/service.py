@@ -70,7 +70,7 @@ from ..kernels.stencils import StarStencil
 from ..obs.monitor import Monitor, StragglerPolicy
 from ..obs.registry import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Trace, Tracer
-from .cache import ResultCache
+from .cache import ResultCache, _clone
 from .futures import SolveFuture, wait_all
 from .job import SolveJob
 from .pool import SessionPool
@@ -503,8 +503,9 @@ class Service:
                     self._inflight.pop(entry.key, None)
                 self._metrics.inc("completed")
                 waiters = list(entry.futures)
-            for f in waiters:
-                f._set_result(result)
+            # Every waiter owns its field: coalesced ones get a copy.
+            for i, f in enumerate(waiters):
+                f._set_result(result if i == 0 else _clone(result))
 
     def _execute(self, job: SolveJob, record: bool = False,
                  ) -> Tuple[SolveResult, str, Optional[Trace]]:

@@ -489,6 +489,22 @@ class TestService:
             assert np.array_equal(first.result(timeout=0).field,
                                   second.result(timeout=0).field)
 
+    def test_coalesced_waiters_own_their_fields(self):
+        # One solve serves both waiters; a write into one result must not
+        # reach the other.
+        grid, field, cfg = small_problem()
+        ref = reference_sweeps(grid, field, cfg.total_updates)
+        with Service(workers=0) as svc:
+            first = svc.submit(grid, field, cfg)
+            second = svc.submit(grid, field, cfg)
+            assert second.coalesced
+            svc.drain()
+            ra, rb = first.result(timeout=0), second.result(timeout=0)
+        assert ra is not rb
+        assert not np.shares_memory(ra.field, rb.field)
+        ra.field[...] = -1.0
+        np.testing.assert_allclose(rb.field, ref, rtol=0, atol=1e-13)
+
     def test_uncacheable_jobs_always_recompute(self):
         grid = Grid3D((12, 12, 12),
                       boundary=DirichletBoundary(0.0, func=_linear_boundary))

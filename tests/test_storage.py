@@ -313,7 +313,10 @@ class TestGhostRing:
                              updates_per_thread=2, block_size=(4, 64, 64),
                              sync=RelaxedSpec(1, 2), passes=2)
         ex = PipelineExecutor(grid, field, cfg, jacobi7())
-        got = ex.run()
+        # run() consumes the storage; drive its passes to keep it.
+        for p in range(cfg.passes):
+            ex.run_pass(p)
+        got = ex.storage.extract(cfg.total_updates)
         assert isinstance(ex.storage, TwoGridStorage)
         assert got.dtype == np.dtype(dtype)
         np.testing.assert_array_equal(
@@ -391,3 +394,80 @@ class TestValidationOnlyBookkeeping:
         checked = solve(grid, field, cfg, validate=True)
         fast = solve(grid, field, cfg, validate=False)
         assert np.array_equal(fast.field, checked.field)
+
+
+def _release_cfg(storage, block=(4, 99, 99), passes=3):
+    from repro import PipelineConfig, RelaxedSpec
+
+    return PipelineConfig(teams=1, threads_per_team=2, updates_per_thread=2,
+                          block_size=block, sync=RelaxedSpec(1, 4),
+                          storage=storage, passes=passes, engine="numpy")
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("storage", ["twogrid", "compressed"])
+@pytest.mark.parametrize("backend", ["shared", "threads"])
+class TestResultInStorageBuffer:
+    """``run()`` hands back the storage's own buffer, shrunk to the field."""
+
+    def test_result_owns_exactly_its_field(self, backend, storage, dtype):
+        from repro import jacobi7, solve
+        from repro.core.executor import PipelineExecutor
+        from repro.kernels import reference_sweeps
+
+        grid = Grid3D((12, 1, 10), boundary=BOUNDARIES["func"], dtype=dtype)
+        field = random_field(grid.shape, RNG).astype(dtype)
+        cfg = _release_cfg(storage)
+        out = solve(grid, field, cfg, backend=backend).field
+        assert out.flags.c_contiguous and out.flags.owndata
+        assert out.base is None
+        assert out.dtype == np.dtype(dtype)
+        assert out.nbytes == int(np.prod(grid.shape)) * out.itemsize
+        assert out.tobytes() == reference_sweeps(
+            grid, field, cfg.total_updates).tobytes()
+        ex = PipelineExecutor(grid, field, cfg, jacobi7(),
+                              threads=backend == "threads")
+        assert ex.run().tobytes() == out.tobytes()
+        with pytest.raises(StorageError, match="consumed"):
+            ex.run()
+
+    def test_solve_peaks_below_storage_plus_one_field(self, backend, storage,
+                                                      dtype):
+        # The copy-out this replaced held a second field while the
+        # storage was alive: peak >= array bytes + one field.
+        from repro import jacobi7, solve
+        from repro.core.executor import PipelineExecutor
+
+        grid = Grid3D((32, 32, 32), boundary=BOUNDARIES["func"], dtype=dtype)
+        field = random_field(grid.shape, RNG).astype(dtype)
+        cfg = _release_cfg(storage, block=(4, 8, 8), passes=2)
+        array_bytes = PipelineExecutor(grid, field, cfg,
+                                       jacobi7()).storage.array_bytes
+        solve(grid, field, cfg, backend=backend)        # warm-up
+        tracemalloc.start()
+        try:
+            out = solve(grid, field, cfg, backend=backend).field
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == field.nbytes
+        assert peak < array_bytes + field.nbytes, (peak, array_bytes)
+
+
+class TestRelease:
+    @pytest.mark.parametrize("make", [
+        lambda g, f: TwoGridStorage(g, f),
+        lambda g, f: CompressedStorage(g, f, (1, 1, 0), 3)])
+    def test_a_referenced_buffer_is_copied_not_shrunk(self, make):
+        grid = Grid3D((6, 5, 4), boundary=BOUNDARIES["faces"])
+        field = random_field(grid.shape, RNG)
+        st = make(grid, field)
+        held = st.raw_read_array(0)[0]
+        stored = held.shape
+        out = st.release(0)
+        assert out.flags.owndata and out.base is None
+        assert not np.shares_memory(out, held)
+        np.testing.assert_array_equal(out, field)
+        assert held.shape == stored             # not resized under its holder
+        with pytest.raises(StorageError):
+            st.extract(0)
