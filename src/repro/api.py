@@ -103,10 +103,9 @@ def solve(
         overrides ``config.engine``.  Engines are bit-identical, so
         this changes throughput, never the result — every backend
         dispatches the same engine registry per rank.  ``"auto"``
-        resolves to the measured-best engine for this host, storage
-        scheme and grid size from the perf database
-        (:mod:`repro.perf.db`) — the static default when no
-        measurements apply, so it is always safe.
+        is the first registered engine of
+        :data:`repro.engine.AUTO_ORDER` (``numpy`` when no compiled
+        engine is installed).
     validate:
         ``True`` (default) certifies the schedule before touching the
         field: :func:`repro.analysis.assert_legal`, the happens-before
@@ -142,12 +141,6 @@ def solve(
         raise ValueError(
             f"the {backend} backend is single-process; topology {topo} "
             "needs backend='simmpi' or 'procmpi'")
-    if engine == "auto":
-        # Resolve eagerly from the measured perf database: the static
-        # default engine when this host has no applicable measurements.
-        from .perf.db import resolve_auto_engine
-
-        engine = resolve_auto_engine(config.storage, grid.shape)
     if engine is not None and engine != config.engine:
         config = replace(config, engine=engine)
     if validate:
@@ -198,16 +191,6 @@ def submit(grid: Grid3D, field: np.ndarray,
     """
     from .serve import submit as _submit
 
-    if engine is not None and engine != "auto":
-        if not isinstance(config, PipelineConfig):
-            raise ValueError(
-                "a concrete engine cannot be combined with config='auto'; "
-                "the autotuner resolves the full configuration (pass "
-                "engines=... to repro.autotune for an engine sweep, or "
-                "engine='auto' for the measured-best engine)")
-        if engine != config.engine:
-            config = replace(config, engine=engine)
-        engine = None
     return _submit(grid, field, config, topology=topology, backend=backend,
                    stencil=stencil, priority=priority, engine=engine)
 

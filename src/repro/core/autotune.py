@@ -40,34 +40,22 @@ def autotune(
     T_values: Sequence[int] = (1, 2, 4),
     du_values: Sequence[int] = (1, 2, 4, 8),
     storages: Sequence[str] = ("compressed", "twogrid"),
-    engines: Sequence[str] = ("numpy",),
     seed: int = 0,
     top: Optional[int] = None,
     prune_illegal: bool = True,
-    perf_db=None,
-    kernel: str = "jacobi",
 ) -> List[TuneResult]:
     """Exhaustive sweep; returns results sorted best-first.
 
     The search space mirrors the knobs the paper tuned by hand: inner
     block length ``b_x`` ("decisive for good performance"), block
     thickness, updates per thread ``T`` ("usually 2"), the sync window
-    ``d_u`` ("1–4 with the block sizes chosen") and the storage scheme —
-    plus, since PR 5, the kernel-execution **engine**
-    (:mod:`repro.engine`).  The DES models the schedule and the memory
-    hierarchy, which engines do not change (they are bit-identical
-    traversal/fusion variants), so engine points tie on simulated
-    MLUP/s and the stable sort ranks them in the order given —
-    *unless* a measured perf database is supplied.  With
-    ``perf_db=repro.perf.db.default_db()`` (or any
-    :class:`~repro.perf.db.PerfDB`) each engine point's simulated rate
-    is scaled by the host's measured engine/default throughput ratio
-    for this ``kernel``, storage and size class
-    (:func:`repro.sim.costmodel.engine_factor`), so calibrated hosts
-    rank engine points by data; unmeasured engines keep the neutral
-    factor 1.0 and the historical tie.  Pass
-    ``engines=repro.engine.available_engines()`` to enumerate every
-    engine registered in this process.
+    ``d_u`` ("1–4 with the block sizes chosen") and the storage scheme.
+    The kernel-execution engine is not an axis: the DES models the
+    schedule and the memory hierarchy, which engines do not change
+    (they are bit-identical traversal variants), so engine points
+    would always tie.  Every result carries the default engine; set
+    ``engine=`` on the chosen config (``"auto"`` picks by
+    :data:`repro.engine.AUTO_ORDER`).
 
     With ``prune_illegal=True`` (the default) every candidate is first
     run through the static schedule analyzer
@@ -79,8 +67,6 @@ def autotune(
     axes into the illegal corner of the space.
     """
     from ..sim.des_pipeline import simulate_pipelined  # late: avoid cycle
-
-    from dataclasses import replace as _replace
 
     if prune_illegal:
         from ..analysis import analyze_schedule  # late: avoid cycle
@@ -102,22 +88,9 @@ def autotune(
                         if prune_illegal and not analyze_schedule(
                                 cfg, tuple(int(s) for s in shape)).ok:
                             continue
-                        # One DES run covers every engine: engines are
-                        # bit-identical traversal variants the machine
-                        # model does not distinguish, so the simulated
-                        # rate is shared and only the measured engine
-                        # factor (1.0 without a perf database) differs.
                         rep = simulate_pipelined(machine, cfg, shape,
                                                  seed=seed)
-                        for engine in engines:
-                            mlups = rep.mlups
-                            if perf_db is not None:
-                                from ..sim.costmodel import engine_factor
-                                mlups *= engine_factor(
-                                    engine, storage=storage, shape=shape,
-                                    kernel=kernel, db=perf_db)
-                            results.append(TuneResult(
-                                _replace(cfg, engine=engine),
-                                mlups, rep.reloads))
+                        results.append(TuneResult(cfg, rep.mlups,
+                                                  rep.reloads))
     results.sort(key=lambda r: -r.mlups)
     return results[:top] if top else results

@@ -193,7 +193,9 @@ class PipelineConfig(StageLayout):
     engine:
         Kernel-execution engine name (:mod:`repro.engine` registry);
         every engine is bit-identical to the default ``"numpy"``, so
-        this knob moves throughput, never results.  Travels with the
+        this knob moves throughput, never results.  ``"auto"`` is
+        stored as the engine it resolves to
+        (:data:`repro.engine.AUTO_ORDER`).  Travels with the
         configuration through every backend and the serving layer.
     """
 
@@ -216,7 +218,7 @@ class PipelineConfig(StageLayout):
         # graph, but this module is imported from its package __init__.
         from ..engine import check_engine
 
-        check_engine(self.engine)
+        object.__setattr__(self, "engine", check_engine(self.engine))
 
     def to_json(self) -> Dict[str, Any]:
         """A JSON-ready document; :meth:`from_json` rebuilds ``self``."""

@@ -21,7 +21,10 @@ Built-in engines (all bit-identical, semantics class ``vector-v2``):
 =============== =============================================================
 
 Select an engine per solve (``repro.solve(..., engine="numba")``) or
-per configuration (``PipelineConfig(engine="numba-deep")``); every rail —
+per configuration (``PipelineConfig(engine="numba-deep")``);
+``engine="auto"`` is the first registered engine of
+:data:`AUTO_ORDER` in the default engine's semantics class, resolved
+when the configuration is built.  Every rail —
 shared, ``simmpi``, ``procmpi``, the serving layer and the perf
 harness — dispatches through the same registry, so the choice follows
 the configuration everywhere.
@@ -32,6 +35,7 @@ from .numba_deep import NumbaDeepEngine
 from .numba_engine import HAVE_NUMBA, NumbaEngine, jit_cache_stats
 from .numpy_engine import NumpyEngine
 from .registry import (
+    AUTO_ORDER,
     DEFAULT_ENGINE,
     KNOWN_ENGINES,
     available_engines,
@@ -49,6 +53,7 @@ __all__ = [
     "NumbaDeepEngine",
     "HAVE_NUMBA",
     "jit_cache_stats",
+    "AUTO_ORDER",
     "DEFAULT_ENGINE",
     "KNOWN_ENGINES",
     "group_table",

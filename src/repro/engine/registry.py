@@ -2,11 +2,17 @@
 
 The registry is the dispatch point every layer shares: the pipelined
 executor, the distributed rank bodies, the reference sweeps, the
-serving layer's content keys and the perf/autotune axes all resolve
-engine *names* here.  Built-in engines register at import; optional
-engines (numba) register only when their dependency imports, so a
-clean environment never sees them — but still gets a helpful error
-naming the missing dependency instead of a bare ``KeyError``.
+serving layer's content keys and the perf harness all resolve engine
+*names* here.  Built-in engines register at import; optional engines
+(numba) register only when their dependency imports, so a clean
+environment never sees them — but still gets a helpful error naming
+the missing dependency instead of a bare ``KeyError``.
+
+``"auto"`` is accepted wherever an engine name is: it names the first
+registered engine of :data:`AUTO_ORDER` in the default engine's
+semantics class, resolved when it is looked up (so
+:class:`~repro.core.parameters.PipelineConfig` stores the concrete
+name).
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from typing import Dict, Tuple
 from .base import Engine
 
 __all__ = [
+    "AUTO_ORDER",
     "DEFAULT_ENGINE",
     "KNOWN_ENGINES",
     "register_engine",
@@ -35,6 +42,12 @@ DEFAULT_ENGINE = "numpy"
 #: dependency is missing (see :data:`_OPTIONAL`).
 KNOWN_ENGINES: Tuple[str, ...] = ("numpy", "numba", "numba-deep")
 
+#: What ``engine="auto"`` means: the first of these that is registered
+#: in the default engine's semantics class, so the choice can move
+#: throughput but never result bits or a serve cache key.  The order is
+#: a fixed rule and has not been measured against numpy on one host.
+AUTO_ORDER: Tuple[str, ...] = ("numba-deep", "numba", "numpy")
+
 #: Optional engines and the dependency that gates each.
 _OPTIONAL: Dict[str, str] = {"numba": "numba", "numba-deep": "numba"}
 
@@ -52,8 +65,9 @@ def register_engine(engine: Engine, replace: bool = False) -> Engine:
     in :class:`PipelineConfig` but fails inside the spawned rank.
     Built-in engines register on ``import repro`` in every process.
     """
-    if not engine.name or engine.name == "abstract":
-        raise ValueError("engine must set a concrete name")
+    if not engine.name or engine.name in ("abstract", "auto"):
+        raise ValueError("engine must set a concrete name "
+                         "('auto' names the AUTO_ORDER rule)")
     if engine.name in _REGISTRY and not replace:
         raise ValueError(f"engine {engine.name!r} already registered")
     _REGISTRY[engine.name] = engine
@@ -66,18 +80,22 @@ def unregister_engine(name: str) -> None:
 
 
 def check_engine(name: str) -> str:
-    """Validate an engine *name* without resolving the instance.
+    """Validate an engine *name*; returns it with ``"auto"`` resolved.
 
     Used by :class:`~repro.core.parameters.PipelineConfig` for
     fail-fast construction: unknown names and known-but-unavailable
     optional engines both raise with an actionable message.
     """
-    get_engine(name)
-    return name
+    return get_engine(name).name
 
 
 def get_engine(name: str) -> Engine:
     """Resolve a registered engine by name, with a helpful error."""
+    if name == "auto":
+        semantics = get_engine(DEFAULT_ENGINE).semantics
+        name = next((n for n in AUTO_ORDER if n in _REGISTRY
+                     and _REGISTRY[n].semantics == semantics),
+                    DEFAULT_ENGINE)
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -88,7 +106,8 @@ def get_engine(name: str) -> Engine:
             f"{_OPTIONAL[name]!r} is not installed (engines available "
             f"here: {available_engines()})")
     raise ValueError(
-        f"unknown engine {name!r}; choose from {available_engines()}")
+        f"unknown engine {name!r}; choose from "
+        f"{available_engines() + ('auto',)}")
 
 
 def available_engines() -> Tuple[str, ...]:

@@ -13,12 +13,8 @@ The measurement subsystem behind ``python -m repro.perf`` (and the
 * :mod:`repro.perf.compare` — the regression gate: diff two result
   files (or one against the :mod:`repro.models` predictions) and fail
   on a >threshold slowdown of any gated metric;
-* :mod:`repro.perf.db` — the measured-performance database (MLUP/s per
-  host × engine × kernel × storage × size class) behind
-  ``engine="auto"``, fed by :func:`~repro.perf.db.calibrate` and by
-  ingesting normal suite documents;
-* :mod:`repro.perf.cli` — the ``run | list | compare | report |
-  calibrate`` front-end.
+* :mod:`repro.perf.cli` — the ``run | list | compare | report``
+  front-end.
 
 See EXPERIMENTS.md for the mapping from paper figures to suites and
 commands.
@@ -59,17 +55,6 @@ from .compare import (
     regressions,
     render_deltas,
 )
-from .db import (
-    DB_SCHEMA,
-    PerfDB,
-    PerfDBError,
-    calibrate,
-    default_db,
-    host_fingerprint,
-    perfdb_generation,
-    resolve_auto_engine,
-    size_class,
-)
 from .cli import main
 
 __all__ = [
@@ -104,14 +89,5 @@ __all__ = [
     "compare_to_model",
     "regressions",
     "render_deltas",
-    "DB_SCHEMA",
-    "PerfDB",
-    "PerfDBError",
-    "calibrate",
-    "default_db",
-    "host_fingerprint",
-    "perfdb_generation",
-    "resolve_auto_engine",
-    "size_class",
     "main",
 ]

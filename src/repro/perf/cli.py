@@ -7,8 +7,6 @@ Subcommands::
     compare    diff two result files (or one file vs the analytic model)
                and exit non-zero on a gated regression
     report     render a result file as ASCII tables
-    calibrate  microbenchmark every engine and record the measured
-               throughputs into the perf database (engine="auto" data)
 
 Examples::
 
@@ -19,7 +17,6 @@ Examples::
         BENCH_quick.json
     python -m repro.perf compare --model BENCH_quick.json
     python -m repro.perf report BENCH_quick.json
-    python -m repro.perf calibrate --quick --db perfdb.json
 """
 
 from __future__ import annotations
@@ -87,25 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("report", help="render a result file")
     rep.add_argument("result", type=Path)
-
-    cal = sub.add_parser(
-        "calibrate",
-        help="microbenchmark the registered engines into the perf "
-             "database that drives engine='auto'")
-    cal.add_argument("--engines", default=None,
-                     help="comma-separated engine names "
-                          "(default: every registered engine)")
-    cal.add_argument("--storages", default="twogrid,compressed",
-                     help="comma-separated storage schemes")
-    cal.add_argument("--repeats", type=int, default=2)
-    cal.add_argument("--quick", action="store_true",
-                     help="smallest problem, one repeat (CI smoke)")
-    cal.add_argument("--db", type=Path, default=None,
-                     help="load/merge/save the database at this path "
-                          "(default: in-process only)")
-    cal.add_argument("--ingest", type=Path, default=None,
-                     help="also absorb engine throughputs from a "
-                          "BENCH_<suite>.json document")
     return p
 
 
@@ -237,42 +215,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_calibrate(args: argparse.Namespace) -> int:
-    from . import db as perfdb
-
-    target = perfdb.default_db()
-    if args.db is not None and args.db.exists():
-        absorbed = target.load(args.db)
-        print(f"[repro.perf] loaded {absorbed} measurement(s) "
-              f"from {args.db}")
-    if args.ingest is not None:
-        doc = store.load_document(args.ingest)
-        absorbed = target.ingest_document(doc)
-        print(f"[repro.perf] ingested {absorbed} measurement(s) "
-              f"from {args.ingest}")
-    engines = (tuple(e for e in args.engines.split(",") if e)
-               if args.engines else None)
-    storages = tuple(s for s in args.storages.split(",") if s)
-    results = perfdb.calibrate(engines=engines, storages=storages,
-                               repeats=args.repeats, db=target,
-                               quick=args.quick)
-    host = perfdb.host_fingerprint()
-    rows = [[engine, storage_, f"{mlups:.1f}"]
-            for (engine, storage_), mlups in sorted(results.items())]
-    print(format_table(["engine", "storage", "MLUP/s"], rows,
-                       title=f"calibrated on {host} "
-                             f"({len(results)} point(s))"))
-    best = perfdb.resolve_auto_engine("twogrid", (300, 300, 300))
-    print(f"engine='auto' now resolves to {best!r} "
-          f"on twogrid (db generation {target.generation})")
-    if args.db is not None:
-        target.save(args.db)
-        print(f"[repro.perf] wrote {args.db}")
-    return 0
-
-
 _COMMANDS = {"run": _cmd_run, "list": _cmd_list, "compare": _cmd_compare,
-             "report": _cmd_report, "calibrate": _cmd_calibrate}
+             "report": _cmd_report}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

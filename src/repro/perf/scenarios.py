@@ -255,10 +255,9 @@ def _sum_solve(payload, wall: float) -> Dict[str, Metric]:
 
 
 def _sum_solve_auto(payload, wall: float) -> Dict[str, Metric]:
-    # Every gated metric is derived from an *injected* deterministic
-    # measurement table, so the gate is host-stable: auto must pick the
-    # measured-best engine (rank 0) and may never pick one measured
-    # slower than the static default.
+    # Every gated metric follows from the fixed AUTO_ORDER rule, so the
+    # gate is host-stable: auto must pick the first registered engine
+    # of the order (rank 0) and never one ranked below the default.
     return {
         "auto_rank": Metric(float(payload["rank"]), unit="rank",
                             higher_is_better=False),
@@ -596,41 +595,27 @@ def _register_solvers() -> None:
                             f"{', traced' if trace else ''})",
             ))
 
-        # engine="auto" (E18): resolve the engine from an *injected*
-        # deterministic perf database (a fixed measurement table over
-        # the engines registered here), then prove — as gated counters —
-        # that the choice is the measured-best (rank 0), never slower
-        # than the static default, and bit-identical to it.
+        # engine="auto" (E18): the config resolves it by the registry's
+        # fixed rule; gate — as counters — that it is the first
+        # registered engine of AUTO_ORDER (rank 0), never ranked below
+        # the static default, and bit-identical to it.
         def solve_auto(_suite=suite):
             from dataclasses import replace
 
             import numpy as np
 
             from ..core.pipeline import run_pipelined
-            from ..engine import DEFAULT_ENGINE, available_engines
-            from ..perf.db import PerfDB, resolve_auto_engine, size_class
+            from ..engine import AUTO_ORDER, DEFAULT_ENGINE, available_engines
 
             grid, field_, cfg, _ = _solver_problem(_suite)
-            # A fixed table, restricted to the engines present in this
-            # process — same decision on every host with the same
-            # engine set (the checked-in baseline uses the clean,
-            # numba-free set).
-            table = {"numpy": 100.0, "numba": 180.0, "numba-deep": 220.0}
-            cls = size_class(grid.shape)
-            db = PerfDB()
-            measured = {}
-            for eng in available_engines():
-                if eng in table:
-                    db.record(eng, "jacobi", cfg.storage, cls, table[eng])
-                    measured[eng] = table[eng]
-            chosen = resolve_auto_engine(cfg.storage, grid.shape, db=db)
-            ranked = sorted(measured, key=lambda e: -measured[e])
-            res_auto = run_pipelined(grid, field_,
-                                     replace(cfg, engine=chosen))
+            auto = replace(cfg, engine="auto")
+            order = [e for e in AUTO_ORDER if e in available_engines()]
+            rank = order.index(auto.engine)
+            res_auto = run_pipelined(grid, field_, auto)
             res_def = run_pipelined(grid, field_, cfg)
             return {
-                "rank": ranked.index(chosen),
-                "not_worse": measured[chosen] >= measured[DEFAULT_ENGINE],
+                "rank": rank,
+                "not_worse": rank <= order.index(DEFAULT_ENGINE),
                 "bit_identical": bool(np.array_equal(res_auto.field,
                                                      res_def.field)),
                 "cells": res_auto.cells_updated,
@@ -644,10 +629,10 @@ def _register_solvers() -> None:
             summarize=_sum_solve_auto,
             params={**base_params, "backend": "shared",
                     "engine": "auto", "validate": False},
-            description="engine='auto' resolved from an injected "
-                        "deterministic perf database; gates that the "
-                        "measured-best engine is chosen and stays "
-                        "bit-identical to the static default",
+            description="engine='auto' resolved by the registry's "
+                        "AUTO_ORDER rule; gates that the first registered "
+                        "engine is chosen and stays bit-identical to the "
+                        "static default",
         ))
 
 

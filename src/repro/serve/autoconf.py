@@ -17,13 +17,13 @@ same "auto" job always resolves to the same concrete
 :class:`PipelineConfig` — which is what lets resolved jobs share
 content keys and cache entries.
 
-Since the measured perf database (:mod:`repro.perf.db`) arrived, the
-chosen configuration also carries the measured-best **engine** for its
-storage scheme and grid size (:func:`~repro.perf.db.resolve_auto_engine`
-— the static default when nothing is measured), and the memo key folds
-in the database *generation*: fresh calibration data invalidates the
-memo instead of being shadowed by it.  Engines share a semantics class,
-so this never changes result bits or content keys — only throughput.
+The sweep cannot tell engines apart (they are bit-identical, and the
+machine model has no engine term), so the chosen configuration keeps
+the default engine.  A caller who wants the ``engine="auto"`` rule
+passes it with ``config="auto"``; :meth:`Service.submit
+<repro.serve.service.Service.submit>` applies it to the resolved
+configuration, so an engine registered after the memo was filled is
+still picked up.
 """
 
 from __future__ import annotations
@@ -104,20 +104,13 @@ def auto_config(grid: Grid3D,
     """The configuration a ``config="auto"`` job resolves to.
 
     Best simulated throughput among the sweep points the analyzer
-    certifies for this grid and topology; memoised, so
-    repeated auto jobs on one geometry resolve (and therefore cache)
-    identically.
+    certifies for this grid and topology; memoised, so repeated auto
+    jobs on one geometry resolve (and therefore cache) identically.
     """
-    from ..perf.db import perfdb_generation, resolve_auto_engine
-
     m = machine or _default_machine()
     # repr() covers every calibration field — two machines sharing a
     # display name but differing in bandwidths must not share tunings.
-    # The perf-database generation is part of the key: recording new
-    # measurements (a calibration run, a perf-run ingest) must change
-    # future resolutions, not be shadowed by a stale memo entry.
-    key = (repr(m), tuple(grid.shape), str(grid.dtype), tuple(topology),
-           perfdb_generation())
+    key = (repr(m), tuple(grid.shape), str(grid.dtype), tuple(topology))
     with _cache_lock:
         hit = _resolved.get(key)
     if hit is not None:
@@ -133,15 +126,6 @@ def auto_config(grid: Grid3D,
             raise ValueError(
                 f"no valid pipeline configuration found for grid "
                 f"{grid.shape} on topology {tuple(topology)}")
-    # The geometry sweep picked block/T/d_u/storage; the engine axis is
-    # orthogonal (bit-identical variants) and is resolved from *measured*
-    # data for the chosen storage scheme — static default when the
-    # database has nothing for this host.
-    engine = resolve_auto_engine(chosen.storage, grid.shape)
-    if engine != chosen.engine:
-        from dataclasses import replace
-
-        chosen = replace(chosen, engine=engine)
     with _cache_lock:
         _resolved[key] = chosen
     return chosen

@@ -32,7 +32,7 @@ import numpy as np
 from .futures import SolveFuture
 from .job import SolveJob
 
-__all__ = ["Entry", "JobQueue", "resolve_engine", "session_signature"]
+__all__ = ["Entry", "JobQueue", "session_signature"]
 
 
 def session_signature(job: SolveJob) -> Tuple:
@@ -76,36 +76,6 @@ class Entry:
     speculated: bool = False
     spec_claimed: bool = False
     settled: bool = False
-    #: ``engine="auto"`` submissions: the engine choice is late-bound at
-    #: execution (:func:`resolve_engine`), so calibration data arriving
-    #: while the entry queues still steers it.  Engines of one semantics
-    #: class share content keys, so the late binding never moves the
-    #: entry's cache identity.
-    auto_engine: bool = False
-
-
-def resolve_engine(entry: Entry) -> SolveJob:
-    """The job ``entry`` should execute, with any ``auto`` engine bound.
-
-    For an ``auto_engine`` entry the measured perf database picks the
-    engine for the job's storage scheme and grid size *now*, at
-    execution time (:func:`repro.perf.db.resolve_auto_engine` — the
-    static default when nothing is measured for this host).  Pure: the
-    entry is not mutated, so the speculated-pair duplicate resolving
-    concurrently is harmless — both executions bind bit-identical
-    engines of one semantics class.
-    """
-    if not entry.auto_engine:
-        return entry.job
-    from dataclasses import replace
-
-    from ..perf.db import resolve_auto_engine  # late: keeps serve light
-
-    cfg = entry.job.config
-    engine = resolve_auto_engine(cfg.storage, entry.job.grid.shape)
-    if engine == cfg.engine:
-        return entry.job
-    return entry.job.with_config(replace(cfg, engine=engine))
 
 
 class JobQueue:

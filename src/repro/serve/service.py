@@ -74,7 +74,7 @@ from .cache import ResultCache, _clone
 from .futures import SolveFuture, wait_all
 from .job import SolveJob
 from .pool import SessionPool
-from .scheduler import Entry, JobQueue, resolve_engine
+from .scheduler import Entry, JobQueue
 
 if TYPE_CHECKING:
     from ..machine.topology import MachineSpec
@@ -111,9 +111,6 @@ class ServiceStats:
     coalesced: int = 0
     #: Jobs whose ``config="auto"`` went through the autotuner.
     auto_resolved: int = 0
-    #: ``engine="auto"`` entries whose execution bound a *non-default*
-    #: measured engine from the perf database.
-    auto_engine_bound: int = 0
     #: Batches of >1 job that ran back-to-back on one warm slot.
     batches: int = 0
     batched_jobs: int = 0
@@ -291,48 +288,28 @@ class Service:
 
         Pass ``config="auto"`` to let the service pick the pipeline
         parameters (deterministic autotuner sweep on the machine model).
-        ``engine`` overrides ``config.engine`` (concrete configs only);
-        engines of one semantics class share cache entries, so an
-        engine change alone never forces a recompute.  ``engine="auto"``
-        defers the choice to the measured perf database
-        (:mod:`repro.perf.db`), bound at execution time — with
-        ``config="auto"`` that is already the autotuner's behaviour, so
-        the combination is accepted as a no-op.
+        ``engine`` overrides ``config.engine`` (see
+        :func:`with_engine`); engines of one semantics class share
+        cache entries, so an engine change alone never forces a
+        recompute.
         """
-        auto_engine = engine == "auto"
-        if engine is not None and not auto_engine:
-            if not isinstance(config, PipelineConfig):
-                raise ValueError(
-                    "a concrete engine cannot be combined with "
-                    "config='auto'; the autotuner resolves the full "
-                    "configuration (engine='auto' is allowed)")
-            if engine != config.engine:
-                config = replace(config, engine=engine)
-        job = SolveJob(grid=grid, field=field, config=config,
+        job = SolveJob(grid=grid, field=field,
+                       config=with_engine(config, engine),
                        topology=(tuple(int(p) for p in topology)
                                  if topology is not None else (1, 1, 1)),
                        backend=backend, stencil=stencil, priority=priority)
-        # config="auto" resolves the engine from the same database, so
-        # the flag only needs to ride concrete-config jobs.
-        return self.submit_job(job, auto_engine=auto_engine and job.resolved)
+        if engine is not None and not job.resolved:
+            # The sweep keeps the default engine; the caller's "auto"
+            # applies to the configuration it resolves to.
+            job = self._resolve(job)
+            job = job.with_config(replace(job.config, engine=engine))
+        return self.submit_job(job)
 
-    def submit_job(self, job: SolveJob,
-                   auto_engine: bool = False) -> SolveFuture:
-        """Queue a prepared :class:`SolveJob`; returns its future.
-
-        ``auto_engine`` marks the entry for execution-time engine
-        binding from the measured perf database (the ``engine="auto"``
-        path); the content key is engine-class-keyed, so the deferred
-        choice never changes cache identity.
-        """
+    def submit_job(self, job: SolveJob) -> SolveFuture:
+        """Queue a prepared :class:`SolveJob`; returns its future."""
         if self._closed:
             raise RuntimeError("service is closed")
-        if not job.resolved:
-            from .autoconf import auto_config  # late: loads the machine model
-
-            cfg = auto_config(job.grid, job.topology, machine=self.machine)
-            job = job.with_config(cfg)
-            self._metrics.inc("auto_resolved")
+        job = self._resolve(job)
         future = SolveFuture(job)
         key = (job.content_key()
                if (job.cacheable and self._cache is not None) else None)
@@ -358,7 +335,7 @@ class Service:
                         inflight.futures.append(future)
                         return future
                 entry = Entry(job=job, key=key, futures=[future],
-                              t_queued=t_queued, auto_engine=auto_engine)
+                              t_queued=t_queued)
                 if key is not None:
                     self._inflight[key] = entry
         if hit is not None:
@@ -415,6 +392,16 @@ class Service:
         for entry in batch:
             self._run_entry(entry)
 
+    def _resolve(self, job: SolveJob) -> SolveJob:
+        """``job`` with a ``config="auto"`` resolved by the autotuner."""
+        if job.resolved:
+            return job
+        from .autoconf import auto_config  # late: loads the machine model
+
+        self._metrics.inc("auto_resolved")
+        return job.with_config(
+            auto_config(job.grid, job.topology, machine=self.machine))
+
     def _run_entry(self, entry: Entry) -> None:
         # Claim the waiters under the service lock — coalescing appends
         # to entry.futures under the same lock, so a future attached
@@ -445,14 +432,8 @@ class Service:
         if mon is not None and not spec_run and entry.t_queued > 0:
             mon.observe(QUEUE_HISTOGRAM, max(0.0, t0 - entry.t_queued))
         record = mon is not None and mon.recorder is not None
-        # Bind any deferred engine="auto" choice now, against the perf
-        # database as of *execution* — queued entries see calibration
-        # data that arrived after submission.
-        job = resolve_engine(entry)
-        if job is not entry.job:
-            self._metrics.inc("auto_engine_bound")
         try:
-            result, worker, trace = self._execute(job, record=record)
+            result, worker, trace = self._execute(entry.job, record=record)
         except BaseException as exc:  # noqa: BLE001 — future carries it
             with self._lock:
                 if entry.settled:
@@ -664,7 +645,6 @@ class Service:
             cache_hits=c("cache_hits"),
             coalesced=c("coalesced"),
             auto_resolved=c("auto_resolved"),
-            auto_engine_bound=c("auto_engine_bound"),
             batches=c("batches"),
             batched_jobs=c("batched_jobs"),
             backend_solves=c("backend_solves"),
@@ -733,6 +713,26 @@ def configure(**kwargs: Any) -> Service:
         return _default
 
 
+def with_engine(config: Union[PipelineConfig, str],
+                engine: Optional[str]) -> Union[PipelineConfig, str]:
+    """``config`` with ``engine`` (if any) overriding its engine.
+
+    A concrete engine cannot be combined with ``config="auto"``, whose
+    sweep picks the whole configuration; ``engine="auto"`` can, and
+    :meth:`Service.submit` applies it to the resolved configuration.
+    """
+    if engine is None:
+        return config
+    if isinstance(config, PipelineConfig):
+        return replace(config, engine=engine)
+    if engine != "auto":
+        raise ValueError(
+            "a concrete engine cannot be combined with config='auto'; "
+            "the autotuner resolves the full configuration, engine "
+            "included (engine='auto' is allowed)")
+    return config
+
+
 def submit(grid: Grid3D, field: np.ndarray,
            config: Union[PipelineConfig, str],
            topology: Optional[Sequence[int]] = None,
@@ -741,6 +741,7 @@ def submit(grid: Grid3D, field: np.ndarray,
            priority: int = 0,
            engine: Optional[str] = None) -> SolveFuture:
     """``repro.submit`` — queue one solve on the default service."""
+    with_engine(config, engine)  # refused before the service is built
     return default_service().submit(grid, field, config, topology=topology,
                                     backend=backend, stencil=stencil,
                                     priority=priority, engine=engine)

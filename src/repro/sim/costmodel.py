@@ -24,8 +24,7 @@ from dataclasses import dataclass, replace
 
 from ..machine.topology import CacheLevel, MachineSpec
 
-__all__ = ["CodeBalance", "BlockTraffic", "limplock", "engine_factor",
-           "engine_throughput"]
+__all__ = ["CodeBalance", "BlockTraffic", "limplock"]
 
 W = 8  # bytes per double-precision word
 
@@ -147,49 +146,4 @@ def limplock(machine: MachineSpec, factor: float) -> MachineSpec:
         coherence_latency_intra=machine.coherence_latency_intra * f,
         coherence_latency_inter=machine.coherence_latency_inter * f,
         block_overhead=machine.block_overhead * f,
-    )
-
-
-def engine_factor(engine: str,
-                  storage: str = "twogrid",
-                  shape=(300, 300, 300),
-                  kernel: str = "jacobi",
-                  db=None) -> float:
-    """Measured core-throughput ratio of ``engine`` vs the default.
-
-    The DES and the analytic model treat the inner kernel as a machine
-    constant (``core_mlups``), which is exactly the term the
-    kernel-execution engine moves.  This looks the ratio up in the
-    measured perf database (:mod:`repro.perf.db`) for this host,
-    kernel, storage scheme and the grid's size class; the neutral 1.0
-    comes back whenever either side is unmeasured, so uncalibrated
-    hosts keep the historical single-engine model.
-    """
-    from ..perf.db import default_db, size_class  # late: avoid cycle
-
-    d = db if db is not None else default_db()
-    return d.factor(engine, kernel, storage, size_class(shape))
-
-
-def engine_throughput(machine: MachineSpec, engine: str,
-                      storage: str = "twogrid",
-                      shape=(300, 300, 300),
-                      kernel: str = "jacobi",
-                      db=None) -> MachineSpec:
-    """``machine`` with ``core_mlups`` rescaled to a measured engine.
-
-    The engine changes how fast a core retires cell updates and nothing
-    else — bandwidths, latencies and cache geometry are machine
-    properties — so only the in-core rate moves, by the measured
-    :func:`engine_factor`.  With no measurement the spec comes back
-    unchanged (factor 1.0).
-    """
-    f = engine_factor(engine, storage=storage, shape=shape,
-                      kernel=kernel, db=db)
-    if f == 1.0:
-        return machine
-    return replace(
-        machine,
-        name=f"{machine.name} ({engine} x{f:.2f})",
-        core_mlups=machine.core_mlups * f,
     )

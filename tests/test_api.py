@@ -303,6 +303,14 @@ assert repro.solve(grid, field, cfg).field.tobytes() == want
         assert not mods & self.PERF_RAIL, sorted(mods & self.PERF_RAIL)
         assert "repro.core" in mods and "repro.analysis" in mods
 
+    def test_solve_with_engine_auto_loads_no_perf_harness(self):
+        mods = loaded_after(PROBLEM + """
+res = repro.solve(grid, field, cfg, engine="auto")
+assert res.field.tobytes() == want
+""")
+        assert not {m for m in mods if m.startswith("repro.perf")}, \
+            sorted(mods)
+
     def test_lazy_names_still_resolve(self):
         mods = loaded_after("""
 import repro, repro.core

@@ -1,50 +1,108 @@
-"""The measured-performance database and engine="auto" selection.
+"""The ``engine="auto"`` rule.
 
-Pins the contract of :mod:`repro.perf.db` and everything wired to it:
+``"auto"`` names the first registered engine of
+:data:`repro.engine.AUTO_ORDER`, resolved when the configuration is
+built.  Pins that rule and everything wired to it:
 
-* deterministic ranking and best-pick from injected measurements;
-  stable fallback to the static default engine on an empty database
-  or an unknown host;
-* save/load round-trip, schema refusal, BENCH-document ingest;
-* the generation counter: fresh calibration data invalidates the
-  serve autoconf memo (the staleness regression test);
-* ``engine="auto"`` through ``repro.solve`` (eager) and the service
-  (late-bound at execution), with cache purity across engines pinned
-  by event counters;
-* ``repro.autotune(perf_db=...)`` reordering engine points by measured
-  factors; the cost model's engine-aware throughput term;
-* a real ``calibrate()`` smoke over the registered engines.
+* with no compiled engine registered it is the static default, and
+  engines outside the order are never chosen;
+* unregistered names in the order are skipped, and the order, not the
+  order of registration, decides; ``"auto"`` itself cannot be
+  registered;
+* a built configuration keeps the engine it resolved to;
+* it only picks engines of the default engine's semantics class;
+* ``repro.solve``, ``PipelineConfig`` and ``Service.submit`` (also
+  after the serve autoconf memo was filled, while ``config="auto"``
+  alone keeps the default engine) all resolve it to the same engine —
+  a stub registered as ``numba-deep`` here, since this suite must run
+  without numba;
+* results stay bit-identical on every in-process rail and share one
+  cache entry across engines;
+* the ``solve_auto`` perf scenario gates the rule, and the perf CLI has
+  no ``calibrate`` command.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import repro
 from repro import Grid3D, PipelineConfig, RelaxedSpec, solve
-from repro.engine import DEFAULT_ENGINE, available_engines
+from repro.engine import (AUTO_ORDER, DEFAULT_ENGINE, NumpyEngine,
+                          available_engines, check_engine, engine_semantics,
+                          get_engine, register_engine, unregister_engine)
+from repro.engine.registry import _REGISTRY
 from repro.grid import random_field
-from repro.perf.db import (
-    DB_SCHEMA,
-    PerfDB,
-    PerfDBError,
-    calibrate,
-    default_db,
-    host_fingerprint,
-    perfdb_generation,
-    resolve_auto_engine,
-    size_class,
-)
+from repro.kernels import reference_sweeps
 
-HOST = "pin-host-8c"
 #: The registered non-default candidate on every host (conftest's stub).
 SECOND = "oracle"
+
+
+class DeepStub(NumpyEngine):
+    """``numba-deep`` by name, the numpy engine by behaviour."""
+
+    name = "numba-deep"
+
+
+class NumbaStub(NumpyEngine):
+    name = "numba"
+
+
+class OtherClassStub(NumpyEngine):
+    """``numba-deep`` by name, but in a bit-semantics class of its own."""
+
+    name = "numba-deep"
+    semantics = "other-class"
+
+
+class CountingDeepStub(DeepStub):
+    """A ``numba-deep`` stub that counts the kernel calls it serves."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls = 0
+
+    def apply(self, *args, **kw):
+        self.calls += 1
+        return super().apply(*args, **kw)
+
+    def apply_spans(self, *args, **kw):
+        self.calls += 1
+        return super().apply_spans(*args, **kw)
+
+    def apply_padded(self, *args, **kw):
+        self.calls += 1
+        return super().apply_padded(*args, **kw)
 
 
 @pytest.fixture(autouse=True)
 def _second_engine(oracle_engine):
     oracle_engine(SECOND)
+
+
+@pytest.fixture
+def no_compiled(monkeypatch):
+    """The registry without the compiled engines, restored afterwards."""
+    for name in ("numba", "numba-deep"):
+        monkeypatch.delitem(_REGISTRY, name, raising=False)
+
+
+@pytest.fixture
+def deep_stub(no_compiled):
+    register_engine(DeepStub())
+    yield
+    unregister_engine("numba-deep")
+
+
+@pytest.fixture
+def counting_deep(no_compiled):
+    stub = register_engine(CountingDeepStub())
+    yield stub
+    unregister_engine("numba-deep")
 
 
 def _cfg(**kw) -> PipelineConfig:
@@ -60,182 +118,103 @@ def _problem(shape=(12, 10, 11)):
 
 
 @pytest.fixture
-def clean_default_db():
-    """Run against a clean process-wide db; restore emptiness after."""
+def clean_auto_cache():
     from repro.serve.autoconf import clear_auto_cache
 
-    db = default_db()
-    db.clear()
     clear_auto_cache()
-    try:
-        yield db
-    finally:
-        db.clear()
-        clear_auto_cache()
+    yield
+    clear_auto_cache()
 
 
 # ---------------------------------------------------------------------------
-# Core database behaviour
-# ---------------------------------------------------------------------------
-
-class TestPerfDB:
-    def test_ranking_is_deterministic_and_measured_first(self):
-        db = PerfDB()
-        db.record("a", "jacobi", "twogrid", "medium", 300.0, host=HOST)
-        db.record("b", "jacobi", "twogrid", "medium", 900.0, host=HOST)
-        db.record("c", "jacobi", "twogrid", "medium", 600.0, host=HOST)
-        ranked = db.rank(["a", "x", "b", "y", "c"], "jacobi", "twogrid",
-                         "medium", host=HOST)
-        # Measured engines by throughput; unmeasured keep given order.
-        assert ranked == ["b", "c", "a", "x", "y"]
-
-    def test_record_keeps_the_max_and_counts_samples(self):
-        db = PerfDB()
-        db.record("e", "jacobi", "twogrid", "small", 100.0, host=HOST)
-        db.record("e", "jacobi", "twogrid", "small", 80.0, host=HOST)
-        db.record("e", "jacobi", "twogrid", "small", 120.0, host=HOST)
-        assert db.lookup("e", "jacobi", "twogrid", "small",
-                         host=HOST) == 120.0
-        (row,) = db.to_document()["measurements"]
-        assert row["samples"] == 3
-
-    def test_best_falls_back_to_default_when_unmeasured(self):
-        db = PerfDB()
-        assert db.best(["x", "y"], "jacobi", "twogrid", "large",
-                       host=HOST, default="numpy") == "numpy"
-        db.record("y", "jacobi", "twogrid", "large", 5.0, host=HOST)
-        assert db.best(["x", "y"], "jacobi", "twogrid", "large",
-                       host=HOST, default="numpy") == "y"
-        # A different (unknown) host still sees the static default.
-        assert db.best(["x", "y"], "jacobi", "twogrid", "large",
-                       host="other-host", default="numpy") == "numpy"
-
-    def test_factor_neutral_unless_both_sides_measured(self):
-        db = PerfDB()
-        assert db.factor("e", "jacobi", "twogrid", "small",
-                         baseline="numpy", host=HOST) == 1.0
-        db.record("e", "jacobi", "twogrid", "small", 400.0, host=HOST)
-        assert db.factor("e", "jacobi", "twogrid", "small",
-                         baseline="numpy", host=HOST) == 1.0
-        db.record("numpy", "jacobi", "twogrid", "small", 100.0, host=HOST)
-        assert db.factor("e", "jacobi", "twogrid", "small",
-                         baseline="numpy", host=HOST) == 4.0
-
-    def test_generation_bumps_on_record_load_clear(self):
-        db = PerfDB()
-        g0 = db.generation
-        db.record("e", "jacobi", "twogrid", "small", 1.0, host=HOST)
-        g1 = db.generation
-        assert g1 > g0
-        db.clear()
-        assert db.generation > g1
-
-    def test_save_load_round_trip(self, tmp_path):
-        db = PerfDB()
-        db.record("e", "jacobi", "compressed", "medium", 7.5, host=HOST)
-        path = tmp_path / "perfdb.json"
-        db.save(path)
-        other = PerfDB()
-        assert other.load(path) == 1
-        assert other.to_document() == db.to_document()
-        assert other.to_document()["schema"] == DB_SCHEMA
-
-    def test_incompatible_schema_is_refused(self):
-        db = PerfDB()
-        with pytest.raises(PerfDBError, match="schema"):
-            db.load_document({"schema": "repro.perfdb/99",
-                              "measurements": []})
-        with pytest.raises(PerfDBError):
-            db.load_document({"schema": DB_SCHEMA,
-                              "measurements": [{"engine": "e"}]})
-
-    def test_rejects_bad_size_class_and_rate(self):
-        db = PerfDB()
-        with pytest.raises(PerfDBError, match="size class"):
-            db.record("e", "jacobi", "twogrid", "huge", 1.0, host=HOST)
-        with pytest.raises(PerfDBError, match="throughput"):
-            db.record("e", "jacobi", "twogrid", "small", 0.0, host=HOST)
-
-    def test_ingest_bench_document(self):
-        doc = {"records": [
-            {"scenario": "solve_shared_numba@quick", "kind": "solver",
-             "params": {"engine": "numba", "storage": "twogrid",
-                        "shape": [48, 48, 48]},
-             "metrics": {"mcups": {"value": 42.0}}},
-            # No engine param: skipped.
-            {"scenario": "solve_shared@quick", "kind": "solver",
-             "params": {"shape": [48, 48, 48]},
-             "metrics": {"mcups": {"value": 50.0}}},
-        ]}
-        db = PerfDB()
-        assert db.ingest_document(doc, host=HOST) == 1
-        assert db.lookup("numba", "jacobi", "twogrid",
-                         size_class((48, 48, 48)), host=HOST) == 42.0
-
-    def test_size_class_buckets(self):
-        assert size_class((8, 8, 8)) == "small"
-        assert size_class((48, 48, 48)) == "medium"
-        assert size_class((200, 200, 200)) == "large"
-
-    def test_host_fingerprint_is_stable_here(self):
-        assert host_fingerprint() == host_fingerprint()
-        assert host_fingerprint()
-
-
-# ---------------------------------------------------------------------------
-# resolve_auto_engine: the engine="auto" decision function
+# The rule itself
 # ---------------------------------------------------------------------------
 
 class TestResolveAutoEngine:
-    def test_empty_db_resolves_to_static_default(self):
-        assert resolve_auto_engine("twogrid", (32, 32, 32),
-                                   db=PerfDB()) == DEFAULT_ENGINE
+    def test_empty_db_resolves_to_static_default(self, no_compiled):
+        assert AUTO_ORDER[-1] == DEFAULT_ENGINE
+        assert check_engine("auto") == DEFAULT_ENGINE
 
-    def test_unknown_host_resolves_to_static_default(self):
-        db = PerfDB()
-        db.record(SECOND, "jacobi", "twogrid", "medium", 1000.0,
-                  host="somewhere-else")
-        assert resolve_auto_engine("twogrid", (48, 48, 48),
-                                   db=db) == DEFAULT_ENGINE
+    def test_unknown_host_resolves_to_static_default(self, no_compiled):
+        # A registered engine outside the order is never chosen.
+        assert SECOND in available_engines()
+        assert SECOND not in AUTO_ORDER
+        assert _cfg(engine="auto").engine == DEFAULT_ENGINE
 
-    def test_measured_best_wins_deterministically(self):
-        db = PerfDB()
-        db.record(SECOND, "jacobi", "twogrid", "medium", 500.0)
-        db.record(DEFAULT_ENGINE, "jacobi", "twogrid", "medium", 100.0)
-        for _ in range(3):
-            assert resolve_auto_engine("twogrid",
-                                       (48, 48, 48), db=db) == SECOND
+    def test_unregistered_candidates_are_skipped(self, no_compiled):
+        register_engine(NumbaStub())
+        try:
+            # numba-deep leads the order but is not registered.
+            assert check_engine("auto") == "numba"
+        finally:
+            unregister_engine("numba")
 
-    def test_stale_db_naming_a_deleted_engine(self, tmp_path):
-        # A perf DB saved before the blocked engine was deleted ranks it
-        # 10x over numpy: it loads, and auto still picks a live engine.
-        old = PerfDB()
-        old.record("blocked", "jacobi", "twogrid", "medium", 1000.0)
-        old.record(DEFAULT_ENGINE, "jacobi", "twogrid", "medium", 100.0)
-        old.save(tmp_path / "perfdb.json")
-        db = PerfDB()
-        assert db.load(tmp_path / "perfdb.json") == 2
-        assert db.rank(["numpy", "blocked"], "jacobi", "twogrid",
-                       "medium")[0] == "blocked"
-        assert resolve_auto_engine("twogrid", (48, 48, 48),
-                                   db=db) == DEFAULT_ENGINE
+    def test_unknown_engine_error_lists_auto(self):
+        with pytest.raises(ValueError, match="'auto'"):
+            check_engine("no-such-engine")
 
-    def test_unregistered_candidates_are_skipped(self):
-        db = PerfDB()
-        db.record("numba-deep", "jacobi", "twogrid", "medium", 9000.0)
-        engines = ["numpy", "numba", "numba-deep"]
-        got = resolve_auto_engine("twogrid", (48, 48, 48),
-                                  engines=engines, db=db)
-        if "numba-deep" in available_engines():
-            assert got == "numba-deep"
-        else:
-            assert got == DEFAULT_ENGINE
+    @pytest.mark.parametrize("registered, expected", [
+        ((), "numpy"),
+        (("numba",), "numba"),
+        (("numba-deep",), "numba-deep"),
+        (("numba", "numba-deep"), "numba-deep"),
+        (("numba-deep", "numba"), "numba-deep"),
+    ], ids=["none", "numba", "numba-deep", "both", "both-reversed"])
+    def test_first_registered_name_of_the_order_wins(
+            self, no_compiled, registered, expected):
+        # The order decides, not the order of registration.
+        stubs = {"numba": NumbaStub, "numba-deep": DeepStub}
+        for name in registered:
+            register_engine(stubs[name]())
+        try:
+            assert check_engine("auto") == expected
+            assert get_engine("auto") is get_engine(expected)
+            assert _cfg(engine="auto").engine == expected
+        finally:
+            for name in registered:
+                unregister_engine(name)
 
-    def test_measurements_for_other_storage_do_not_leak(self):
-        db = PerfDB()
-        db.record(SECOND, "jacobi", "compressed", "medium", 1000.0)
-        assert resolve_auto_engine("twogrid", (48, 48, 48),
-                                   db=db) == DEFAULT_ENGINE
+    def test_auto_is_a_reserved_name(self):
+        class Shadow(NumpyEngine):
+            name = "auto"
+
+        with pytest.raises(ValueError, match="AUTO_ORDER"):
+            register_engine(Shadow())
+        assert "auto" not in available_engines()
+
+    def test_auto_skips_engines_of_another_semantics_class(
+            self, no_compiled):
+        register_engine(OtherClassStub())
+        try:
+            assert check_engine("auto") == DEFAULT_ENGINE
+            assert engine_semantics("auto") == engine_semantics(
+                DEFAULT_ENGINE)
+        finally:
+            unregister_engine("numba-deep")
+
+    def test_semantics_follow_the_resolved_engine(self, deep_stub):
+        assert engine_semantics("auto") == DeepStub.semantics
+        assert get_engine("auto").name == "numba-deep"
+
+
+# ---------------------------------------------------------------------------
+# Resolution happens once, when the configuration is built
+# ---------------------------------------------------------------------------
+
+class TestEagerResolution:
+    def test_replace_resolves_auto(self, deep_stub):
+        cfg = replace(_cfg(), engine="auto")
+        assert cfg.engine == "numba-deep"
+
+    def test_auto_config_equals_its_resolution(self, deep_stub):
+        auto, concrete = _cfg(engine="auto"), _cfg(engine="numba-deep")
+        assert auto == concrete and hash(auto) == hash(concrete)
+
+    def test_a_built_config_keeps_its_engine(self, deep_stub):
+        cfg = _cfg(engine="auto")
+        unregister_engine("numba-deep")
+        assert cfg.engine == "numba-deep"
+        assert _cfg(engine="auto").engine == DEFAULT_ENGINE
 
 
 # ---------------------------------------------------------------------------
@@ -243,55 +222,51 @@ class TestResolveAutoEngine:
 # ---------------------------------------------------------------------------
 
 class TestAutoThroughApi:
-    def test_solve_auto_resolves_and_stays_bit_identical(
-            self, clean_default_db):
+    def test_solve_auto_resolves_and_stays_bit_identical(self):
         grid, field = _problem()
         ref = solve(grid, field, _cfg())
         got = solve(grid, field, _cfg(), engine="auto")
-        assert got.config.engine == DEFAULT_ENGINE  # empty db
-        clean_default_db.record(SECOND, "jacobi", "twogrid",
-                                size_class(grid.shape), 500.0)
-        clean_default_db.record(DEFAULT_ENGINE, "jacobi", "twogrid",
-                                size_class(grid.shape), 100.0)
-        got2 = solve(grid, field, _cfg(), engine="auto")
-        assert got2.config.engine == SECOND
-        assert np.array_equal(got.field, ref.field)
-        assert np.array_equal(got2.field, ref.field)
+        assert got.config.engine == check_engine("auto")
+        assert got.field.tobytes() == ref.field.tobytes()
 
-    def test_service_binds_auto_engine_at_execution(self, clean_default_db):
-        from repro.serve import Service
-
-        grid, field = _problem()
-        with Service(workers=0) as svc:
-            f = svc.submit(grid, field, _cfg(), engine="auto")
-            # Calibration data lands while the job is queued: the late
-            # binding must see it.
-            clean_default_db.record(SECOND, "jacobi", "twogrid",
-                                    size_class(grid.shape), 500.0)
-            clean_default_db.record(DEFAULT_ENGINE, "jacobi", "twogrid",
-                                    size_class(grid.shape), 100.0)
-            svc.drain()
-            res = f.result(timeout=0)
-            assert svc.stats.auto_engine_bound == 1
-        assert np.array_equal(res.field, solve(grid, field, _cfg()).field)
-
-    def test_auto_engine_cache_purity(self, clean_default_db):
+    def test_auto_engine_cache_purity(self, deep_stub):
         """Auto and every concrete engine share one cache entry: after
         the first solve, zero further backend invocations."""
         from repro.serve import Service
 
-        clean_default_db.record(SECOND, "jacobi", "twogrid",
-                                "small", 500.0)
         grid, field = _problem()
         with Service(workers=0) as svc:
             cold = svc.submit(grid, field, _cfg(), engine="auto")
             svc.drain()
-            cold.result(timeout=0)
+            assert cold.result(timeout=0).config.engine == "numba-deep"
             assert svc.stats.backend_solves == 1
             warm = [svc.submit(grid, field, _cfg(), engine=e)
                     for e in list(available_engines()) + ["auto"]]
             assert all(w.cache_hit for w in warm)
             assert svc.stats.backend_solves == 1
+
+    @pytest.mark.parametrize("backend, storage, topology", [
+        ("shared", "twogrid", None),
+        ("shared", "compressed", None),
+        ("threads", "twogrid", None),
+        ("threads", "compressed", None),
+        ("simmpi", "twogrid", (2, 1, 1)),
+    ])
+    def test_auto_runs_the_resolved_engine_on_every_rail(
+            self, counting_deep, backend, storage, topology):
+        grid, field = _problem()
+        cfg = _cfg(storage=storage)
+        got = solve(grid, field, cfg, topology=topology, backend=backend,
+                    engine="auto")
+        assert got.config.engine == "numba-deep"
+        assert counting_deep.calls > 0
+        assert got.field.tobytes() == reference_sweeps(
+            grid, field, cfg.total_updates).tobytes()
+
+    def test_api_submit_auto_resolves(self, deep_stub):
+        grid, field = _problem()
+        fut = repro.submit(grid, field, _cfg(), engine="auto")
+        assert fut.result(timeout=60).config.engine == "numba-deep"
 
     def test_concrete_engine_with_auto_config_still_rejected(self):
         grid, field = _problem()
@@ -299,140 +274,101 @@ class TestAutoThroughApi:
             repro.submit(grid, field, "auto", engine="numpy")
 
     def test_auto_engine_with_auto_config_is_accepted(
-            self, clean_default_db):
+            self, clean_auto_cache):
         from repro.serve import Service
 
         grid, field = _problem()
         with Service(workers=0) as svc:
             f = svc.submit(grid, field, "auto", engine="auto")
             svc.drain()
-            assert f.result(timeout=0).config.engine in available_engines()
+            assert f.result(timeout=0).config.engine == check_engine("auto")
 
 
 # ---------------------------------------------------------------------------
-# The autoconf memo: generation-keyed, so fresh data changes decisions
+# The autoconf memo
 # ---------------------------------------------------------------------------
 
 class TestAutoconfStaleness:
-    def test_new_measurements_invalidate_the_memo(self, clean_default_db):
-        """The regression this PR fixes: auto_config memoised per
-        geometry, so calibration arriving later was silently ignored."""
-        from repro.serve.autoconf import auto_config
+    def test_same_generation_memoises(self, clean_auto_cache, monkeypatch):
+        from repro.serve import autoconf
 
         grid, _ = _problem()
-        first = auto_config(grid)
-        assert first.engine == DEFAULT_ENGINE
-        cls = size_class(grid.shape)
-        clean_default_db.record(SECOND, "jacobi", first.storage,
-                                cls, 500.0)
-        clean_default_db.record(DEFAULT_ENGINE, "jacobi", first.storage,
-                                cls, 100.0)
-        second = auto_config(grid)
-        assert second.engine == SECOND
-        # And back again once the default engine measures fastest.
-        clean_default_db.record(DEFAULT_ENGINE, "jacobi", first.storage,
-                                cls, 900.0)
-        third = auto_config(grid)
-        assert third.engine == DEFAULT_ENGINE
+        first = autoconf.auto_config(grid)
 
-    def test_same_generation_memoises(self, clean_default_db):
+        def no_sweep(*args, **kw):
+            raise AssertionError("the memo should have answered")
+
+        monkeypatch.setattr(autoconf, "ranked_candidates", no_sweep)
+        assert autoconf.auto_config(grid) == first
+
+
+# ---------------------------------------------------------------------------
+# A registered numba-deep is what every entry point resolves to
+# ---------------------------------------------------------------------------
+
+class TestAutoOrder:
+    def test_config_auto_picks_numba_deep(self, deep_stub):
+        assert _cfg(engine="auto").engine == "numba-deep"
+
+    def test_solve_auto_picks_numba_deep(self, deep_stub):
+        grid, field = _problem()
+        got = solve(grid, field, _cfg(), engine="auto")
+        assert got.config.engine == "numba-deep"
+        assert got.field.tobytes() == solve(grid, field,
+                                            _cfg()).field.tobytes()
+
+    def test_service_submit_auto_picks_numba_deep(self, deep_stub):
+        from repro.serve import Service
+
+        grid, field = _problem()
+        with Service(workers=0, cache=False) as svc:
+            f = svc.submit(grid, field, _cfg(), engine="auto")
+            svc.drain()
+            assert f.result(timeout=0).config.engine == "numba-deep"
+
+    def test_auto_config_memoised_before_registration(
+            self, no_compiled, clean_auto_cache):
+        from repro.serve import Service
         from repro.serve.autoconf import auto_config
 
-        grid, _ = _problem()
-        assert auto_config(grid) is auto_config(grid)
-        assert perfdb_generation() == perfdb_generation()
+        grid, field = _problem()
+        assert auto_config(grid).engine == DEFAULT_ENGINE
+        register_engine(DeepStub())
+        try:
+            # config="auto" alone keeps the sweep's default engine; the
+            # rule applies where the caller asks for it.
+            assert auto_config(grid).engine == DEFAULT_ENGINE
+            with Service(workers=0, cache=False) as svc:
+                plain = svc.submit(grid, field, "auto")
+                ruled = svc.submit(grid, field, "auto", engine="auto")
+                svc.drain()
+                assert plain.result(timeout=0).config.engine == DEFAULT_ENGINE
+                assert ruled.result(timeout=0).config.engine == "numba-deep"
+        finally:
+            unregister_engine("numba-deep")
 
 
 # ---------------------------------------------------------------------------
-# Autotune and cost-model integration
+# The E18 gate and the perf CLI follow the rule
 # ---------------------------------------------------------------------------
 
-class TestMeasuredAutotune:
-    def test_perf_db_breaks_the_engine_tie(self):
-        from repro.machine.presets import nehalem_ep
+class TestPerfHarness:
+    @pytest.mark.parametrize("registry", ["no_compiled", "counting_deep"])
+    def test_solve_auto_scenario_gates_the_rule(self, request, registry):
+        from repro.perf.scenarios import find_scenario
 
-        db = PerfDB()
-        shape = (120, 120, 120)
-        cls = size_class(shape)
-        for storage in ("twogrid", "compressed"):
-            db.record("numpy", "jacobi", storage, cls, 100.0)
-            db.record(SECOND, "jacobi", storage, cls, 300.0)
-        kw = dict(shape=shape, bx_values=(60,), bz_values=(10,),
-                  T_values=(2,), du_values=(4,),
-                  engines=("numpy", SECOND))
-        plain = repro.autotune(nehalem_ep(), **kw)
-        tuned = repro.autotune(nehalem_ep(), perf_db=db, **kw)
-        # Without data: stable order keeps numpy (given first) on top
-        # of each tied pair.  With data: the stub leads at 3x.
-        assert plain[0].config.engine == "numpy"
-        assert tuned[0].config.engine == SECOND
-        pairs = {(r.config.engine, r.config.storage): r.mlups
-                 for r in tuned}
-        for storage in ("twogrid", "compressed"):
-            assert pairs[(SECOND, storage)] == pytest.approx(
-                3.0 * pairs[("numpy", storage)])
+        stub = request.getfixturevalue(registry)
+        payload = find_scenario("solve_auto", "quick").run_once()
+        assert payload["rank"] == 0
+        assert payload["not_worse"] is True
+        assert payload["bit_identical"] is True
+        if stub is not None:
+            assert stub.calls > 0
 
-    def test_cost_model_engine_terms(self):
-        from repro.machine.presets import nehalem_ep
-        from repro.sim.costmodel import engine_factor, engine_throughput
-
-        db = PerfDB()
-        assert engine_factor(SECOND, db=db) == 1.0
-        m = nehalem_ep()
-        assert engine_throughput(m, SECOND, db=db) is m
-        db.record(SECOND, "jacobi", "twogrid", "large", 600.0)
-        db.record("numpy", "jacobi", "twogrid", "large", 200.0)
-        assert engine_factor(SECOND, db=db) == 3.0
-        m2 = engine_throughput(m, SECOND, db=db)
-        assert m2.core_mlups == pytest.approx(3.0 * m.core_mlups)
-        # Everything that is a machine property stays untouched.
-        assert m2.mem_bw_socket == m.mem_bw_socket
-        assert m2.caches == m.caches
-
-
-# ---------------------------------------------------------------------------
-# Calibration: real microbenchmarks over the registered engines
-# ---------------------------------------------------------------------------
-
-class TestCalibrate:
-    def test_quick_calibration_measures_every_registered_engine(self):
-        db = PerfDB()
-        results = calibrate(storages=("twogrid",), quick=True, db=db)
-        assert set(results) == {(e, "twogrid")
-                                for e in available_engines()}
-        assert all(v > 0 for v in results.values())
-        # Every size class is seeded so auto resolves at any shape.
-        for cls in ("small", "medium", "large"):
-            assert db.lookup(DEFAULT_ENGINE, "jacobi", "twogrid",
-                             cls) is not None
-        # After calibration, auto resolves to something measured here.
-        assert resolve_auto_engine("twogrid", (48, 48, 48),
-                                   db=db) in available_engines()
-
-    def test_injected_timer_gives_deterministic_rates(self):
-        ticks = iter(float(i) for i in range(10000))
-        db = PerfDB()
-        results = calibrate(engines=("numpy",), storages=("twogrid",),
-                            quick=True, db=db,
-                            timer=lambda: next(ticks))
-        ((_, mlups),) = results.items()
-        # dt == 1.0 tick per repeat: rate is cells/1e6, exactly.
-        cells = db.lookup("numpy", "jacobi", "twogrid", "small") * 1e6
-        assert mlups == pytest.approx(cells / 1e6)
-
-    def test_cli_calibrate_round_trips_a_db_file(self, tmp_path, capsys):
+    def test_cli_has_no_calibrate_command(self, capsys):
         from repro.perf.cli import main
 
-        path = tmp_path / "perfdb.json"
-        assert main(["calibrate", "--quick", "--engines", "numpy",
-                     "--storages", "twogrid", "--db", str(path)]) == 0
-        assert path.exists()
-        db = PerfDB()
-        assert db.load(path) >= 3  # one rate x three size classes
-        out = capsys.readouterr().out
-        assert "engine='auto' now resolves" in out
-        # Second run loads the existing file before calibrating.
-        assert main(["calibrate", "--quick", "--engines", "numpy",
-                     "--storages", "twogrid", "--db", str(path)]) == 0
-        assert "loaded" in capsys.readouterr().out
-        default_db().clear()  # CLI calibrates into the process-wide db
+        with pytest.raises(SystemExit) as exc:
+            main(["calibrate"])
+        assert exc.value.code == 2
+        assert "calibrate" in capsys.readouterr().err
