@@ -11,8 +11,8 @@ byte-equal to :func:`repro.kernels.reference_sweeps`.
 
 There is one pass loop.  :meth:`PipelineExecutor.run_pass` builds a
 :class:`~repro.core.sync.CounterBoard` — the only holder of the pass's
-live sync state — defines one step (a stage's next block op, then its
-publication) and hands both to a *driver*: the deterministic
+live sync state — defines one step (a *run* of a stage's next blocks,
+then their publication) and hands both to a *driver*: the deterministic
 **interleaver**, one thread playing every stage in *any* legal order
 (round-robin, seeded-random, adversarial front-/rear-biased), or
 **stage threads**, one OS thread per stage sleeping on the board
@@ -26,14 +26,34 @@ stateless between calls (:mod:`repro.engine.base`); work counts — each
 stage writes only its own tally and board counter, folded after the
 join; the tracer — per-thread buffers merged on ``finish()``.
 
+A step runs every block the Eq. 3 window admits at once
+(:meth:`~repro.core.sync.CounterBoard.run_length`: the policy's own
+``ready`` asked about the stage's counter bumped by 1, 2, …), up to
+:attr:`PipelineExecutor.run_cap` — as many *nominal* blocks as the
+numpy engine's in-cache slab budget (:data:`~repro.engine.numpy_engine.SLAB_BYTES`)
+holds, so a block that fills the budget alone keeps a step of its own
+and its per-block cache reuse.  The run is published block by block at
+its end; until then the counter lags the work, which only makes the
+neighbours more cautious — a state a slow stage reaches anyway, and one
+the certificate covers.  The interleaver takes the run after ``pick``,
+a stage thread under the board's condition after ``wait_ready``.
+
 The geometry of a pass is resolved once, not per block: before a pass
 starts, every update of every stage is bound to the three per-axis span
 rows of its shift level (:meth:`BlockDecomposition.level_rows`, memoised
-process-wide and already clipped to the update's active box), and a
-block op — the one body both drivers and the ``dist`` per-rank
-trapezoid run — indexes those rows by its block index: emptiness and
-cell count are integer products, and the engine receives spans whose
-slices address the storage directly.
+process-wide and already clipped to the update's active box).  A run —
+the one body both drivers and the ``dist`` per-rank trapezoid run —
+splits into groups of blocks adjacent along the innermost axis cut into
+more than one block (a row boundary ends a group) and updates each
+group **level-major**: per update of the stage, one engine call over
+the union of the group's spans (:func:`_run_span`, memoised by
+integers).  That is legal because of the one-cell shift: along the
+group's axis, block ``j+1``'s update ``u`` writes only cells that block
+``j``'s later updates neither read nor write, and reads none they
+write, so swapping the two leaves every value the same.  Emptiness and
+cell counts are integer products, work is tallied per block as if each
+ran alone, and the engine receives spans whose slices address the
+storage directly.
 
 What this deliberately does **not** model is wall-clock time; that is the
 job of the discrete-event rail in :mod:`repro.sim`, which executes the
@@ -44,13 +64,15 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from itertools import zip_longest
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..engine import get_engine
-from ..grid.blocks import BlockDecomposition
+from ..engine.numpy_engine import SLAB_BYTES
+from ..grid.blocks import AxisSpan, BlockDecomposition, RowKey, axis_row
 from ..grid.grid3d import Grid3D
 from ..grid.region import Box
 from ..kernels.stencils import StarStencil
@@ -108,6 +130,28 @@ class ExecutionStats:
         return self.cells_updated / seconds / 1e6 if seconds > 0 else float("nan")
 
 
+#: Merged spans the process-wide :func:`_run_span` memo holds.
+RUN_MEMO_SIZE = 4096
+
+
+@lru_cache(maxsize=RUN_MEMO_SIZE)
+def _run_span(key: RowKey, a: int, b: int) -> Tuple[AxisSpan, int, int]:
+    """Blocks ``a .. b-1`` of the row :func:`~repro.grid.blocks.axis_row`
+    builds from ``key``, as one span: the union of their intervals (a
+    mirrored row descends, hence min/max), how many hold cells, and
+    which (bit ``j`` for block ``a + j``).  Memoised by integers alone,
+    like the rows, so a run builds no span in steady state."""
+    row = axis_row(*key)[a:b]
+    full = [sp for sp in row if sp.n]
+    if not full:
+        return row[0], 0, 0
+    first = min(full, key=lambda sp: sp.lo)
+    hi = max(sp.hi for sp in full)
+    assert hi - first.lo == sum(sp.n for sp in full), (key, a, b)
+    bits = sum(1 << j for j, sp in enumerate(row) if sp.n)
+    return first.sub(0, hi - first.lo), len(full), bits
+
+
 @dataclass
 class _Tally:
     """What one stage did in one pass; only that stage writes it."""
@@ -117,28 +161,36 @@ class _Tally:
     empty_ops: int = 0
 
 
-def _interleave(board: CounterBoard, step: Callable[[int], None],
-                pick: Callable[[List[int]], int]) -> None:
+def _interleave(board: CounterBoard, step: Callable[[int, int], None],
+                pick: Callable[[List[int]], int], cap: int) -> None:
     """Driver: one thread plays every stage, ``pick`` choosing among the
-    open ones — any interleaving the window permits, deterministically."""
-    for _ in range(board.n_stages * board.n_blocks):
+    open ones — any interleaving the window permits, deterministically —
+    and the picked stage runs every block its window admits, up to ``cap``."""
+    left = board.n_stages * board.n_blocks
+    while left:
         is_open = board.poll()
         if not is_open:
             raise ScheduleDeadlock(
                 "no stage can start its next block: " + board.describe_wait())
-        step(pick(is_open))
+        stage = pick(is_open)
+        k = board.run_length(stage, cap)
+        step(stage, k)
+        left -= k
 
 
-def _stage_threads(board: CounterBoard, step: Callable[[int], None]) -> None:
+def _stage_threads(board: CounterBoard, step: Callable[[int, int], None],
+                   cap: int) -> None:
     """Driver: one OS thread per stage, sleeping on the board.  A stage's
     exception goes to the board, which wakes every waiter so the pass
     unwinds instead of hanging on a counter that will never move again;
     the original is re-raised after the join."""
     def stage_body(stage: int) -> None:
         try:
-            for _ in range(board.n_blocks):
-                board.wait_ready(stage)
-                step(stage)
+            left = board.n_blocks
+            while left:
+                k = board.wait_ready(stage, cap)
+                step(stage, k)
+                left -= k
         except SyncAborted:
             pass  # a peer failed first; its exception is on the board
         except BaseException as exc:  # noqa: BLE001 - must release peers
@@ -225,6 +277,15 @@ class PipelineExecutor:
         self.threads = threads
         self.watchdog_s = watchdog_s
         self.decomp: BlockDecomposition = make_decomposition(grid.domain, config)
+        #: Most blocks one step runs (:meth:`CounterBoard.run_length`): as
+        #: many nominal blocks as the numpy engine's in-cache slab budget
+        #: holds, so a block that fills it alone keeps its own step.
+        self.run_cap = max(1, SLAB_BYTES // self.decomp.block_bytes(
+            np.dtype(grid.dtype).itemsize))
+        #: The innermost axis cut into more than one block: consecutive
+        #: traversal indices are adjacent along it within one row.
+        counts = self.decomp.extended_counts
+        self._run_axis = max((d for d in range(3) if counts[d] > 1), default=2)
         self.policy = make_policy(config)
         #: Kernel-execution engine every update dispatches through
         #: (:mod:`repro.engine`); engines are bit-identical, so this
@@ -237,8 +298,8 @@ class PipelineExecutor:
                                     trace=[] if record_trace else None)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._rr_next = 0
-        #: Per stage, the ``(level, rows)`` of its updates in the current
-        #: pass (:meth:`_begin_pass`).
+        #: Per stage, the ``(level, rows, key)`` of its updates in the
+        #: current pass (:meth:`_begin_pass`).
         self._stage_rows: Tuple[Tuple[Tuple, ...], ...] = ()
 
     # -- public API -------------------------------------------------------------
@@ -268,16 +329,16 @@ class PipelineExecutor:
         tallies = [_Tally() for _ in range(P)]
         publish = board.advance if self.threads else board.publish
 
-        def step(stage: int) -> None:
-            self._execute_block(stage, counters[stage], tallies[stage])
-            publish(stage)
+        def step(stage: int, k: int) -> None:
+            self._execute_run(stage, counters[stage], k, tallies[stage])
+            publish(stage, k)
 
         with self.tracer.span("pass", cat="threads" if self.threads else "core",
                               idx=pass_idx):
             if self.threads:
-                _stage_threads(board, step)
+                _stage_threads(board, step, self.run_cap)
             else:
-                _interleave(board, step, self._pick)
+                _interleave(board, step, self._pick, self.run_cap)
         self.stats.merge(ExecutionStats(
             block_ops=sum(counters),
             empty_block_ops=sum(t.empty_ops for t in tallies),
@@ -313,11 +374,12 @@ class PipelineExecutor:
     def _begin_pass(self, pass_idx: int) -> None:
         """Resolve the pass geometry before any block runs.
 
-        Per stage, each of its updates becomes ``(level, rows)`` with the
-        three per-axis span rows of its shift level, clipped to its
-        active box — memoised lookups (:func:`repro.grid.blocks.axis_row`)
+        Per stage, each of its updates becomes ``(level, rows, key)``
+        with the three per-axis span rows of its shift level, clipped to
+        its active box — memoised lookups (:func:`repro.grid.blocks.axis_row`)
         shared by every pass, rank and solve of the same shape, so a
-        block op below only indexes them.
+        run below only indexes them — and the integer key of its row
+        along the run axis, which :func:`_run_span` merges by.
         """
         cfg = self.config
         base = pass_idx * cfg.updates_per_pass
@@ -325,7 +387,7 @@ class PipelineExecutor:
         # requires the reversed ("mirror") traversal — the paper's reverse
         # loops on even sweeps.  Two-grid passes are direction-agnostic.
         mirror = (pass_idx % 2 == 1) and isinstance(self.storage, CompressedStorage)
-        domain = self.grid.domain
+        domain, decomp, axis = self.grid.domain, self.decomp, self._run_axis
         plan = []
         for stage in range(cfg.n_stages):
             updates = []
@@ -333,29 +395,50 @@ class PipelineExecutor:
                 level = base + u_local
                 active = (domain if self.active_fn is None
                           else self.active_fn(level).intersect(domain))
-                updates.append((level, self.decomp.level_rows(
-                    u_local - 1, active, mirror)))
+                shift = u_local - 1
+                updates.append((level, decomp.level_rows(shift, active, mirror),
+                                decomp.level_keys(shift, active, mirror)[axis]))
             plan.append(tuple(updates))
         self._stage_rows = tuple(plan)
 
-    def _execute_block(self, stage: int, traversal_idx: int,
-                       tally: _Tally) -> None:
-        k0, k1, k2 = self.decomp.block_index(traversal_idx)
-        tracer, engine = self.tracer, self.engine
-        any_work = False
+    def _execute_run(self, stage: int, first: int, k: int,
+                     tally: _Tally) -> None:
+        """Blocks ``first .. first+k-1`` of ``stage``, one group at a time.
+
+        A group is the run's blocks within one row of the run axis
+        (:attr:`_run_axis`); it is updated level-major, one engine call
+        per update over the union of its blocks' spans.  ``k = 1`` is
+        the single-block op.  Work is tallied per block, as if each ran
+        alone.
+        """
+        decomp, axis = self.decomp, self._run_axis
+        row_len = decomp.extended_counts[axis]
+        tracer, engine, stencil, storage = (self.tracer, self.engine,
+                                            self.stencil, self.storage)
+        plan = self._stage_rows[stage]
+        end = first + k
         with tracer.span("block", cat="core", tid=stage + 1,
-                         stage=stage, idx=traversal_idx):
-            for level, (rz, ry, rx) in self._stage_rows[stage]:
-                spans = (rz[k0], ry[k1], rx[k2])
-                cells = spans[0].n * spans[1].n * spans[2].n
-                if not cells:
-                    continue
-                any_work = True
-                with tracer.span("apply", cat="engine", tid=stage + 1,
-                                 engine=engine.name,
-                                 semantics=engine.semantics, cells=cells):
-                    engine.apply_spans(self.stencil, self.storage, spans, level)
-                tally.updates += 1
-                tally.cells += cells
-        if not any_work:
-            tally.empty_ops += 1
+                         stage=stage, idx=first, blocks=k):
+            while first < end:
+                k0, k1, k2 = ks = decomp.block_index(first)
+                a = ks[axis]
+                n = min(end - first, row_len - a)
+                worked = 0
+                for level, (rz, ry, rx), key in plan:
+                    spans = [rz[k0], ry[k1], rx[k2]]
+                    if n == 1:
+                        count = bits = 1
+                    else:
+                        spans[axis], count, bits = _run_span(key, a, a + n)
+                    cells = spans[0].n * spans[1].n * spans[2].n
+                    if not cells:
+                        continue
+                    worked |= bits
+                    with tracer.span("apply", cat="engine", tid=stage + 1,
+                                     engine=engine.name,
+                                     semantics=engine.semantics, cells=cells):
+                        engine.apply_spans(stencil, storage, tuple(spans), level)
+                    tally.updates += count
+                    tally.cells += cells
+                tally.empty_ops += n - bin(worked).count("1")
+                first += n

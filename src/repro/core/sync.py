@@ -216,20 +216,47 @@ class CounterBoard:
             self._drain_blocks += 1
         return is_open
 
-    def publish(self, stage: int) -> int:
-        """Count one completed block of ``stage``; returns its counter.
+    def run_length(self, stage: int, cap: int) -> int:
+        """How many consecutive blocks ``stage``, ready now, may start
+        before it publishes: the policy's own :meth:`SyncPolicy.ready`
+        asked about the stage's counter bumped by 1, 2, … while the
+        others stand still, at most ``cap`` and the blocks left.
+
+        Running them as one step is the interleaving in which the stage
+        is picked that many times in a row, so it needs no legality rule
+        of its own; the counter lags the work until :meth:`publish`, a
+        state a slow stage reaches anyway.
+        """
+        counters = self.counters
+        c = counters[stage]
+        limit = min(cap, self.n_blocks - c)
+        if limit <= 1:
+            return 1
+        trial, finished, ready = list(counters), self._finished, self.policy.ready
+        n = 1
+        while n < limit:
+            trial[stage] = c + n
+            if not ready(stage, trial, finished):
+                break
+            n += 1
+        return n
+
+    def publish(self, stage: int, blocks: int = 1) -> int:
+        """Count ``blocks`` completed blocks of ``stage`` one by one (gap,
+        log and finished flag as for single steps); returns its counter.
         The finished flag moves with the final count, never after it."""
         counters = self.counters
-        block = counters[stage]
-        counters[stage] = value = block + 1
-        if value >= self.n_blocks:
-            self._finished[stage] = True
-        gap = max(counters) - min(counters)
-        if gap > self._max_gap:
-            self._max_gap = gap
-        if self.log is not None:
-            self.log.append((stage, block))
-        return value
+        for _ in range(blocks):
+            block = counters[stage]
+            counters[stage] = value = block + 1
+            if value >= self.n_blocks:
+                self._finished[stage] = True
+            gap = max(counters) - min(counters)
+            if gap > self._max_gap:
+                self._max_gap = gap
+            if self.log is not None:
+                self.log.append((stage, block))
+        return counters[stage]
 
     def describe_wait(self) -> str:
         """Who waits on whom (:meth:`SyncPolicy.blockers`): the text of
@@ -243,8 +270,10 @@ class CounterBoard:
 
     # -- the stage-thread protocol --------------------------------------------
 
-    def wait_ready(self, stage: int) -> None:
-        """Block until ``stage`` may start its next block (Eq. 3 window).
+    def wait_ready(self, stage: int, cap: int = 1) -> int:
+        """Block until ``stage`` may start its next block (Eq. 3 window);
+        return its :meth:`run_length` up to ``cap``, taken under the
+        same condition.
 
         Raises :class:`SyncAborted` if a peer stage failed while we
         waited and :class:`SyncWaitTimeout` if the watchdog fires.
@@ -257,7 +286,7 @@ class CounterBoard:
                         f"stage {stage}: a peer stage failed "
                         f"({type(self._failure).__name__})")
                 if self.poll(me):
-                    return
+                    return self.run_length(stage, cap)
                 if not self._cond.wait(self.timeout):
                     self._failure = SyncWaitTimeout(
                         f"stage {stage} waited > {self.timeout}s: "
@@ -265,10 +294,10 @@ class CounterBoard:
                     self._cond.notify_all()
                     raise self._failure
 
-    def advance(self, stage: int) -> int:
+    def advance(self, stage: int, blocks: int = 1) -> int:
         """:meth:`publish` under the condition; wakes every waiter."""
         with self._cond:
-            value = self.publish(stage)
+            value = self.publish(stage, blocks)
             self._cond.notify_all()
             return value
 

@@ -30,8 +30,8 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .region import Box
 
-__all__ = ["AxisSpan", "BlockDecomposition", "ROW_MEMO_SIZE", "Spans",
-           "axis_row", "block_count", "box_spans", "spans_box"]
+__all__ = ["AxisSpan", "BlockDecomposition", "ROW_MEMO_SIZE", "RowKey",
+           "Spans", "axis_row", "block_count", "box_spans", "spans_box"]
 
 #: Rows the process-wide memo holds (least recently used goes first).  A
 #: solve touches ``3 * updates_per_pass`` of them per traversal direction
@@ -77,6 +77,8 @@ class AxisSpan(NamedTuple):
 #: The three spans of one region, and one axis' spans by block index.
 Spans = Tuple[AxisSpan, AxisSpan, AxisSpan]
 Row = Tuple[AxisSpan, ...]
+#: The arguments of :func:`axis_row` that build one row.
+RowKey = Tuple[int, int, int, int, int, bool, int, int]
 
 
 def _span(at: int, lo: int, hi: int) -> AxisSpan:
@@ -219,14 +221,10 @@ class BlockDecomposition:
         hi = tuple(lo[d] + self.block_size[d] for d in range(3))
         return Box(lo, hi)  # type: ignore[arg-type]
 
-    def level_rows(self, shift: int, active: Optional[Box] = None,
-                   mirror: bool = False) -> Tuple[Row, Row, Row]:
-        """The three :func:`axis_row` tables of one shift level.
-
-        Block ``(k0, k1, k2)``'s update region at ``shift`` is the product
-        ``rows[0][k0] x rows[1][k1] x rows[2][k2]``; it is empty iff any
-        of the three spans has ``n == 0``.
-        """
+    def level_keys(self, shift: int, active: Optional[Box] = None,
+                   mirror: bool = False) -> Tuple[RowKey, RowKey, RowKey]:
+        """The :func:`axis_row` arguments of one shift level's three rows:
+        plain integers, so they key further memos of the same geometry."""
         if shift < 0 or shift > self.max_shift:
             raise ValueError(f"shift {shift} outside [0, {self.max_shift}]")
         dom = self.domain
@@ -236,9 +234,20 @@ class BlockDecomposition:
         b0, b1, b2 = self.block_size
         c0, c1, c2 = self.extended_counts
         v0, v1, v2 = self.shift_vec
-        return (axis_row(d0, e0, b0, c0, shift * v0, mirror and v0 == 1, a0, h0),
-                axis_row(d1, e1, b1, c1, shift * v1, mirror and v1 == 1, a1, h1),
-                axis_row(d2, e2, b2, c2, shift * v2, mirror and v2 == 1, a2, h2))
+        return ((d0, e0, b0, c0, shift * v0, mirror and v0 == 1, a0, h0),
+                (d1, e1, b1, c1, shift * v1, mirror and v1 == 1, a1, h1),
+                (d2, e2, b2, c2, shift * v2, mirror and v2 == 1, a2, h2))
+
+    def level_rows(self, shift: int, active: Optional[Box] = None,
+                   mirror: bool = False) -> Tuple[Row, Row, Row]:
+        """The three :func:`axis_row` tables of one shift level.
+
+        Block ``(k0, k1, k2)``'s update region at ``shift`` is the product
+        ``rows[0][k0] x rows[1][k1] x rows[2][k2]``; it is empty iff any
+        of the three spans has ``n == 0``.
+        """
+        kz, ky, kx = self.level_keys(shift, active, mirror)
+        return axis_row(*kz), axis_row(*ky), axis_row(*kx)
 
     def region(self, traversal_idx: int, shift: int,
                active: Optional[Box] = None, mirror: bool = False) -> Box:

@@ -16,6 +16,10 @@ lives on here, as the oracle, driving the executor's own policy:
   :class:`~repro.core.sync.CounterBoard` to the state it names.
 * **The verdict is the closed form's** — a race the witness drive never
   reaches is an internal error, never a certificate.
+* **Runs** — the executor's multi-block steps (``run_length`` plus one
+  batched publication) are the same stage picked that many times in a
+  row: same counters, log and gap, every link within ``d_u + 1``, and
+  a frozen run-driven pass only where the closed form found a deadlock.
 
 The CI ``analysis`` job runs this file under the ``ci`` Hypothesis
 profile, with ten times the draws.
@@ -284,3 +288,82 @@ def test_a_race_off_the_drive_is_never_certified(monkeypatch):
     monkeypatch.setattr(checker, "_races", races)
     with pytest.raises(AssertionError, match="no rear_first start reached"):
         analyze_schedule(spec(), (32, 32, 32))
+
+
+# -- runs of blocks --------------------------------------------------------------
+#
+# The executor takes, as one step, every block a stage's window admits
+# (CounterBoard.run_length) and publishes them together.  A run must be
+# exactly the stage picked that many times in a row, so the closed form,
+# which reasons about single steps, still covers every state it reaches.
+
+
+@st.composite
+def windows(draw):
+    """A policy over random windows, the barrier included, and the
+    traversal length of a z-tiled column, with the analyzer's verdict
+    on whether some single-step interleaving deadlocks."""
+    teams, t = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    if draw(st.integers(0, 3)) == 0:
+        window = dict(sync_kind="barrier", d_l=1, d_u=1)
+    else:
+        window = dict(sync_kind="relaxed", d_l=draw(st.integers(0, 3)),
+                      d_u=draw(st.integers(0, 5)),
+                      team_delay=draw(st.sampled_from([0, 0, 1, 2])))
+    spec = ScheduleSpec(teams=teams, threads_per_team=t,
+                        updates_per_thread=draw(st.integers(1, 2)),
+                        block_size=(1, 1000, 1000), **window)
+    shape = (draw(st.integers(1, 24)), 2, 2)
+    n_blocks = decomposition_for(spec, shape).n_traversal_blocks
+    deadlock = "deadlock" in counter_checkers(analyze_schedule(spec, shape))
+    return spec, n_blocks, deadlock
+
+
+def link_bounds(spec: ScheduleSpec) -> List[int]:
+    """Largest ``c_s - c_{s+1}`` after a publication, per link: a stage
+    starts a block only while that gap is at most ``d_u(s)`` (the
+    barrier: 1, a stage ahead of its successor by its round), so it
+    publishes at most one more."""
+    if spec.sync_kind == "barrier":
+        return [2] * (spec.n_stages - 1)
+    _, d_u_eff = effective_windows(spec.n_stages, spec.threads_per_team,
+                                   spec.d_l, spec.d_u, spec.team_delay)
+    return [d + 1 for d in d_u_eff[:-1]]
+
+
+@settings(max_examples=2 * settings.default.max_examples, deadline=None)
+@given(windows(), st.integers(1, 8), st.randoms(use_true_random=False))
+def test_a_run_is_the_stage_picked_that_many_times(case, cap, rnd):
+    # Two boards in lockstep: ``runs`` takes each step as the executor
+    # does, run_length then one publish of the run; ``single`` publishes
+    # the same stage block by block while its own poll re-admits it.
+    spec, n_blocks, deadlock = case
+    policy, P = spec.policy(), spec.n_stages
+    runs = CounterBoard(policy, P, n_blocks, record_log=True)
+    single = CounterBoard(policy, P, n_blocks, record_log=True)
+    bounds = link_bounds(spec)
+    while not runs.done:
+        is_open = runs.poll()
+        if not is_open:
+            assert deadlock, (spec, n_blocks, runs.describe_wait())
+            event("run-driven pass froze")
+            return
+        assert single.poll() == is_open
+        stage = rnd.choice(is_open)
+        k = runs.run_length(stage, cap)
+        admitted = 0
+        while True:
+            single.publish(stage)
+            admitted += 1
+            c = single.counters
+            assert all(c[s] - c[s + 1] <= bounds[s] for s in range(P - 1)), (
+                c, bounds)
+            if admitted == cap or stage not in single.poll([stage]):
+                break
+        assert k == admitted
+        if k > 1:
+            event("run of several blocks")
+        runs.publish(stage, k)
+        assert runs.counters == single.counters
+        assert runs.log == single.log
+    assert runs.max_counter_gap == single.max_counter_gap <= sum(bounds)

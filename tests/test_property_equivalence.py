@@ -105,7 +105,7 @@ class _LevelSpy:
 )
 @settings(max_examples=25, deadline=None)
 def test_skew_bound_holds_midrun(nz, t, bz, du, seed):
-    """Interrupt execution after every block op and check the skew bound."""
+    """Interrupt execution after every step and check the skew bound."""
     grid = Grid3D((nz, 4, 4))
     field = random_field(grid.shape, np.random.default_rng(seed))
     cfg = PipelineConfig(teams=1, threads_per_team=t, updates_per_thread=1,
@@ -114,15 +114,18 @@ def test_skew_bound_holds_midrun(nz, t, bz, du, seed):
                           rng=np.random.default_rng(seed))
     levels = np.zeros(grid.shape, dtype=np.int64)
     ex.engine = _LevelSpy(ex.engine, levels)
-    orig = ex._execute_block
+    orig = ex._execute_run
+    checked = []
 
-    def instrumented(pass_idx, stage, idx):
-        orig(pass_idx, stage, idx)
+    def instrumented(stage, first, k, tally):
+        orig(stage, first, k, tally)
         check_skew(levels, ex.decomp.shift_vec, max_skew=1)
+        checked.append(k)
 
-    ex._execute_block = instrumented  # type: ignore[method-assign]
+    ex._execute_run = instrumented  # type: ignore[method-assign]
     for p in range(cfg.passes):   # run() would consume the storage
         ex.run_pass(p)
+    assert sum(checked) == ex.stats.block_ops   # checked after every step
     assert bool(np.all(levels == cfg.total_updates))   # the spy saw all
     ref = reference_sweeps(grid, field, cfg.total_updates)
     np.testing.assert_allclose(ex.storage.extract(cfg.total_updates), ref,

@@ -20,7 +20,7 @@ import pytest
 
 import repro
 from repro import Grid3D, PipelineConfig, RelaxedSpec, reference_sweeps
-from repro.core.executor import PipelineExecutor
+from repro.core.executor import PipelineExecutor, _run_span
 from repro.grid import Box, random_field
 from repro.grid.blocks import ROW_MEMO_SIZE, BlockDecomposition, axis_row
 from repro.kernels import jacobi7
@@ -185,13 +185,14 @@ def _profiled_solve(validate):
                          block_size=(4, 8, 8), sync=RelaxedSpec(1, 4),
                          passes=2)
     repro.solve(grid, field, cfg, validate=validate)    # warm
-    misses = axis_row.cache_info().misses
+    misses = axis_row.cache_info().misses, _run_span.cache_info().misses
     prof = cProfile.Profile()
     res = prof.runcall(repro.solve, grid, field, cfg, validate=validate)
     assert res.field.tobytes() == reference_sweeps(
         grid, field, cfg.total_updates).tobytes()
-    # Nothing is derived again: no row is rebuilt.
-    assert axis_row.cache_info().misses == misses
+    # Nothing is derived again: no row and no merged span is rebuilt.
+    assert (axis_row.cache_info().misses,
+            _run_span.cache_info().misses) == misses
     return cfg, res, pstats.Stats(prof)
 
 
@@ -205,28 +206,34 @@ class TestOverheadTripwire:
     def test_python_calls_per_update_and_no_geometry_in_the_loop(self):
         cfg, res, stats = _profiled_solve(validate=False)
 
-        # Before the row tables: 210 calls per update; they leave ~32.
-        # The bound is tight on purpose: one pass loop over CounterBoard
-        # measures 33.7 where the polled loop it replaced measured 31.7,
-        # and a draft that took the board's lock on every poll and
-        # publish measured 44.6.  The engine's cost rule walks slabs in
-        # one more call per update (34.8).
+        # Before the row tables: 210 calls per update; they left ~32, and
+        # one pass loop over CounterBoard 33.7 (a draft that took the
+        # board's lock on every poll and publish measured 44.6), the
+        # engine's cost rule 34.8.  Runs of blocks — one step and one
+        # engine call per update for each x-row of 5 blocks here —
+        # measure 9.4.  The bound is tight on purpose: a step or an
+        # engine call per block op again lands near 35.
         updates = res.stats.updates
         assert updates > 1000
-        assert stats.total_calls / updates <= 36, stats.total_calls / updates
+        assert stats.total_calls / updates <= 10, stats.total_calls / updates
 
-        # Per block op grid/blocks.py does one index split, per update of
-        # a pass one row lookup — no Box algebra from grid/region.py at all.
+        # Per group of a run (here every run is one x-row) grid/blocks.py
+        # does one index split, per update of a pass one row lookup — no
+        # Box algebra from grid/region.py at all, and the merged spans
+        # are memo hits.
+        runs = sum(ncalls for (path, _line, func), (_cc, ncalls, *_rest)
+                   in stats.stats.items()
+                   if path.replace("\\", "/").endswith("repro/core/executor.py")
+                   and func == "_execute_run")
+        assert res.stats.block_ops // 5 <= runs < res.stats.block_ops // 4
         calls = {}
         for (path, _line, func), (_cc, ncalls, *_rest) in stats.stats.items():
             path = path.replace("\\", "/")
             for module in ("grid/blocks.py", "grid/region.py"):
                 if path.endswith("repro/" + module):
                     calls[module, func] = calls.get((module, func), 0) + ncalls
-        in_loop = {k: n for k, n in calls.items()
-                   if n >= res.stats.block_ops // 4}
-        assert in_loop == {("grid/blocks.py", "block_index"):
-                           res.stats.block_ops}, calls
+        in_loop = {k: n for k, n in calls.items() if n >= runs}
+        assert in_loop == {("grid/blocks.py", "block_index"): runs}, calls
         assert calls["grid/blocks.py", "level_rows"] == cfg.total_updates
 
     def test_validated_updates_check_their_reads_once(self):
@@ -238,6 +245,6 @@ class TestOverheadTripwire:
         _cfg, res, stats = _profiled_solve(validate=True)
         updates = res.stats.updates
         assert updates > 1000
-        assert stats.total_calls / updates <= 36, stats.total_calls / updates
+        assert stats.total_calls / updates <= 10, stats.total_calls / updates
         region = _module_calls(stats, "grid/region.py")
         assert region / updates <= 1, region / updates

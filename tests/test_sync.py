@@ -158,13 +158,14 @@ class TestExecutorSyncBehaviour:
         assert ex.stats.trace
         assert ex.stats.block_ops == len(ex.stats.trace)
 
-    @pytest.mark.parametrize("sync", [RelaxedSpec(1, 4), BarrierSpec()],
-                             ids=lambda s: s.describe())
-    def test_interleaver_counts_are_pinned(self, sync):
-        # Literals taken from the commit before the polled loop and the
-        # stage-thread loop became one pass loop over CounterBoard: the
-        # merged loop does the same work and counts its sync pressure
-        # the same way, traced, round_robin.
+    @pytest.mark.parametrize("sync, gap, polls, spans", [
+        (RelaxedSpec(1, 4), 5, 178, 517), (BarrierSpec(), 2, 450, 1425)],
+        ids=["relaxed(d_l=1,d_u=4)", "barrier"])
+    def test_interleaver_counts_are_pinned(self, sync, gap, polls, spans):
+        # The work counts are the literals of the commit before the polled
+        # loop and the stage-thread loop became one pass loop over
+        # CounterBoard, and runs of blocks do not move them: the same
+        # blocks are updated, tallied per block.  traced, round_robin.
         grid = Grid3D((32, 32, 32))
         field = random_field(grid.shape, np.random.default_rng(19))
         cfg = PipelineConfig(teams=1, threads_per_team=2,
@@ -174,8 +175,21 @@ class TestExecutorSyncBehaviour:
         st = res.stats
         assert (st.block_ops, st.updates, st.cells_updated) == (
             900, 1606, 262144)
-        assert (st.empty_block_ops, st.max_counter_gap) == (0, 1)
+        assert st.empty_block_ops == 0
         assert st.per_stage_blocks == [450, 450]
-        assert res.trace.counters["sync.blocked_polls"] == 450
         assert res.trace.counters["core.drain_blocks"] == 2
-        assert len(res.trace.spans) == 2509
+        # The sync counts follow from the run rule.  A (4, 8, 8) block is
+        # 2 KiB, so the cap is 128 and only the window ends a run.  Per
+        # pass each stage walks 9 x 5 x 5 = 225 blocks (32 cells plus the
+        # shift 3, in 4 / 8 / 8).  Relaxed: the front stage runs until
+        # c_0 - c_1 = d_u + 1 = 5, the rear one until it is d_l = 1
+        # behind, so every step is 5 blocks — one x-row, one engine call
+        # per update — and every poll but the drain poll finds one stage
+        # shut: 45 runs per stage and pass, 2 x 89 blocked polls, gap 5.
+        # Barrier: a stage alone at the lowest round finishes it and
+        # starts its next round's block, two blocks per step (one at
+        # each pass's ends); blocked polls stay 450 and the gap, the
+        # front stage two rounds ahead, is 2.
+        assert st.max_counter_gap == gap
+        assert res.trace.counters["sync.blocked_polls"] == polls
+        assert len(res.trace.spans) == spans

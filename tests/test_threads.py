@@ -195,31 +195,42 @@ class TestCounterBoard:
         assert counters == [1] * cfg.n_stages
         assert all(finished) and board.done
 
-    def test_hammer_full_run_loses_nothing(self):
+    @pytest.mark.parametrize("cap", [1, 7], ids=["blocks", "runs"])
+    def test_hammer_full_run_loses_nothing(self, cap):
         # 4 stage threads drain a 60-block traversal through the real
-        # wait/advance protocol.  The assertions are exact: no lost
-        # counter update, no deadlock (watchdog would trip), and the
-        # max gap respects the window d_u + team_delay.
+        # wait/advance protocol, a block per step or, as the executor
+        # steps, a run of up to ``cap`` blocks published at its end, at
+        # a 1 us switch interval.  The assertions are exact: no lost
+        # counter update, no deadlock (watchdog would trip), and every
+        # link within d_u(s) + 1, team delay included: 4 + 5 + 4 in all.
         cfg = board_config(sync=RelaxedSpec(1, 3, team_delay=1))
         n_blocks = 60
         board = CounterBoard(make_policy(cfg), cfg.n_stages, n_blocks,
                              timeout=60.0)
 
         def stage_body(s):
-            for _ in range(n_blocks):
-                board.wait_ready(s)
-                board.advance(s)
+            left = n_blocks
+            while left:
+                k = board.wait_ready(s, cap)
+                board.advance(s, k)
+                left -= k
 
         threads = [threading.Thread(target=stage_body, args=(s,), daemon=True)
                    for s in range(cfg.n_stages)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert board.done and board.failure is None
         counters, finished = board.snapshot()
         assert counters == [n_blocks] * cfg.n_stages
-        assert board.max_counter_gap <= n_blocks
+        assert board.max_counter_gap <= 13
 
     def test_rejects_degenerate_shapes(self):
         cfg = board_config()
@@ -576,14 +587,14 @@ class TestThreadedExecutorInternals:
         ex = PipelineExecutor(grid, field, cfg, jacobi7(), threads=True,
                               watchdog_s=30.0)
         boom = RuntimeError("stage 1 exploded")
-        orig = ex._execute_block
+        orig = ex._execute_run
 
-        def failing(stage, idx, tally):
-            if stage == 1 and idx == 1:
+        def failing(stage, first, k, tally):
+            if stage == 1 and first <= 1 < first + k:
                 raise boom
-            return orig(stage, idx, tally)
+            return orig(stage, first, k, tally)
 
-        ex._execute_block = failing
+        ex._execute_run = failing
         with pytest.raises(RuntimeError, match="stage 1 exploded") as err:
             ex.run_pass(0)
         assert err.value is boom  # the original, not a peer's SyncAborted

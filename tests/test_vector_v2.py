@@ -743,12 +743,19 @@ class TestCompressedRing:
             want = reference_sweeps(grid, field, 2 * passes, STENCIL)
             for storage in ("twogrid", "compressed"):
                 paths.clear()
+                seen = len(compressed_reads)
                 got = solve(grid, field, _ring_cfg(block, storage, passes),
                             stencil=STENCIL, validate=validate,
                             backend=backend)
                 assert_same_bits(got.field, want, f"{storage}/{backend}")
+            # The compressed solve runs flat iff a region spans y and x in
+            # full: every one of a z-slab tiling, and a run of zy blocks
+            # that covers a whole y row.
             ran_flat = "_slab_run" in {name for name, _ in paths}
-            assert ran_flat == (block[1:] == (99, 99))
+            full = [f for f, _reads, _copies in compressed_reads[seen:]]
+            assert ran_flat == any(full)
+            if block[1:] == (99, 99):
+                assert all(full)
         # The ring is stored on every face, func included: no read is
         # ever patched, and every full-width region runs flat throughout.
         assert compressed_reads
