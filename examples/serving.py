@@ -33,7 +33,7 @@ def main() -> None:
             assert np.allclose(fut.result().field, ref, atol=1e-13)
         spawned = svc.stats.process_spawns
         print(f"{len(fields)} procmpi jobs, {spawned} rank processes "
-              f"spawned (a cold loop would spawn {2 * len(fields)})  ✓")
+              f"spawned (a world per job would spawn {2 * len(fields)})  ✓")
 
         # --- content-addressed cache: same job again, no backend runs ---------
         warm = svc.submit(grid, fields[0], cfg, topology=(1, 1, 2),

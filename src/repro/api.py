@@ -35,7 +35,9 @@ Backends
 ``"procmpi"``
     One OS process per subdomain (:mod:`repro.dist.procmpi`), fields
     and halo rings in :mod:`multiprocessing.shared_memory` blocks —
-    real rank overlap without an MPI installation.  A real MPI
+    real rank overlap without an MPI installation.  The ranks are
+    launched by the first solve and kept warm for the next ones until
+    :func:`repro.dist.drop_warm_pool` or exit.  A real MPI
     deployment implements the same :class:`repro.dist.comm.Comm`
     protocol (see :class:`repro.dist.comm.MPI4PyComm`).
 """

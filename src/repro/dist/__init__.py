@@ -28,7 +28,9 @@ from .simmpi import RankComm, SimMPIError, run_ranks
 from .solver import (
     TRANSPORTS,
     ProcSolverSession,
+    SessionPool,
     distributed_jacobi_pipelined,
+    drop_warm_pool,
     distributed_jacobi_sweeps,
 )
 from .cluster_sim import (
@@ -53,6 +55,8 @@ __all__ = [
     "ProcMPIError",
     "ProcWorld",
     "ProcSolverSession",
+    "SessionPool",
+    "drop_warm_pool",
     "SPAWNS_COUNTER",
     "run_procs",
     "ShmPool",

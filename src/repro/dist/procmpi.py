@@ -34,10 +34,13 @@ Lifecycle
 :class:`ProcWorld` owns a *persistent* set of rank processes: spawn,
 queues, barrier and halo rings are paid once, then any number of jobs
 (``fn(comm, rank, *args)`` fan-outs) run against the warm world —
-the mechanism behind ``repro.serve``'s worker pools.  :func:`run_procs`
-is the one-shot convenience wrapper (spawn, run one job, tear down).
-Failure is crash-only: a failed world refuses further jobs and is
-replaced wholesale, never repaired in place.
+the mechanism behind the warm sessions of
+:class:`repro.dist.solver.SessionPool`, which every procmpi ``solve``
+and every ``repro.serve`` service draws from.  :func:`run_procs` runs
+one job on a world of its own and tears it down.  An idle rank exits
+when its parent process dies, however it dies.  Failure is crash-only: a
+failed world refuses further jobs and is replaced wholesale, never
+repaired in place.
 
 Spawn vs fork
 -------------
@@ -330,15 +333,27 @@ def _serve_main(rank: int, links: _Links, task_q: Any) -> None:
     """Entry point of one persistent rank process.
 
     Serves a stream of ``("job", job_id, fn, args)`` tasks until the
-    ``("stop",)`` sentinel arrives.  A task that raises aborts the world
-    and *ends this process*: a failed world is never reused (crash-only
-    recovery) — the owning :class:`ProcWorld` reports the root cause and
-    refuses further jobs, and its caller spawns a fresh world.
+    ``("stop",)`` sentinel arrives, or until the parent process dies: an
+    idle rank waits on its task queue and on the parent's sentinel
+    together, so a parent killed outright (``SIGKILL``) leaves no rank
+    behind.  A task that raises aborts the world and *ends this
+    process*: a failed world is never reused (crash-only recovery) —
+    the owning :class:`ProcWorld` reports the root cause and refuses
+    further jobs, and its caller spawns a fresh world.
     """
+    import multiprocessing as mp
+    from multiprocessing.connection import wait
+
     comm = ProcComm(rank, links)
+    # ``_reader`` is the queue's receiving pipe end; this rank is its
+    # only reader, so a readable pipe means ``get`` will not block.
+    watch = [task_q._reader, mp.parent_process().sentinel]
     failed = False
     try:
         while True:
+            if watch[1] in wait(watch):
+                failed = True  # orphaned: nobody drains our queues now
+                break
             msg = task_q.get()
             if msg[0] == "stop":
                 break

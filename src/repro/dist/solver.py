@@ -19,25 +19,44 @@ Two front-ends over *one* per-rank body, both returning the unified
 
 Both run on either **transport**: ``"simmpi"`` executes one thread per
 rank (:func:`repro.dist.simmpi.run_ranks`), ``"procmpi"`` one OS process
-per rank (:func:`repro.dist.procmpi.run_procs`) with the global field,
-the assembled result and the halo rings living in
-:mod:`multiprocessing.shared_memory` blocks.  The per-rank algorithm
-(:func:`_pipelined_rank_body`) is shared by both transports, so they
-cannot diverge — the cross-backend differential battery in
-``tests/test_backend_equivalence`` pins them bit-identical to each other.
+per rank with the global field, the assembled result and the halo rings
+living in :mod:`multiprocessing.shared_memory` blocks.  Process ranks
+are launched once: every procmpi solve checks a warm
+:class:`ProcSolverSession` (ranks, field segments, rings) out of one
+process-wide :class:`SessionPool` and hands it back, so a repeated solve
+forks nothing and maps no fresh segment (see `Warm world`_).  The
+per-rank algorithm (:func:`_pipelined_rank_body`) is shared by both
+transports, so they cannot diverge — the cross-backend differential
+battery in ``tests/test_backend_equivalence`` pins them bit-identical to
+each other.
 
 Every ghost cell a rank updates is *also* updated by its owner from the
 same inputs and the same per-cell floating-point sequence, so the
 redundant trapezoid work is bit-consistent across ranks and the
 assembled field is byte-identical to ``reference_sweeps`` on the
 undecomposed domain.
+
+Warm world
+----------
+The pool behind :func:`distributed_jacobi_pipelined` keeps at most one
+idle session.  Its ranks and its two field segments stay alive until
+:func:`drop_warm_pool` or interpreter exit, and a session of another
+geometry or start method replaces it.  Idle ranks never outlive the
+process that owns them: each waits on its task queue and on its
+parent's sentinel together and exits when the parent dies, even by
+``SIGKILL``.  A process forked from the owner starts with an empty pool
+and never drives or closes the owner's ranks.  :class:`repro.serve.Service` keeps its own
+:class:`SessionPool` of the same class.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import time
+from multiprocessing import util as mp_util
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -52,12 +71,12 @@ from ..obs.tracer import NULL_TRACER, Tracer
 from .comm import Comm
 from .decomp import CartesianDecomposition
 from .exchange import ExchangeEntry, exchange_plan
-from .procmpi import ProcMPIError, ProcWorld
+from .procmpi import ProcMPIError, ProcWorld, default_start_method
 from .shm import ShmArrayHandle, ShmPool, attach_array
 from .simmpi import run_ranks
 
-__all__ = ["TRANSPORTS", "ProcSolverSession", "distributed_jacobi_sweeps",
-           "distributed_jacobi_pipelined"]
+__all__ = ["TRANSPORTS", "ProcSolverSession", "SessionPool", "drop_warm_pool",
+           "distributed_jacobi_sweeps", "distributed_jacobi_pipelined"]
 
 Coord = Tuple[int, int, int]
 
@@ -125,17 +144,6 @@ def _run_exchange(comm: Comm, plan: List[ExchangeEntry],
                     vals = comm.recv(peer)
                 inject(recv, vals)
     return nbytes, messages
-
-
-def _prepare(grid: Grid3D, field: np.ndarray, proc_grid: Sequence[int],
-             halo: int) -> Tuple[CartesianDecomposition, List[List[ExchangeEntry]]]:
-    """Decompose and pre-validate every rank's exchange plan (fail fast)."""
-    if field.shape != grid.shape:
-        raise ValueError(f"field shape {field.shape} != grid shape {grid.shape}")
-    decomp = CartesianDecomposition(grid.shape, proc_grid, halo)
-    plans = [exchange_plan(decomp, decomp.geometry(r))
-             for r in range(decomp.n_ranks)]
-    return decomp, plans
 
 
 def _pair_bytes(plans: List[List[ExchangeEntry]],
@@ -266,16 +274,16 @@ def _proc_pipelined_entry(comm: Comm, rank: int, task: _ProcTask):
 class ProcSolverSession:
     """Persistent procmpi setup, reused across shape-compatible solves.
 
-    A cold procmpi solve pays (1) the rank-process spawns, (2) the
-    shared-memory field blocks and (3) the per-pair halo rings *per
-    call*.  This session hoists all three into construction time: it
-    owns a :class:`~repro.dist.procmpi.ProcWorld` plus the input/output
-    field segments, and its one solve method, :meth:`solve_pipelined`,
-    only copies the field in, dispatches one job to the warm ranks and
-    reads the assembled result back (the multi-halo sweeps are its
-    one-stage config).  ``repro.serve``'s worker pools keep sessions
-    alive across jobs; the one-shot front-ends below create and close
-    one per call, so both paths execute identical code.
+    A procmpi solve needs (1) the rank processes, (2) the shared-memory
+    input and output field blocks and (3) the per-pair halo rings.  A
+    session pays all three once, at construction: it owns a
+    :class:`~repro.dist.procmpi.ProcWorld` plus the two field segments,
+    and its one solve method, :meth:`solve_pipelined`, only copies the
+    field in, dispatches one job to the warm ranks and reads the
+    assembled result back (the multi-halo sweeps are its one-stage
+    config).  Sessions are checked out of a :class:`SessionPool`: the
+    process-wide one behind ``solve(backend="procmpi")``, or a
+    ``repro.serve`` service's own.
 
     A session is keyed by ``(shape, dtype, proc_grid, halo)`` — see
     :meth:`compatible`.  Boundary, stencil and pipeline config travel
@@ -288,20 +296,15 @@ class ProcSolverSession:
 
     def __init__(self, shape: Sequence[int], dtype, proc_grid: Sequence[int],
                  halo: int, start_method: Optional[str] = None,
-                 timeout: Optional[float] = None,
-                 decomp: Optional[CartesianDecomposition] = None,
-                 plans: Optional[List[List[ExchangeEntry]]] = None) -> None:
+                 timeout: Optional[float] = None) -> None:
         self.shape: Coord = tuple(int(s) for s in shape)  # type: ignore[assignment]
         self.dtype = np.dtype(dtype)
         self.halo = int(halo)
-        # The one-shot front-ends have already built (and validated) the
-        # decomposition and every rank's plan — accept them instead of
-        # recomputing; cold constructions build their own.
-        self.decomp = decomp if decomp is not None else \
-            CartesianDecomposition(self.shape, proc_grid, self.halo)
-        self.plans = plans if plans is not None else \
-            [exchange_plan(self.decomp, self.decomp.geometry(r))
-             for r in range(self.decomp.n_ranks)]
+        # Decompose and plan first: a geometry that cannot be cut raises
+        # here, before any segment or process exists.
+        self.decomp = CartesianDecomposition(self.shape, proc_grid, self.halo)
+        plans = [exchange_plan(self.decomp, self.decomp.geometry(r))
+                 for r in range(self.decomp.n_ranks)]
         self.solves = 0
         #: Stable identity within a pool (assigned by SessionPool; -1 =
         #: unpooled).  Straggler scores and quarantine decisions key on it.
@@ -316,7 +319,7 @@ class ProcSolverSession:
             kwargs = {} if timeout is None else {"timeout": timeout}
             self._world = ProcWorld(
                 self.decomp.n_ranks, start_method=start_method,
-                pair_bytes=_pair_bytes(self.plans, self.dtype), **kwargs)
+                pair_bytes=_pair_bytes(plans, self.dtype), **kwargs)
         except BaseException:
             self.close()
             raise
@@ -324,6 +327,11 @@ class ProcSolverSession:
     @property
     def proc_grid(self) -> Coord:
         return self.decomp.proc_grid
+
+    @property
+    def start_method(self) -> Optional[str]:
+        """The start method of the ranks (None once closed)."""
+        return None if self._world is None else self._world.start_method
 
     @property
     def closed(self) -> bool:
@@ -414,6 +422,229 @@ class ProcSolverSession:
         self.close()
 
 
+class SessionPool:
+    """Exclusive check-out pool of warm :class:`ProcSolverSession`\\ s.
+
+    * ``acquire(shape, dtype, topology, halo)`` hands the caller an
+      exclusive warm session of that geometry, started the pool's way
+      (reuse), or builds one (cold start);
+    * ``release(session)`` returns it for the next solve — or closes and
+      drops it when the solve failed (sessions are crash-only, like the
+      :class:`~repro.dist.procmpi.ProcWorld` underneath);
+    * at most ``max_sessions`` are kept idle; a release beyond that, or
+      a cold start while full, closes the least-recently-used one.
+
+    Every session carries a pool-assigned stable id (``session.sid``) —
+    the identity straggler scores key on — and the pool is the policy
+    surface the service's monitor drives: :meth:`quarantine` marks a
+    repeatedly degraded session so it is closed instead of reused (idle
+    ones immediately, checked-out ones at release).  Quarantine is
+    one-way; the replacement is simply the next cold start.
+
+    All counters (``created``, ``reused``, ``dropped``, ``evicted``,
+    ``quarantined``) are deterministic for a fixed sequence of solves.
+    """
+
+    def __init__(self, max_sessions: int = 2,
+                 start_method: Optional[str] = None,
+                 timeout: Optional[float] = None) -> None:
+        if max_sessions < 1:
+            raise ValueError("max_sessions must be >= 1")
+        self.max_sessions = max_sessions
+        self.start_method = start_method
+        self.timeout = timeout
+        self._idle: List[ProcSolverSession] = []  # LRU order: oldest first
+        self._lock = threading.Lock()
+        self._closed = False
+        self._next_sid = 0
+        self._quarantine: Set[int] = set()
+        self.created = 0
+        self.reused = 0
+        self.dropped = 0
+        self.evicted = 0
+        self.quarantined = 0
+
+    def acquire(self, shape: Sequence[int], dtype, topology: Sequence[int],
+                halo: int) -> ProcSolverSession:
+        """An exclusive session of this geometry (warm if possible)."""
+        # Resolved per call: ``REPRO_PROCMPI_START`` may change between
+        # solves, and a world started the other way must not serve them.
+        method = self.start_method or default_start_method()
+        evict: List[ProcSolverSession] = []
+        try:
+            with self._lock:
+                if self._closed:
+                    raise RuntimeError("session pool is closed")
+                for i, session in enumerate(self._idle):
+                    if (session.start_method == method and
+                            session.compatible(shape, dtype, topology, halo)):
+                        self._idle.pop(i)
+                        self.reused += 1
+                        return session
+                while len(self._idle) >= self.max_sessions:
+                    evict.append(self._idle.pop(0))
+                    self.evicted += 1
+        finally:
+            # Teardown joins rank processes (seconds for a wedged one) —
+            # never do that while holding the pool lock.
+            for session in evict:
+                session.close()
+        # Build outside the lock too: spawning ranks is the slow part
+        # and other callers must keep being served meanwhile.
+        session = ProcSolverSession(shape, dtype, topology, halo,
+                                    start_method=method, timeout=self.timeout)
+        with self._lock:
+            session.sid = self._next_sid
+            self._next_sid += 1
+            self.created += 1
+        return session
+
+    def release(self, session: ProcSolverSession,
+                broken: bool = False) -> None:
+        """Return a session to the idle set, or drop a broken one.
+
+        A quarantined session never re-enters the idle set: it is
+        closed here, exactly like a broken one — the monitor's verdict
+        and a crash take the same recovery path.
+        """
+        if broken or session.closed or self.is_quarantined(session.sid):
+            session.close()
+            with self._lock:
+                self.dropped += 1
+            return
+        evict: List[ProcSolverSession] = []
+        with self._lock:
+            if self._closed:
+                evict.append(session)
+            else:
+                self._idle.append(session)
+                while len(self._idle) > self.max_sessions:
+                    evict.append(self._idle.pop(0))
+                    self.evicted += 1
+        for s in evict:
+            s.close()
+
+    def run(self, grid: Grid3D, field: np.ndarray, config: PipelineConfig,
+            topology: Sequence[int], **solve_kwargs) -> Tuple[SolveResult, int]:
+        """One hybrid solve on a checked-out session; ``(result, sid)``.
+
+        The session goes back to the pool afterwards, or is dropped if
+        the solve raised (``solve_kwargs`` go to
+        :meth:`ProcSolverSession.solve_pipelined`).
+        """
+        session = self.acquire(grid.shape, grid.dtype, topology,
+                               config.updates_per_pass)
+        try:
+            result = session.solve_pipelined(grid, field, config,
+                                             **solve_kwargs)
+        except BaseException:
+            self.release(session, broken=True)
+            raise
+        self.release(session)
+        return result, session.sid
+
+    # -- straggler policy hooks ---------------------------------------------
+
+    def quarantine(self, sid: int) -> bool:
+        """Bar session ``sid`` from further reuse; True if newly barred.
+
+        An idle session with that id is closed immediately; a
+        checked-out one finishes its current job and is closed at
+        :meth:`release` (its in-flight job is the speculative
+        re-execution candidate — the monitor handles that side).
+        """
+        close: List[ProcSolverSession] = []
+        with self._lock:
+            if self._closed or sid in self._quarantine:
+                return False
+            self._quarantine.add(sid)
+            self.quarantined += 1
+            keep: List[ProcSolverSession] = []
+            for session in self._idle:
+                (close if session.sid == sid else keep).append(session)
+            self._idle = keep
+            self.dropped += len(close)
+        for session in close:
+            session.close()
+        return True
+
+    def is_quarantined(self, sid: int) -> bool:
+        with self._lock:
+            return sid in self._quarantine
+
+    def info(self) -> Dict[str, object]:
+        """A JSON-able snapshot for ``Service.health()``."""
+        with self._lock:
+            return {
+                "max_sessions": self.max_sessions,
+                "idle": sorted(s.sid for s in self._idle),
+                "quarantined_sids": sorted(self._quarantine),
+                "created": self.created,
+                "reused": self.reused,
+                "dropped": self.dropped,
+                "evicted": self.evicted,
+                "quarantined": self.quarantined,
+            }
+
+    def close(self) -> None:
+        """Tear down every idle session; later releases close theirs."""
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for session in idle:
+            session.close()
+
+    def __enter__(self) -> "SessionPool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+#: The warm world behind every ``solve(backend="procmpi")``.
+_warm = SessionPool(max_sessions=1)
+
+
+def drop_warm_pool() -> None:
+    """Close the warm procmpi world that ``solve`` keeps between calls.
+
+    Joins its ranks and unlinks its segments now; the next procmpi solve
+    starts a fresh world.  Runs at interpreter exit; call it wherever no
+    rank process or segment may outlive a piece of work (the test
+    suite's leak checks do).  A solve in flight on another thread keeps
+    its session and closes it when it finishes.
+    """
+    global _warm
+    pool, _warm = _warm, SessionPool(max_sessions=1)
+    pool.close()
+
+
+def _forget_warm_pool() -> None:
+    """``fork`` child hook: start with an empty pool, own no parent rank.
+
+    The inherited sessions belong to the parent: closing them here would
+    stop its ranks and unlink its segments.  Every inherited process
+    object also leaves ``multiprocessing``'s child table (rank processes
+    are not this process's children), so its exit handler does not
+    terminate the parent's daemon ranks either.
+    """
+    global _warm
+    _warm = SessionPool(max_sessions=1)
+    from multiprocessing import process
+
+    pid = os.getpid()
+    for child in list(process._children):
+        if child._parent_pid != pid:
+            process._children.discard(child)
+
+
+# Dropped by multiprocessing's own exit handler, ahead of the queue
+# finalizers (exit priority 10) and of the termination of daemon
+# children that follows them: idle ranks get their stop message.
+mp_util.Finalize(None, drop_warm_pool, exitpriority=20)
+os.register_at_fork(after_in_child=_forget_warm_pool)
+
+
 # ---------------------------------------------------------------------------
 # Multi-halo Jacobi sweeps (Sect. 2.1 in isolation)
 # ---------------------------------------------------------------------------
@@ -472,7 +703,8 @@ def distributed_jacobi_pipelined(
     becomes the number of supersteps.  Requires the two-grid storage
     scheme: the compressed grid's shifted storage positions do not
     compose with ghost injection across ranks.  ``transport`` picks
-    thread ranks (``"simmpi"``) or process ranks (``"procmpi"``).
+    thread ranks (``"simmpi"``) or process ranks (``"procmpi"``), which
+    run on the process-wide warm world (see `Warm world`_).
     An enabled ``tracer`` (see :func:`repro.solve`'s ``trace=``) records
     per-rank spans and merges every rank onto its timeline.
     """
@@ -482,17 +714,17 @@ def distributed_jacobi_pipelined(
             f"the {config.storage!r} layout cannot absorb ghost injections"
         )
     _check_transport(transport)
+    if field.shape != grid.shape:
+        raise ValueError(f"field shape {field.shape} != grid shape {grid.shape}")
     st = stencil or jacobi7()
-    h = config.updates_per_pass
-    decomp, plans = _prepare(grid, field, proc_grid, h)
-
     if transport == "procmpi":
-        # One-shot session: identical code path to the serve layer's
-        # warm pools, paying the full setup for this single solve.
-        with ProcSolverSession(grid.shape, grid.dtype, decomp.proc_grid,
-                               h, decomp=decomp, plans=plans) as session:
-            return session.solve_pipelined(grid, field, config, stencil=st,
-                                           order=order, tracer=tracer)
+        return _warm.run(grid, field, config, proc_grid, stencil=st,
+                         order=order, tracer=tracer)[0]
+
+    h = config.updates_per_pass
+    decomp = CartesianDecomposition(grid.shape, proc_grid, h)
+    plans = [exchange_plan(decomp, decomp.geometry(r))
+             for r in range(decomp.n_ranks)]
 
     def rank_fn(comm: Comm, rank: int):
         geo = decomp.geometry(rank)

@@ -26,7 +26,7 @@ loop at the fleet level:
   and records the worst stage-share drift on the worker.
 
 The detector only *scores*; policy actions (quarantine via
-:meth:`repro.serve.pool.SessionPool.quarantine`, speculative
+:meth:`repro.dist.solver.SessionPool.quarantine`, speculative
 re-execution past :meth:`StragglerDetector.deadline`) live in the
 service's monitor probe.
 """

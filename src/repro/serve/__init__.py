@@ -1,8 +1,7 @@
 """repro.serve — the concurrent solve service on top of ``repro.solve``.
 
-Every solver front-end below this package is a cold, blocking, one-shot
-call: a ``procmpi`` solve pays process spawn and shared-memory setup
-every time, and identical requests recompute from scratch.  This
+Every solver front-end below this package is a blocking call, one
+problem at a time, and identical requests recompute from scratch.  This
 package is the serving layer the ROADMAP's "heavy traffic" north star
 asks for:
 
@@ -10,9 +9,10 @@ asks for:
   content key — SHA-256 over the problem bytes, canonical config and
   backend *semantics* (:mod:`repro.serve.job`);
 * **persistent worker pools** — warm
-  :class:`~repro.dist.solver.ProcSolverSession`\\ s keep procmpi rank
-  processes and their shared-memory segments alive across jobs
-  (:mod:`repro.serve.pool`), thread slots serve ``shared``/``simmpi``;
+  :class:`~repro.dist.solver.ProcSolverSession`\\ s, checked out of the
+  service's own :class:`~repro.dist.solver.SessionPool`, keep procmpi
+  rank processes and their shared-memory segments alive across jobs;
+  thread slots serve ``shared``/``simmpi``;
 * a **scheduler** that shards a priority queue across pool slots,
   coalesces duplicate in-flight jobs and batches compatible small
   solves onto one warm slot (:mod:`repro.serve.scheduler`);
@@ -31,7 +31,6 @@ asks for:
 from .cache import ResultCache
 from .futures import ServeCancelled, SolveFuture, wait_all
 from .job import SolveJob
-from .pool import SessionPool
 from .scheduler import Entry, JobQueue, session_signature
 from .service import (
     Service,
@@ -61,7 +60,6 @@ __all__ = [
     "ServeCancelled",
     "wait_all",
     "ResultCache",
-    "SessionPool",
     "Entry",
     "JobQueue",
     "session_signature",

@@ -15,10 +15,11 @@ touching any backend → **identical job already in flight**? coalesce
 onto it → otherwise queue.  Worker threads pull *batches* of
 compatible jobs (see :mod:`repro.serve.scheduler`) and run each batch
 back-to-back on a warm slot: procmpi jobs check a persistent
-:class:`~repro.dist.solver.ProcSolverSession` out of the
-:class:`~repro.serve.pool.SessionPool` (rank processes and
-shared-memory segments survive across jobs), shared/simmpi jobs run
-in the worker thread directly.
+:class:`~repro.dist.solver.ProcSolverSession` out of the service's own
+:class:`~repro.dist.solver.SessionPool` (rank processes and
+shared-memory segments survive across jobs; the pool is built by the
+first procmpi job, so in-thread jobs never load the distributed rail),
+shared/simmpi jobs run in the worker thread directly.
 
 Failure semantics are fail-fast and job-scoped, matching the
 fault-injection contract of the distributed rails: the *original*
@@ -73,10 +74,10 @@ from ..obs.tracer import NULL_TRACER, Trace, Tracer
 from .cache import ResultCache, _clone
 from .futures import SolveFuture, wait_all
 from .job import SolveJob
-from .pool import SessionPool
 from .scheduler import Entry, JobQueue
 
 if TYPE_CHECKING:
+    from ..dist.solver import SessionPool
     from ..machine.topology import MachineSpec
 
 __all__ = ["ServiceStats", "Service", "WALL_HISTOGRAM", "QUEUE_HISTOGRAM",
@@ -221,10 +222,13 @@ class Service:
             self._cache = cache
         self._queue = JobQueue(batch_limit=batch_limit,
                                batch_bytes=batch_bytes)
-        self._sessions = SessionPool(
+        self._pool_args = dict(
             max_sessions=(max_sessions if max_sessions is not None
                           else max(workers, 1)),
             start_method=start_method, timeout=comm_timeout)
+        if self._pool_args["max_sessions"] < 1:
+            raise ValueError("max_sessions must be >= 1")
+        self._sessions: Optional[SessionPool] = None
         self._lock = threading.Lock()
         #: One registry for every event counter and gauge of this
         #: service (:attr:`stats` snapshots it; traced solves and the
@@ -504,26 +508,37 @@ class Service:
 
             assert_legal(job.config, job.grid.shape, job.topology)
             tracer = Tracer(pid=0, label="serve") if record else NULL_TRACER
-            session = self._sessions.acquire(job)
-            try:
-                result = session.solve_pipelined(job.grid, job.field,
-                                                 job.config,
-                                                 stencil=job.stencil,
-                                                 tracer=tracer)
-            except BaseException:
-                # The session closed itself (crash-only); drop it and
-                # let the pool warm a fresh one for the next job.
-                self._sessions.release(session, broken=True)
-                raise
-            worker = f"session-{session.sid}"
-            self._sessions.release(session)
-            return result, worker, (tracer.finish() if record else None)
+            # A failed solve drops its session (crash-only) and the pool
+            # warms a fresh one for the next job.
+            result, sid = self._session_pool().run(
+                job.grid, job.field, job.config, job.topology,
+                stencil=job.stencil, tracer=tracer)
+            return (result, f"session-{sid}",
+                    tracer.finish() if record else None)
         from ..api import solve
 
         result = solve(job.grid, job.field, job.config,
                        topology=job.topology, backend=job.backend,
                        stencil=job.stencil, trace=record)
         return result, f"backend-{job.backend}", result.trace
+
+    def _session_pool(self) -> SessionPool:
+        """The service's procmpi session pool, built on first use."""
+        with self._lock:
+            if self._sessions is None:
+                from ..dist.solver import SessionPool
+
+                self._sessions = SessionPool(**self._pool_args)
+            return self._sessions
+
+    def _pool_info(self) -> Dict[str, Any]:
+        """:meth:`SessionPool.info`, or its zeros before the first
+        procmpi job."""
+        if self._sessions is not None:
+            return self._sessions.info()
+        return {"max_sessions": self._pool_args["max_sessions"], "idle": [],
+                "quarantined_sids": [], "created": 0, "reused": 0,
+                "dropped": 0, "evicted": 0, "quarantined": 0}
 
     # -- monitoring --------------------------------------------------------------
 
@@ -546,7 +561,7 @@ class Service:
         for worker in mon.detector.degraded():
             if worker.startswith("session-"):
                 sid = int(worker.split("-", 1)[1])
-                if self._sessions.quarantine(sid):
+                if self._session_pool().quarantine(sid):
                     self._metrics.inc("quarantined")
         deadline = mon.detector.deadline()
         if deadline is None:
@@ -579,7 +594,7 @@ class Service:
         snap = self._metrics.snapshot()
         with self._lock:
             inflight = len(self._inflight)
-        sessions = self._sessions.info()
+        sessions = self._pool_info()
         mon = self._monitor
         hists: Dict[str, Any] = {}
         stragglers: List[Dict[str, Any]] = []
@@ -633,6 +648,7 @@ class Service:
         """
         now = _setup_counters()
         counts = self._metrics.snapshot()["counters"]
+        sessions = self._pool_info()
 
         def c(name: str) -> int:
             return int(counts.get(name, 0))
@@ -648,10 +664,10 @@ class Service:
             batches=c("batches"),
             batched_jobs=c("batched_jobs"),
             backend_solves=c("backend_solves"),
-            sessions_created=self._sessions.created,
-            sessions_reused=self._sessions.reused,
-            sessions_dropped=self._sessions.dropped,
-            sessions_quarantined=self._sessions.quarantined,
+            sessions_created=sessions["created"],
+            sessions_reused=sessions["reused"],
+            sessions_dropped=sessions["dropped"],
+            sessions_quarantined=sessions["quarantined"],
             speculated=c("speculated"),
             speculation_wins=c("speculation_wins"),
             speculation_discarded=c("speculation_discarded"),
@@ -673,7 +689,8 @@ class Service:
         for t in self._workers:
             t.join()
         self.drain()  # synchronous mode: whatever is still queued
-        self._sessions.close()
+        if self._sessions is not None:
+            self._sessions.close()
 
     def __enter__(self) -> "Service":
         return self

@@ -23,6 +23,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.dist import drop_warm_pool
 from repro.dist.procmpi import ProcMPIError, run_procs
 from repro.dist.shm import live_segments
 from repro.dist.simmpi import SimMPIError, run_ranks
@@ -30,8 +31,12 @@ from repro.dist.simmpi import SimMPIError, run_ranks
 
 @pytest.fixture(autouse=True)
 def no_shm_leaks_or_zombies():
+    # solve(backend="procmpi") keeps a warm world between calls; only
+    # what survives dropping it counts as a leak.
+    drop_warm_pool()
     before = live_segments()
     yield
+    drop_warm_pool()
     after = live_segments()
     if before is not None:
         assert after == before
@@ -118,8 +123,8 @@ class TestProcessRail:
     def test_failed_solve_releases_field_and_ring_segments(self):
         # End-to-end: a rank crashing *inside* a real procmpi solve —
         # after the field blocks and halo rings were allocated — must
-        # still unwind every segment and process (the autouse fixture
-        # asserts /dev/shm is clean afterwards).
+        # still unwind every segment and process: the warm pool drops
+        # the broken session at once, not at the fixture's drop.
         from repro import Grid3D
         from repro.dist.solver import distributed_jacobi_sweeps
         from repro.grid import DirichletBoundary, random_field
@@ -130,3 +135,5 @@ class TestProcessRail:
         with pytest.raises(RuntimeError, match="poisoned boundary"):
             distributed_jacobi_sweeps(grid, field, (2, 1, 1), supersteps=1,
                                       halo=2, transport="procmpi")
+        assert mp.active_children() == []
+        assert live_segments() in (None, [])

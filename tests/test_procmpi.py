@@ -8,10 +8,18 @@ Every rank function is module-level so the same tests run under the
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro import Grid3D, PipelineConfig, RelaxedSpec, solve
+from repro.dist import SEGMENTS_COUNTER, SPAWNS_COUNTER, drop_warm_pool
 from repro.dist.procmpi import (
     ProcComm,
     ProcMPIError,
@@ -19,17 +27,26 @@ from repro.dist.procmpi import (
     default_start_method,
     run_procs,
 )
-from repro.dist.shm import ShmPool, attach_array, live_segments
+from repro.dist.shm import SEGMENT_PREFIX, ShmPool, attach_array, live_segments
+from repro.grid import random_field
+from repro.kernels import reference_sweeps
+from repro.obs import registry
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(autouse=True)
 def no_shm_leaks():
-    """Every test must leave /dev/shm exactly as it found it."""
+    """Every test must leave /dev/shm and the process table as it found
+    them, once the warm world of ``solve(backend="procmpi")`` is dropped."""
+    drop_warm_pool()
     before = live_segments()
     yield
+    drop_warm_pool()
     after = live_segments()
     if before is not None:
         assert after == before
+    assert mp.active_children() == []
 
 
 # -- rank functions (module-level: picklable under spawn) --------------------
@@ -290,3 +307,156 @@ class TestDriver:
             ProcWorld(2, pair_bytes={(0, 1): 4096, (1, 0): 4096})
         assert len(calls) == 2
         assert mp.active_children() == []
+
+
+# -- the warm world behind solve(backend="procmpi") --------------------------
+
+def _problem(seed: int = 0):
+    grid = Grid3D((12, 12, 12))
+    cfg = PipelineConfig(teams=1, threads_per_team=2, updates_per_thread=2,
+                         block_size=(4, 64, 64), sync=RelaxedSpec(1, 2))
+    return grid, random_field(grid.shape, np.random.default_rng(seed)), cfg
+
+
+def _reference(grid, field, cfg) -> bytes:
+    return reference_sweeps(grid, field, cfg.total_updates).tobytes()
+
+
+def _counters():
+    return (registry.counter(SPAWNS_COUNTER),
+            registry.counter(SEGMENTS_COUNTER))
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` runs (a zombie nobody reaped yet has exited)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+#: A parent that warms a world, prints its PID and its ranks' PIDs, then
+#: exits the way ``argv[1]`` says.
+_PARENT = """
+import os, signal, sys
+import multiprocessing as mp
+import numpy as np
+from repro import Grid3D, PipelineConfig, RelaxedSpec, random_field, solve
+
+if __name__ == "__main__":
+    grid = Grid3D((12, 12, 12))
+    cfg = PipelineConfig(teams=1, threads_per_team=2, updates_per_thread=2,
+                         block_size=(4, 64, 64), sync=RelaxedSpec(1, 2))
+    field = random_field(grid.shape, np.random.default_rng(0))
+    solve(grid, field, cfg, topology=(1, 1, 2), backend="procmpi")
+    print(os.getpid(), *(p.pid for p in mp.active_children()), flush=True)
+    if sys.argv[1] == "sigkill":
+        os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+class TestWarmWorld:
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_repeated_solves_run_on_one_world(self, start_method,
+                                              monkeypatch):
+        if start_method not in mp.get_all_start_methods():
+            pytest.skip(f"start method {start_method} unavailable")
+        monkeypatch.setenv("REPRO_PROCMPI_START", start_method)
+        spawns0, segments0 = _counters()
+        one_session = None
+        for seed in range(32):
+            grid, field, cfg = _problem(seed)
+            got = solve(grid, field, cfg, topology=(1, 1, 2),
+                        backend="procmpi")
+            assert got.field.tobytes() == _reference(grid, field, cfg), seed
+            if one_session is None:
+                one_session = _counters()[1] - segments0
+        # Two field blocks and one halo ring per direction, made once.
+        assert one_session == 4
+        assert _counters() == (spawns0 + 2, segments0 + one_session)
+
+    def test_a_refused_schedule_spawns_nothing(self):
+        from repro.analysis import StaticAnalysisError, assert_legal
+
+        assert_legal.cache_clear()
+        grid = Grid3D((8, 8, 8))
+        cfg = PipelineConfig(teams=1, threads_per_team=2,
+                             updates_per_thread=4, block_size=(4, 8, 8),
+                             sync=RelaxedSpec(1, 4))
+        before = _counters()
+        with pytest.raises(StaticAnalysisError, match="exchange-plan"):
+            solve(grid, random_field(grid.shape, np.random.default_rng(0)),
+                  cfg, topology=(1, 1, 2), backend="procmpi")
+        assert _counters() == before
+        assert mp.active_children() == []
+
+    def test_a_forked_child_starts_with_an_empty_pool(self):
+        if not hasattr(os, "fork"):
+            pytest.skip("no os.fork on this platform")
+        grid, field, cfg = _problem(3)
+        want = _reference(grid, field, cfg)
+        solve(grid, field, cfg, topology=(1, 1, 2), backend="procmpi")
+        ranks = sorted(p.pid for p in mp.active_children())
+        spawns = _counters()[0]
+        r, w = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child: report through the pipe, never return
+            verdict = b"raised"
+            try:
+                os.close(r)
+                # Not one of the parent's ranks is a child of ours, and
+                # the solve builds a world of its own.
+                clean = mp.active_children() == []
+                got = solve(grid, field, cfg, topology=(1, 1, 2),
+                            backend="procmpi")
+                own = _counters()[0] == spawns + 2
+                drop_warm_pool()
+                verdict = repr((clean, got.field.tobytes() == want, own,
+                                mp.active_children() == [])).encode()
+            finally:
+                os.write(w, verdict)
+                os._exit(0)
+        os.close(w)
+        os.waitpid(pid, 0)
+        with os.fdopen(r, "rb") as pipe:
+            assert pipe.read() == b"(True, True, True, True)"
+        # The parent's ranks outlived the child and keep serving.
+        assert sorted(p.pid for p in mp.active_children()) == ranks
+        again = solve(grid, field, cfg, topology=(1, 1, 2), backend="procmpi")
+        assert again.field.tobytes() == want
+        assert _counters()[0] == spawns
+
+    @pytest.mark.parametrize("exit_how", ["normal", "sigkill"])
+    def test_no_rank_or_segment_outlives_its_parent(self, exit_how,
+                                                    tmp_path):
+        # Idle ranks wait on their parent's sentinel: a parent killed
+        # outright leaves no rank behind (they were re-parented and
+        # lived on before), and the resource tracker unlinks its
+        # segments once the last rank is gone.  A normal exit drops the
+        # pool before the interpreter ends.
+        if not Path("/proc").is_dir() or live_segments() is None:
+            pytest.skip("needs /proc and /dev/shm")
+        out = tmp_path / "pids"
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        with open(out, "w") as fh:
+            proc = subprocess.Popen([sys.executable, "-c", _PARENT, exit_how],
+                                    stdout=fh, stderr=subprocess.DEVNULL,
+                                    env=env)
+            code = proc.wait(timeout=120)
+        assert code == (-signal.SIGKILL if exit_how == "sigkill" else 0)
+        parent, *ranks = (int(x) for x in out.read_text().split())
+        assert len(ranks) == 2
+        prefix = f"{SEGMENT_PREFIX}{parent}-"
+
+        def leftovers():
+            return ([p for p in ranks if _alive(p)],
+                    [s for s in live_segments() if s.startswith(prefix)])
+
+        deadline = time.monotonic() + (5.0 if exit_how == "sigkill" else 0.0)
+        while any(leftovers()) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = leftovers()
+        for pid in survivors[0]:  # do not leave a regression's orphans
+            os.kill(pid, signal.SIGKILL)
+        assert survivors == ([], [])

@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro import Grid3D, PipelineConfig, RelaxedSpec
+from repro.dist import drop_warm_pool
 from repro.dist.procmpi import ProcMPIError
 from repro.dist.shm import live_segments
 from repro.grid import DirichletBoundary, random_field
@@ -35,8 +36,12 @@ from repro.serve import Service
 
 @pytest.fixture(autouse=True)
 def no_shm_leaks_or_zombies():
+    # solve(backend="procmpi") keeps a warm world between calls; only
+    # what survives dropping it counts as a leak.
+    drop_warm_pool()
     before = live_segments()
     yield
+    drop_warm_pool()
     after = live_segments()
     if before is not None:
         assert after == before
