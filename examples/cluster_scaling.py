@@ -16,11 +16,11 @@ Run:  python examples/cluster_scaling.py
 import numpy as np
 
 from repro import Grid3D, PipelineConfig, RelaxedSpec
-from repro.bench import format_series
 from repro.dist import ClusterModel, distributed_jacobi_pipelined, fig6_variants
 from repro.grid import random_field
 from repro.kernels import reference_sweeps
 from repro.machine import nehalem_ep
+from repro.text import format_series
 
 
 def main() -> None:

@@ -38,7 +38,7 @@ __all__ = ["Fig6Variant", "ScalingPoint", "ClusterModel", "balanced_grid",
 
 W = 8  # bytes per double
 
-#: The paper's pipelined block optimum, shared with repro.bench.figures.
+#: The paper's pipelined block optimum, shared with repro.perf.figures.
 _PIPE_BLOCK = (20, 20, 120)
 
 
@@ -149,8 +149,8 @@ class ClusterModel:
         200^3 for speed).
     domain:
         Edge length of the scaling problem: ``domain^3`` total for strong
-        scaling, ``domain^3`` *per process* for weak scaling (the bench
-        banner's "600^3 strong / 600^3-per-process weak").
+        scaling, ``domain^3`` *per process* for weak scaling (the
+        paper's Fig. 6: "600^3 strong / 600^3-per-process weak").
     """
 
     def __init__(self, machine: MachineSpec,

@@ -329,14 +329,27 @@ class ProcComm(Comm):
 # The drivers: a persistent rank world, and the one-shot run_procs on top.
 # ---------------------------------------------------------------------------
 
-def _serve_main(rank: int, links: _Links, task_q: Any) -> None:
+def _serve_main(rank: int, links: _Links, task_q: Any,
+                parent_pid: Optional[int]) -> None:
     """Entry point of one persistent rank process.
 
     Serves a stream of ``("job", job_id, fn, args)`` tasks until the
     ``("stop",)`` sentinel arrives, or until the parent process dies: an
     idle rank waits on its task queue and on the parent's sentinel
     together, so a parent killed outright (``SIGKILL``) leaves no rank
-    behind.  A task that raises aborts the world and *ends this
+    behind.  The sentinel alone misses a parent that forked before it
+    died — the forked process inherits the sentinel pipe's write end and
+    holds it open — so the wait also wakes once a second and the rank
+    ends when it has been re-parented (``os.getppid()`` is no longer
+    ``parent_pid``, the PID the parent recorded before starting it, so a
+    parent killed while the rank was still importing is caught too).
+    ``PR_SET_PDEATHSIG`` is not an option: it fires when the *thread*
+    that started the rank exits, and sessions are started from worker
+    threads.  Under ``forkserver`` the ranks are children of the fork
+    server, not of the parent process (``parent_pid`` is ``None``), so
+    the re-parenting check only compares against the PID read at start:
+    there a process forked from the parent keeps idle ranks alive until
+    it exits.  A task that raises aborts the world and *ends this
     process*: a failed world is never reused (crash-only recovery) —
     the owning :class:`ProcWorld` reports the root cause and refuses
     further jobs, and its caller spawns a fresh world.
@@ -348,12 +361,16 @@ def _serve_main(rank: int, links: _Links, task_q: Any) -> None:
     # ``_reader`` is the queue's receiving pipe end; this rank is its
     # only reader, so a readable pipe means ``get`` will not block.
     watch = [task_q._reader, mp.parent_process().sentinel]
+    parent = os.getppid() if parent_pid is None else parent_pid
     failed = False
     try:
         while True:
-            if watch[1] in wait(watch):
+            ready = wait(watch, timeout=1.0)
+            if watch[1] in ready or os.getppid() != parent:
                 failed = True  # orphaned: nobody drains our queues now
                 break
+            if not ready:
+                continue
             msg = task_q.get()
             if msg[0] == "stop":
                 break
@@ -529,7 +546,9 @@ class ProcWorld:
                                  result_q=self._result_q, rings=rings)
             self._procs = [
                 ctx.Process(target=_serve_main,
-                            args=(r, self._links, self._task_qs[r]),
+                            args=(r, self._links, self._task_qs[r],
+                                  None if method == "forkserver"
+                                  else os.getpid()),
                             name=f"procmpi-rank-{r}", daemon=True)
                 for r in range(n_ranks)]
             for p in self._procs:

@@ -1,7 +1,7 @@
 """Analytic models from the paper: Eq. 2, Eqs. 4/5, Hockney, Fig. 5.
 
-These are deliberately separate from the simulator so that the benches
-can display *model vs simulation vs paper* side by side — including where
+These are deliberately separate from the simulator so that the figure
+scenarios can hold *model vs simulation vs paper* side by side — including where
 the paper itself shows the model failing (T >= 2 in Fig. 3).
 """
 

@@ -16,7 +16,7 @@ with the large-``t*T`` limit ``Mc/Ms``.  On Nehalem (Ms/Ms,1 ≈ 2,
 Mc/Ms,1 ≈ 8, t = 4) the speedup is ``16T / (7 + 4T)`` → 1.45 at T = 1.
 The model is *diagnostic*: the paper shows it matches at T = 1 and fails
 for larger T once execution decouples from memory bandwidth, which our
-simulator reproduces (see bench_model_validation).
+simulator reproduces (see ``tests/test_figures.py``, model_validation).
 """
 
 from __future__ import annotations

@@ -6,6 +6,8 @@ The measurement subsystem behind ``python -m repro.perf`` (and the
 * :mod:`repro.perf.scenarios` — declarative registry of kernel × grid
   size × backend × pipeline-config scenarios in ``quick`` / ``paper`` /
   ``stress`` suites;
+* :mod:`repro.perf.figures` — the paper's figure and ablation series
+  (calibrated DES and analytic models) behind the ``figure`` scenarios;
 * :mod:`repro.perf.runner` — warmup/repeat timing with
   min/median/mean/stddev statistics and environment capture;
 * :mod:`repro.perf.store` — versioned ``BENCH_<suite>.json`` documents
@@ -14,7 +16,7 @@ The measurement subsystem behind ``python -m repro.perf`` (and the
   files (or one against the :mod:`repro.models` predictions) and fail
   on a >threshold slowdown of any gated metric;
 * :mod:`repro.perf.cli` — the ``run | list | compare | report``
-  front-end.
+  front-end; ``report`` is the one renderer of every record.
 
 See EXPERIMENTS.md for the mapping from paper figures to suites and
 commands.
@@ -31,12 +33,7 @@ from .scenarios import (
     select_scenarios,
     unregister,
 )
-from .runner import (
-    capture_environment,
-    record_from_payload,
-    run_scenario,
-    run_suite,
-)
+from .runner import run_scenario, run_suite
 from .store import (
     StoreError,
     archive_document,
@@ -71,10 +68,8 @@ __all__ = [
     "find_scenario",
     "all_scenarios",
     "select_scenarios",
-    "capture_environment",
     "run_scenario",
     "run_suite",
-    "record_from_payload",
     "StoreError",
     "make_document",
     "save_document",

@@ -1,25 +1,24 @@
-"""Per-figure data-series generators (the experiment index of DESIGN.md).
+"""Per-figure data-series generators (the experiment index of EXPERIMENTS.md).
 
-Each ``fig*`` function returns plain data structures that the matching
-``benchmarks/bench_*.py`` renders; keeping generation separate from the
-pytest-benchmark wrappers makes the series unit-testable.  The
-``repro.perf`` scenario registry wraps these same generators per suite
-scale (``fig3_left@quick`` etc.), and the shape assertions live in the
-bench wrappers themselves (see EXPERIMENTS.md for the full map).
+Each function returns plain data structures.  The scenario registry
+(:mod:`repro.perf.scenarios`) wraps each one, under its own name, per
+suite scale (``fig3_left@quick`` etc.), ``python -m repro.perf report``
+prints the resulting records, and ``tests/test_figures.py`` holds the
+paper-shape bands over the same scenarios.
 
-All pipelined performance numbers come from the calibrated DES; the
-simulation problem size defaults to 300^3 (same block geometry as the
-paper's 600^3, quarter the wall-clock) — MLUP/s rates are size-stable
-above ~250^3, which ``tests/test_sim_pipeline.py`` asserts.
+All pipelined performance numbers come from the calibrated DES on the
+Nehalem EP model; the ``paper`` suite simulates 300^3 (same block
+geometry as the paper's 600^3, quarter the wall-clock) — MLUP/s rates
+are size-stable above ~250^3, which ``tests/test_sim_pipeline.py``
+asserts.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..core.parameters import BarrierSpec, PipelineConfig, RelaxedSpec, SyncSpec
 from ..machine.presets import nehalem_ep
-from ..machine.topology import MachineSpec
 from ..models.halo_model import HaloModel, fig5_parameters
 from ..models.pipeline_model import PipelineModel, nehalem_speedup_formula
 from ..sim.baseline_sim import standard_jacobi_mlups
@@ -27,19 +26,16 @@ from ..sim.costmodel import CodeBalance
 from ..sim.des_pipeline import simulate_pipelined
 
 __all__ = [
-    "DEFAULT_SIM_SHAPE",
     "fig3_left",
     "fig3_right",
-    "fig5_series",
-    "fig6_series",
+    "fig5",
+    "fig6",
     "model_validation",
     "ablation_team_delay",
     "ablation_block_size",
     "ablation_nt_stores",
-    "pipeline_cfg",
 ]
 
-DEFAULT_SIM_SHAPE = (300, 300, 300)
 BLOCK = (20, 20, 120)  # the paper's pipelined optimum (b_x ≈ 120)
 
 
@@ -52,15 +48,13 @@ def pipeline_cfg(teams: int, sync: SyncSpec, T: int = 2,
                           sync=sync, storage=storage)
 
 
-def fig3_left(machine: Optional[MachineSpec] = None,
-              shape: Sequence[int] = DEFAULT_SIM_SHAPE,
-              seed: int = 0) -> Dict[str, Dict[str, float]]:
+def fig3_left(shape: Sequence[int]) -> Dict[str, Dict[str, float]]:
     """Fig. 3 (left): socket & node MLUP/s for the measured variants.
 
     Returns ``{"socket": {variant: mlups}, "node": {...}}`` including the
     Eq. 5 model markers for T=1 and T=2.
     """
-    m = machine or nehalem_ep()
+    m = nehalem_ep()
     out: Dict[str, Dict[str, float]] = {}
     for label, teams in (("socket", 1), ("node", 2)):
         std = standard_jacobi_mlups(m, threads=4 * teams).mlups
@@ -72,9 +66,8 @@ def fig3_left(machine: Optional[MachineSpec] = None,
             ("pipeline relaxed T=1", RelaxedSpec(1, 4), 1),
         ]
         for name, sync, T in variants:
-            rep = simulate_pipelined(m, pipeline_cfg(teams, sync, T), shape,
-                                     seed=seed)
-            vals[name] = rep.mlups
+            vals[name] = simulate_pipelined(
+                m, pipeline_cfg(teams, sync, T), shape).mlups
         model = PipelineModel.from_machine(m)
         vals["model T=1"] = nehalem_speedup_formula(1) * std
         vals["model T=2"] = nehalem_speedup_formula(2) * std
@@ -83,54 +76,46 @@ def fig3_left(machine: Optional[MachineSpec] = None,
     return out
 
 
-def fig3_right(machine: Optional[MachineSpec] = None,
-               shape: Sequence[int] = DEFAULT_SIM_SHAPE,
-               loosenesses: Sequence[int] = (0, 1, 2, 3, 4, 5),
-               seed: int = 0) -> Dict[str, List[Tuple[int, float]]]:
+def fig3_right(shape: Sequence[int], loosenesses: Sequence[int],
+               ) -> Dict[str, List[Tuple[int, float]]]:
     """Fig. 3 (right): performance vs pipeline looseness ``d_u - d_l``."""
-    m = machine or nehalem_ep()
+    m = nehalem_ep()
     out: Dict[str, List[Tuple[int, float]]] = {}
     for label, teams in (("socket", 1), ("node", 2)):
         series = []
         for loose in loosenesses:
             sync = RelaxedSpec(1, 1 + loose)
-            rep = simulate_pipelined(m, pipeline_cfg(teams, sync), shape,
-                                     seed=seed)
+            rep = simulate_pipelined(m, pipeline_cfg(teams, sync), shape)
             series.append((loose, rep.mlups / 1e3))  # GLUP/s like the paper
         out[label] = series
     return out
 
 
-def fig5_series(h_values: Sequence[int] = (2, 4, 8, 16, 32),
-                L_values: Sequence[int] = (2, 3, 5, 8, 12, 20, 32, 50, 80,
-                                           128, 200, 320),
-                expanded_messages: bool = False,
-                ) -> Dict[str, Dict[int, List[Tuple[int, float]]]]:
-    """Fig. 5: multi-layer halo advantage and efficiency inset.
+FIG5_L = (2, 3, 5, 8, 12, 20, 32, 50, 80, 128, 200, 320)  # Fig. 5's x axis
 
-    ``expanded_messages=False`` reproduces the paper's own accounting
-    (message growth from ghost expansion neglected); the bench prints the
-    self-consistent expanded variant alongside.
-    """
+
+def fig5(h_values: Sequence[int],
+         ) -> Dict[str, Dict[int, List[Tuple[int, float]]]]:
+    """Fig. 5: multi-layer halo advantage and efficiency inset over the
+    subdomain sizes :data:`FIG5_L`, in the paper's own accounting
+    (message growth from ghost expansion neglected)."""
     base = fig5_parameters()
     hm = HaloModel(node_lups=base.node_lups, network=base.network,
-                   expanded_messages=expanded_messages)
-    advantage = {h: hm.advantage_series(L_values, h) for h in h_values}
-    inset = {h: hm.efficiency_series(L_values, h) for h in (2, 32)}
+                   expanded_messages=False)
+    advantage = {h: hm.advantage_series(FIG5_L, h) for h in h_values}
+    inset = {h: hm.efficiency_series(FIG5_L, h) for h in (2, 32)}
     return {"advantage": advantage, "efficiency": inset}
 
 
-def fig6_series(machine: Optional[MachineSpec] = None,
-                node_counts: Sequence[int] = (1, 8, 27, 64),
-                ) -> Dict[str, Dict[str, List[Tuple[int, float]]]]:
+def fig6(node_counts: Sequence[int],
+         ) -> Dict[str, Dict[str, List[Tuple[int, float]]]]:
     """Fig. 6: strong and weak scaling for the four measured variants."""
     # Imported lazily: fig6 is the only series that needs the distributed
-    # rail, and the figure-independent bench utilities should not
-    # hard-fail if repro.dist (or a future real-MPI dep) is unavailable.
+    # rail, and the other generators should not hard-fail if repro.dist
+    # (or a future real-MPI dep) is unavailable.
     from ..dist.cluster_sim import ClusterModel, fig6_variants
 
-    m = machine or nehalem_ep()
-    cm = ClusterModel(m)
+    cm = ClusterModel(nehalem_ep())
     out: Dict[str, Dict[str, List[Tuple[int, float]]]] = {
         "strong": {}, "weak": {}}
     for v in fig6_variants():
@@ -144,12 +129,10 @@ def fig6_series(machine: Optional[MachineSpec] = None,
     return out
 
 
-def model_validation(machine: Optional[MachineSpec] = None,
-                     shape: Sequence[int] = DEFAULT_SIM_SHAPE,
-                     T_values: Sequence[int] = (1, 2, 4),
+def model_validation(shape: Sequence[int], T_values: Sequence[int],
                      ) -> List[Dict[str, float]]:
     """E3: Eq. 5 prediction vs simulation per T (model fails at T >= 2)."""
-    m = machine or nehalem_ep()
+    m = nehalem_ep()
     std = standard_jacobi_mlups(m, threads=4).mlups
     model = PipelineModel.from_machine(m)
     rows = []
@@ -167,30 +150,25 @@ def model_validation(machine: Optional[MachineSpec] = None,
     return rows
 
 
-def ablation_team_delay(machine: Optional[MachineSpec] = None,
-                        shape: Sequence[int] = DEFAULT_SIM_SHAPE,
-                        delays: Sequence[int] = (0, 2, 4, 8, 16),
+def ablation_team_delay(shape: Sequence[int], delays: Sequence[int],
                         ) -> List[Tuple[int, float]]:
     """E7: team delay ``d_t`` sweep (paper: ≈3 % improvement at d_t=8)."""
-    m = machine or nehalem_ep()
+    m = nehalem_ep()
     out = []
     for dt in delays:
-        rep = simulate_pipelined(
-            m, pipeline_cfg(2, RelaxedSpec(1, 4, team_delay=dt)), shape)
-        out.append((dt, rep.mlups))
+        cfg = pipeline_cfg(2, RelaxedSpec(1, 4, team_delay=dt))
+        out.append((dt, simulate_pipelined(m, cfg, shape).mlups))
     return out
 
 
-def ablation_block_size(machine: Optional[MachineSpec] = None,
-                        shape: Sequence[int] = DEFAULT_SIM_SHAPE,
-                        bx_values: Sequence[int] = (30, 60, 120, 300),
+def ablation_block_size(shape: Sequence[int], bx_values: Sequence[int],
                         ) -> List[Tuple[int, float, int]]:
     """E8: inner block length sweep; returns (b_x, mlups, reloads).
 
     Large blocks with loose pipelines overflow the shared cache —
     "d_u and the blocksize are strongly coupled".
     """
-    m = machine or nehalem_ep()
+    m = nehalem_ep()
     out = []
     for bx in bx_values:
         cfg = pipeline_cfg(1, RelaxedSpec(1, 4), block=(20, 20, bx))
@@ -199,21 +177,18 @@ def ablation_block_size(machine: Optional[MachineSpec] = None,
     return out
 
 
-def ablation_nt_stores(machine: Optional[MachineSpec] = None,
-                       shape: Sequence[int] = DEFAULT_SIM_SHAPE,
-                       ) -> Dict[str, float]:
+def ablation_nt_stores(shape: Sequence[int]) -> Dict[str, float]:
     """E9: NT stores & storage scheme under temporal blocking.
 
     NT stores leak every update's stores to memory ("unnecessary and even
     counterproductive"); the compressed grid halves the cache footprint.
     """
-    m = machine or nehalem_ep()
+    m = nehalem_ep()
     out = {}
     for label, storage, nt in (("compressed", "compressed", False),
                                ("two-grid", "twogrid", False),
                                ("two-grid + NT stores", "twogrid", True)):
         cfg = pipeline_cfg(1, RelaxedSpec(1, 4), storage=storage)
         bal = CodeBalance.pipelined(storage, nt_stores=nt)
-        rep = simulate_pipelined(m, cfg, shape, balance=bal)
-        out[label] = rep.mlups
+        out[label] = simulate_pipelined(m, cfg, shape, balance=bal).mlups
     return out

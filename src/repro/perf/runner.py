@@ -23,7 +23,6 @@ __all__ = [
     "capture_environment",
     "run_scenario",
     "run_suite",
-    "record_from_payload",
 ]
 
 
@@ -83,23 +82,6 @@ def run_scenario(scenario: Scenario,
     return RunRecord(scenario=scenario.name, kind=scenario.kind,
                      params=dict(scenario.params), wall=wall,
                      metrics=dict(scenario.summarize(payload, wall.median)))
-
-
-def record_from_payload(scenario: Scenario, payload: object,
-                        wall_seconds: float, repeats: int = 1,
-                        warmup: int = 0) -> RunRecord:
-    """Build a record from an externally-timed execution.
-
-    Used by the ``benchmarks/bench_*.py`` wrappers, where
-    pytest-benchmark owns the timing loop and hands us its summary
-    statistic; ``repeats`` records how many rounds that statistic
-    summarises (min/median/mean collapse to it, stddev is unknown -> 0).
-    """
-    wall = WallStats(repeats=repeats, warmup=warmup, min=wall_seconds,
-                     median=wall_seconds, mean=wall_seconds, stddev=0.0)
-    return RunRecord(scenario=scenario.name, kind=scenario.kind,
-                     params=dict(scenario.params), wall=wall,
-                     metrics=dict(scenario.summarize(payload, wall_seconds)))
 
 
 def run_suite(suite: str,

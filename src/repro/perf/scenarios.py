@@ -11,8 +11,8 @@ Scenarios are grouped into **suites**:
 ``quick``
     Small shapes, finishes in well under a minute; the CI smoke gate.
 ``paper``
-    The paper's own problem sizes (300^3-class); regenerates every
-    figure series exactly as the ``benchmarks/bench_*.py`` wrappers do.
+    The paper's own problem sizes (300^3-class), at which every figure
+    series holds the paper-shape bands of ``tests/test_figures.py``.
 ``stress``
     Larger-than-paper shapes and wider topologies for soak runs.
 
@@ -48,7 +48,7 @@ __all__ = [
 SUITES = ("quick", "paper", "stress")
 
 #: Simulation shape per suite — quick trades the >=250^3 size-stability
-#: of the DES rates (see ``repro.bench.figures``) for speed.
+#: of the DES rates (see ``repro.perf.figures``) for speed.
 SUITE_SHAPES: Dict[str, Tuple[int, int, int]] = {
     "quick": (120, 120, 120),
     "paper": (300, 300, 300),
@@ -315,13 +315,14 @@ def _model_validation_model() -> Dict[str, float]:
 # --------------------------------------------------------------------------
 
 def _figure_fn(name: str, kwargs: Mapping[str, object]):
-    """Late-bound figure generator so importing repro.perf stays cheap.
+    """Late-bound generator ``repro.perf.figures.<name>`` so importing
+    repro.perf stays cheap.
 
     ``kwargs`` is the SAME mapping stored as the scenario's call params,
     so the persisted JSON metadata cannot drift from what actually ran.
     """
     def call():
-        from ..bench import figures
+        from . import figures
         return getattr(figures, name)(**kwargs)
     return call
 
@@ -329,46 +330,34 @@ def _figure_fn(name: str, kwargs: Mapping[str, object]):
 def _register_figures() -> None:
     for suite in SUITES:
         shape = SUITE_SHAPES[suite]
-        scale = {"suites": (suite,), "kind": "figure"}
 
-        def figure(base: str, generator: str, call_kwargs, summarize,
-                   description: str, model=None, extra_params=None,
-                   _suite=suite, _scale=scale):
-            """One scale-dependent figure scenario; ``call_kwargs`` is
-            both the generator's argument list and (plus display-only
-            ``extra_params``) the persisted metadata."""
+        def figure(base: str, call_kwargs, summarize, description: str,
+                   model=None, extra_params=None, _suite=suite):
+            """One scale-dependent figure scenario over the generator named
+            ``base``; ``call_kwargs`` is both its argument list and (plus
+            display-only ``extra_params``) the persisted metadata."""
             register(Scenario(
-                name=f"{base}@{_suite}",
-                fn=_figure_fn(generator, call_kwargs),
-                summarize=summarize,
+                name=f"{base}@{_suite}", kind="figure", suites=(_suite,),
+                fn=_figure_fn(base, call_kwargs), summarize=summarize,
                 params={**call_kwargs, **(extra_params or {})},
-                model=model,
-                description=description,
-                **_scale))
+                model=model, description=description))
 
-        figure("fig3_left", "fig3_left", {"shape": shape},
-               _sum_nested_mlups,
+        figure("fig3_left", {"shape": shape}, _sum_nested_mlups,
                "Fig. 3 (left): socket/node MLUP/s per variant",
                model=_fig3_left_model,
                extra_params={"threads_per_team": 4, "teams": [1, 2],
                              "storage": "compressed"})
-        figure("fig3_right", "fig3_right",
-               {"shape": shape, "loosenesses": (0, 1, 2, 3, 4, 5)},
+        figure("fig3_right", {"shape": shape, "loosenesses": (0, 1, 2, 3, 4, 5)},
                partial(_sum_series_map, xname="loose", unit="GLUP/s"),
                "Fig. 3 (right): GLUP/s vs pipeline looseness")
-        figure("model_validation", "model_validation",
-               {"shape": shape, "T_values": MODEL_VALIDATION_T},
-               _sum_model_validation,
-               "Eq. 5 model vs simulation per T",
+        figure("model_validation", {"shape": shape, "T_values": MODEL_VALIDATION_T},
+               _sum_model_validation, "Eq. 5 model vs simulation per T",
                model=_model_validation_model)
-        figure("ablation_team_delay", "ablation_team_delay",
-               {"shape": shape, "delays": (0, 2, 4, 8, 16)},
+        figure("ablation_team_delay", {"shape": shape, "delays": (0, 2, 4, 8, 16)},
                _sum_team_delay, "E7: team delay d_t sweep")
-        figure("ablation_block_size", "ablation_block_size",
-               {"shape": shape, "bx_values": (30, 60, 120, 300)},
+        figure("ablation_block_size", {"shape": shape, "bx_values": (30, 60, 120, 300)},
                _sum_block_size, "E8: inner block length b_x sweep")
-        figure("ablation_nt_stores", "ablation_nt_stores",
-               {"shape": shape}, _sum_nt_stores,
+        figure("ablation_nt_stores", {"shape": shape}, _sum_nt_stores,
                "E9: storage scheme and NT stores")
 
     # Pure analytic models — identical at every scale, in every suite.
@@ -377,7 +366,7 @@ def _register_figures() -> None:
         name="fig5",
         kind="figure",
         suites=SUITES,
-        fn=_figure_fn("fig5_series", fig5_kwargs),
+        fn=_figure_fn("fig5", fig5_kwargs),
         summarize=_sum_fig5,
         params={**fig5_kwargs, "accounting": "paper"},
         description="Fig. 5: multi-layer halo advantage (halo model)",
@@ -387,7 +376,7 @@ def _register_figures() -> None:
         name="fig6",
         kind="figure",
         suites=SUITES,
-        fn=_figure_fn("fig6_series", fig6_kwargs),
+        fn=_figure_fn("fig6", fig6_kwargs),
         summarize=_sum_fig6,
         params=fig6_kwargs,
         description="Fig. 6: strong/weak cluster scaling (cluster model)",
@@ -412,7 +401,6 @@ def _kernel_setup(n: int):
         import numpy as np
 
         from ..grid import Grid3D, random_field
-        from ..kernels.jacobi import jacobi_sweep_padded
 
         grid = Grid3D((n, n, n))
         src = grid.padded(random_field(grid.shape,

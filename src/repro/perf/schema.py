@@ -1,8 +1,8 @@
 """Versioned result schema for the perf harness.
 
-Every artifact the harness writes — ``BENCH_<suite>.json`` documents,
-per-run archives under ``benchmarks/results/`` and the per-figure JSON
-the bench wrappers emit — is built from these three records.  The
+Every artifact the harness writes — ``BENCH_<suite>.json`` documents
+and the per-run archives under ``benchmarks/results/perf/`` — is built
+from these three records.  The
 on-disk layout is::
 
     {

@@ -2,7 +2,7 @@
 
 ``simulate_pipelined`` runs the paper's schedule against the machine
 model; ``standard_jacobi_mlups`` models the streaming baseline.  Both
-return MLUP/s figures that the per-figure benchmarks assemble into the
+return MLUP/s figures that ``repro.perf.figures`` assembles into the
 paper's plots (Fig. 3, Fig. 6 single-node inputs).
 """
 

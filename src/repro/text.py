@@ -1,7 +1,7 @@
 """Plain-text tables, series and banners.
 
-Every ``benchmarks/bench_fig*.py`` prints its figure's data with these
-helpers, as do the monitor's text export and the command-line reports.
+The command-line reports (``python -m repro.perf report`` among them)
+and the monitor's text export print with these helpers.
 The module imports nothing of the package, so a module that prints a
 table does not load the performance rail.
 """
@@ -14,7 +14,7 @@ __all__ = ["banner", "format_table", "format_series", "ratio"]
 
 
 def banner(title: str, width: int = 78) -> str:
-    """A section banner used at the top of each bench's output."""
+    """A section banner used at the top of each report."""
     bar = "=" * width
     return f"{bar}\n{title}\n{bar}"
 

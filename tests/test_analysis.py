@@ -453,9 +453,9 @@ def test_lint_naked_perf_counter():
         naked, path="src/repro/obs/tracer.py")
     assert "no-naked-perf-counter" not in lint_findings(
         naked, path="src/repro/obs/monitor/sampling.py")
-    # Out-of-scope trees (bench owns its own timing loops) are ignored.
+    # Out-of-scope trees (perf owns its own timing loops) are ignored.
     assert "no-naked-perf-counter" not in lint_findings(
-        naked, path="src/repro/bench/harness.py")
+        naked, path="src/repro/perf/runner.py")
     # The sanctioned spelling is clean in scope.
     assert "no-naked-perf-counter" not in lint_findings(
         "from .monitor import monotime\nt0 = monotime()\nprint(t0)\n",

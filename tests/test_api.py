@@ -294,7 +294,8 @@ want = repro.reference_sweeps(grid, field, cfg.total_updates).tobytes()
 class TestImportFootprint:
     # The performance rail (the DES, the machine and cost models, the
     # figure generator) and the distributed rail load on first use only.
-    PERF_RAIL = {"repro.bench", "repro.sim", "repro.models", "repro.machine"}
+    PERF_RAIL = {"repro.perf.figures", "repro.sim", "repro.models",
+                 "repro.machine"}
 
     def test_a_shared_solve_loads_no_performance_rail(self):
         mods = loaded_after(PROBLEM + """

@@ -1,5 +1,6 @@
 """Tests for the cluster model, wavefront baseline, autotuner and figure
-data generators (shape-level; the benches assert the quantitative bands).
+data generators (shape-level; ``tests/test_figures.py`` asserts the
+paper-shape bands over the ``figure`` scenarios).
 """
 
 from __future__ import annotations

@@ -394,6 +394,19 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "a@quick" in out and "wall median" in out
 
+    def test_run_then_report_prints_figure_records(self, tmp_path, capsys):
+        # `report` is the one renderer of the figure scenarios.
+        out = tmp_path / "BENCH_quick.json"
+        assert main(["run", "--suite", "quick", "--filter", "fig[56]",
+                     "--repeats", "1", "--warmup", "0", "--out", str(out),
+                     "--no-archive"]) == 0
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 0
+        report = capsys.readouterr().out
+        assert "fig5  [figure]" in report and "fig6  [figure]" in report
+        assert "advantage/h=2/L=320" in report
+        assert "strong/pipelined 2PPN/nodes=64" in report
+
     def test_report_renders_procmpi_entries_with_nan_and_zero(self, tmp_path,
                                                               capsys):
         # A procmpi scenario record with a NaN throughput (unmeasurable
@@ -465,3 +478,32 @@ class TestCLI:
             assert main(["compare", "--model", str(p), str(p)]) == 2
         finally:
             unregister("climodel@test")
+
+
+def _payload(base):
+    sc = find_scenario(base, "quick")
+    return sc.run_once(sc.setup() if sc.setup is not None else None)
+
+
+class TestHostRail:
+    """E10: the host kernel and functional-solver scenarios run and
+    report sane throughputs and communication counters."""
+
+    def test_host_stream_bandwidth(self):
+        assert _payload("host_stream").bandwidth > 1e8  # else the timer broke
+
+    @pytest.mark.parametrize("base", ["jacobi_sweep", "jacobi_sweep_blocked"])
+    def test_sweep_throughput(self, base):
+        rec = run_scenario(find_scenario(base, "quick"), repeats=1, warmup=0)
+        assert rec.metrics["mlups"].value > 0
+
+    @pytest.mark.parametrize("base", ["solve_shared", "solve_shared_validated"])
+    def test_shared_solve_exchanges_nothing(self, base):
+        res = _payload(base)
+        assert res.stats.cells_updated > 0
+        assert res.bytes_exchanged == 0 and res.messages == 0
+
+    def test_simmpi_solve_communicates(self):
+        res = _payload("solve_simmpi")
+        assert res.n_ranks > 1
+        assert res.bytes_exchanged > 0 and res.messages > 0

@@ -337,9 +337,11 @@ def _alive(pid: int) -> bool:
 
 
 #: A parent that warms a world, prints its PID and its ranks' PIDs, then
-#: exits the way ``argv[1]`` says.
+#: exits the way ``argv[1]`` says.  ``fork-then-sigkill`` first forks a
+#: child that sleeps 10 s (it inherits every pipe the parent holds) and
+#: prints the child's PID on a second line.
 _PARENT = """
-import os, signal, sys
+import os, signal, sys, time
 import multiprocessing as mp
 import numpy as np
 from repro import Grid3D, PipelineConfig, RelaxedSpec, random_field, solve
@@ -351,7 +353,13 @@ if __name__ == "__main__":
     field = random_field(grid.shape, np.random.default_rng(0))
     solve(grid, field, cfg, topology=(1, 1, 2), backend="procmpi")
     print(os.getpid(), *(p.pid for p in mp.active_children()), flush=True)
-    if sys.argv[1] == "sigkill":
+    if sys.argv[1] == "fork-then-sigkill":
+        child = os.fork()
+        if child == 0:
+            time.sleep(10)
+            os._exit(0)
+        print(child, flush=True)
+    if sys.argv[1] != "normal":
         os.kill(os.getpid(), signal.SIGKILL)
 """
 
@@ -427,36 +435,58 @@ class TestWarmWorld:
         assert again.field.tobytes() == want
         assert _counters()[0] == spawns
 
-    @pytest.mark.parametrize("exit_how", ["normal", "sigkill"])
+    @pytest.mark.parametrize("exit_how,start_method", [
+        ("normal", None), ("sigkill", None),
+        ("fork-then-sigkill", "fork"), ("fork-then-sigkill", "spawn")],
+        ids=["normal", "sigkill", "fork-then-sigkill-fork",
+             "fork-then-sigkill-spawn"])
     def test_no_rank_or_segment_outlives_its_parent(self, exit_how,
-                                                    tmp_path):
+                                                    start_method, tmp_path):
         # Idle ranks wait on their parent's sentinel: a parent killed
         # outright leaves no rank behind (they were re-parented and
         # lived on before), and the resource tracker unlinks its
         # segments once the last rank is gone.  A normal exit drops the
-        # pool before the interpreter ends.
+        # pool before the interpreter ends.  A child forked before the
+        # kill holds the sentinel's write end (so the ranks must notice
+        # their re-parenting instead) and the resource tracker's pipe
+        # (so the segments go only once it is killed too).
         if not Path("/proc").is_dir() or live_segments() is None:
             pytest.skip("needs /proc and /dev/shm")
+        if start_method is not None and (
+                not hasattr(os, "fork")
+                or start_method not in mp.get_all_start_methods()):
+            pytest.skip(f"needs os.fork and start method {start_method}")
         out = tmp_path / "pids"
         env = {**os.environ, "PYTHONPATH": str(SRC)}
+        if start_method is not None:
+            env["REPRO_PROCMPI_START"] = start_method
         with open(out, "w") as fh:
             proc = subprocess.Popen([sys.executable, "-c", _PARENT, exit_how],
                                     stdout=fh, stderr=subprocess.DEVNULL,
                                     env=env)
             code = proc.wait(timeout=120)
-        assert code == (-signal.SIGKILL if exit_how == "sigkill" else 0)
-        parent, *ranks = (int(x) for x in out.read_text().split())
+        first, *rest = out.read_text().splitlines()
+        parent, *ranks = (int(x) for x in first.split())
+        children = [int(x) for x in rest]
+        assert code == (0 if exit_how == "normal" else -signal.SIGKILL)
         assert len(ranks) == 2
         prefix = f"{SEGMENT_PREFIX}{parent}-"
+        # Ranks and segments share one deadline from the parent's death.
+        deadline = time.monotonic() + (0.0 if exit_how == "normal" else 5.0)
 
-        def leftovers():
-            return ([p for p in ranks if _alive(p)],
-                    [s for s in live_segments() if s.startswith(prefix)])
+        def wait_for(leftovers):
+            while leftovers() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            return leftovers()
 
-        deadline = time.monotonic() + (5.0 if exit_how == "sigkill" else 0.0)
-        while any(leftovers()) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        survivors = leftovers()
-        for pid in survivors[0]:  # do not leave a regression's orphans
-            os.kill(pid, signal.SIGKILL)
-        assert survivors == ([], [])
+        survivors = wait_for(lambda: [p for p in ranks if _alive(p)])
+        for pid in survivors + children:  # leave no orphan behind
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        if children:  # the segments can only go once the child is gone
+            deadline = time.monotonic() + 5.0
+        segments = wait_for(lambda: [s for s in live_segments()
+                                     if s.startswith(prefix)])
+        assert (survivors, segments) == ([], [])

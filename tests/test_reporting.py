@@ -1,8 +1,8 @@
-"""Unit coverage for the ASCII reporting helpers (repro.text, re-exported by repro.bench)."""
+"""Unit coverage for the ASCII reporting helpers (repro.text)."""
 
 import math
 
-from repro.bench import banner, format_series, format_table, ratio
+from repro.text import banner, format_series, format_table, ratio
 
 
 class TestBanner:
