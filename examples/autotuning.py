@@ -9,8 +9,7 @@ T = 2, d_u in 1..4, compressed grid) should rank near the top.
 Run:  python examples/autotuning.py
 """
 
-from repro.core.autotune import autotune
-from repro.core.wavefront import compare_wavefront
+from repro.core import autotune, compare_wavefront
 from repro.machine import nehalem_ep
 
 

@@ -26,7 +26,7 @@ def main() -> None:
         teams=2,                 # one team per shared cache (socket)
         threads_per_team=4,      # the paper's quad-core cache group
         updates_per_thread=2,    # T = 2, the paper's sweet spot
-        block_size=(6, 64, 64),  # slabs along z for this small demo
+        block_size=(6, 16, 64),  # blocks tile z and y, as the paper's do
         sync=RelaxedSpec(d_l=1, d_u=4),   # Eq. 3 window
         storage="compressed",    # single grid, alternating shift
     )

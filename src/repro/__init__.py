@@ -49,7 +49,6 @@ from .kernels import (
     jacobi7,
     jacobi5_2d,
     reference_sweeps,
-    solve_to_tolerance,
 )
 from .core import (
     BarrierSpec,
@@ -154,11 +153,6 @@ def __getattr__(name: str):
         return getattr(importlib.import_module(".core.autotune", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-
-def __dir__():
-    return sorted(set(globals()) | _DIST_EXPORTS | _SERVE_EXPORTS
-                  | _AUTOTUNE_EXPORTS | _ANALYSIS_EXPORTS | _OBS_EXPORTS)
-
 __all__ = [
     "Engine",
     "available_engines",
@@ -173,7 +167,6 @@ __all__ = [
     "jacobi7",
     "jacobi5_2d",
     "reference_sweeps",
-    "solve_to_tolerance",
     "BarrierSpec",
     "RelaxedSpec",
     "PipelineConfig",

@@ -75,7 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     li = sub.add_parser(
         "lint", help="project-aware AST lint (spawn-pickle, shm "
-                     "lifecycle, engine contract, hygiene)")
+                     "lifecycle, engine contract, span pairing, "
+                     "cond-wait loop, naked perf_counter)")
     li.add_argument("paths", nargs="+", help="files or directories")
     li.add_argument("-v", "--verbose", action="store_true",
                     help="also print notes")

@@ -1,9 +1,9 @@
 """Project-aware AST lint: the repo's own hazard classes, machine-checked.
 
-Generic hygiene rules (dead imports, mutable default arguments, bare
-``except:``) ride along, but the point of this pass is the three rules
-that encode *this* project's invariants — the ones a generic linter
-cannot know:
+Six rules that encode *this* project's invariants — the ones a generic
+linter cannot know.  Generic hygiene (dead imports, mutable default
+arguments, bare ``except:``) is ruff's job (``[tool.ruff.lint]`` in
+``pyproject.toml``), not this pass's:
 
 * **spawn-pickle** — anything handed to a procmpi rank entry
   (``run_procs``/``run_job``) crosses a ``spawn`` process boundary by
@@ -70,105 +70,6 @@ def _walk_defs(tree: ast.Module):
             else:
                 yield from rec(child, depth)
     yield from rec(tree, 0)
-
-
-def _dunder_all(tree: ast.Module) -> Tuple[bool, List[str]]:
-    """Whether the module defines ``__all__`` and the literal names in it."""
-    names: List[str] = []
-    found = False
-    for node in tree.body:
-        targets = []
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-        elif isinstance(node, ast.AugAssign):
-            targets = [node.target]
-        for t in targets:
-            if isinstance(t, ast.Name) and t.id == "__all__":
-                found = True
-                for elt in ast.walk(node):
-                    if isinstance(elt, ast.Constant) and isinstance(elt.value, str):
-                        names.append(elt.value)
-    return found, names
-
-
-# -- generic hygiene ----------------------------------------------------------
-
-
-def check_dead_imports(path: str, tree: ast.Module,
-                       lines: Sequence[str]) -> Iterator[Issue]:
-    """Imported names never referenced in the module (ruff F401).
-
-    ``__init__.py`` modules re-export: names listed in ``__all__`` count
-    as used, and an ``__init__.py`` without ``__all__`` is skipped
-    entirely (every import there is plausibly a re-export).
-    """
-    is_init = Path(path).name == "__init__.py"
-    has_all, all_names = _dunder_all(tree)
-    if is_init and not has_all:
-        return
-    imported = {}  # binding -> (line, shown-name)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                binding = alias.asname or alias.name.split(".")[0]
-                imported[binding] = (node.lineno, alias.name)
-        elif isinstance(node, ast.ImportFrom):
-            if node.module == "__future__":
-                continue
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                binding = alias.asname or alias.name
-                imported[binding] = (node.lineno, alias.name)
-    if not imported:
-        return
-    used = set(all_names)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            used.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            # getattr-style dynamic use is rare; Name covers the base.
-            pass
-    for binding, (line, shown) in sorted(imported.items(),
-                                         key=lambda kv: kv[1][0]):
-        if binding not in used:
-            yield ("dead-import", line,
-                   f"{shown!r} is imported but never used",
-                   lines[line - 1].strip() if line <= len(lines) else "")
-
-
-def check_mutable_defaults(path: str, tree: ast.Module,
-                           lines: Sequence[str]) -> Iterator[Issue]:
-    """Mutable default argument values (ruff B006)."""
-    mutable_calls = {"list", "dict", "set"}
-    for node, _depth in _walk_defs(tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        defaults = list(node.args.defaults) + [
-            d for d in node.args.kw_defaults if d is not None]
-        for d in defaults:
-            bad = isinstance(d, (ast.List, ast.Dict, ast.Set,
-                                 ast.ListComp, ast.DictComp, ast.SetComp))
-            if (isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
-                    and d.func.id in mutable_calls):
-                bad = True
-            if bad:
-                yield ("mutable-default", d.lineno,
-                       f"function {node.name!r} has a mutable default "
-                       "argument (shared across calls)",
-                       lines[d.lineno - 1].strip()
-                       if d.lineno <= len(lines) else "")
-
-
-def check_bare_except(path: str, tree: ast.Module,
-                      lines: Sequence[str]) -> Iterator[Issue]:
-    """``except:`` with no exception type (ruff E722)."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ExceptHandler) and node.type is None:
-            yield ("bare-except", node.lineno,
-                   "bare 'except:' swallows SystemExit/KeyboardInterrupt",
-                   lines[node.lineno - 1].strip()
-                   if node.lineno <= len(lines) else "")
 
 
 # -- project rules ------------------------------------------------------------
@@ -454,9 +355,6 @@ def check_no_naked_perf_counter(path: str, tree: ast.Module,
 
 #: The rule set, in report order.
 CHECKERS: Tuple[Checker, ...] = (
-    check_dead_imports,
-    check_mutable_defaults,
-    check_bare_except,
     check_spawn_pickle,
     check_shm_lifecycle,
     check_engine_contract,

@@ -24,7 +24,7 @@ from .parameters import BarrierSpec, PipelineConfig, RelaxedSpec, SyncSpec
 from .sync import (BarrierPolicy, RelaxedPolicy, SyncPolicy, effective_windows,
                    make_policy)
 from .storage import CompressedStorage, StorageError, TwoGridStorage, make_storage
-from .schedule import make_decomposition
+from ..grid.blocks import make_decomposition
 from .executor import ExecutionStats, ORDERS, PipelineExecutor, ScheduleDeadlock
 from .pipeline import SolveResult, run_pipelined
 

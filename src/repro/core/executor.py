@@ -72,13 +72,13 @@ import numpy as np
 
 from ..engine import get_engine
 from ..engine.numpy_engine import SLAB_BYTES
-from ..grid.blocks import AxisSpan, BlockDecomposition, RowKey, axis_row
+from ..grid.blocks import (AxisSpan, BlockDecomposition, RowKey, axis_row,
+                           make_decomposition)
 from ..grid.grid3d import Grid3D
 from ..grid.region import Box
 from ..kernels.stencils import StarStencil
 from ..obs.tracer import NULL_TRACER, Tracer
 from .parameters import PipelineConfig
-from .schedule import make_decomposition
 from .storage import CompressedStorage, make_storage
 from .sync import CounterBoard, SyncAborted, make_policy
 
@@ -124,10 +124,6 @@ class ExecutionStats:
     def to_json(self) -> Dict[str, Any]:
         """The counters, trace left out; ``ExecutionStats(**doc)`` rebuilds them."""
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "trace"}
-
-    def mlups_equivalent(self, seconds: float) -> float:
-        """Convenience: cell updates per second if the run took ``seconds``."""
-        return self.cells_updated / seconds / 1e6 if seconds > 0 else float("nan")
 
 
 #: Merged spans the process-wide :func:`_run_span` memo holds.

@@ -75,11 +75,6 @@ class RelaxedSpec:
         if self.team_delay < 0:
             raise ValueError("team_delay must be >= 0")
 
-    @property
-    def looseness(self) -> int:
-        """The x-axis of Fig. 3 (right): ``d_u - d_l``."""
-        return self.d_u - self.d_l
-
     def describe(self) -> str:
         """Short label for reports."""
         s = f"relaxed(d_l={self.d_l},d_u={self.d_u}"
@@ -144,10 +139,6 @@ class StageLayout:
     def is_team_front(self, stage: int) -> bool:
         """True if ``stage`` is the front (first) thread of its team."""
         return stage % self.threads_per_team == 0
-
-    def is_team_rear(self, stage: int) -> bool:
-        """True if ``stage`` is the rear (last) thread of its team."""
-        return stage % self.threads_per_team == self.threads_per_team - 1
 
     def stage_updates(self, stage: int) -> range:
         """Pass-local update numbers performed by ``stage`` (1-based)."""

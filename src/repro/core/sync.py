@@ -336,11 +336,6 @@ class CounterBoard:
         with self._cond:
             return self._max_gap
 
-    def snapshot(self) -> Tuple[List[int], List[bool]]:
-        """Consistent copy of (counters, finished) for diagnostics."""
-        with self._cond:
-            return list(self.counters), list(self._finished)
-
     @property
     def done(self) -> bool:
         with self._cond:

@@ -21,7 +21,7 @@ Built from five pieces, bottom-up:
 
 from .comm import Comm, MPI4PyComm
 from .decomp import CartesianDecomposition, RankGeometry
-from .exchange import exchange_plan, plan_bytes
+from .exchange import exchange_plan
 from .procmpi import SPAWNS_COUNTER, ProcComm, ProcMPIError, ProcWorld, run_procs
 from .shm import SEGMENTS_COUNTER, ShmPool, live_segments
 from .simmpi import RankComm, SimMPIError, run_ranks
@@ -47,7 +47,6 @@ __all__ = [
     "CartesianDecomposition",
     "RankGeometry",
     "exchange_plan",
-    "plan_bytes",
     "RankComm",
     "SimMPIError",
     "run_ranks",

@@ -125,12 +125,6 @@ class ScalingPoint:
     useful_time: float        # core updates alone at the process rate
     subdomain: Tuple[float, float, float]
 
-    @property
-    def efficiency(self) -> float:
-        """Useful-update fraction of the superstep (1 = no overhead)."""
-        total = self.compute_time + self.comm_time
-        return 0.0 if total <= 0 else self.useful_time / total
-
 
 class ClusterModel:
     """Strong/weak scaling projection on the paper's QDR-IB cluster.

@@ -11,19 +11,25 @@ protocol rather than a concrete transport, so the same code runs on
   in when ``mpi4py`` is available (it is deliberately *not* imported at
   module load, so the package works on machines without MPI).
 
-The surface is the minimal subset the ghost-cell-expansion protocol
-needs: point-to-point ``send``/``recv``/``sendrecv`` plus the three
-collectives the drivers use (``gather``, ``allreduce_max``, ``barrier``).
-Sends are *buffered* (copy-on-send): a rank may mutate its buffer the
-moment ``send`` returns, and consecutive buffered sends cannot deadlock —
-the property the 3-phase exchange relies on.
+The surface is what the ghost-cell-expansion protocol needs and nothing
+more: point-to-point ``send(dest, data)`` and ``recv(src)``.  There are
+no collectives; the drivers collect per-rank results from the return
+values of the rank function.
+
+* Sends are *buffered* (copy-on-send): a rank may mutate its buffer the
+  moment ``send`` returns, and consecutive buffered sends cannot
+  deadlock — the property the 3-phase exchange relies on.
+* Delivery is *source-ordered*: messages from one rank to another
+  arrive in send order, so a receiver needs no tags.
+* ``recv`` blocks until the next message from ``src`` arrives; a
+  transport whose peer failed raises instead of hanging.
 """
 
 from __future__ import annotations
 
 import copy as _copy
 from abc import ABC, abstractmethod
-from typing import Any, List, Optional
+from typing import Any, List
 
 import numpy as np
 
@@ -33,9 +39,9 @@ __all__ = ["Comm", "MPI4PyComm", "snapshot"]
 def snapshot(data: Any) -> Any:
     """Copy-on-send: detach a message from the sender's buffer.
 
-    Shared by every transport that implements buffered sends (simmpi's
-    queues, procmpi's pickled envelopes and root-local gather values),
-    so the copy semantics cannot diverge between them.
+    Used by the thread transport (simmpi), whose messages would otherwise
+    alias the sender's buffer; procmpi copies by pickling or into a ring
+    slot.
     """
     if isinstance(data, np.ndarray):
         return data.copy()
@@ -58,23 +64,6 @@ class Comm(ABC):
     def recv(self, src: int) -> Any:
         """Blocking receive of the next message from ``src``."""
 
-    @abstractmethod
-    def sendrecv(self, dest: int, data: Any, src: int) -> Any:
-        """Combined exchange: send to ``dest``, receive from ``src``."""
-
-    @abstractmethod
-    def gather(self, value: Any, root: int = 0) -> Optional[List[Any]]:
-        """Collect one value per rank; the rank-ordered list at ``root``,
-        ``None`` elsewhere."""
-
-    @abstractmethod
-    def allreduce_max(self, value: float) -> float:
-        """Global maximum of ``value``, returned on every rank."""
-
-    @abstractmethod
-    def barrier(self) -> None:
-        """Block until every rank has entered the barrier."""
-
 
 class MPI4PyComm(Comm):
     """Adapter running the protocol over a real ``mpi4py`` communicator.
@@ -90,7 +79,7 @@ class MPI4PyComm(Comm):
     the eager threshold, which would deadlock two peers sending each
     other large ghost slabs.  The adapter therefore uses ``isend`` and
     parks the request; outstanding requests are drained opportunistically
-    on ``recv`` and completely at every synchronisation point.
+    on ``recv``.
     """
 
     def __init__(self, mpi_comm: Any = None) -> None:
@@ -101,39 +90,16 @@ class MPI4PyComm(Comm):
                 "MPI4PyComm requires the optional 'mpi4py' package; "
                 "install it or use the simmpi backend"
             ) from exc
-        self._mpi = MPI
         self._comm = mpi_comm if mpi_comm is not None else MPI.COMM_WORLD
         self.rank = self._comm.Get_rank()
         self.size = self._comm.Get_size()
         self._pending: List[Any] = []
 
     # pragma-no-cover rationale: exercised only when mpi4py is installed.
-    def _drain(self, wait: bool) -> None:  # pragma: no cover
-        if wait and self._pending:
-            self._mpi.Request.waitall(self._pending)
-            self._pending.clear()
-        else:
-            self._pending = [r for r in self._pending if not r.Test()]
-
     def send(self, dest: int, data: Any) -> None:  # pragma: no cover
         self._pending.append(self._comm.isend(data, dest=dest))
 
     def recv(self, src: int) -> Any:  # pragma: no cover
         out = self._comm.recv(source=src)
-        self._drain(wait=False)
+        self._pending = [r for r in self._pending if not r.Test()]
         return out
-
-    def sendrecv(self, dest: int, data: Any, src: int) -> Any:  # pragma: no cover
-        return self._comm.sendrecv(data, dest=dest, source=src)
-
-    def gather(self, value: Any, root: int = 0):  # pragma: no cover
-        self._drain(wait=True)
-        return self._comm.gather(value, root=root)
-
-    def allreduce_max(self, value: float) -> float:  # pragma: no cover
-        self._drain(wait=True)
-        return self._comm.allreduce(value, op=self._mpi.MAX)
-
-    def barrier(self) -> None:  # pragma: no cover
-        self._drain(wait=True)
-        self._comm.Barrier()

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from ..grid.region import Box, boxes_partition
+from ..grid.region import Box
 
 __all__ = ["RankGeometry", "CartesianDecomposition"]
 
@@ -39,11 +39,6 @@ class RankGeometry:
     coords: Coord
     core: Box
     stored: Box
-
-    @property
-    def ghost_cells(self) -> int:
-        """Number of ghost cells this rank stores (stored minus core)."""
-        return self.stored.ncells - self.core.ncells
 
 
 class CartesianDecomposition:
@@ -154,20 +149,3 @@ class CartesianDecomposition:
         core = self.core_box(coords)
         stored = core.grow(self.halo).intersect(self.domain)
         return RankGeometry(rank=rank, coords=coords, core=core, stored=stored)
-
-    def check_partition(self) -> None:
-        """Verify the rank cores exactly tile the global interior.
-
-        This cannot fail for the balanced split above; it exists so that
-        subclasses with custom splits (load balancing experiments) are
-        validated by the same machinery as the block schedule.
-        """
-        cores = [self.core_box(self.rank_coords(r)) for r in range(self.n_ranks)]
-        if not boxes_partition(cores, self.domain):
-            raise ValueError(
-                f"rank cores do not partition the {self.shape} interior"
-            )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"CartesianDecomposition({self.shape}, {self.proc_grid}, "
-                f"h={self.halo})")

@@ -27,7 +27,7 @@ from typing import List, Tuple
 from ..grid.region import Box
 from .decomp import CartesianDecomposition, RankGeometry
 
-__all__ = ["ExchangeEntry", "exchange_plan", "plan_bytes"]
+__all__ = ["ExchangeEntry", "exchange_plan"]
 
 #: (dim, side, peer, send_box, recv_box) — boxes in global coordinates.
 ExchangeEntry = Tuple[int, int, int, Box, Box]
@@ -82,8 +82,3 @@ def exchange_plan(decomp: CartesianDecomposition,
                          Box(tuple(send_lo), tuple(send_hi)),
                          Box(tuple(recv_lo), tuple(recv_hi))))
     return plan
-
-
-def plan_bytes(plan: List[ExchangeEntry], itemsize: int = 8) -> int:
-    """Bytes this rank sends per superstep under ``plan`` (for models)."""
-    return sum(send.ncells * itemsize for (_, _, _, send, _) in plan)

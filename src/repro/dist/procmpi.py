@@ -15,9 +15,9 @@ protocol with the same three documented guarantees:
   pickled immediately), so consecutive buffered sends cannot deadlock;
 * **source-ordered delivery** — messages between one (src, dst) pair
   arrive in send order (single inbox queue per rank; per-producer FIFO);
-* **fail-fast collectives** — when any rank raises (or dies outright),
-  the others are released from barriers, receives and full send rings
-  with :class:`ProcMPIError` instead of hanging, and :func:`run_procs`
+* **fail-fast** — when any rank raises (or dies outright), the others
+  are released from receives and full send rings with
+  :class:`ProcMPIError` instead of hanging, and :func:`run_procs`
   re-raises the original exception in the parent.
 
 Transport
@@ -26,13 +26,13 @@ Array messages ride in preallocated **halo rings**: per ordered rank
 pair, a shared-memory block of ``slots`` fixed-size slots guarded by a
 semaphore (flow control), with only a tiny envelope going through the
 inbox :class:`multiprocessing.Queue`.  Anything that does not fit a slot
-— collectives, stats objects, oversized arrays — falls back to an
-eagerly pickled envelope, which preserves the semantics at pipe cost.
+— stats objects, oversized arrays — falls back to an eagerly pickled
+envelope, which preserves the semantics at pipe cost.
 
 Lifecycle
 ---------
 :class:`ProcWorld` owns a *persistent* set of rank processes: spawn,
-queues, barrier and halo rings are paid once, then any number of jobs
+queues and halo rings are paid once, then any number of jobs
 (``fn(comm, rank, *args)`` fan-outs) run against the warm world —
 the mechanism behind the warm sessions of
 :class:`repro.dist.solver.SessionPool`, which every procmpi ``solve``
@@ -69,13 +69,13 @@ from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from ..obs.registry import SPAWNS_COUNTER
-from .comm import Comm, snapshot as _snapshot
+from .comm import Comm
 from .shm import ShmBlockHandle, ShmPool, attach_block
 
 __all__ = ["ProcMPIError", "ProcComm", "ProcWorld", "run_procs",
            "default_start_method", "SPAWNS_COUNTER"]
 
-#: How long a blocked receive/barrier/ring-send waits before concluding
+#: How long a blocked receive/ring-send waits before concluding
 #: the run is wedged (mirrors ``simmpi.DEFAULT_TIMEOUT``).
 DEFAULT_TIMEOUT = 120.0
 _POLL = 0.05
@@ -83,6 +83,13 @@ _POLL = 0.05
 _SLOT_ALIGN = 64
 #: Outstanding messages allowed per ordered pair before a send blocks.
 DEFAULT_SLOTS = 2
+#: Serialises rank starts across worlds.  A fork ``Popen`` opens the
+#: child's sentinel pipe before ``os.fork()`` and closes its write end
+#: after; a rank another thread forks in between inherits that write end,
+#: and ``close`` then waits the full ``join`` timeout for a rank that
+#: has already exited (two worlds started at once, as ``Service(workers=2)``
+#: does).
+_START_LOCK = threading.Lock()
 
 
 class ProcMPIError(RuntimeError):
@@ -134,7 +141,6 @@ class _Links:
     size: int
     timeout: float
     abort: Any       # mp.Event
-    barrier: Any     # mp.Barrier(size)
     inboxes: List[Any]   # one mp.Queue per rank
     result_q: Any    # mp.Queue back to the parent
     rings: Dict[Tuple[int, int], _Ring]
@@ -147,8 +153,8 @@ class ProcComm(Comm):
         self.rank = int(rank)
         self.size = links.size
         self._links = links
-        #: Messages dequeued while waiting for a different (src, channel).
-        self._stash: Dict[Tuple[int, str], Deque[Any]] = defaultdict(deque)
+        #: Messages dequeued while waiting for a different source.
+        self._stash: Dict[int, Deque[Any]] = defaultdict(deque)
         #: Ring positions: shm messages sent per dest / decoded per src.
         self._sent: Dict[int, int] = defaultdict(int)
         self._decoded: Dict[int, int] = defaultdict(int)
@@ -184,18 +190,18 @@ class ProcComm(Comm):
                     f"{self._links.timeout:.0f}s (deadlocked exchange or "
                     "dead peer?)")
 
-    def _decode(self, env: Tuple) -> Tuple[int, str, Any]:
-        """Envelope -> (src, channel, value); frees ring slots eagerly.
+    def _decode(self, env: Tuple) -> Tuple[int, Any]:
+        """Envelope -> (src, value); frees ring slots eagerly.
 
         Decoding happens at *dequeue* time even for stashed messages, so
         a slot is never held hostage by an out-of-order receive and the
         sender's semaphore is released as early as possible.
         """
-        kind, channel, src = env[0], env[1], env[2]
+        kind, src = env[0], env[1]
         if kind == "pkl":
-            return src, channel, pickle.loads(env[3])
+            return src, pickle.loads(env[2])
         # kind == "shm": (slot, shape, dtype.str)
-        slot, shape, dtype = env[3], env[4], env[5]
+        slot, shape, dtype = env[2], env[3], env[4]
         ring = self._links.rings[(src, self.rank)]
         expect = self._decoded[src] % ring.slots
         if slot != expect:  # pragma: no cover - internal invariant
@@ -210,10 +216,10 @@ class ProcComm(Comm):
         del vals
         self._decoded[src] += 1
         ring.sem.release()
-        return src, channel, out
+        return src, out
 
-    def _get(self, src: int, channel: str, what: str) -> Any:
-        stash = self._stash[(src, channel)]
+    def _get(self, src: int, what: str) -> Any:
+        stash = self._stash[src]
         if stash:
             return stash.popleft()
         inbox = self._links.inboxes[self.rank]
@@ -228,15 +234,14 @@ class ProcComm(Comm):
                     return False
 
             self._wait(ready, what)
-            sender, chan, value = self._decode(got[0])
-            if (sender, chan) == (src, channel):
+            sender, value = self._decode(got[0])
+            if sender == src:
                 return value
-            self._stash[(sender, chan)].append(value)
+            self._stash[sender].append(value)
 
-    def _put(self, dest: int, data: Any, channel: str) -> None:
+    def _put(self, dest: int, data: Any) -> None:
         ring = self._links.rings.get((self.rank, dest))
-        if (channel == "p2p" and ring is not None
-                and isinstance(data, np.ndarray)
+        if (ring is not None and isinstance(data, np.ndarray)
                 and not data.dtype.hasobject
                 and 0 < data.nbytes <= ring.slot_bytes):
             self._wait(lambda: ring.sem.acquire(timeout=_POLL),
@@ -249,12 +254,11 @@ class ProcComm(Comm):
                                 offset=slot * ring.slot_bytes)
             dst[:] = flat.reshape(-1).view(np.uint8)
             del dst
-            env = ("shm", channel, self.rank, slot, data.shape,
-                   data.dtype.str)
+            env = ("shm", self.rank, slot, data.shape, data.dtype.str)
         else:
             # Eager pickling *is* the copy-on-send snapshot: the sender
             # may mutate its buffer the moment this returns.
-            env = ("pkl", channel, self.rank,
+            env = ("pkl", self.rank,
                    pickle.dumps(data, protocol=pickle.HIGHEST_PROTOCOL))
         self._links.inboxes[dest].put(env)
 
@@ -272,57 +276,12 @@ class ProcComm(Comm):
     def send(self, dest: int, data: Any) -> None:
         """Buffered send: the message is detached from ``data`` now."""
         self._check_peer(dest)
-        self._put(dest, data, "p2p")
+        self._put(dest, data)
 
     def recv(self, src: int) -> Any:
         """Blocking receive of the next message from ``src``."""
         self._check_peer(src)
-        return self._get(src, "p2p", f"recv from rank {src}")
-
-    def sendrecv(self, dest: int, data: Any, src: int) -> Any:
-        """Exchange: buffered send to ``dest``, then receive from ``src``."""
-        self.send(dest, data)
-        return self.recv(src)
-
-    # -- collectives -------------------------------------------------------------
-
-    def barrier(self) -> None:
-        """Synchronise all ranks; raises :class:`ProcMPIError` on abort."""
-        try:
-            self._links.barrier.wait(timeout=self._links.timeout)
-        except threading.BrokenBarrierError:
-            msg = f"rank {self.rank}: barrier broken (peer failed or timeout)"
-            if self._links.abort.is_set():
-                raise _abort_released(msg) from None
-            raise ProcMPIError(msg) from None
-
-    def gather(self, value: Any, root: int = 0) -> Optional[List[Any]]:
-        """Rank-ordered list of everyone's ``value`` at ``root``, else None."""
-        if self.rank == root:
-            out: List[Any] = []
-            for src in range(self.size):
-                if src == root:
-                    out.append(_snapshot(value))
-                else:
-                    out.append(self._get(src, "coll",
-                                         f"gather from rank {src}"))
-            return out
-        self._put(root, value, "coll")
-        return None
-
-    def _bcast(self, value: Any, root: int) -> Any:
-        if self.rank == root:
-            for dst in range(self.size):
-                if dst != root:
-                    self._put(dst, value, "coll")
-            return value
-        return self._get(root, "coll", f"bcast from rank {root}")
-
-    def allreduce_max(self, value: float) -> float:
-        """Global maximum, available on every rank (gather + broadcast)."""
-        gathered = self.gather(value, root=0)
-        result = max(gathered) if self.rank == 0 else None
-        return self._bcast(result, root=0)
+        return self._get(src, f"recv from rank {src}")
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +346,6 @@ def _serve_main(rank: int, links: _Links, task_q: Any,
             except BaseException as exc:  # noqa: BLE001 — must reach the parent
                 failed = True
                 links.abort.set()
-                try:
-                    links.barrier.abort()
-                except Exception:
-                    pass
                 try:
                     payload: Optional[bytes] = pickle.dumps(exc)
                 except Exception:
@@ -488,8 +443,8 @@ class ProcWorld:
 
     All one-time cost lives in the constructor: the process spawns (the
     expensive part, especially under the spawn start method where every
-    rank re-imports the interpreter), the shared abort/barrier/queue
-    primitives, and the flow-controlled shared-memory halo rings.
+    rank re-imports the interpreter), the shared abort event and queues,
+    and the flow-controlled shared-memory halo rings.
     :meth:`run_job` then dispatches one ``fn(comm, rank, *args)`` to
     every rank and collects the rank-ordered results — the per-job path
     pays **no** setup, which is what the serving layer's warm worker
@@ -503,8 +458,8 @@ class ProcWorld:
 
     Failure is crash-only: if any rank raises or dies, the world aborts,
     every rank process exits, :meth:`run_job` re-raises the root cause
-    and the world refuses further jobs (:attr:`broken`).  Callers keep a
-    warm world for the happy path and replace it wholesale on failure —
+    and the world refuses further jobs.  Callers keep a warm world for
+    the happy path and replace it wholesale on failure —
     there is no in-place repair of a half-poisoned exchange state.
     """
 
@@ -541,7 +496,6 @@ class ProcWorld:
             rings = _make_rings(ctx, self._pool, pair_bytes, slots, n_ranks)
             self._links = _Links(size=n_ranks, timeout=timeout,
                                  abort=ctx.Event(),
-                                 barrier=ctx.Barrier(n_ranks),
                                  inboxes=self._inboxes,
                                  result_q=self._result_q, rings=rings)
             self._procs = [
@@ -551,8 +505,9 @@ class ProcWorld:
                                   else os.getpid()),
                             name=f"procmpi-rank-{r}", daemon=True)
                 for r in range(n_ranks)]
-            for p in self._procs:
-                p.start()
+            with _START_LOCK:
+                for p in self._procs:
+                    p.start()
             from ..obs import registry
 
             registry.inc(SPAWNS_COUNTER, n_ranks)
@@ -569,19 +524,14 @@ class ProcWorld:
     def closed(self) -> bool:
         return self._closed
 
-    @property
-    def broken(self) -> bool:
-        """True once a job failed; a broken world refuses further jobs."""
-        return self._broken
-
     def run_job(self, fn: Callable[..., Any], args: Tuple = ()) -> List[Any]:
         """Execute ``fn(comm, rank, *args)`` once on every rank.
 
         Returns the per-rank return values in rank order.  If any rank
-        raises, the world is aborted (peers blocked in receives, sends
-        and barriers are released with :class:`ProcMPIError`), the
+        raises, the world is aborted (peers blocked in receives and sends
+        are released with :class:`ProcMPIError`), the
         *original* exception is re-raised here, and the world is closed
-        and marked :attr:`broken`; a rank that dies without reporting
+        and marked broken; a rank that dies without reporting
         (killed, segfault) surfaces as a :class:`ProcMPIError` naming
         the exit code.  Either way no shared-memory segment outlives the
         failure and no rank process is left behind.
@@ -603,13 +553,6 @@ class ProcWorld:
         death_errors: List[Optional[BaseException]] = [None] * n_ranks
         reported = [False] * n_ranks
 
-        def do_abort() -> None:
-            self._links.abort.set()
-            try:
-                self._links.barrier.abort()
-            except Exception:  # pragma: no cover
-                pass
-
         def record(msg: Tuple) -> None:
             kind, rank, jid = msg[0], msg[1], msg[2]
             if jid != job_id:  # pragma: no cover - broken worlds never serve
@@ -619,7 +562,7 @@ class ProcWorld:
                 results[rank] = pickle.loads(msg[3])
             else:
                 errors[rank] = _reconstruct(msg)
-                do_abort()
+                self._links.abort.set()
 
         # No global wall-clock cap here: `timeout` bounds *blocked*
         # communication inside the ranks (they self-report a
@@ -644,7 +587,7 @@ class ProcWorld:
                         death_errors[r] = ProcMPIError(
                             f"rank {r} died without reporting "
                             f"(exit code {p.exitcode})")
-                        do_abort()
+                        self._links.abort.set()
                     break
         self.jobs_run += 1
         root = _root_cause(death_errors, errors)
@@ -689,12 +632,6 @@ class ProcWorld:
                     pass
             self._pool.cleanup()
 
-    def __enter__(self) -> "ProcWorld":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
 
 def run_procs(n_ranks: int, fn: Callable[..., Any],
               args: Tuple = (),
@@ -706,8 +643,8 @@ def run_procs(n_ranks: int, fn: Callable[..., Any],
 
     A one-shot :class:`ProcWorld`: spawn, run the single job, tear
     everything down.  Returns the per-rank return values in rank order.
-    If any rank raises, the world is aborted (peers blocked in receives,
-    sends and barriers are released with :class:`ProcMPIError`) and the
+    If any rank raises, the world is aborted (peers blocked in receives
+    and sends are released with :class:`ProcMPIError`) and the
     *original* exception is re-raised in the caller; a rank that dies
     without reporting (killed, segfault) is detected by the parent and
     surfaces as a :class:`ProcMPIError` naming the exit code.  All

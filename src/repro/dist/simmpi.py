@@ -12,9 +12,9 @@ match the paper's MPI usage where it matters:
   the consecutive per-dimension exchanges);
 * **source-ordered delivery** — messages between one (src, dst) pair
   arrive in send order;
-* **fail-fast collectives** — when any rank raises, the others are
-  released from barriers and receives with :class:`SimMPIError` instead
-  of hanging, and ``run_ranks`` re-raises the original exception.
+* **fail-fast** — when any rank raises, the others are released from
+  receives with :class:`SimMPIError` instead of hanging, and
+  ``run_ranks`` re-raises the original exception.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .comm import Comm, snapshot as _snapshot
 
 __all__ = ["SimMPIError", "RankComm", "run_ranks"]
 
-#: How long a blocked receive/barrier waits before concluding the run is
+#: How long a blocked receive waits before concluding the run is
 #: wedged (a deadlocked exchange or a crashed peer).
 DEFAULT_TIMEOUT = 120.0
 _POLL = 0.05
@@ -44,19 +44,8 @@ class _World:
         self.size = size
         self.timeout = timeout
         self.abort = threading.Event()
-        self.barrier = threading.Barrier(size)
-        # Separate point-to-point and collective channels so a gather can
-        # never consume a ghost-exchange message (MPI "tags", minimally).
-        self.p2p: Dict[Tuple[int, int], queue.Queue] = {}
-        self.coll: Dict[Tuple[int, int], queue.Queue] = {}
-        for s in range(size):
-            for d in range(size):
-                self.p2p[(s, d)] = queue.Queue()
-                self.coll[(s, d)] = queue.Queue()
-
-    def do_abort(self) -> None:
-        self.abort.set()
-        self.barrier.abort()
+        self.p2p: Dict[Tuple[int, int], queue.Queue] = {
+            (s, d): queue.Queue() for s in range(size) for d in range(size)}
 
 
 class RankComm(Comm):
@@ -103,64 +92,15 @@ class RankComm(Comm):
         return self._get(self._world.p2p[(src, self.rank)],
                          f"recv from rank {src}")
 
-    def sendrecv(self, dest: int, data: Any, src: int) -> Any:
-        """Exchange: buffered send to ``dest``, then receive from ``src``.
-
-        Because sends are buffered this cannot deadlock even when every
-        rank calls it simultaneously (the ring-shift pattern).
-        """
-        self.send(dest, data)
-        return self.recv(src)
-
-    # -- collectives -------------------------------------------------------------
-
-    def barrier(self) -> None:
-        """Synchronise all ranks; raises :class:`SimMPIError` on abort."""
-        try:
-            self._world.barrier.wait(timeout=self._world.timeout)
-        except threading.BrokenBarrierError:
-            raise SimMPIError(
-                f"rank {self.rank}: barrier broken (peer failed or timeout)"
-            ) from None
-
-    def gather(self, value: Any, root: int = 0) -> Optional[List[Any]]:
-        """Rank-ordered list of everyone's ``value`` at ``root``, else None."""
-        if self.rank == root:
-            out: List[Any] = []
-            for src in range(self.size):
-                if src == root:
-                    out.append(_snapshot(value))
-                else:
-                    out.append(self._get(self._world.coll[(src, root)],
-                                         f"gather from rank {src}"))
-            return out
-        self._world.coll[(self.rank, root)].put(_snapshot(value))
-        return None
-
-    def _bcast(self, value: Any, root: int) -> Any:
-        if self.rank == root:
-            for dst in range(self.size):
-                if dst != root:
-                    self._world.coll[(root, dst)].put(_snapshot(value))
-            return value
-        return self._get(self._world.coll[(root, self.rank)],
-                         f"bcast from rank {root}")
-
-    def allreduce_max(self, value: float) -> float:
-        """Global maximum, available on every rank (gather + broadcast)."""
-        gathered = self.gather(value, root=0)
-        result = max(gathered) if self.rank == 0 else None
-        return self._bcast(result, root=0)
-
 
 def run_ranks(n_ranks: int, fn: Callable[[RankComm, int], Any],
               timeout: float = DEFAULT_TIMEOUT) -> List[Any]:
     """Execute ``fn(comm, rank)`` on ``n_ranks`` concurrent thread-ranks.
 
     Returns the per-rank return values in rank order.  If any rank
-    raises, the world is aborted (peers blocked in ``recv``/``barrier``
-    are released with :class:`SimMPIError`) and the *original* exception
-    is re-raised in the caller.
+    raises, the world is aborted (peers blocked in ``recv`` are released
+    with :class:`SimMPIError`) and the *original* exception is re-raised
+    in the caller.
     """
     if n_ranks < 1:
         raise ValueError("need at least one rank")
@@ -173,7 +113,7 @@ def run_ranks(n_ranks: int, fn: Callable[[RankComm, int], Any],
             results[rank] = fn(RankComm(rank, world), rank)
         except BaseException as exc:  # noqa: BLE001 — must reach the caller
             errors[rank] = exc
-            world.do_abort()
+            world.abort.set()
 
     threads = [threading.Thread(target=runner, args=(r,),
                                 name=f"simmpi-rank-{r}", daemon=True)

@@ -415,12 +415,6 @@ class ProcSolverSession:
             world.close()
         self._pool.cleanup()
 
-    def __enter__(self) -> "ProcSolverSession":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
 
 class SessionPool:
     """Exclusive check-out pool of warm :class:`ProcSolverSession`\\ s.
@@ -593,12 +587,6 @@ class SessionPool:
             idle, self._idle = self._idle, []
         for session in idle:
             session.close()
-
-    def __enter__(self) -> "SessionPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 #: The warm world behind every ``solve(backend="procmpi")``.

@@ -30,7 +30,7 @@ harness — dispatches through the same registry, so the choice follows
 the configuration everywhere.
 """
 
-from .base import Engine, group_table
+from .base import Engine
 from .numba_deep import NumbaDeepEngine
 from .numba_engine import HAVE_NUMBA, NumbaEngine, jit_cache_stats
 from .numpy_engine import NumpyEngine
@@ -56,7 +56,6 @@ __all__ = [
     "AUTO_ORDER",
     "DEFAULT_ENGINE",
     "KNOWN_ENGINES",
-    "group_table",
     "available_engines",
     "check_engine",
     "engine_semantics",

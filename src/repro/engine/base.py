@@ -56,28 +56,7 @@ import numpy as np
 
 from ..grid.blocks import spans_box
 
-__all__ = ["Engine", "group_table", "plane_axis_and_step"]
-
-
-def group_table(stencil, dtype, perm: Sequence[int] = (0, 1, 2)
-                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:attr:`StarStencil.groups` flattened for a per-cell loop.
-
-    Returns ``(offsets, starts, weights)``: the member offsets as a
-    ``(K, 3)`` int64 array in group order (coordinates permuted by
-    ``perm``), ``starts`` of length ``G + 1`` — group ``g`` owns rows
-    ``starts[g]:starts[g + 1]`` — and the ``G`` group weights cast to the
-    field ``dtype``, so the loop's one multiply per group rounds exactly
-    like the vectorised engines'.
-    """
-    groups = stencil.groups
-    offsets = np.asarray([[off[p] for p in perm]
-                          for _, offs in groups for off in offs],
-                         dtype=np.int64).reshape(-1, 3)
-    starts = np.cumsum([0] + [len(offs) for _, offs in groups],
-                       dtype=np.int64)
-    weights = np.asarray([w for w, _ in groups], dtype=dtype)
-    return offsets, starts, weights
+__all__ = ["Engine", "plane_axis_and_step"]
 
 
 def plane_axis_and_step(storage, level: int) -> Tuple[int, int]:
@@ -168,20 +147,7 @@ class Engine:
 
     # -- conveniences ----------------------------------------------------------
 
-    @property
-    def obs_label(self) -> str:
-        """Stable observability key: the engine keyed by semantics class.
-
-        Span args and metric names use this instead of bare ``name`` so
-        traces group engines the same way the cache does — by the
-        bit-semantics class that actually determines the numbers.
-        """
-        return f"{self.semantics}/{self.name}"
-
     def describe(self) -> str:
         """One-line summary for tables and reports."""
         extra = " [jit]" if self.jit else ""
         return f"{self.name}({self.semantics}){extra}"
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<Engine {self.describe()}>"

@@ -45,12 +45,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import group_table, plane_axis_and_step
+from .base import plane_axis_and_step
 from .numba_engine import (
     HAVE_NUMBA,
     NumbaEngine,
     _JIT_DISPATCHERS,
     _on_main_thread,
+    group_table,
     prange,
 )
 

@@ -11,7 +11,7 @@ CI runs the suite both ways so the clean environment can never break
 
 Bit-identity with the numpy engine holds because the compiled loop
 replays the same per-cell sequence — :attr:`StarStencil.groups`,
-flattened by :func:`~repro.engine.base.group_table`: each group's values
+flattened by :func:`group_table`: each group's values
 summed in order, one multiply by the group weight, products added in
 order, the first product starting the accumulator — in the field dtype,
 with ``fastmath`` left off so no reassociation or FMA contraction is
@@ -36,13 +36,13 @@ numpy):
 from __future__ import annotations
 
 import threading
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from .base import Engine, group_table
+from .base import Engine
 
-__all__ = ["HAVE_NUMBA", "NumbaEngine", "jit_cache_stats"]
+__all__ = ["HAVE_NUMBA", "NumbaEngine", "group_table", "jit_cache_stats"]
 
 try:  # pragma: no cover - exercised only where numba is installed
     import numba
@@ -140,6 +140,27 @@ _JIT_DISPATCHERS: list = []
 if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
     _JIT_DISPATCHERS.extend([_fused_terms, _fused_terms_nogil,
                              _fused_padded, _fused_padded_nogil])
+
+
+def group_table(stencil, dtype, perm: Sequence[int] = (0, 1, 2)
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:attr:`StarStencil.groups` flattened for a per-cell loop.
+
+    Returns ``(offsets, starts, weights)``: the member offsets as a
+    ``(K, 3)`` int64 array in group order (coordinates permuted by
+    ``perm``), ``starts`` of length ``G + 1`` — group ``g`` owns rows
+    ``starts[g]:starts[g + 1]`` — and the ``G`` group weights cast to the
+    field ``dtype``, so the loop's one multiply per group rounds exactly
+    like the vectorised engines'.
+    """
+    groups = stencil.groups
+    offsets = np.asarray([[off[p] for p in perm]
+                          for _, offs in groups for off in offs],
+                         dtype=np.int64).reshape(-1, 3)
+    starts = np.cumsum([0] + [len(offs) for _, offs in groups],
+                       dtype=np.int64)
+    weights = np.asarray([w for w, _ in groups], dtype=dtype)
+    return offsets, starts, weights
 
 
 def jit_cache_stats() -> dict:

@@ -7,14 +7,12 @@ decomposition (:mod:`.blocks`).  Distributed-memory domain decomposition
 lives in :mod:`repro.dist.decomp` on top of these.
 """
 
-from .region import Box, bounding_box, boxes_are_disjoint, boxes_partition
+from .region import Box, boxes_partition
 from .grid3d import DirichletBoundary, Grid3D, random_field
 from .blocks import BlockDecomposition, block_count
 
 __all__ = [
     "Box",
-    "bounding_box",
-    "boxes_are_disjoint",
     "boxes_partition",
     "DirichletBoundary",
     "Grid3D",

@@ -31,7 +31,8 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .region import Box
 
 __all__ = ["AxisSpan", "BlockDecomposition", "ROW_MEMO_SIZE", "RowKey",
-           "Spans", "axis_row", "block_count", "box_spans", "spans_box"]
+           "Spans", "axis_row", "block_count", "box_spans",
+           "make_decomposition", "spans_box"]
 
 #: Rows the process-wide memo holds (least recently used goes first).  A
 #: solve touches ``3 * updates_per_pass`` of them per traversal direction
@@ -286,3 +287,12 @@ class BlockDecomposition:
         """Nominal bytes of one (full) block for one or more field arrays."""
         b = self.block_size
         return b[0] * b[1] * b[2] * itemsize * arrays
+
+
+def make_decomposition(domain: Box, config) -> BlockDecomposition:
+    """The block decomposition a :class:`~repro.core.PipelineConfig` implies.
+
+    The traversal geometry the executor and the DES build from a
+    configuration; legality is decided by :mod:`repro.analysis` alone.
+    """
+    return BlockDecomposition(domain, config.block_size, config.max_shift)

@@ -113,11 +113,6 @@ class Grid3D:
         """The interior as a box ``[0, shape)``."""
         return Box.from_shape(self.shape)
 
-    @property
-    def ncells(self) -> int:
-        """Number of interior cells."""
-        return self.shape[0] * self.shape[1] * self.shape[2]
-
     def make_field(self, init: InitSpec = 0.0) -> np.ndarray:
         """Materialise an interior field from a scalar, array or callable."""
         if callable(init):

@@ -17,9 +17,9 @@ object, not by boxes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple
+from typing import Sequence, Tuple
 
-__all__ = ["Box", "bounding_box", "boxes_are_disjoint", "boxes_partition"]
+__all__ = ["Box", "boxes_partition"]
 
 Coord = Tuple[int, int, int]
 
@@ -57,11 +57,6 @@ class Box:
         """The box ``[0, shape)`` covering a whole interior of ``shape``."""
         return Box((0, 0, 0), (int(shape[0]), int(shape[1]), int(shape[2])))
 
-    @staticmethod
-    def empty() -> "Box":
-        """A canonical empty box."""
-        return Box((0, 0, 0), (0, 0, 0))
-
     # -- predicates ------------------------------------------------------------
 
     @property
@@ -69,10 +64,6 @@ class Box:
         """True if the box contains no cells."""
         lo, hi = self.lo, self.hi
         return hi[0] <= lo[0] or hi[1] <= lo[1] or hi[2] <= lo[2]
-
-    def contains(self, cell: Sequence[int]) -> bool:
-        """True if ``cell`` lies inside the box."""
-        return all(self.lo[d] <= cell[d] < self.hi[d] for d in range(3))
 
     def contains_box(self, other: "Box") -> bool:
         """True if ``other`` is fully inside this box (empty boxes always are)."""
@@ -96,14 +87,6 @@ class Box:
         s = self.shape
         return s[0] * s[1] * s[2]
 
-    def surface_cells(self) -> int:
-        """Number of cells on the one-cell-thick surface shell of the box."""
-        if self.is_empty:
-            return 0
-        s = self.shape
-        inner = tuple(max(0, e - 2) for e in s)
-        return self.ncells - inner[0] * inner[1] * inner[2]
-
     # -- transformations ---------------------------------------------------------
 
     def shift(self, vec: Sequence[int]) -> "Box":
@@ -118,39 +101,11 @@ class Box:
         hi = tuple(self.hi[d] + layers for d in range(3))
         return Box(lo, hi)  # type: ignore[arg-type]
 
-    def grow_vec(self, per_dim: Sequence[int]) -> "Box":
-        """Expand by ``per_dim[d]`` layers on both faces of dimension ``d``."""
-        lo = tuple(self.lo[d] - per_dim[d] for d in range(3))
-        hi = tuple(self.hi[d] + per_dim[d] for d in range(3))
-        return Box(lo, hi)  # type: ignore[arg-type]
-
     def intersect(self, other: "Box") -> "Box":
         """The intersection box (possibly empty)."""
         lo = tuple(max(self.lo[d], other.lo[d]) for d in range(3))
         hi = tuple(min(self.hi[d], other.hi[d]) for d in range(3))
         return Box(lo, hi)  # type: ignore[arg-type]
-
-    def face(self, dim: int, side: int, width: int = 1) -> "Box":
-        """A slab of ``width`` layers hugging one face of the box.
-
-        Parameters
-        ----------
-        dim:
-            Dimension index 0..2.
-        side:
-            ``-1`` for the low face, ``+1`` for the high face.
-        width:
-            Slab thickness in cells.
-        """
-        if side not in (-1, 1):
-            raise ValueError(f"side must be -1 or +1, got {side}")
-        lo = list(self.lo)
-        hi = list(self.hi)
-        if side < 0:
-            hi[dim] = min(hi[dim], lo[dim] + width)
-        else:
-            lo[dim] = max(lo[dim], hi[dim] - width)
-        return Box(tuple(lo), tuple(hi))  # type: ignore[arg-type]
 
     def outer_face(self, dim: int, side: int, width: int = 1) -> "Box":
         """A slab of ``width`` layers *outside* the box, adjacent to one face."""
@@ -180,38 +135,8 @@ class Box:
         return (slice(l0 + o0, max(l0, h0) + o0), slice(l1 + o1, max(l1, h1) + o1),
                 slice(l2 + o2, max(l2, h2) + o2))
 
-    def iter_cells(self) -> Iterator[Coord]:
-        """Iterate over all cell coordinates (small boxes only; O(ncells))."""
-        for z in range(self.lo[0], self.hi[0]):
-            for y in range(self.lo[1], self.hi[1]):
-                for x in range(self.lo[2], self.hi[2]):
-                    yield (z, y, x)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Box({self.lo}..{self.hi})"
-
-
-def bounding_box(boxes: Sequence[Box]) -> Box:
-    """Smallest box containing every non-empty box in ``boxes``.
-
-    Returns an empty box when there is nothing to bound.
-    """
-    nonempty = [b for b in boxes if not b.is_empty]
-    if not nonempty:
-        return Box.empty()
-    lo = tuple(min(b.lo[d] for b in nonempty) for d in range(3))
-    hi = tuple(max(b.hi[d] for b in nonempty) for d in range(3))
-    return Box(lo, hi)  # type: ignore[arg-type]
-
-
-def boxes_are_disjoint(boxes: Sequence[Box]) -> bool:
-    """True if no two non-empty boxes intersect (O(n^2), for validation)."""
-    nonempty = [b for b in boxes if not b.is_empty]
-    for i in range(len(nonempty)):
-        for j in range(i + 1, len(nonempty)):
-            if not nonempty[i].intersect(nonempty[j]).is_empty:
-                return False
-    return True
 
 
 def boxes_partition(boxes: Sequence[Box], domain: Box) -> bool:
@@ -220,8 +145,10 @@ def boxes_partition(boxes: Sequence[Box], domain: Box) -> bool:
     Used by the schedule validator: the shifted-and-clipped block regions of
     one time level must tile the (active) domain exactly once.
     """
-    if not boxes_are_disjoint(boxes):
-        return False
+    nonempty = [b for b in boxes if not b.is_empty]
+    for i, a in enumerate(nonempty):
+        if any(not a.intersect(b).is_empty for b in nonempty[i + 1:]):
+            return False
     covered = sum(b.intersect(domain).ncells for b in boxes)
     outside = sum(b.ncells - b.intersect(domain).ncells for b in boxes)
     return covered == domain.ncells and outside == 0

@@ -16,12 +16,7 @@ from .jacobi import (
     jacobi_sweep_blocked,
 )
 from .reference import reference_sweeps, reference_sweep_region
-from .convergence import (
-    change_norm,
-    jacobi_residual,
-    ConvergenceHistory,
-    solve_to_tolerance,
-)
+from .convergence import change_norm, jacobi_residual
 from .lbm import D2Q9, LBMState, poiseuille_profile
 
 __all__ = [
@@ -36,8 +31,6 @@ __all__ = [
     "reference_sweep_region",
     "change_norm",
     "jacobi_residual",
-    "ConvergenceHistory",
-    "solve_to_tolerance",
     "D2Q9",
     "LBMState",
     "poiseuille_profile",

@@ -2,14 +2,13 @@
 
 The paper treats Jacobi as a performance prototype, but a usable library
 must also answer "has my boundary-value problem converged?".  These helpers
-compute residuals and change norms on interior fields and provide a simple
-iterate-until-converged driver used by the heat-equation example.
+compute residuals and change norms on interior fields; the heat-equation
+example reports convergence with them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -17,7 +16,7 @@ from ..grid.grid3d import Grid3D
 from .jacobi import jacobi7, jacobi_sweep_padded
 from .stencils import StarStencil
 
-__all__ = ["change_norm", "jacobi_residual", "ConvergenceHistory", "solve_to_tolerance"]
+__all__ = ["change_norm", "jacobi_residual"]
 
 
 def change_norm(a: np.ndarray, b: np.ndarray, ord: float = np.inf) -> float:
@@ -40,69 +39,3 @@ def jacobi_residual(grid: Grid3D, field: np.ndarray,
     padded = grid.padded(field)
     out = jacobi_sweep_padded(padded, None, st)
     return change_norm(out[1:-1, 1:-1, 1:-1], field, ord=ord)
-
-
-@dataclass
-class ConvergenceHistory:
-    """Record of a convergence run: per-sweep change norms and the result."""
-
-    sweeps: int
-    norms: List[float]
-    field: np.ndarray
-    converged: bool
-
-    @property
-    def final_norm(self) -> float:
-        """The last recorded change norm (inf if no sweep ran)."""
-        return self.norms[-1] if self.norms else float("inf")
-
-    def contraction_rate(self) -> float:
-        """Geometric-mean contraction factor over the recorded sweeps.
-
-        For Jacobi on a Dirichlet box this approaches the spectral radius
-        of the iteration matrix; the tests use it as a sanity invariant
-        (must be < 1).
-        """
-        usable = [n for n in self.norms if n > 0]
-        if len(usable) < 2:
-            return 0.0
-        return float((usable[-1] / usable[0]) ** (1.0 / (len(usable) - 1)))
-
-
-def solve_to_tolerance(
-    grid: Grid3D,
-    field: np.ndarray,
-    tol: float = 1e-8,
-    max_sweeps: int = 10_000,
-    stencil: Optional[StarStencil] = None,
-    sweep_batch: int = 1,
-    callback: Optional[Callable[[int, float], None]] = None,
-) -> ConvergenceHistory:
-    """Iterate plain Jacobi sweeps until the change norm drops below ``tol``.
-
-    ``sweep_batch`` sweeps are applied between norm evaluations (checking
-    every sweep is wasteful for large grids).  The returned history carries
-    the final field; the input array is not modified.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if sweep_batch < 1:
-        raise ValueError("sweep_batch must be >= 1")
-    st = stencil or jacobi7()
-    cur = grid.padded(field)
-    nxt = cur.copy()
-    norms: List[float] = []
-    done = 0
-    while done < max_sweeps:
-        prev = cur[1:-1, 1:-1, 1:-1].copy()
-        for _ in range(min(sweep_batch, max_sweeps - done)):
-            jacobi_sweep_padded(cur, nxt, st)
-            cur, nxt = nxt, cur
-            done += 1
-        norm = change_norm(cur[1:-1, 1:-1, 1:-1], prev)
-        norms.append(norm)
-        if callback is not None:
-            callback(done, norm)
-        if norm < tol:
-            return ConvergenceHistory(done, norms, cur[1:-1, 1:-1, 1:-1].copy(), True)
-    return ConvergenceHistory(done, norms, cur[1:-1, 1:-1, 1:-1].copy(), False)

@@ -101,23 +101,6 @@ class StarStencil:
         return tuple((struct.unpack("<d", bits)[0], tuple(offs))
                      for bits, offs in members.items())
 
-    @property
-    def n_neighbors(self) -> int:
-        """Number of gathered neighbor values per cell."""
-        return len(self.weights)
-
-    @property
-    def flops_per_cell(self) -> int:
-        """Floating-point operations per cell update under ``vector-v2``.
-
-        Counted from :attr:`groups`: the adds inside each group, one
-        multiply per group and the adds between group products.  Plain
-        Jacobi is one group of six — 5 adds + 1 multiply, the 6 flops
-        the paper counts for Eq. 1.
-        """
-        n_terms = sum(len(offs) for _, offs in self.groups)
-        return n_terms + max(len(self.groups) - 1, 0)
-
     def apply(self, center: np.ndarray, neighbors: Sequence[np.ndarray]) -> np.ndarray:
         """Evaluate the stencil on gathered arrays.
 

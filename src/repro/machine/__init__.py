@@ -10,13 +10,8 @@ performance model (Sect. 1.4) and of the discrete-event simulator in
 
 from .topology import CacheLevel, MachineSpec, GB, MB, KB, US
 from .cache import EvictedBlock, SharedCacheModel
-from .stream import (
-    StreamResult,
-    host_stream_copy,
-    saturation_curve,
-    simulated_stream_copy,
-)
-from .presets import PRESETS, core2_quad, future_manycore, get_preset, nehalem_ep
+from .stream import StreamResult, host_stream_copy
+from .presets import nehalem_ep
 
 __all__ = [
     "CacheLevel",
@@ -28,12 +23,6 @@ __all__ = [
     "EvictedBlock",
     "SharedCacheModel",
     "StreamResult",
-    "simulated_stream_copy",
     "host_stream_copy",
-    "saturation_curve",
-    "PRESETS",
     "nehalem_ep",
-    "core2_quad",
-    "future_manycore",
-    "get_preset",
 ]

@@ -56,16 +56,6 @@ class SharedCacheModel:
 
     # -- queries ------------------------------------------------------------------
 
-    @property
-    def used_bytes(self) -> int:
-        """Bytes currently occupied."""
-        return self._used
-
-    @property
-    def resident_blocks(self) -> int:
-        """Number of blocks currently resident."""
-        return len(self._blocks)
-
     def contains(self, key: BlockKey) -> bool:
         """Is the block resident (does not update recency)?"""
         return key in self._blocks
@@ -106,12 +96,6 @@ class SharedCacheModel:
             evicted.append(EvictedBlock(old_key, ob, od))
         return False, evicted
 
-    def mark_dirty(self, key: BlockKey, dirty_bytes: int) -> None:
-        """Raise the dirty-byte count of a resident block (no-op if absent)."""
-        if key in self._blocks:
-            nb, od = self._blocks[key]
-            self._blocks[key] = (nb, max(od, dirty_bytes))
-
     def evict(self, key: BlockKey) -> Optional[EvictedBlock]:
         """Force eviction of one block; returns its record if present."""
         if key not in self._blocks:
@@ -128,9 +112,3 @@ class SharedCacheModel:
         self._blocks.clear()
         self._used = 0
         return out
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits over all touches (NaN before first touch)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else float("nan")

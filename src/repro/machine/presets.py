@@ -1,20 +1,16 @@
-"""Machine presets: the paper's test bed and contrasting designs.
+"""Machine preset: the paper's test bed.
 
 The Nehalem EP numbers are taken directly from the paper (Sect. 1.1, 1.4):
 Xeon 5550, 2 sockets x 4 cores at 2.66 GHz, 8 MB shared L3 per socket,
 ``Ms = 18.5`` GB/s per socket with non-temporal stores, ``Ms,1 ≈ 10`` GB/s
-(so ``Ms/Ms,1 ≈ 2``) and ``Mc ≈ 8 · Ms,1 = 80`` GB/s.  The Core 2 preset
-models the older, more bandwidth-starved design the paper says profits
-more from temporal blocking; the many-core preset extrapolates the
-paper's outlook ("future multicore processors ... can be expected to be
-less balanced").
+(so ``Ms/Ms,1 ≈ 2``) and ``Mc ≈ 8 · Ms,1 = 80`` GB/s.
 """
 
 from __future__ import annotations
 
 from .topology import CacheLevel, GB, KB, MB, MachineSpec
 
-__all__ = ["nehalem_ep", "core2_quad", "future_manycore", "PRESETS", "get_preset"]
+__all__ = ["nehalem_ep"]
 
 
 def nehalem_ep() -> MachineSpec:
@@ -35,73 +31,3 @@ def nehalem_ep() -> MachineSpec:
         core_mlups=520e6,          # in-cache Jacobi rate per core (calibrated)
         jitter_sigma=0.42,         # calibrated: see EXPERIMENTS.md
     )
-
-
-def core2_quad() -> MachineSpec:
-    """A Core 2 era node: strongly bandwidth-starved (Ms/Ms,1 ≈ 1.1).
-
-    On such designs "the potential gain ... is limited" does *not* apply:
-    the paper notes the older Core 2 designs profit more from temporal
-    blocking because adding cores buys almost no extra memory bandwidth.
-    """
-    return MachineSpec(
-        name="Core 2 quad (Harpertown-like)",
-        sockets=2,
-        cores_per_socket=4,
-        clock_hz=2.83e9,
-        caches=(
-            CacheLevel("L1D", 32 * KB, 1, 250 * GB),
-            CacheLevel("L2", 6 * MB, 2, 60 * GB),
-            CacheLevel("L2s", 12 * MB, 4, 60 * GB),  # treat paired L2 as group
-        ),
-        mem_bw_socket=6.5 * GB,
-        mem_bw_single=5.8 * GB,    # one core nearly saturates the FSB
-        remote_bw=5.0 * GB,
-        core_mlups=350e6,
-        jitter_sigma=0.5,
-    )
-
-
-def future_manycore() -> MachineSpec:
-    """A hypothetical many-core chip per the paper's outlook.
-
-    Many cores behind one memory interface: extreme bandwidth starvation
-    (``Ms/Ms,1`` small per-core share), large shared cache bandwidth, and
-    expensive global barriers — the regime where relaxed synchronisation
-    "will be a vital optimization on future many-core designs".
-    """
-    return MachineSpec(
-        name="Future many-core (16c/socket)",
-        sockets=2,
-        cores_per_socket=16,
-        clock_hz=2.0e9,
-        caches=(
-            CacheLevel("L1D", 32 * KB, 1, 250 * GB),
-            CacheLevel("L2", 512 * KB, 1, 120 * GB),
-            CacheLevel("LLC", 32 * MB, 16, 320 * GB),
-        ),
-        mem_bw_socket=40.0 * GB,
-        mem_bw_single=12.0 * GB,
-        remote_bw=25.0 * GB,
-        core_mlups=400e6,
-        barrier_base_cycles=1200.0,
-        barrier_cycles_per_thread=150.0,
-        jitter_sigma=0.6,
-    )
-
-
-PRESETS = {
-    "nehalem_ep": nehalem_ep,
-    "core2_quad": core2_quad,
-    "future_manycore": future_manycore,
-}
-
-
-def get_preset(name: str) -> MachineSpec:
-    """Look up a preset by name (raises with the available keys)."""
-    try:
-        return PRESETS[name]()
-    except KeyError:
-        raise KeyError(
-            f"unknown machine preset {name!r}; available: {sorted(PRESETS)}"
-        ) from None

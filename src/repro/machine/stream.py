@@ -1,29 +1,25 @@
-"""STREAM COPY calibration — simulated (machine model) and on the host.
+"""STREAM COPY calibration on the host.
 
 Eq. 2 of the paper converts STREAM COPY bandwidth into the expected
-baseline Jacobi performance: ``P0 = Ms / 16 bytes`` LUP/s.  The simulated
-variant exposes the machine model's saturation curve (one stream is
-capped at ``Ms,1``, the socket saturates at ``Ms``); the host variant
-measures the actual NumPy copy bandwidth of this container, which the
-kernel micro-benchmarks (experiment E10) use as their own ``Ms``.
+baseline Jacobi performance: ``P0 = Ms / 16 bytes`` LUP/s.
+:func:`host_stream_copy` measures the NumPy copy bandwidth of this host,
+which the host-rail perf scenarios and the wall-clock benchmark use as
+their own ``Ms``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
-from .topology import MachineSpec
-
-__all__ = ["StreamResult", "simulated_stream_copy", "host_stream_copy"]
+__all__ = ["StreamResult", "host_stream_copy"]
 
 
 @dataclass(frozen=True)
 class StreamResult:
-    """Bandwidth measurement/model outcome, bytes per second."""
+    """Bandwidth measurement, bytes per second."""
 
     threads: int
     bandwidth: float
@@ -32,35 +28,6 @@ class StreamResult:
     def gbs(self) -> float:
         """Bandwidth in decimal GB/s for reports."""
         return self.bandwidth / 1e9
-
-
-def simulated_stream_copy(machine: MachineSpec, threads: int,
-                          spread_sockets: bool = False) -> StreamResult:
-    """Model STREAM COPY bandwidth for ``threads`` concurrent streams.
-
-    Each stream is capped at ``Ms,1``; each socket saturates at ``Ms``.
-    ``spread_sockets=True`` distributes threads round-robin over sockets
-    (as OpenMP scatter pinning would), otherwise they fill socket 0 first
-    (compact pinning) — reproducing the familiar saturation plateaus.
-    """
-    if threads < 1:
-        raise ValueError("need at least one thread")
-    if threads > machine.total_cores:
-        raise ValueError(
-            f"{threads} threads exceed {machine.total_cores} cores")
-    per_socket = [0] * machine.sockets
-    for i in range(threads):
-        if spread_sockets:
-            per_socket[i % machine.sockets] += 1
-        else:
-            per_socket[i // machine.cores_per_socket] += 1
-    total = 0.0
-    for n in per_socket:
-        if n:
-            total += min(n * machine.mem_bw_single, machine.mem_bw_socket)
-    total *= machine.stream_efficiency
-    return StreamResult(threads=threads, bandwidth=total,
-                        per_thread=total / threads)
 
 
 def host_stream_copy(n_mb: int = 256, repeats: int = 3) -> StreamResult:
@@ -81,10 +48,3 @@ def host_stream_copy(n_mb: int = 256, repeats: int = 3) -> StreamResult:
         if dt > 0:
             best = max(best, 2.0 * src.nbytes / dt)
     return StreamResult(threads=1, bandwidth=best, per_thread=best)
-
-
-def saturation_curve(machine: MachineSpec,
-                     spread_sockets: bool = False) -> List[StreamResult]:
-    """STREAM bandwidth for 1..total_cores threads (plot/report helper)."""
-    return [simulated_stream_copy(machine, t, spread_sockets)
-            for t in range(1, machine.total_cores + 1)]

@@ -136,31 +136,6 @@ class MachineSpec:
         """The outer-level (socket-shared) cache — the paper's cache group."""
         return self.caches[-1]
 
-    @property
-    def mem_bw_node(self) -> float:
-        """Aggregate node memory bandwidth (all sockets streaming)."""
-        return self.mem_bw_socket * self.sockets
-
-    @property
-    def bandwidth_starvation(self) -> float:
-        """``Ms / Ms,1`` — how far one core is from saturating the bus.
-
-        The paper: a value near 1 means bandwidth scales with cores and
-        temporal blocking cannot help; Nehalem is ≈ 2.
-        """
-        return self.mem_bw_socket / self.mem_bw_single
-
-    @property
-    def cache_memory_ratio(self) -> float:
-        """``Mc / Ms`` — ceiling of the temporal-blocking speedup."""
-        return self.shared_cache.bandwidth / self.mem_bw_socket
-
-    def core_socket(self, core: int) -> int:
-        """Socket index of a (node-global) core index."""
-        if not 0 <= core < self.total_cores:
-            raise IndexError(f"core {core} out of range")
-        return core // self.cores_per_socket
-
     def barrier_cost(self, n_threads: int, n_sockets: int) -> float:
         """Seconds for a global barrier across ``n_threads`` threads.
 

@@ -133,18 +133,6 @@ class HaloModel:
         """The inset: (L, computation/overall) for one halo width."""
         return [(L, self.evaluate(L, h).efficiency) for L in L_values]
 
-    def crossover_L(self, h: int, L_max: int = 512) -> int:
-        """Largest L (binary-search free, linear scan) with advantage > 1.
-
-        The paper observes gains only "at even smaller L ≲ 20"; this
-        returns that boundary for a given h.
-        """
-        last = 0
-        for L in range(1, L_max + 1):
-            if self.advantage(L, h) > 1.0:
-                last = L
-        return last
-
 
 def fig5_parameters() -> HaloModel:
     """The exact parameter set of Fig. 5 (2000 MLUP/s node, QDR-IB)."""

@@ -56,20 +56,6 @@ class NetworkModel:
         """
         return messages * self.message_time(nbytes_per_direction)
 
-    def effective_bandwidth(self, nbytes: float) -> float:
-        """Achieved bandwidth for one message (the latency-rolloff curve).
-
-        "Effective bandwidth rises dramatically with growing message size
-        in the latency-dominated regime" — this is that curve.
-        """
-        if nbytes <= 0:
-            return 0.0
-        return nbytes / self.message_time(nbytes)
-
-    def half_performance_length(self) -> float:
-        """``n_1/2``: message size achieving half the asymptotic bandwidth."""
-        return self.latency * self.bandwidth / (1.0 + self.copy_factor)
-
 
 def qdr_infiniband(copy_factor: float = 0.0) -> NetworkModel:
     """The paper's QDR-IB parameters (3.2 GB/s, 1.8 µs)."""

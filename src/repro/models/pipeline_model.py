@@ -54,39 +54,12 @@ class PipelineModel:
                              ms1=machine.mem_bw_single,
                              mc=machine.shared_cache.bandwidth)
 
-    def block_time(self, t: int, T: int, cells: int = 1) -> float:
-        """Eq. 4: time for the ``t*T`` updates of a team sweep, per cell.
-
-        ``cells`` scales to a whole block.  Bytes: 16 from memory for the
-        first update, ``2*8`` through the cache for each further update.
-        """
-        if t < 1 or T < 1:
-            raise ValueError("t and T must be >= 1")
-        tb = 16.0 / self.ms1 * (1.0 + (t * T - 1) * self.ms1 / self.mc)
-        return tb * cells
-
     def speedup(self, t: int, T: int) -> float:
         """Eq. 5: predicted speedup of pipelined blocking over standard."""
         if t < 1 or T < 1:
             raise ValueError("t and T must be >= 1")
         tT = t * T
         return (self.ms1 / self.ms) * tT / (1.0 + (tT - 1) * self.ms1 / self.mc)
-
-    def speedup_limit(self) -> float:
-        """Large-``t*T`` limit of Eq. 5: ``Mc / Ms``."""
-        return self.mc / self.ms
-
-    def predicted_lups(self, t: int, T: int, baseline_lups: float) -> float:
-        """Absolute prediction: Eq. 5 speedup applied to a measured baseline."""
-        return self.speedup(t, T) * baseline_lups
-
-    def bandwidth_starved(self) -> bool:
-        """True when ``Ms,1`` is close to ``Ms`` (temporal blocking pays).
-
-        "The speedup increases if Ms,1 is close to Ms, which is just
-        another way of saying that the processor is bandwidth-starved."
-        """
-        return self.ms / self.ms1 < 1.5
 
 
 def nehalem_speedup_formula(T: int) -> float:

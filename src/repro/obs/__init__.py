@@ -6,7 +6,7 @@ waits, halo exchange, in-cache block updates), so the runtime must be
 able to show exactly that.  Four pieces:
 
 * **Tracer** (:mod:`repro.obs.tracer`) — nestable spans plus monotonic
-  counters and gauges, a no-op behind a guard variable when disabled
+  counters, a no-op behind a guard variable when disabled
   (the zero-allocation fast path is pinned by a counter-based test).
   ``repro.solve(..., trace=True)`` threads one through the executor,
   the halo exchange, the engine layer and — for the distributed
@@ -20,10 +20,7 @@ able to show exactly that.  Four pieces:
   (:func:`write_chrome_trace`, viewable in ``chrome://tracing`` /
   Perfetto), the flat ``SolveResult.metrics`` dict
   (:func:`trace_metrics`), and a ``python -m repro.obs`` CLI to
-  dump/summarize/diff trace files.  The differential hook
-  (:mod:`repro.obs.differential`) compares traced per-stage occupancy
-  against the calibrated DES prediction — the first step of ROADMAP's
-  "turn the DES on ourselves".
+  dump/summarize/diff trace files.
 * **Monitor** (:mod:`repro.obs.monitor`) — the *live* half: bounded
   registry sampling, deterministic SLO histograms, a flight recorder of
   recent job traces, straggler detection differential-tested against
@@ -38,7 +35,6 @@ Typical use::
     repro.obs.write_chrome_trace(res.trace, "solve.json")
 """
 
-from .differential import StageComparison, compare_stage_occupancy
 from .export import (
     load_chrome_trace,
     span_coverage,
@@ -85,8 +81,6 @@ __all__ = [
     "write_chrome_trace",
     "load_chrome_trace",
     "span_coverage",
-    "StageComparison",
-    "compare_stage_occupancy",
     "Monitor",
     "FixedHistogram",
     "FlightRecord",

@@ -3,8 +3,8 @@
 Writes the JSON Object Format understood by ``chrome://tracing`` /
 Perfetto: a ``traceEvents`` array of complete ("X") events with
 microsecond timestamps, plus metadata ("M") events naming the process
-rows (driver, rank 0, rank 1, ...).  Counters and gauges travel in the
-spec's free-form ``otherData`` so a dumped file round-trips through
+rows (driver, rank 0, rank 1, ...).  Counters travel in the spec's
+free-form ``otherData`` so a dumped file round-trips through
 :func:`load_chrome_trace` without loss (the schema test pins this).
 
 Timestamps are re-based to the trace's earliest span, so files start at
@@ -51,7 +51,6 @@ def to_chrome(trace: Trace) -> Dict[str, object]:
         "displayTimeUnit": "ms",
         "otherData": {
             "counters": dict(trace.counters),
-            "gauges": dict(trace.gauges),
         },
     }
 
@@ -78,7 +77,6 @@ def from_chrome(doc: Dict[str, object]) -> Trace:
     other = doc.get("otherData", {}) or {}
     return Trace(spans=spans,
                  counters=dict(other.get("counters", {})),
-                 gauges=dict(other.get("gauges", {})),
                  processes=processes)
 
 

@@ -48,7 +48,7 @@ def stage_occupancy(trace: Trace) -> Dict[int, float]:
     Shares (not wall fractions) on purpose: the shared rail *simulates*
     stages on one thread, so wall occupancy would measure the schedule
     interleaver, not the work balance.  Shares are comparable between a
-    traced run and the DES prediction — see :mod:`repro.obs.differential`.
+    traced run and the DES prediction.
     """
     busy = stage_busy(trace)
     total = sum(busy.values())
@@ -73,6 +73,4 @@ def trace_metrics(trace: Trace) -> Dict[str, float]:
         out[f"stage.{stage}.share"] = share
     for name, value in sorted(trace.counters.items()):
         out[name] = float(value)
-    for name, value in sorted(trace.gauges.items()):
-        out[f"gauge.{name}"] = float(value)
     return out

@@ -20,9 +20,9 @@ deterministic clock and replays the same stream (see
 
 Policy lives in **probes**: callables run at the *start* of every
 sample (the service registers one that refreshes gauges, quarantines
-flagged sessions and speculates on stuck jobs).  Sampling can be driven
-manually (deterministic tests, ``workers=0`` mode) or by a background
-thread (:meth:`start` / :meth:`stop`).
+flagged sessions and speculates on stuck jobs).  Sampling is driven by
+the caller (:meth:`sample` — the ``obs monitor`` CLI, a test), so a
+replayed job stream samples identically.
 """
 
 from __future__ import annotations
@@ -63,8 +63,6 @@ class Monitor:
         self._hists: Dict[str, FixedHistogram] = {}
         self._probes: List[Callable[[], None]] = []
         self._lock = threading.Lock()
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
 
     # -- wiring --------------------------------------------------------------
 
@@ -142,10 +140,6 @@ class Monitor:
                            f"{sorted(self._rings)}")
         return ring.items()
 
-    def sources(self) -> List[str]:
-        with self._lock:
-            return sorted(self._sources)
-
     def histograms(self) -> List[FixedHistogram]:
         with self._lock:
             return [self._hists[n] for n in sorted(self._hists)]
@@ -166,30 +160,3 @@ class Monitor:
                 merged_gauges[f"{name}.{k}"] = v
         return to_openmetrics(merged_counters, merged_gauges,
                               self.histograms())
-
-    # -- background sampling -------------------------------------------------
-
-    def start(self, interval: float) -> None:
-        """Sample every ``interval`` seconds on a daemon thread."""
-        if interval <= 0:
-            raise ValueError("interval must be > 0")
-        with self._lock:
-            if self._thread is not None:
-                raise RuntimeError("monitor already started")
-            self._stop.clear()
-            self._thread = threading.Thread(
-                target=self._loop, args=(float(interval),),
-                name="obs-monitor", daemon=True)
-            self._thread.start()
-
-    def _loop(self, interval: float) -> None:
-        while not self._stop.wait(interval):
-            self.sample()
-
-    def stop(self) -> None:
-        """Stop the background thread (idempotent; manual mode unaffected)."""
-        with self._lock:
-            thread, self._thread = self._thread, None
-        if thread is not None:
-            self._stop.set()
-            thread.join()

@@ -82,12 +82,6 @@ class FixedHistogram:
             if v > self._max:
                 self._max = v
 
-    def replay(self, values: Sequence[float]) -> "FixedHistogram":
-        """Record every value in order; returns self (replay helper)."""
-        for v in values:
-            self.record(v)
-        return self
-
     # -- reading -------------------------------------------------------------
 
     @property

@@ -5,19 +5,16 @@ must be on *before* the interesting job runs, and keeping it on forever
 grows without bound.  The flight recorder inverts that: when enabled,
 the service traces **every** job into a ring that only ever holds the
 last N merged traces, so "why was that job slow five seconds ago?" is
-answerable after the fact at a fixed memory cost.  Dumping a record
-writes the standard Chrome ``trace_events`` JSON
-(:func:`repro.obs.write_chrome_trace`) for Perfetto.
+answerable after the fact at a fixed memory cost.  A record's trace
+goes to Perfetto through :func:`repro.obs.write_chrome_trace`.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from pathlib import Path
-from typing import List, Optional, Union
+from typing import List, Optional
 
-from ..export import write_chrome_trace
 from ..tracer import Trace
 from .sampling import Ring
 
@@ -54,10 +51,6 @@ class FlightRecorder:
         self._lock = threading.Lock()
 
     @property
-    def capacity(self) -> int:
-        return self._ring.capacity
-
-    @property
     def recorded(self) -> int:
         """Total jobs ever recorded (including evicted ones)."""
         return self._ring.pushed
@@ -82,19 +75,3 @@ class FlightRecorder:
         """The ``n`` slowest retained jobs, slowest first."""
         return sorted(self.records(),
                       key=lambda r: (-r.wall_s, r.seq))[:max(0, n)]
-
-    def find(self, seq: int) -> Optional[FlightRecord]:
-        for rec in self.records():
-            if rec.seq == seq:
-                return rec
-        return None
-
-    def dump(self, seq: int, path: Union[str, Path]) -> FlightRecord:
-        """Write record ``seq``'s timeline as Chrome-trace JSON."""
-        rec = self.find(seq)
-        if rec is None:
-            raise KeyError(
-                f"no retained flight record #{seq} (ring holds "
-                f"{len(self._ring)} of {self.recorded} recorded)")
-        write_chrome_trace(rec.trace, path)
-        return rec

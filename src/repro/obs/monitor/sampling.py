@@ -23,7 +23,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterator, List, TypeVar
+from typing import Deque, Dict, List, TypeVar
 
 __all__ = ["monotime", "Ring", "Sample"]
 
@@ -66,19 +66,7 @@ class Ring:
             self._items.append(item)
             self.pushed += 1
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._items)
-
-    def __iter__(self) -> Iterator[T]:
-        return iter(self.items())
-
     def items(self) -> List[T]:
         """Oldest-to-newest copy of the retained items."""
         with self._lock:
             return list(self._items)
-
-    def last(self) -> T:
-        """The newest item; raises ``IndexError`` when empty."""
-        with self._lock:
-            return self._items[-1]

@@ -19,11 +19,7 @@ loop at the fleet level:
   latency for a given degradation factor exactly
   (:func:`predict_detection_latency` over
   :func:`predict_limplock_ratio`), and the fault-injection battery pins
-  observed == predicted;
-* per-stage share drift against the DES
-  (:func:`repro.obs.compare_stage_occupancy`) is the second signal:
-  :meth:`StragglerDetector.check_trace` scores a flight-recorded trace
-  and records the worst stage-share drift on the worker.
+  observed == predicted.
 
 The detector only *scores*; policy actions (quarantine via
 :meth:`repro.dist.solver.SessionPool.quarantine`, speculative
@@ -60,8 +56,6 @@ class StragglerPolicy:
     #: worker (first completion wins; results are bit-identical by the
     #: backend contract, so the duplicate is pure latency insurance).
     speculation_factor: float = 4.0
-    #: Worst acceptable per-stage busy-share drift |traced - DES|.
-    share_drift: float = 0.25
     #: Recent observations retained per worker (median window).
     window: int = 16
 
@@ -82,13 +76,11 @@ class WorkerScore:
     #: Degraded observations it took to flag (None while healthy) —
     #: the quantity the DES predicts via its limplock prediction.
     flagged_after: Optional[int]
-    #: Worst |traced - predicted| stage share seen (None = no trace scored).
-    worst_share_drift: Optional[float]
 
 
 class _WorkerState:
     __slots__ = ("times", "jobs", "last", "over", "flagged",
-                 "flagged_after", "worst_drift")
+                 "flagged_after")
 
     def __init__(self, window: int) -> None:
         self.times: Deque[float] = deque(maxlen=window)
@@ -97,7 +89,6 @@ class _WorkerState:
         self.over = 0
         self.flagged = False
         self.flagged_after: Optional[int] = None
-        self.worst_drift: Optional[float] = None
 
     def median(self) -> float:
         xs = sorted(self.times)
@@ -148,32 +139,6 @@ class StragglerDetector:
                 state.over = 0
             return self._score_locked(worker, state, expected)
 
-    def check_trace(self, worker: str, trace, *, report=None, config=None,
-                    shape: Optional[Sequence[int]] = None,
-                    machine=None) -> float:
-        """Score a job trace's stage-share drift against the DES.
-
-        Returns the worst ``|traced_share - predicted_share|`` over the
-        stages and records it on the worker (see
-        :attr:`WorkerScore.worst_share_drift`).  Thin wrapper over
-        :func:`repro.obs.compare_stage_occupancy` so flight-recorded
-        timelines feed the same differential the post-hoc report uses.
-        """
-        from ..differential import compare_stage_occupancy
-
-        comparisons = compare_stage_occupancy(trace, report=report,
-                                              config=config, shape=shape,
-                                              machine=machine)
-        drift = max((abs(c.delta) for c in comparisons), default=0.0)
-        with self._lock:
-            state = self._workers.get(worker)
-            if state is None:
-                state = self._workers[worker] = _WorkerState(
-                    self.policy.window)
-            if state.worst_drift is None or drift > state.worst_drift:
-                state.worst_drift = drift
-        return drift
-
     # -- scores --------------------------------------------------------------
 
     def _expected_locked(self) -> float:
@@ -189,13 +154,7 @@ class StragglerDetector:
                            last_s=state.last, expected_s=expected,
                            ratio=ratio, over=state.over,
                            flagged=state.flagged,
-                           flagged_after=state.flagged_after,
-                           worst_share_drift=state.worst_drift)
-
-    def expected(self) -> float:
-        """Current fleet-expected service time (inf on a cold fleet)."""
-        with self._lock:
-            return self._expected_locked()
+                           flagged_after=state.flagged_after)
 
     def deadline(self) -> Optional[float]:
         """Speculation deadline in seconds, or None before calibration."""

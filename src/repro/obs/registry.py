@@ -23,8 +23,8 @@ from __future__ import annotations
 import threading
 from typing import Dict
 
-__all__ = ["MetricsRegistry", "REGISTRY", "inc", "set_gauge", "counter",
-           "gauge", "snapshot", "SPAWNS_COUNTER", "SEGMENTS_COUNTER"]
+__all__ = ["MetricsRegistry", "REGISTRY", "inc", "counter",
+           "SPAWNS_COUNTER", "SEGMENTS_COUNTER"]
 
 #: The distributed rail's two setup counters: rank processes started
 #: (:mod:`repro.dist.procmpi`) and shared-memory segments created by
@@ -59,21 +59,11 @@ class MetricsRegistry:
         with self._lock:
             return self._counters.get(name, default)
 
-    def gauge(self, name: str, default: float = 0.0) -> float:
-        with self._lock:
-            return self._gauges.get(name, default)
-
     def snapshot(self) -> Dict[str, Dict[str, float]]:
         """A point-in-time copy: ``{"counters": {...}, "gauges": {...}}``."""
         with self._lock:
             return {"counters": dict(self._counters),
                     "gauges": dict(self._gauges)}
-
-    def reset(self) -> None:
-        """Drop everything (tests only — counters are monotonic in use)."""
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
 
 
 #: The process-wide registry.
@@ -85,21 +75,6 @@ def inc(name: str, n: float = 1) -> float:
     return REGISTRY.inc(name, n)
 
 
-def set_gauge(name: str, value: float) -> None:
-    """Set a gauge on the process-wide registry."""
-    REGISTRY.set_gauge(name, value)
-
-
 def counter(name: str, default: float = 0) -> float:
     """Read a counter from the process-wide registry."""
     return REGISTRY.counter(name, default)
-
-
-def gauge(name: str, default: float = 0.0) -> float:
-    """Read a gauge from the process-wide registry."""
-    return REGISTRY.gauge(name, default)
-
-
-def snapshot() -> Dict[str, Dict[str, float]]:
-    """Snapshot the process-wide registry."""
-    return REGISTRY.snapshot()

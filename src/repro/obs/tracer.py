@@ -1,4 +1,4 @@
-"""The tracer: nestable spans plus monotonic counters and gauges.
+"""The tracer: nestable spans plus monotonic counters.
 
 Design constraints, in order:
 
@@ -92,7 +92,7 @@ class SpanRecord:
 
 @dataclass
 class Trace:
-    """Everything one tracer recorded: spans, counters, gauges, labels.
+    """Everything one tracer recorded: spans, counters, process labels.
 
     ``processes`` maps pid -> human label for the Chrome exporter's
     metadata events; after a distributed merge there is one entry per
@@ -101,7 +101,6 @@ class Trace:
 
     spans: List[SpanRecord] = field(default_factory=list)
     counters: Dict[str, float] = field(default_factory=dict)
-    gauges: Dict[str, float] = field(default_factory=dict)
     processes: Dict[int, str] = field(default_factory=dict)
 
     @property
@@ -134,7 +133,7 @@ class Trace:
         procs = ({pid: lbl for _, lbl in self.processes.items()}
                  if pid is not None else dict(self.processes))
         return Trace(spans=spans, counters=dict(self.counters),
-                     gauges=dict(self.gauges), processes=procs)
+                     processes=procs)
 
 
 class _Span:
@@ -174,7 +173,7 @@ class _ThreadBuffer:
 
 
 class Tracer:
-    """Collects spans, monotonic counters and gauges for one process.
+    """Collects spans and monotonic counters for one process.
 
     Thread-safe *and* contention-free on the hot path: the simmpi
     transport runs one rank per thread against per-rank tracers, the
@@ -189,9 +188,8 @@ class Tracer:
     buffer preserves completion order, so single-threaded traces are
     byte-for-byte what the shared-list implementation produced.
 
-    Gauges, process labels and :meth:`absorb` stay under the lock —
-    they are rare, and gauges are last-write-wins so per-thread
-    accumulation has no meaning for them.
+    Process labels and :meth:`absorb` stay under the lock — they are
+    rare.
 
     Disabled tracers (``enabled=False``) are permanent no-ops —
     :data:`NULL_TRACER` is the shared instance every instrumented code
@@ -205,7 +203,6 @@ class Tracer:
         self.enabled = enabled
         self._records: List[SpanRecord] = []  # absorbed child spans only
         self._counters: Dict[str, float] = {}  # absorbed child counters only
-        self._gauges: Dict[str, float] = {}
         self._processes: Dict[int, str] = {}
         if label is not None:
             self._processes[pid] = label
@@ -231,13 +228,6 @@ class Tracer:
         counters = self._buffer().counters
         counters[name] = counters.get(name, 0) + n
 
-    def gauge(self, name: str, value: float) -> None:
-        """Set a point-in-time gauge (no-op when disabled)."""
-        if not self.enabled:
-            return
-        with self._lock:
-            self._gauges[name] = float(value)
-
     # -- assembly ---------------------------------------------------------------
 
     def _buffer(self) -> _ThreadBuffer:
@@ -258,13 +248,6 @@ class Tracer:
     def _record(self, record: SpanRecord) -> None:
         self._buffer().records.append(record)
 
-    def label_process(self, pid: int, label: str) -> None:
-        """Name a pid row for the Chrome exporter's metadata events."""
-        if not self.enabled:
-            return
-        with self._lock:
-            self._processes[pid] = label
-
     def absorb(self, trace: Trace, pid: int, at: float,
                label: Optional[str] = None) -> None:
         """Merge a child process's trace onto this tracer's timeline.
@@ -272,8 +255,7 @@ class Tracer:
         ``at`` is this tracer's clock reading when the child was
         dispatched; the child's earliest span is aligned to it, which
         makes the merge correct under fork *and* spawn (the child's
-        clock origin is never assumed comparable).  Counters add up;
-        gauges keep the child's last value under a rank-scoped name.
+        clock origin is never assumed comparable).  Counters add up.
         """
         if not self.enabled or trace is None:
             return
@@ -282,8 +264,6 @@ class Tracer:
             self._records.extend(child.spans)
             for k, v in child.counters.items():
                 self._counters[k] = self._counters.get(k, 0) + v
-            for k, v in child.gauges.items():
-                self._gauges[f"pid{pid}.{k}"] = v
             self._processes[pid] = label if label is not None else f"pid {pid}"
 
     def finish(self) -> Trace:
@@ -304,7 +284,6 @@ class Tracer:
                     counters[k] = counters.get(k, 0) + v
             return Trace(spans=spans,
                          counters=counters,
-                         gauges=dict(self._gauges),
                          processes=dict(self._processes))
 
 

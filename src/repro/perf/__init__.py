@@ -27,7 +27,6 @@ from .scenarios import (
     SUITES,
     Scenario,
     all_scenarios,
-    find_scenario,
     get_scenario,
     register,
     select_scenarios,
@@ -65,7 +64,6 @@ __all__ = [
     "register",
     "unregister",
     "get_scenario",
-    "find_scenario",
     "all_scenarios",
     "select_scenarios",
     "run_scenario",

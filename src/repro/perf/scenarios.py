@@ -39,7 +39,6 @@ __all__ = [
     "register",
     "unregister",
     "get_scenario",
-    "find_scenario",
     "all_scenarios",
     "select_scenarios",
 ]
@@ -114,14 +113,6 @@ def get_scenario(name: str) -> Scenario:
                  if n.split("@")[0] == name.split("@")[0]]
         hint = f"; did you mean one of {close}?" if close else ""
         raise KeyError(f"unknown scenario {name!r}{hint}") from None
-
-
-def find_scenario(base: str, suite: str) -> Scenario:
-    """Resolve ``base`` at ``suite`` scale: ``base@suite`` if registered,
-    else the scale-independent ``base``."""
-    if f"{base}@{suite}" in _REGISTRY:
-        return _REGISTRY[f"{base}@{suite}"]
-    return get_scenario(base)
 
 
 def all_scenarios() -> List[Scenario]:

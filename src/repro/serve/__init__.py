@@ -47,13 +47,6 @@ from .service import (
 map = map_jobs
 
 
-def __getattr__(name: str):
-    if name in ("auto_config", "clear_auto_cache"):
-        from . import autoconf
-
-        return getattr(autoconf, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "SolveJob",
     "SolveFuture",
@@ -65,8 +58,6 @@ __all__ = [
     "session_signature",
     "Service",
     "ServiceStats",
-    "auto_config",
-    "clear_auto_cache",
     "configure",
     "default_service",
     "submit",

@@ -36,7 +36,7 @@ from ..core.parameters import PipelineConfig, RelaxedSpec
 from ..grid.grid3d import Grid3D
 from ..machine.topology import MachineSpec
 
-__all__ = ["auto_config", "clear_auto_cache"]
+__all__ = ["auto_config"]
 
 #: The sweep the service runs per geometry — small on purpose (the DES
 #: evaluates each point); the full knob space stays available through
@@ -53,12 +53,6 @@ _FALLBACK = PipelineConfig(teams=1, threads_per_team=2,
 
 _cache_lock = threading.Lock()
 _resolved: Dict[Tuple, PipelineConfig] = {}
-
-
-def clear_auto_cache() -> None:
-    """Forget memoised resolutions (tests poking at determinism)."""
-    with _cache_lock:
-        _resolved.clear()
 
 
 def _default_machine() -> MachineSpec:

@@ -92,26 +92,6 @@ class ResultCache:
         """This cache's live obs registry (a monitor-attachable source)."""
         return self._metrics
 
-    @property
-    def hits(self) -> int:
-        return int(self._metrics.counter("hits"))
-
-    @property
-    def misses(self) -> int:
-        return int(self._metrics.counter("misses"))
-
-    @property
-    def evictions(self) -> int:
-        return int(self._metrics.counter("evictions"))
-
-    @property
-    def disk_hits(self) -> int:
-        return int(self._metrics.counter("disk_hits"))
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
     def _disk_path(self, key: str) -> Optional[Path]:
         return None if self.disk_dir is None else self.disk_dir / f"{key}.entry"
 

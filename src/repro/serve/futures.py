@@ -86,13 +86,6 @@ class SolveFuture:
         self._event.set()
         return True
 
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-    def done(self) -> bool:
-        """True once a result, an exception or a cancellation landed."""
-        return self._event.is_set()
-
     def exception(self, timeout: Optional[float] = None,
                   ) -> Optional[BaseException]:
         """The job's exception (or None), blocking like :meth:`result`."""

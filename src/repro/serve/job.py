@@ -174,10 +174,6 @@ class SolveJob:
         """False when the job has no canonical bytes (callable boundary)."""
         return _canon_boundary(self.grid) is not None
 
-    @property
-    def n_ranks(self) -> int:
-        return self.topology[0] * self.topology[1] * self.topology[2]
-
     def with_config(self, config: PipelineConfig) -> "SolveJob":
         """The same job with a concrete configuration (auto-tune result)."""
         return replace(self, config=config, _key=None)

@@ -183,10 +183,6 @@ class Service:
         or a ready instance to share/inject (e.g. one with a
         deterministic clock).  Passing ``record_traces`` or
         ``straggler`` enables monitoring implicitly.
-    monitor_interval:
-        When set, a daemon thread samples the monitor every that many
-        seconds; otherwise sampling is manual (``svc.monitor.sample()``)
-        — the deterministic mode tests drive.
     record_traces:
         Flight-recorder ring size: keep the merged traces of the last N
         backend executions (0 = off; tracing stays off per job unless
@@ -207,7 +203,6 @@ class Service:
                  start_method: Optional[str] = None,
                  comm_timeout: Optional[float] = None,
                  monitor: Union[bool, Monitor] = False,
-                 monitor_interval: Optional[float] = None,
                  record_traces: int = 0,
                  straggler: Optional[StragglerPolicy] = None) -> None:
         if workers < 0:
@@ -258,14 +253,8 @@ class Service:
             for i in range(workers)]
         for t in self._workers:
             t.start()
-        if self._monitor is not None and monitor_interval is not None:
-            self._monitor.start(monitor_interval)
 
     # -- submission --------------------------------------------------------------
-
-    @property
-    def cache(self) -> Optional[ResultCache]:
-        return self._cache
 
     @property
     def metrics(self) -> MetricsRegistry:
@@ -276,10 +265,6 @@ class Service:
     def monitor(self) -> Optional[Monitor]:
         """The attached live monitor, if monitoring is enabled."""
         return self._monitor
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     def submit(self, grid: Grid3D, field: np.ndarray,
                config: Union[PipelineConfig, str],
@@ -612,7 +597,6 @@ class Service:
                 "over": s.over,
                 "flagged": s.flagged,
                 "flagged_after": s.flagged_after,
-                "worst_share_drift": _finite(s.worst_share_drift),
             } for s in mon.detector.scores()]
             monitor_info = {
                 "samples": mon.samples,
@@ -680,11 +664,6 @@ class Service:
         if self._closed:
             return
         self._closed = True
-        if self._monitor is not None:
-            # Stop background sampling first so no probe races the
-            # queue shutdown (a probe mid-close is a harmless no-op,
-            # but the thread must not outlive the service).
-            self._monitor.stop()
         self._queue.close()
         for t in self._workers:
             t.join()
@@ -711,7 +690,7 @@ def default_service() -> Service:
     """The process-wide service (created on first use)."""
     global _default
     with _default_lock:
-        if _default is None or _default.closed:
+        if _default is None or _default._closed:
             _default = Service()
         return _default
 

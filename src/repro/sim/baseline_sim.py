@@ -35,11 +35,6 @@ class BaselineReport:
     bytes_per_lup: float
     placement: str
 
-    def describe(self) -> str:
-        """One-line summary for bench output."""
-        return (f"standard({self.placement}, {self.threads}t): "
-                f"{self.mlups:8.1f} MLUP/s")
-
 
 def standard_jacobi_mlups(
     machine: MachineSpec,

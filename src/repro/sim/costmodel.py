@@ -107,11 +107,6 @@ class BlockTraffic:
     mem_store_bytes: float     # immediate NT-store leakage (not writeback)
     compute_cells: int         # cells * updates
 
-    @property
-    def total_mem_bytes(self) -> float:
-        """Memory-bus bytes excluding deferred writebacks."""
-        return self.mem_load_bytes + self.mem_store_bytes
-
 
 def limplock(machine: MachineSpec, factor: float) -> MachineSpec:
     """``machine`` degraded node-wide by ``factor`` (a limplocked worker).

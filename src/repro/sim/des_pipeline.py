@@ -33,8 +33,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.parameters import BarrierSpec, PipelineConfig, RelaxedSpec
-from ..core.schedule import make_decomposition
 from ..core.sync import make_policy
+from ..grid.blocks import make_decomposition
 from ..grid.region import Box
 from ..machine.cache import SharedCacheModel
 from ..machine.topology import MachineSpec
@@ -62,13 +62,6 @@ class NodeSimReport:
     barrier_time: float
     idle_time: Dict[int, float] = field(default_factory=dict)
     config_label: str = ""
-
-    def describe(self) -> str:
-        """One-line summary for bench output."""
-        return (
-            f"{self.config_label}: {self.mlups:8.1f} MLUP/s "
-            f"(mem {self.mem_bytes / 1e9:.2f} GB, reloads {self.reloads})"
-        )
 
 
 class PipelinedNodeSim:

@@ -89,8 +89,3 @@ class Engine:
         if until is not None and until > self._now:
             self._now = until
         return self._now
-
-    @property
-    def pending(self) -> int:
-        """Number of scheduled (possibly cancelled) events."""
-        return len(self._heap)

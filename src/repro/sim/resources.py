@@ -109,15 +109,6 @@ class FlowResource:
         self._rerate()
         return flow
 
-    @property
-    def active_flows(self) -> int:
-        """Number of transfers currently in flight."""
-        return len(self._flows)
-
-    def utilisation(self, horizon: float) -> float:
-        """Fraction of ``horizon`` the resource spent moving bytes."""
-        return self.busy_time / horizon if horizon > 0 else 0.0
-
     # -- internals ---------------------------------------------------------------
 
     def _advance(self) -> None:

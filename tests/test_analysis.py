@@ -359,31 +359,6 @@ def lint_findings(source, path="pkg/mod.py"):
     return [f.checker for f in lint_source(path, source)]
 
 
-def test_lint_dead_import():
-    assert "dead-import" in lint_findings("import os\nx = 1\n")
-    assert "dead-import" not in lint_findings("import os\nprint(os.sep)\n")
-    # __all__ counts as use; __init__.py without __all__ is exempt.
-    assert "dead-import" not in lint_findings(
-        "from .m import thing\n__all__ = ['thing']\n")
-    assert "dead-import" not in lint_findings(
-        "from .m import thing\n", path="pkg/__init__.py")
-
-
-def test_lint_mutable_default():
-    assert "mutable-default" in lint_findings("def f(x=[]):\n    pass\n")
-    assert "mutable-default" in lint_findings(
-        "def f(*, x=dict()):\n    pass\n")
-    assert "mutable-default" not in lint_findings(
-        "def f(x=None):\n    pass\n")
-
-
-def test_lint_bare_except():
-    assert "bare-except" in lint_findings(
-        "try:\n    pass\nexcept:\n    pass\n")
-    assert "bare-except" not in lint_findings(
-        "try:\n    pass\nexcept ValueError:\n    pass\n")
-
-
 def test_lint_spawn_pickle():
     assert "spawn-pickle" in lint_findings(
         "run_procs(2, lambda rank: rank)\n")

@@ -118,12 +118,10 @@ def _problem(shape=(12, 10, 11)):
 
 
 @pytest.fixture
-def clean_auto_cache():
-    from repro.serve.autoconf import clear_auto_cache
+def clean_auto_cache(monkeypatch):
+    from repro.serve import autoconf
 
-    clear_auto_cache()
-    yield
-    clear_auto_cache()
+    monkeypatch.setattr(autoconf, "_resolved", {})
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +353,10 @@ class TestAutoOrder:
 class TestPerfHarness:
     @pytest.mark.parametrize("registry", ["no_compiled", "counting_deep"])
     def test_solve_auto_scenario_gates_the_rule(self, request, registry):
-        from repro.perf.scenarios import find_scenario
+        from repro.perf.scenarios import get_scenario
 
         stub = request.getfixturevalue(registry)
-        payload = find_scenario("solve_auto", "quick").run_once()
+        payload = get_scenario("solve_auto@quick").run_once()
         assert payload["rank"] == 0
         assert payload["not_worse"] is True
         assert payload["bit_identical"] is True

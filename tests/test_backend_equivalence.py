@@ -178,9 +178,9 @@ def _lbm_fields(steps: int) -> np.ndarray:
 
 def _lbm_rank_fn(comm, rank, steps=5):
     fields = _lbm_fields(steps)
-    gathered = comm.gather(fields)
     if rank == 0:
-        return np.stack(gathered)
+        return np.stack([fields] + [comm.recv(r) for r in range(1, comm.size)])
+    comm.send(0, fields)
     return None
 
 

@@ -88,7 +88,7 @@ class TestGeometry:
 
     def test_rejects_empty_domain(self):
         with pytest.raises(ValueError):
-            BlockDecomposition(Box.empty(), (2, 2, 2), 0)
+            BlockDecomposition(Box((0, 0, 0), (0, 0, 0)), (2, 2, 2), 0)
 
 
 class TestCoverageProperties:

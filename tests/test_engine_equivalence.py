@@ -338,7 +338,7 @@ class TestEdgeCases:
         grid, field = _problem((4, 4, 4))
         storage = TwoGridStorage(grid, field)
         raw = [storage.raw_read_array(v)[0].tobytes() for v in (0, 1)]
-        get_engine(engine).apply(jacobi7(), storage, Box.empty(), 1)
+        get_engine(engine).apply(jacobi7(), storage, Box((0, 0, 0), (0, 0, 0)), 1)
         assert [storage.raw_read_array(v)[0].tobytes()
                 for v in (0, 1)] == raw
 

@@ -1,6 +1,7 @@
 """Paper-shape bands over the ``figure`` scenarios of :mod:`repro.perf`.
 
-Every band reads the payload of ``find_scenario(base, scale).run_once()``,
+Every band reads the payload of ``get_scenario(f"{base}@{scale}").run_once()``
+(the bare ``base`` for the scale-independent Figs. 5 and 6),
 the data ``python -m repro.perf run`` records and ``perf report`` prints.
 The ``quick`` bands run in tier-1.  The ``paper`` ones need the
 size-stable (>= 250^3) DES rates and carry the ``paper`` marker, which
@@ -19,21 +20,22 @@ from __future__ import annotations
 import inspect
 import sys
 from functools import lru_cache
+from typing import Optional
 
 import pytest
 
 from repro.machine import nehalem_ep
 from repro.models import PipelineModel
-from repro.perf import all_scenarios, find_scenario
+from repro.perf import all_scenarios, get_scenario
 
 paper = pytest.mark.paper
 SCALES = ["quick", pytest.param("paper", marks=paper)]
 
 
 @lru_cache(maxsize=None)
-def payload(base: str, scale: str = "quick"):
+def payload(base: str, scale: Optional[str] = None):
     """The scenario's payload, computed once per test run (read only)."""
-    return find_scenario(base, scale).run_once()
+    return get_scenario(base if scale is None else f"{base}@{scale}").run_once()
 
 
 class TestFig3Left:
@@ -96,7 +98,9 @@ class TestModelValidation:
         assert by_T[4]["model_mlups"] > 1.3 * by_T[4]["sim_mlups"]
 
     def test_speedup_ceiling(self):
-        limit = PipelineModel.from_machine(nehalem_ep()).speedup_limit()
+        # Large-t*T limit of Eq. 5: Mc / Ms.
+        pm = PipelineModel.from_machine(nehalem_ep())
+        limit = pm.mc / pm.ms
         assert 3.5 < limit < 5.0
         assert round(limit, 2) == 4.32  # EXPERIMENTS.md anchor table
 

@@ -54,10 +54,10 @@ class TestDirichletBoundary:
 
 
 class TestGrid3D:
-    def test_domain_and_ncells(self):
+    def test_domain(self):
         g = Grid3D((3, 4, 5))
         assert g.domain == Box((0, 0, 0), (3, 4, 5))
-        assert g.ncells == 60
+        assert g.domain.ncells == 60
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):

@@ -10,13 +10,11 @@ from repro.kernels import (
     StarStencil,
     anisotropic_jacobi,
     change_norm,
-    jacobi5_2d,
     jacobi7,
     jacobi_residual,
     jacobi_sweep_blocked,
     jacobi_sweep_padded,
     reference_sweeps,
-    solve_to_tolerance,
 )
 from repro.kernels.reference import reference_sweep_region
 
@@ -26,7 +24,7 @@ RNG = np.random.default_rng(11)
 class TestStarStencil:
     def test_jacobi7_offsets_and_weights(self):
         st = jacobi7()
-        assert st.n_neighbors == 6
+        assert len(st.weights) == 6
         assert st.center_weight == 0.0
         assert abs(sum(st.weights.values()) - 1.0) < 1e-15
 
@@ -37,15 +35,6 @@ class TestStarStencil:
     def test_rejects_radius_two(self):
         with pytest.raises(ValueError):
             StarStencil(weights={(2, 0, 0): 0.5})
-
-    def test_flops_per_cell(self):
-        # Counted from ``groups``: adds inside groups + one multiply per
-        # group + adds between group products — Eq. 1 is the paper's 6.
-        assert jacobi7().flops_per_cell == 6
-        assert jacobi5_2d().flops_per_cell == 4
-        assert jacobi7().damped(0.5).flops_per_cell == 8
-        assert anisotropic_jacobi(1.0, 2.0, 0.5).flops_per_cell == 8
-        assert StarStencil(weights={}).flops_per_cell == 0
 
     def test_apply_matches_manual(self):
         st = jacobi7()
@@ -181,38 +170,29 @@ class TestConvergence:
         f = np.full(grid.shape, 2.0)
         assert jacobi_residual(grid, f) == pytest.approx(0.0, abs=1e-14)
 
-    def test_solver_converges_to_boundary_constant(self):
-        bc = DirichletBoundary(1.0)
-        grid = Grid3D((6, 6, 6), boundary=bc)
-        hist = solve_to_tolerance(grid, np.zeros(grid.shape), tol=1e-10,
-                                  max_sweeps=5000, sweep_batch=10)
-        assert hist.converged
-        np.testing.assert_allclose(hist.field, np.ones(grid.shape), atol=1e-7)
+    def test_change_norm_rejects_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shapes differ"):
+            change_norm(np.zeros((2, 2, 2)), np.zeros((2, 2, 3)))
 
-    def test_contraction_rate_below_one(self):
-        grid = Grid3D((6, 6, 6))
+    @pytest.mark.parametrize("stencil", [None, anisotropic_jacobi(1, 2, 3)],
+                             ids=["jacobi7", "anisotropic"])
+    def test_residual_is_the_change_of_one_sweep(self, stencil):
+        grid = Grid3D((6, 5, 4), boundary=DirichletBoundary(1.0))
         f = random_field(grid.shape, RNG)
-        hist = solve_to_tolerance(grid, f, tol=1e-12, max_sweeps=500)
-        assert 0.0 < hist.contraction_rate() < 1.0
+        once = reference_sweeps(grid, f, 1, stencil=stencil or jacobi7())
+        for ord in (np.inf, 2):
+            assert jacobi_residual(grid, f, stencil, ord=ord) == pytest.approx(
+                change_norm(once, f, ord=ord), rel=1e-12)
 
-    def test_callback_invoked(self):
-        grid = Grid3D((4, 4, 4))
-        seen = []
-        solve_to_tolerance(grid, random_field(grid.shape, RNG), tol=1e-3,
-                           max_sweeps=50,
-                           callback=lambda k, n: seen.append((k, n)))
-        assert seen
-
-    def test_not_converged_flag(self):
-        grid = Grid3D((8, 8, 8))
-        hist = solve_to_tolerance(grid, random_field(grid.shape, RNG),
-                                  tol=1e-300, max_sweeps=3)
-        assert not hist.converged
-        assert hist.sweeps == 3
-
-    def test_bad_args(self):
-        grid = Grid3D((4, 4, 4))
-        with pytest.raises(ValueError):
-            solve_to_tolerance(grid, np.zeros(grid.shape), tol=0.0)
-        with pytest.raises(ValueError):
-            solve_to_tolerance(grid, np.zeros(grid.shape), sweep_batch=0)
+    def test_residual_never_grows_under_sweeps(self):
+        # Nonnegative weights summing to 1: each sweep is a max-norm
+        # contraction of the change, which the heat-equation example's
+        # convergence report relies on.
+        grid = Grid3D((8, 8, 8), boundary=DirichletBoundary(1.0))
+        f = random_field(grid.shape, RNG)
+        res = []
+        for _ in range(12):
+            res.append(jacobi_residual(grid, f))
+            f = reference_sweeps(grid, f, 1)
+        assert all(b <= a * (1 + 1e-12) for a, b in zip(res, res[1:]))
+        assert res[-1] < res[0]

@@ -24,7 +24,6 @@ from repro.perf import (
     archive_document,
     compare_documents,
     compare_to_model,
-    find_scenario,
     get_scenario,
     load_document,
     make_document,
@@ -89,11 +88,6 @@ class TestRegistry:
     def test_unknown_scenario_suggests_siblings(self):
         with pytest.raises(KeyError, match="fig3_left"):
             get_scenario("fig3_left@nope")
-
-    def test_find_scenario_prefers_scale_variant(self):
-        assert find_scenario("fig3_left", "quick").name == "fig3_left@quick"
-        # Scale-independent scenarios fall back to the bare name.
-        assert find_scenario("fig5", "quick").name == "fig5"
 
     def test_duplicate_registration_rejected(self, stub):
         with pytest.raises(ValueError, match="already registered"):
@@ -481,7 +475,7 @@ class TestCLI:
 
 
 def _payload(base):
-    sc = find_scenario(base, "quick")
+    sc = get_scenario(f"{base}@quick")
     return sc.run_once(sc.setup() if sc.setup is not None else None)
 
 
@@ -494,7 +488,7 @@ class TestHostRail:
 
     @pytest.mark.parametrize("base", ["jacobi_sweep", "jacobi_sweep_blocked"])
     def test_sweep_throughput(self, base):
-        rec = run_scenario(find_scenario(base, "quick"), repeats=1, warmup=0)
+        rec = run_scenario(get_scenario(f"{base}@quick"), repeats=1, warmup=0)
         assert rec.metrics["mlups"].value > 0
 
     @pytest.mark.parametrize("base", ["solve_shared", "solve_shared_validated"])

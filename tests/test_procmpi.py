@@ -12,6 +12,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -55,26 +56,16 @@ def _ring_fn(comm, rank):
     data = np.array([float(rank)])
     nxt = (rank + 1) % comm.size
     prev = (rank - 1) % comm.size
-    got = comm.sendrecv(nxt, data, prev)
-    return float(got[0])
+    comm.send(nxt, data)
+    return float(comm.recv(prev)[0])
 
 
-def _gather_fn(comm, rank):
-    return comm.gather(rank * 10)
-
-
-def _allreduce_fn(comm, rank):
-    return comm.allreduce_max(float(rank))
+def _size_fn(comm, rank):
+    return rank, comm.size
 
 
 def _return_unpicklable_fn(comm, rank):
     return lambda: rank  # lambdas never pickle
-
-
-def _barrier_fn(comm, rank):
-    for _ in range(3):
-        comm.barrier()
-    return rank
 
 
 def _copy_on_send_fn(comm, rank):
@@ -138,7 +129,6 @@ def _bad_peer_fn(comm, rank):
 def _mutate_shared_fn(comm, rank, handle):
     with attach_array(handle) as arr:
         arr[rank] = rank + 1.0
-    comm.barrier()
     return rank
 
 
@@ -147,18 +137,7 @@ class TestProcCommSemantics:
         assert run_procs(4, _ring_fn, timeout=60.0) == [3.0, 0.0, 1.0, 2.0]
 
     def test_single_rank(self):
-        assert run_procs(1, _gather_fn, timeout=60.0) == [[0]]
-
-    def test_gather(self):
-        out = run_procs(3, _gather_fn, timeout=60.0)
-        assert out[0] == [0, 10, 20]
-        assert out[1] is None and out[2] is None
-
-    def test_allreduce_max(self):
-        assert run_procs(3, _allreduce_fn, timeout=60.0) == [2.0, 2.0, 2.0]
-
-    def test_barrier_rounds(self):
-        assert run_procs(3, _barrier_fn, timeout=60.0) == [0, 1, 2]
+        assert run_procs(1, _size_fn, timeout=60.0) == [(0, 1)]
 
     def test_send_is_copy_on_send(self):
         assert run_procs(2, _copy_on_send_fn, timeout=60.0)[1] == 4.0
@@ -282,7 +261,7 @@ class TestDriver:
             run_procs(2, _return_unpicklable_fn, timeout=30.0)
 
     def test_no_zombie_processes_after_runs(self):
-        run_procs(3, _barrier_fn, timeout=60.0)
+        run_procs(3, _size_fn, timeout=60.0)
         assert mp.active_children() == []
 
     def test_failed_rank_start_propagates_and_cleans_up(self, monkeypatch):
@@ -307,6 +286,36 @@ class TestDriver:
             ProcWorld(2, pair_bytes={(0, 1): 4096, (1, 0): 4096})
         assert len(calls) == 2
         assert mp.active_children() == []
+
+    def test_worlds_started_at_once_close_promptly(self):
+        # Service(workers=2) starts two worlds from two threads.  A fork
+        # Popen holds its child's sentinel pipe open across os.fork(); a
+        # rank the other thread forks in that window inherits the write
+        # end, and close() sat in the full 10-s join for a rank that had
+        # already exited.  Twenty rounds make the race likely to show.
+        if "fork" not in mp.get_all_start_methods():
+            pytest.skip("no fork on this platform")
+        for _ in range(20):
+            worlds = [None, None]
+            go = threading.Barrier(2)
+
+            def start(i):
+                go.wait(timeout=30.0)
+                worlds[i] = ProcWorld(2, timeout=30.0, start_method="fork")
+
+            threads = [threading.Thread(target=start, args=(i,))
+                       for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+                assert not t.is_alive()
+            waits = []
+            for world in worlds:
+                t0 = time.monotonic()
+                world.close()
+                waits.append(time.monotonic() - t0)
+            assert max(waits) < 3.0, waits
 
 
 # -- the warm world behind solve(backend="procmpi") --------------------------

@@ -81,7 +81,7 @@ def test_random_config_matches_reference(case):
                         rng=np.random.default_rng(seed + 1))
     ref = reference_sweeps(grid, field, cfg.total_updates)
     assert np.array_equal(res.field, ref)
-    assert res.stats.cells_updated == grid.ncells * cfg.total_updates
+    assert res.stats.cells_updated == grid.domain.ncells * cfg.total_updates
 
 
 class _LevelSpy:

@@ -42,11 +42,10 @@ from repro.serve import (
     ServeCancelled,
     Service,
     SolveFuture,
-    auto_config,
-    clear_auto_cache,
     session_signature,
 )
-from repro.serve.autoconf import ranked_candidates
+from repro.serve import autoconf
+from repro.serve.autoconf import auto_config, ranked_candidates
 
 
 def small_problem(n: int = 12, seed: int = 0):
@@ -207,7 +206,7 @@ class TestResultCache:
         hit.field[...] = -1.0
         again = cache.get(job.content_key())
         assert np.array_equal(again.field, res.field)
-        assert cache.hits == 2 and cache.misses == 0
+        assert cache.metrics.counter("hits") == 2 and cache.metrics.counter("misses") == 0
 
     def test_lru_eviction(self):
         cache = ResultCache(max_entries=2)
@@ -218,7 +217,7 @@ class TestResultCache:
         cache.put("c" * 64, res)
         assert cache.get("b" * 64) is None
         assert cache.get("a" * 64) is not None
-        assert cache.evictions == 1
+        assert cache.metrics.counter("evictions") == 1
 
     def test_disk_tier_round_trips_bits(self, tmp_path):
         job = make_job()
@@ -229,7 +228,7 @@ class TestResultCache:
         # A fresh cache (cold memory) must hit via the disk tier.
         reader = ResultCache(max_entries=2, disk_dir=tmp_path)
         hit = reader.get(key)
-        assert hit is not None and reader.disk_hits == 1
+        assert hit is not None and reader.metrics.counter("disk_hits") == 1
         assert hit.field.tobytes() == res.field.tobytes()
         # The metadata comes back equal and typed; only the trace, an
         # observability artefact, stays in the memory tier.
@@ -299,7 +298,7 @@ class TestResultCache:
         path.write_bytes(data)
         cache = ResultCache(disk_dir=tmp_path)
         assert cache.get(key) is None
-        assert cache.misses == 1 and cache.disk_hits == 0
+        assert cache.metrics.counter("misses") == 1 and cache.metrics.counter("disk_hits") == 0
         assert not any(tmp_path.iterdir())
 
     def test_intact_entry_of_an_engine_missing_here_is_kept(self, tmp_path):
@@ -397,8 +396,8 @@ class TestAutotune:
             == [r.config.describe() for r in b]
         assert [r.mlups for r in a] == [r.mlups for r in b]
 
-    def test_auto_config_is_memoised_and_valid(self):
-        clear_auto_cache()
+    def test_auto_config_is_memoised_and_valid(self, monkeypatch):
+        monkeypatch.setattr(autoconf, "_resolved", {})
         grid = Grid3D((16, 16, 16))
         cfg = auto_config(grid, (1, 1, 2))
         assert cfg == auto_config(grid, (1, 1, 2))
@@ -472,7 +471,7 @@ class TestService:
             svc.drain()
             warm = svc.submit(grid, field, cfg)
             st = svc.stats
-            assert warm.done() and warm.cache_hit
+            assert warm.cache_hit
             assert st.backend_solves == 1 and st.cache_hits == 1
             assert np.array_equal(warm.result(timeout=0).field,
                                   cold.result(timeout=0).field)

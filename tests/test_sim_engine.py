@@ -133,7 +133,6 @@ class TestFlowResource:
         e.run()
         assert r.total_bytes == pytest.approx(50.0)
         assert r.busy_time == pytest.approx(5.0)
-        assert r.utilisation(10.0) == pytest.approx(0.5)
 
     def test_rejects_bad_args(self):
         e = Engine()

@@ -9,10 +9,22 @@ from __future__ import annotations
 import pytest
 
 from repro.core import BarrierSpec, PipelineConfig, RelaxedSpec
-from repro.machine import core2_quad, nehalem_ep
+from repro.machine import GB, KB, MB, CacheLevel, MachineSpec, nehalem_ep
 from repro.sim import CodeBalance, simulate_pipelined, standard_jacobi_mlups
 
 SHAPE = (200, 200, 200)
+
+
+def core2_quad() -> MachineSpec:
+    """A Core 2 era node: strongly bandwidth-starved (Ms/Ms,1 ≈ 1.1)."""
+    return MachineSpec(
+        name="Core 2 quad (Harpertown-like)", sockets=2, cores_per_socket=4,
+        clock_hz=2.83e9,
+        caches=(CacheLevel("L1D", 32 * KB, 1, 250 * GB),
+                CacheLevel("L2", 6 * MB, 2, 60 * GB),
+                CacheLevel("L2s", 12 * MB, 4, 60 * GB)),
+        mem_bw_socket=6.5 * GB, mem_bw_single=5.8 * GB, remote_bw=5.0 * GB,
+        core_mlups=350e6, jitter_sigma=0.5)
 
 
 def cfg(teams=1, sync=None, T=2, block=(20, 20, 120), storage="compressed"):

@@ -26,9 +26,6 @@ class TestSpecs:
         with pytest.raises(ValueError):
             RelaxedSpec(d_l=1, d_u=2, team_delay=-1)
 
-    def test_looseness(self):
-        assert RelaxedSpec(1, 4).looseness == 3
-
     def test_describe(self):
         assert "barrier" in BarrierSpec().describe()
         assert "d_l=1" in RelaxedSpec(1, 2).describe()

@@ -185,15 +185,14 @@ class TestCounterBoard:
         board.abort(SyncAborted("peer unwound"))
         assert board.failure is cause
 
-    def test_snapshot_and_done(self):
+    def test_counters_and_done(self):
         cfg = board_config()
         board = CounterBoard(make_policy(cfg), cfg.n_stages, n_blocks=1)
         assert not board.done
         for s in range(cfg.n_stages):
             board.advance(s)
-        counters, finished = board.snapshot()
-        assert counters == [1] * cfg.n_stages
-        assert all(finished) and board.done
+        assert list(board.counters) == [1] * cfg.n_stages
+        assert board.done
 
     @pytest.mark.parametrize("cap", [1, 7], ids=["blocks", "runs"])
     def test_hammer_full_run_loses_nothing(self, cap):
@@ -228,8 +227,7 @@ class TestCounterBoard:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert board.done and board.failure is None
-        counters, finished = board.snapshot()
-        assert counters == [n_blocks] * cfg.n_stages
+        assert list(board.counters) == [n_blocks] * cfg.n_stages
         assert board.max_counter_gap <= 13
 
     def test_rejects_degenerate_shapes(self):
@@ -550,8 +548,9 @@ class TestResultCacheConcurrency:
             t.join(timeout=120.0)
         assert errors == []
         # Counter exactness: every get was a hit or a miss.
-        assert cache.hits + cache.misses == n_threads * per_thread
-        assert len(cache) <= 4
+        counted = cache.metrics.counter("hits") + cache.metrics.counter("misses")
+        assert counted == n_threads * per_thread
+        assert len(cache._entries) <= 4
         # Surviving entries are uncorrupted despite the mutating readers.
         for k in keys:
             got = cache.get(k)
