@@ -10,9 +10,8 @@ returns either a certification or a concrete witness.
 
 This walkthrough certifies the paper's default window, rejects three
 adversarial neighbours (showing each witness), pre-prunes an autotune
-sweep, and runs a certified schedule with ``validate="static"`` (the
-default ``validate=True`` spelled out) — the proof is the run's only
-legality check.
+sweep, and runs a certified schedule with ``validate=True`` (the
+default, spelled out) — the proof is the run's only legality check.
 
 Run:  python examples/analysis.py
 """
@@ -66,15 +65,15 @@ def main() -> None:
     for r in results:
         print("   ", r.describe())
 
-    # --- solve under the proof: validate='static' ---------------------------
+    # --- solve under the proof: validate=True -------------------------------
     grid = Grid3D(SHAPE)
     field = random_field(SHAPE, np.random.default_rng(7))
     cfg = PipelineConfig(teams=2, threads_per_team=2, updates_per_thread=2,
                          block_size=BLOCK, sync=RelaxedSpec(1, 4))
-    res = solve(grid, field, cfg, validate="static")
+    res = solve(grid, field, cfg, validate=True)
     ref = reference_sweeps(grid, field, cfg.total_updates)
     ok = np.array_equal(res.field, ref)
-    print(f"\nvalidate='static' solve bit-identical to reference: {ok}")
+    print(f"\ncertified solve bit-identical to reference: {ok}")
     assert ok
 
 

@@ -2,17 +2,22 @@
 """The serving layer: submit many solves, pay the setup once.
 
 Stands up a :class:`repro.Service`, pushes a stream of jobs through the
-warm procmpi worker pool, and shows the three serving-layer effects:
-setup amortisation (one pair of rank processes serves every job),
-duplicate coalescing, and a bit-identical content-addressed cache hit —
-plus ``config="auto"`` resolving through ``repro.autotune``.
+warm procmpi worker pool, and shows the serving-layer effects: setup
+amortisation (one pair of rank processes serves every job), a
+bit-identical content-addressed cache hit, in memory and from the disk
+tier of a second service, and ``config="auto"`` resolving through
+``repro.autotune``.  A monitored service then reports its health, its
+OpenMetrics exposition and the flight recorder's slowest jobs.
 
 Run:  python examples/serving.py
 """
 
+import tempfile
+
 import numpy as np
 
-from repro import Grid3D, PipelineConfig, RelaxedSpec, Service, SolveJob
+from repro import (Grid3D, PipelineConfig, RelaxedSpec, ResultCache, Service,
+                   SolveJob)
 from repro.grid import random_field
 from repro.kernels import reference_sweeps
 
@@ -63,6 +68,29 @@ def main() -> None:
               f"{st.backend_solves} cache_hits={st.cache_hits} "
               f"coalesced={st.coalesced} sessions_created="
               f"{st.sessions_created} sessions_reused={st.sessions_reused}")
+
+    # --- the disk tier: a second service hits what the first one stored -------
+    with tempfile.TemporaryDirectory() as disk:
+        with Service(workers=1, cache=ResultCache(disk_dir=disk)) as svc:
+            cold = svc.submit(grid, fields[2], cfg).result()
+        with Service(workers=1, cache=ResultCache(disk_dir=disk)) as svc:
+            hit = svc.submit(grid, fields[2], cfg)
+            assert hit.cache_hit and svc.stats.backend_solves == 0
+            assert hit.result().field.tobytes() == cold.field.tobytes()
+    print("disk tier: a second service's hit is bit-identical  ✓")
+
+    # --- monitoring: health, OpenMetrics, the slowest recorded jobs -----------
+    with Service(workers=2, monitor=True, record_traces=8) as svc:
+        for fut in [svc.submit(grid, f, cfg) for f in fields[:4]]:
+            fut.result()
+        health = svc.health()
+        exposition = svc.monitor.openmetrics()
+        worst = svc.monitor.recorder.slowest(3)
+    assert health["status"] == "ok" and len(worst) == 3
+    print(f"health: {health['status']}, {health['counters']['completed']} "
+          f"jobs completed, {len(exposition.splitlines())} OpenMetrics lines")
+    print(f"slowest recorded job: {worst[0].wall_s * 1e3:.1f} ms on "
+          f"{worst[0].worker}, its trace {len(worst[0].trace.spans)} spans")
 
 
 if __name__ == "__main__":

@@ -60,12 +60,7 @@ from .core import (
     StorageError,
     run_pipelined,
 )
-from .api import BACKENDS, map_jobs, solve, submit
-
-#: ``repro.map`` — the ergonomic name for :func:`map_jobs` (shadows the
-#: builtin only inside this namespace; the wrapper itself imports the
-#: serving layer lazily, at call time).
-map = map_jobs
+from .api import BACKENDS, solve
 
 __version__ = "1.15.0"
 
@@ -85,7 +80,6 @@ _DIST_EXPORTS = frozenset({
     "SimMPIError",
     "balanced_grid",
     "distributed_jacobi_pipelined",
-    "distributed_jacobi_sweeps",
     "exchange_plan",
     "fig6_variants",
     "run_procs",
@@ -95,8 +89,6 @@ _DIST_EXPORTS = frozenset({
 #: Symbols re-exported from the serving layer and the autotuner, lazy
 #: too: the autotuner ranks on the machine model and the DES, which no
 #: solve loads (``tests/test_api.py::TestImportFootprint``).
-#: ``submit``/``map`` are *not* here — they come eagerly from
-#: :mod:`repro.api`, whose wrappers import the service at call time.
 _SERVE_EXPORTS = frozenset({
     "Service",
     "ServiceStats",
@@ -186,7 +178,6 @@ __all__ = [
     "SimMPIError",
     "balanced_grid",
     "distributed_jacobi_pipelined",
-    "distributed_jacobi_sweeps",
     "exchange_plan",
     "fig6_variants",
     "run_procs",
@@ -198,10 +189,6 @@ __all__ = [
     "SolveJob",
     "SolveFuture",
     "ResultCache",
-    "submit",
-    # "map" stays a module attribute but out of __all__: star-imports
-    # must not shadow the builtin in the user's namespace.
-    "map_jobs",
     "TuneResult",
     "autotune",
     "ScheduleSpec",

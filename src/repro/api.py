@@ -45,7 +45,7 @@ Backends
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,7 +56,7 @@ from .kernels.stencils import StarStencil
 from .obs.metrics import trace_metrics
 from .obs.tracer import NULL_TRACER, Tracer
 
-__all__ = ["BACKENDS", "solve", "submit", "map_jobs"]
+__all__ = ["BACKENDS", "solve"]
 
 #: Execution backends understood by :func:`solve`.
 BACKENDS = ("shared", "threads", "simmpi", "procmpi")
@@ -82,7 +82,7 @@ def solve(
     backend: str = "shared",
     stencil: Optional[StarStencil] = None,
     engine: Optional[str] = None,
-    validate: Union[bool, str] = True,
+    validate: bool = True,
     trace: bool = False,
 ) -> SolveResult:
     """Advance ``field`` by ``config.total_updates`` levels on ``backend``.
@@ -114,9 +114,8 @@ def solve(
         checker, raises :class:`~repro.analysis.StaticAnalysisError`
         with a witness on an illegal schedule and is memoised per
         geometry per process.  The run itself checks nothing.
-        ``"static"`` is another spelling of ``True``.  ``False`` skips
-        the certificate; the ``threads`` backend is certified by its
-        executor whatever this says.
+        ``False`` skips the certificate; the ``threads`` backend is
+        certified by its executor whatever this says.
     trace:
         ``True`` records an observability trace (:mod:`repro.obs`):
         spans for every pass/block/engine-apply and halo-exchange
@@ -135,9 +134,8 @@ def solve(
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r}; choose from {BACKENDS}")
-    if validate not in (True, False, "static"):
-        raise ValueError(
-            f"validate must be True, False or 'static', got {validate!r}")
+    if validate not in (True, False):
+        raise ValueError(f"validate must be True or False, got {validate!r}")
     topo = _check_topology(topology)
     if backend in ("shared", "threads") and topo != (1, 1, 1):
         raise ValueError(
@@ -170,40 +168,3 @@ def solve(
         result.metrics = trace_metrics(result.trace)
     return result
 
-
-def submit(grid: Grid3D, field: np.ndarray,
-           config: Union[PipelineConfig, str],
-           topology: Optional[Sequence[int]] = None,
-           backend: str = "shared",
-           stencil: Optional[StarStencil] = None,
-           priority: int = 0,
-           engine: Optional[str] = None):
-    """Queue a solve on the process-wide service; returns a future.
-
-    The asynchronous sibling of :func:`solve` — same arguments, plus a
-    scheduling ``priority``, and ``config`` may be ``"auto"`` to let the
-    service autotune the pipeline parameters.  Runs through
-    :mod:`repro.serve`: persistent worker pools (warm procmpi ranks),
-    duplicate coalescing, batching and the content-addressed result
-    cache.  ``future.result()`` returns the identical
-    :class:`~repro.core.pipeline.SolveResult` a direct ``solve`` call
-    would have produced — bit-identical when served from cache.  Since
-    engines of one semantics class are bit-identical, jobs differing
-    only in ``engine`` share one cache entry (exactly like transports).
-    """
-    from .serve import submit as _submit
-
-    return _submit(grid, field, config, topology=topology, backend=backend,
-                   stencil=stencil, priority=priority, engine=engine)
-
-
-def map_jobs(jobs: Iterable, timeout: Optional[float] = None,
-             ) -> List[SolveResult]:
-    """Run many :class:`~repro.serve.SolveJob`\\ s; results in order.
-
-    Exported as ``repro.map``.  Fail-fast: waits for every job, then
-    raises the first failure in submission order.
-    """
-    from .serve import map_jobs as _map_jobs
-
-    return _map_jobs(jobs, timeout=timeout)

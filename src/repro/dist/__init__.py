@@ -12,8 +12,9 @@ Built from five pieces, bottom-up:
   implementations: thread-backed simulated MPI and true multiprocess
   ranks over :mod:`~repro.dist.shm` shared-memory blocks (a real
   ``mpi4py`` adapter slots into the same protocol);
-* :mod:`~repro.dist.solver` — the multi-halo Jacobi and hybrid pipelined
-  solvers, transport-agnostic, returning the unified
+* :mod:`~repro.dist.solver` — the hybrid pipelined solver (the
+  multi-halo scheme is its one-stage config), transport-agnostic,
+  returning the unified
   :class:`~repro.core.pipeline.SolveResult`;
 * :mod:`~repro.dist.cluster_sim` — the Fig. 6 strong/weak cluster
   scaling model on top of the node models and the Hockney network.
@@ -31,7 +32,6 @@ from .solver import (
     SessionPool,
     distributed_jacobi_pipelined,
     drop_warm_pool,
-    distributed_jacobi_sweeps,
 )
 from .cluster_sim import (
     ClusterModel,
@@ -62,7 +62,6 @@ __all__ = [
     "live_segments",
     "SEGMENTS_COUNTER",
     "TRANSPORTS",
-    "distributed_jacobi_sweeps",
     "distributed_jacobi_pipelined",
     "ClusterModel",
     "Fig6Variant",

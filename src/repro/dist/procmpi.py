@@ -293,22 +293,22 @@ def _serve_main(rank: int, links: _Links, task_q: Any,
     """Entry point of one persistent rank process.
 
     Serves a stream of ``("job", job_id, fn, args)`` tasks until the
-    ``("stop",)`` sentinel arrives, or until the parent process dies: an
-    idle rank waits on its task queue and on the parent's sentinel
-    together, so a parent killed outright (``SIGKILL``) leaves no rank
-    behind.  The sentinel alone misses a parent that forked before it
-    died — the forked process inherits the sentinel pipe's write end and
-    holds it open — so the wait also wakes once a second and the rank
-    ends when it has been re-parented (``os.getppid()`` is no longer
-    ``parent_pid``, the PID the parent recorded before starting it, so a
-    parent killed while the rank was still importing is caught too).
+    ``("stop",)`` sentinel arrives, or until the driver (the process
+    that started the world) dies: an idle rank waits on its task queue
+    and on the parent's sentinel together, so a driver killed outright
+    (``SIGKILL``) leaves no rank behind.  The sentinel alone misses a
+    driver that forked before it died — the forked process inherits the
+    sentinel pipe's write end and holds it open.  So the wait also
+    watches a ``pidfd`` of the driver, opened at start (a driver already
+    gone by then is a death too), and wakes once a second to end a rank
+    that has been re-parented (``os.getppid()`` is no longer
+    ``parent_pid``, the PID the driver recorded before starting it).
+    Without ``pidfd`` (outside Linux) only the re-parenting check
+    catches that case, and under ``forkserver`` it cannot: the ranks are
+    the fork server's children (``parent_pid`` is ``None``).
     ``PR_SET_PDEATHSIG`` is not an option: it fires when the *thread*
     that started the rank exits, and sessions are started from worker
-    threads.  Under ``forkserver`` the ranks are children of the fork
-    server, not of the parent process (``parent_pid`` is ``None``), so
-    the re-parenting check only compares against the PID read at start:
-    there a process forked from the parent keeps idle ranks alive until
-    it exits.  A task that raises aborts the world and *ends this
+    threads.  A task that raises aborts the world and *ends this
     process*: a failed world is never reused (crash-only recovery) —
     the owning :class:`ProcWorld` reports the root cause and refuses
     further jobs, and its caller spawns a fresh world.
@@ -323,9 +323,16 @@ def _serve_main(rank: int, links: _Links, task_q: Any,
     parent = os.getppid() if parent_pid is None else parent_pid
     failed = False
     try:
-        while True:
+        # Readable once the driver has exited, whoever holds its sentinel.
+        watch.append(os.pidfd_open(mp.parent_process().pid))
+    except ProcessLookupError:
+        failed = True  # the driver died before this rank started
+    except (AttributeError, OSError):
+        pass  # no pidfd on this platform
+    try:
+        while not failed:
             ready = wait(watch, timeout=1.0)
-            if watch[1] in ready or os.getppid() != parent:
+            if any(w in ready for w in watch[1:]) or os.getppid() != parent:
                 failed = True  # orphaned: nobody drains our queues now
                 break
             if not ready:

@@ -1,23 +1,22 @@
-"""Distributed-memory solvers: multi-halo Jacobi and the hybrid scheme.
+"""Distributed-memory solvers: the hybrid scheme and multi-halo Jacobi.
 
-Two front-ends over *one* per-rank body, both returning the unified
-:class:`~repro.core.pipeline.SolveResult`:
+:func:`distributed_jacobi_pipelined` is the paper's headline hybrid
+(Sect. 2.2): every rank drives the *shared-memory* pipelined executor
+(:class:`~repro.core.executor.PipelineExecutor`) over its trapezoid via
+the executor's ``active_fn`` hook, with ``h = n·t·T`` chosen so one
+executor pass consumes exactly one halo exchange.  Between passes the
+ranks run the 3-phase ghost-cell-expansion exchange of
+:mod:`repro.dist.exchange` over a :class:`~repro.dist.comm.Comm`, and it
+returns the unified :class:`~repro.core.pipeline.SolveResult`.
 
-* :func:`distributed_jacobi_pipelined` — the paper's headline hybrid
-  (Sect. 2.2): every rank drives the *shared-memory* pipelined executor
-  (:class:`~repro.core.executor.PipelineExecutor`) over its trapezoid via
-  the executor's ``active_fn`` hook, with ``h = n·t·T`` chosen so one
-  executor pass consumes exactly one halo exchange.  Between passes the
-  ranks run the 3-phase ghost-cell-expansion exchange of
-  :mod:`repro.dist.exchange` over a :class:`~repro.dist.comm.Comm`.
+The paper's Sect. 2.1 multi-halo scheme (exchange ``h`` ghost layers,
+run ``h`` plain Jacobi updates where update ``s`` covers a region
+``h − s`` layers larger than the core, repeat) is its one-stage,
+``T = h`` case on one untiled block:
+``PipelineConfig(teams=1, threads_per_team=1, updates_per_thread=h,
+passes=supersteps, block_size=grid.shape)``.
 
-* :func:`distributed_jacobi_sweeps` — the paper's Sect. 2.1 scheme in
-  isolation: exchange ``h`` ghost layers, run ``h`` plain Jacobi updates
-  where update ``s`` covers a region ``h − s`` layers larger than the
-  core (the shrinking trapezoid), repeat.  It is the hybrid's one-stage,
-  ``T = h`` case on one untiled block, so it runs the same rank body.
-
-Both run on either **transport**: ``"simmpi"`` executes one thread per
+It runs on either **transport**: ``"simmpi"`` executes one thread per
 rank (:func:`repro.dist.simmpi.run_ranks`), ``"procmpi"`` one OS process
 per rank with the global field, the assembled result and the halo rings
 living in :mod:`multiprocessing.shared_memory` blocks.  Process ranks
@@ -76,7 +75,7 @@ from .shm import ShmArrayHandle, ShmPool, attach_array
 from .simmpi import run_ranks
 
 __all__ = ["TRANSPORTS", "ProcSolverSession", "SessionPool", "drop_warm_pool",
-           "distributed_jacobi_sweeps", "distributed_jacobi_pipelined"]
+           "distributed_jacobi_pipelined"]
 
 Coord = Tuple[int, int, int]
 
@@ -295,8 +294,7 @@ class ProcSolverSession:
     """
 
     def __init__(self, shape: Sequence[int], dtype, proc_grid: Sequence[int],
-                 halo: int, start_method: Optional[str] = None,
-                 timeout: Optional[float] = None) -> None:
+                 halo: int, start_method: Optional[str] = None) -> None:
         self.shape: Coord = tuple(int(s) for s in shape)  # type: ignore[assignment]
         self.dtype = np.dtype(dtype)
         self.halo = int(halo)
@@ -316,10 +314,9 @@ class ProcSolverSession:
                 self.shape, self.dtype)
             self._fout_handle, self._fout = self._pool.create_array(
                 self.shape, self.dtype)
-            kwargs = {} if timeout is None else {"timeout": timeout}
             self._world = ProcWorld(
                 self.decomp.n_ranks, start_method=start_method,
-                pair_bytes=_pair_bytes(plans, self.dtype), **kwargs)
+                pair_bytes=_pair_bytes(plans, self.dtype))
         except BaseException:
             self.close()
             raise
@@ -439,14 +436,10 @@ class SessionPool:
     ``quarantined``) are deterministic for a fixed sequence of solves.
     """
 
-    def __init__(self, max_sessions: int = 2,
-                 start_method: Optional[str] = None,
-                 timeout: Optional[float] = None) -> None:
+    def __init__(self, max_sessions: int = 2) -> None:
         if max_sessions < 1:
             raise ValueError("max_sessions must be >= 1")
         self.max_sessions = max_sessions
-        self.start_method = start_method
-        self.timeout = timeout
         self._idle: List[ProcSolverSession] = []  # LRU order: oldest first
         self._lock = threading.Lock()
         self._closed = False
@@ -463,7 +456,7 @@ class SessionPool:
         """An exclusive session of this geometry (warm if possible)."""
         # Resolved per call: ``REPRO_PROCMPI_START`` may change between
         # solves, and a world started the other way must not serve them.
-        method = self.start_method or default_start_method()
+        method = default_start_method()
         evict: List[ProcSolverSession] = []
         try:
             with self._lock:
@@ -486,7 +479,7 @@ class SessionPool:
         # Build outside the lock too: spawning ranks is the slow part
         # and other callers must keep being served meanwhile.
         session = ProcSolverSession(shape, dtype, topology, halo,
-                                    start_method=method, timeout=self.timeout)
+                                    start_method=method)
         with self._lock:
             session.sid = self._next_sid
             self._next_sid += 1
@@ -631,43 +624,6 @@ def _forget_warm_pool() -> None:
 # children that follows them: idle ranks get their stop message.
 mp_util.Finalize(None, drop_warm_pool, exitpriority=20)
 os.register_at_fork(after_in_child=_forget_warm_pool)
-
-
-# ---------------------------------------------------------------------------
-# Multi-halo Jacobi sweeps (Sect. 2.1 in isolation)
-# ---------------------------------------------------------------------------
-
-def distributed_jacobi_sweeps(
-    grid: Grid3D,
-    field: np.ndarray,
-    proc_grid: Sequence[int],
-    supersteps: int,
-    halo: int,
-    stencil: Optional[StarStencil] = None,
-    transport: str = "simmpi",
-    engine: str = "numpy",
-) -> SolveResult:
-    """``supersteps`` rounds of (h-layer exchange, then h trapezoid sweeps).
-
-    Advances the field by ``supersteps * halo`` time levels, equal to that
-    many plain Jacobi sweeps on the undecomposed domain.  This is the
-    hybrid scheme at its smallest: one stage doing ``T = halo`` updates
-    per pass on one block as large as the domain, so update ``s`` of a
-    superstep covers the core grown by ``halo − s`` layers — the
-    shrinking trapezoid — and each pass drains one exchange.
-    ``transport`` picks thread ranks (``"simmpi"``) or process ranks
-    (``"procmpi"``); ``engine`` picks the kernel-execution engine
-    (bit-identical across engines, so it moves throughput only).
-    """
-    if supersteps < 1:
-        raise ValueError("supersteps must be >= 1")
-    if halo < 1:
-        raise ValueError(f"halo must be >= 1, got {halo}")
-    config = PipelineConfig(teams=1, threads_per_team=1,
-                            updates_per_thread=halo, passes=supersteps,
-                            block_size=grid.shape, engine=engine)
-    return distributed_jacobi_pipelined(grid, field, proc_grid, config,
-                                        stencil=stencil, transport=transport)
 
 
 # ---------------------------------------------------------------------------

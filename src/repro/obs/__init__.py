@@ -21,8 +21,8 @@ able to show exactly that.  Four pieces:
   Perfetto), the flat ``SolveResult.metrics`` dict
   (:func:`trace_metrics`), and a ``python -m repro.obs`` CLI to
   dump/summarize/diff trace files.
-* **Monitor** (:mod:`repro.obs.monitor`) — the *live* half: bounded
-  registry sampling, deterministic SLO histograms, a flight recorder of
+* **Monitor** (:mod:`repro.obs.monitor`) — the *live* half: policy
+  probes, deterministic SLO histograms, a flight recorder of
   recent job traces, straggler detection differential-tested against
   the DES limplock prediction, and OpenMetrics/health exporters wired
   through :class:`repro.serve.Service`.

@@ -4,8 +4,8 @@ Where the rest of :mod:`repro.obs` explains a run *after the fact*
 (traces, metrics dicts, differential reports), this subpackage watches
 the serving layer *while it runs* and feeds policy:
 
-* :class:`Monitor` — periodic, bounded-memory sampling of every
-  attached :class:`~repro.obs.registry.MetricsRegistry` plus
+* :class:`Monitor` — the OpenMetrics view of every attached
+  :class:`~repro.obs.registry.MetricsRegistry`, policy probes, and
   deterministic fixed-bucket latency histograms
   (:class:`FixedHistogram`: p50/p95/p99 on solve wall time and queue
   wait, bit-identical under replay);
@@ -30,7 +30,7 @@ from .export import (
 )
 from .histogram import DEFAULT_LATENCY_BOUNDS, FixedHistogram
 from .recorder import FlightRecord, FlightRecorder
-from .sampling import Ring, Sample, monotime
+from .sampling import monotime
 from .straggler import (
     StragglerDetector,
     StragglerPolicy,
@@ -45,8 +45,6 @@ __all__ = [
     "DEFAULT_LATENCY_BOUNDS",
     "FlightRecord",
     "FlightRecorder",
-    "Ring",
-    "Sample",
     "monotime",
     "StragglerDetector",
     "StragglerPolicy",

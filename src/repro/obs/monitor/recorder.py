@@ -12,11 +12,11 @@ goes to Perfetto through :func:`repro.obs.write_chrome_trace`.
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Deque, List, Optional
 
 from ..tracer import Trace
-from .sampling import Ring
 
 __all__ = ["FlightRecord", "FlightRecorder"]
 
@@ -46,30 +46,32 @@ class FlightRecorder:
     """Keep the last ``capacity`` job traces; memory-bounded by design."""
 
     def __init__(self, capacity: int = 32) -> None:
-        self._ring: Ring = Ring(capacity)
+        if capacity < 1:
+            raise ValueError("recorder capacity must be >= 1")
+        self._records: Deque[FlightRecord] = deque(maxlen=capacity)
         self._seq = 0
         self._lock = threading.Lock()
 
     @property
     def recorded(self) -> int:
         """Total jobs ever recorded (including evicted ones)."""
-        return self._ring.pushed
+        return self._seq
 
     def record(self, label: str, trace: Trace, wall_s: float,
                worker: str = "", key: Optional[str] = None,
                status: str = "ok") -> FlightRecord:
         with self._lock:
-            seq = self._seq
+            rec = FlightRecord(seq=self._seq, label=label, key=key,
+                               wall_s=float(wall_s), worker=worker,
+                               status=status, trace=trace)
             self._seq += 1
-        rec = FlightRecord(seq=seq, label=label, key=key,
-                           wall_s=float(wall_s), worker=worker,
-                           status=status, trace=trace)
-        self._ring.push(rec)
+            self._records.append(rec)
         return rec
 
     def records(self) -> List[FlightRecord]:
         """Retained records, oldest first."""
-        return self._ring.items()
+        with self._lock:
+            return list(self._records)
 
     def slowest(self, n: int = 1) -> List[FlightRecord]:
         """The ``n`` slowest retained jobs, slowest first."""

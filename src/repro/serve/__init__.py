@@ -14,14 +14,14 @@ asks for:
   rank processes and their shared-memory segments alive across jobs;
   thread slots serve ``shared``/``simmpi``;
 * a **scheduler** that shards a priority queue across pool slots,
-  coalesces duplicate in-flight jobs and batches compatible small
-  solves onto one warm slot (:mod:`repro.serve.scheduler`);
+  coalesces duplicate in-flight jobs and pulls compatible small
+  solves forward onto one worker (:mod:`repro.serve.scheduler`);
 * a **content-addressed result cache** — in-memory LRU plus an optional
   on-disk tier, returning bit-identical results on hit
   (:mod:`repro.serve.cache`);
-* a **futures front-end** — :func:`submit`, :func:`map_jobs` and the
-  :class:`Service` context manager (:mod:`repro.serve.service`),
-  re-exported as ``repro.submit`` / ``repro.map``;
+* a **futures front-end** — the :class:`Service` context manager
+  (:mod:`repro.serve.service`): ``with Service() as svc``, then
+  ``svc.submit`` / ``svc.map``;
 * ``config="auto"`` resolution through :func:`repro.autotune`
   (:mod:`repro.serve.autoconf`), which ranks on the machine model and
   so is imported on first use, like the distributed rail: a service
@@ -32,19 +32,7 @@ from .cache import ResultCache
 from .futures import ServeCancelled, SolveFuture, wait_all
 from .job import SolveJob
 from .scheduler import Entry, JobQueue, session_signature
-from .service import (
-    Service,
-    ServiceStats,
-    configure,
-    default_service,
-    map_jobs,
-    shutdown,
-    submit,
-)
-
-#: ``repro.map`` — the ergonomic name; ``map_jobs`` is the same object
-#: for callers who shadowed the builtin.
-map = map_jobs
+from .service import Service, ServiceStats
 
 
 __all__ = [
@@ -58,11 +46,4 @@ __all__ = [
     "session_signature",
     "Service",
     "ServiceStats",
-    "configure",
-    "default_service",
-    "submit",
-    # "map" stays a module attribute but out of __all__: star-imports
-    # must not shadow the builtin in the user's namespace.
-    "map_jobs",
-    "shutdown",
 ]

@@ -11,12 +11,14 @@ Batching
 :meth:`JobQueue.pop_batch` returns not one entry but a **batch**: the
 head-of-queue entry plus any queued *compatible small* jobs — same
 session geometry (backend class, grid shape, dtype, topology, halo) and
-a field below ``batch_bytes`` — up to ``batch_limit``.  A batch runs
-back-to-back on one worker slot, which for the procmpi backend means
-every member reuses the slot's warm :class:`ProcSolverSession` with
-zero per-job setup; that amortisation is the entire point.  Large jobs
-are never batched (they would serialise behind each other for no
-setup saving worth the latency).
+a field below ``batch_bytes`` — up to ``batch_limit``.  Batching pulls
+those compatible small jobs ahead of their queue position and runs them
+one after another on the one worker that popped the batch.  It saves no
+set-up: every procmpi job acquires a warm
+:class:`~repro.dist.solver.ProcSolverSession` from the service's
+:class:`~repro.dist.solver.SessionPool` whether it is batched or not.
+Large jobs are never batched (they would serialise behind each other on
+one worker).
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 :class:`Service` glues the serving layer together::
 
-    with Service(workers=2, cache_dir="benchmarks/results/cache") as svc:
+    cache = ResultCache(disk_dir="benchmarks/results/cache")
+    with Service(workers=2, cache=cache) as svc:
         f1 = svc.submit(grid, field, cfg, topology=(1, 1, 2),
                         backend="procmpi")
         f2 = svc.submit(grid, field, "auto")           # autotuned config
@@ -14,7 +15,7 @@ compute the content key → **cache**? return a completed future without
 touching any backend → **identical job already in flight**? coalesce
 onto it → otherwise queue.  Worker threads pull *batches* of
 compatible jobs (see :mod:`repro.serve.scheduler`) and run each batch
-back-to-back on a warm slot: procmpi jobs check a persistent
+one job after another: procmpi jobs check a persistent
 :class:`~repro.dist.solver.ProcSolverSession` out of the service's own
 :class:`~repro.dist.solver.SessionPool` (rank processes and
 shared-memory segments survive across jobs; the pool is built by the
@@ -35,7 +36,7 @@ without threads.
 
 Monitoring (``monitor=True``) attaches a
 :class:`~repro.obs.monitor.Monitor`: the service's and cache's
-registries are sampled into bounded rings, every completed job feeds
+registries feed its OpenMetrics exposition, every completed job feeds
 the ``serve.queue_wait`` / ``serve.solve_wall`` SLO histograms and the
 straggler detector, and a probe (run at each sample) refreshes gauges,
 **quarantines** sessions the detector flags and **speculatively
@@ -45,20 +46,13 @@ the stuck one and settling is first-completion-wins
 (:class:`~repro.serve.scheduler.Entry` carries the arbitration state;
 only cacheable — content-keyed — jobs participate).
 :meth:`Service.health` exposes the whole picture as one JSON-able dict.
-
-The module-level :func:`submit` / :func:`map_jobs` operate on a shared
-default service (built on first use, reconfigurable via
-:func:`configure`, closed atexit); they are what ``repro.submit`` and
-``repro.map`` re-export.
 """
 
 from __future__ import annotations
 
-import atexit
 import math
 import threading
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence,
                     Tuple, Union)
 
@@ -68,7 +62,7 @@ from ..core.parameters import PipelineConfig
 from ..core.pipeline import SolveResult
 from ..grid.grid3d import Grid3D
 from ..kernels.stencils import StarStencil
-from ..obs.monitor import Monitor, StragglerPolicy
+from ..obs.monitor import Monitor
 from ..obs.registry import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Trace, Tracer
 from .cache import ResultCache, _clone
@@ -78,10 +72,8 @@ from .scheduler import Entry, JobQueue
 
 if TYPE_CHECKING:
     from ..dist.solver import SessionPool
-    from ..machine.topology import MachineSpec
 
-__all__ = ["ServiceStats", "Service", "WALL_HISTOGRAM", "QUEUE_HISTOGRAM",
-           "default_service", "configure", "submit", "map_jobs", "shutdown"]
+__all__ = ["ServiceStats", "Service", "WALL_HISTOGRAM", "QUEUE_HISTOGRAM"]
 
 #: SLO histogram names the service records under (fixed, so dashboards
 #: and the perf gates address them stably).
@@ -112,7 +104,7 @@ class ServiceStats:
     coalesced: int = 0
     #: Jobs whose ``config="auto"`` went through the autotuner.
     auto_resolved: int = 0
-    #: Batches of >1 job that ran back-to-back on one warm slot.
+    #: Batches of >1 job that ran one after another on one worker.
     batches: int = 0
     batched_jobs: int = 0
     #: Actual backend executions (<= submitted, thanks to the above).
@@ -161,68 +153,41 @@ class Service:
     workers:
         Worker threads sharing the queue (pool slots).  ``0`` =
         synchronous mode: jobs queue up until :meth:`drain` runs them on
-        the calling thread.
+        the calling thread.  The service keeps ``max(workers, 1)`` warm
+        procmpi sessions.
     cache:
         ``True`` (default) for an in-memory LRU, ``False`` to disable
-        caching, or a ready :class:`ResultCache` to share one across
+        caching, or a ready :class:`ResultCache` — one with an on-disk
+        tier, ``ResultCache(disk_dir=...)``, or one shared across
         services.
-    cache_entries, cache_dir:
-        LRU capacity and the optional on-disk tier (e.g.
-        ``benchmarks/results/cache/``) for the default-built cache.
-    machine:
-        Machine model the autotuner resolves ``config="auto"`` against
-        (default: the paper's Nehalem EP preset).
-    max_sessions:
-        Warm procmpi sessions kept alive (default: ``max(workers, 1)``).
-    batch_limit, batch_bytes:
-        Batch formation knobs (see :class:`~repro.serve.scheduler.JobQueue`).
-    start_method, comm_timeout:
-        Forwarded to the procmpi sessions.
+    batch_limit:
+        Most jobs in one batch (see :class:`~repro.serve.scheduler.JobQueue`).
     monitor:
         ``True`` to attach a fresh :class:`~repro.obs.monitor.Monitor`,
         or a ready instance to share/inject (e.g. one with a
-        deterministic clock).  Passing ``record_traces`` or
-        ``straggler`` enables monitoring implicitly.
+        deterministic clock or a straggler policy).  Passing
+        ``record_traces`` enables monitoring implicitly.
     record_traces:
         Flight-recorder ring size: keep the merged traces of the last N
         backend executions (0 = off; tracing stays off per job unless
         recording is on).
-    straggler:
-        Detection/quarantine/speculation policy (defaults to
-        :class:`~repro.obs.monitor.StragglerPolicy`).
     """
 
     def __init__(self, workers: int = 2,
                  cache: Union[bool, ResultCache] = True,
-                 cache_entries: int = 128,
-                 cache_dir: Optional[Union[str, Path]] = None,
-                 machine: Optional[MachineSpec] = None,
-                 max_sessions: Optional[int] = None,
                  batch_limit: int = 8,
-                 batch_bytes: int = 4 << 20,
-                 start_method: Optional[str] = None,
-                 comm_timeout: Optional[float] = None,
                  monitor: Union[bool, Monitor] = False,
-                 record_traces: int = 0,
-                 straggler: Optional[StragglerPolicy] = None) -> None:
+                 record_traces: int = 0) -> None:
         if workers < 0:
             raise ValueError("workers must be >= 0")
-        self.machine = machine
         if cache is True:
-            self._cache: Optional[ResultCache] = ResultCache(
-                max_entries=cache_entries, disk_dir=cache_dir)
+            self._cache: Optional[ResultCache] = ResultCache()
         elif cache is False:
             self._cache = None
         else:
             self._cache = cache
-        self._queue = JobQueue(batch_limit=batch_limit,
-                               batch_bytes=batch_bytes)
-        self._pool_args = dict(
-            max_sessions=(max_sessions if max_sessions is not None
-                          else max(workers, 1)),
-            start_method=start_method, timeout=comm_timeout)
-        if self._pool_args["max_sessions"] < 1:
-            raise ValueError("max_sessions must be >= 1")
+        self._queue = JobQueue(batch_limit=batch_limit)
+        self._max_sessions = max(workers, 1)
         self._sessions: Optional[SessionPool] = None
         self._lock = threading.Lock()
         #: One registry for every event counter and gauge of this
@@ -233,10 +198,9 @@ class Service:
         self._baseline = _setup_counters()
         self._closed = False
         self._monitor: Optional[Monitor] = None
-        if monitor or record_traces > 0 or straggler is not None:
+        if monitor or record_traces > 0:
             mon = (monitor if isinstance(monitor, Monitor)
-                   else Monitor(record_traces=record_traces,
-                                policy=straggler))
+                   else Monitor(record_traces=record_traces))
             mon.attach("service", self._metrics)
             if self._cache is not None:
                 mon.attach("cache", self._cache.metrics)
@@ -255,11 +219,6 @@ class Service:
             t.start()
 
     # -- submission --------------------------------------------------------------
-
-    @property
-    def metrics(self) -> MetricsRegistry:
-        """The service's live obs registry (counters and gauges)."""
-        return self._metrics
 
     @property
     def monitor(self) -> Optional[Monitor]:
@@ -389,7 +348,7 @@ class Service:
 
         self._metrics.inc("auto_resolved")
         return job.with_config(
-            auto_config(job.grid, job.topology, machine=self.machine))
+            auto_config(job.grid, job.topology))
 
     def _run_entry(self, entry: Entry) -> None:
         # Claim the waiters under the service lock — coalescing appends
@@ -513,7 +472,7 @@ class Service:
             if self._sessions is None:
                 from ..dist.solver import SessionPool
 
-                self._sessions = SessionPool(**self._pool_args)
+                self._sessions = SessionPool(max_sessions=self._max_sessions)
             return self._sessions
 
     def _pool_info(self) -> Dict[str, Any]:
@@ -521,7 +480,7 @@ class Service:
         procmpi job."""
         if self._sessions is not None:
             return self._sessions.info()
-        return {"max_sessions": self._pool_args["max_sessions"], "idle": [],
+        return {"max_sessions": self._max_sessions, "idle": [],
                 "quarantined_sids": [], "created": 0, "reused": 0,
                 "dropped": 0, "evicted": 0, "quarantined": 0}
 
@@ -678,37 +637,6 @@ class Service:
         self.close()
 
 
-# ---------------------------------------------------------------------------
-# The default service behind repro.submit / repro.map.
-# ---------------------------------------------------------------------------
-
-_default: Optional[Service] = None
-_default_lock = threading.Lock()
-
-
-def default_service() -> Service:
-    """The process-wide service (created on first use)."""
-    global _default
-    with _default_lock:
-        if _default is None or _default._closed:
-            _default = Service()
-        return _default
-
-
-def configure(**kwargs: Any) -> Service:
-    """Replace the default service (closing any previous one).
-
-    Accepts every :class:`Service` constructor argument, e.g.
-    ``repro.serve.configure(workers=4, cache_dir="benchmarks/results/cache")``.
-    """
-    global _default
-    with _default_lock:
-        if _default is not None:
-            _default.close()
-        _default = Service(**kwargs)
-        return _default
-
-
 def with_engine(config: Union[PipelineConfig, str],
                 engine: Optional[str]) -> Union[PipelineConfig, str]:
     """``config`` with ``engine`` (if any) overriding its engine.
@@ -728,34 +656,3 @@ def with_engine(config: Union[PipelineConfig, str],
             "included (engine='auto' is allowed)")
     return config
 
-
-def submit(grid: Grid3D, field: np.ndarray,
-           config: Union[PipelineConfig, str],
-           topology: Optional[Sequence[int]] = None,
-           backend: str = "shared",
-           stencil: Optional[StarStencil] = None,
-           priority: int = 0,
-           engine: Optional[str] = None) -> SolveFuture:
-    """``repro.submit`` — queue one solve on the default service."""
-    with_engine(config, engine)  # refused before the service is built
-    return default_service().submit(grid, field, config, topology=topology,
-                                    backend=backend, stencil=stencil,
-                                    priority=priority, engine=engine)
-
-
-def map_jobs(jobs: Iterable[SolveJob],
-             timeout: Optional[float] = None) -> List[SolveResult]:
-    """``repro.map`` — run many jobs on the default service, in order."""
-    return default_service().map(jobs, timeout=timeout)
-
-
-def shutdown() -> None:
-    """Close the default service (registered atexit; safe to call twice)."""
-    global _default
-    with _default_lock:
-        svc, _default = _default, None
-    if svc is not None:
-        svc.close()
-
-
-atexit.register(shutdown)

@@ -181,8 +181,7 @@ def test_certified_quick_suite_solves_match_reference():
         grid = Grid3D(shape)
         field = random_field(shape, np.random.default_rng(11))
         backend = "simmpi" if topo != (1, 1, 1) else "shared"
-        got = repro.solve(grid, field, cfg, topology=topo,
-                          backend=backend, validate="static")
+        got = repro.solve(grid, field, cfg, topology=topo, backend=backend)
         ref = reference_sweeps(grid, field, cfg.total_updates)
         assert np.array_equal(got.field, ref), name
 
@@ -244,13 +243,13 @@ def test_certified_schedules_run_byte_identical(case):
 
 
 @pytest.mark.parametrize("backend,validate,calls", [
-    ("shared", True, 1), ("shared", False, 0), ("shared", "static", 1),
-    ("threads", True, 1), ("threads", False, 1), ("threads", "static", 1),
+    ("shared", True, 1), ("shared", False, 0),
+    ("threads", True, 1), ("threads", False, 1),
 ])
 def test_each_solve_certifies_at_most_once(backend, validate, calls,
                                            monkeypatch):
     # The threads executor certifies unconditionally and solve(...,
-    # validate=True or "static") certifies on every backend; the verdict
+    # validate=True) certifies on every backend; the verdict
     # memo makes the second certification of one geometry free, so no
     # solve runs the analyzer twice, and a second solve does not run it
     # at all.
@@ -281,17 +280,20 @@ def test_each_solve_certifies_at_most_once(backend, validate, calls,
 
 
 def test_solve_validate_static_rejects_before_running():
+    # validate takes a bool: the retired "static" spelling of True is
+    # refused before anything runs, like any other value.
     grid = Grid3D((16, 16, 16))
     field = random_field(grid.shape, np.random.default_rng(0))
     cfg = PipelineConfig(teams=1, threads_per_team=2,
                          updates_per_thread=1, block_size=(4, 64, 64),
                          sync=RelaxedSpec(1, 2))
     before = field.copy()
-    res = repro.solve(grid, field, cfg, validate="static")
+    res = repro.solve(grid, field, cfg, validate=True)
     assert res.field.shape == field.shape
     assert np.array_equal(field, before)  # input untouched
-    with pytest.raises(ValueError, match="validate"):
-        repro.solve(grid, field, cfg, validate="sometimes")
+    for bad in ("static", "sometimes"):
+        with pytest.raises(ValueError, match="validate"):
+            repro.solve(grid, field, cfg, validate=bad)
 
 
 def test_autotune_prunes_illegal_candidates():
@@ -479,6 +481,23 @@ def test_cli_rejects_illegal_flags():
     proc = run_cli("check-schedule", "--d-l", "0", "--block", "8,64,64")
     assert proc.returncode == 1
     assert "REJECTED" in proc.stdout
+
+
+@pytest.mark.parametrize("shape", ["64,64,64", "64x64x64", "64"])
+def test_cli_certifies_one_config_on_the_given_shape(shape):
+    # README's single-config command: every spelling of --shape reaches
+    # the analysis as the same (z, y, x) triple.
+    proc = run_cli("check-schedule", "--shape", shape, "--threads", "4",
+                   "--d-l", "1", "--d-u", "4")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "on (64, 64, 64):" in proc.stdout
+    assert "1/1 schedule(s) certified" in proc.stdout
+
+
+def test_cli_refuses_a_shape_of_two_axes():
+    proc = run_cli("check-schedule", "--shape", "64,64")
+    assert proc.returncode == 2
+    assert "expected 3 comma/x-separated integers" in proc.stderr
 
 
 def test_cli_lint_clean_tree():

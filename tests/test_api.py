@@ -26,7 +26,7 @@ from repro import (
 from repro.core import make_decomposition
 from repro.core.executor import ExecutionStats
 from repro.dist.decomp import CartesianDecomposition
-from repro.dist.solver import distributed_jacobi_sweeps
+from repro.dist.solver import distributed_jacobi_pipelined
 from repro.grid import random_field
 from repro.kernels import reference_sweeps
 from repro.kernels.jacobi import anisotropic_jacobi, jacobi7
@@ -103,12 +103,12 @@ class TestDispatch:
     @pytest.mark.parametrize("stencil", [jacobi7,
                                          lambda: anisotropic_jacobi(1.0, 2.0, 0.5)],
                              ids=["jacobi7", "anisotropic"])
-    @pytest.mark.parametrize("validate", [True, False, "static"])
+    @pytest.mark.parametrize("validate", [True, False])
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_explicit_stencil_on_every_backend(self, backend, validate,
                                                stencil):
         # Every stencil is radius 1, so the legality gate (solve's for
-        # validate="static", the thread driver's always) never reads it.
+        # validate=True, the thread driver's always) never reads it.
         grid, field, cfg = small_problem()
         st = stencil()
         res = solve(grid, field, cfg, backend=backend, stencil=st,
@@ -116,6 +116,14 @@ class TestDispatch:
         assert res.backend == backend
         ref = reference_sweeps(grid, field, cfg.total_updates, stencil=st)
         assert res.field.tobytes() == ref.tobytes()
+
+    def test_no_exported_name_shadows_a_builtin(self):
+        # ``from repro import *`` leaves ``map``, ``sum`` and the rest of
+        # the builtins alone; the service is reached through ``Service``.
+        import builtins
+
+        assert not set(repro.__all__) & set(dir(builtins))
+        assert not hasattr(repro, "map") and not hasattr(repro, "submit")
 
     @pytest.mark.parametrize("package", _PACKAGES_WITH_ALL)
     def test_every_exported_name_resolves(self, package):
@@ -139,7 +147,8 @@ class TestResultParity:
         assert dist.messages > 0 and dist.bytes_exchanged > 0
 
     def test_sweeps_solver_returns_solve_result(self):
-        # The multi-halo sweeps count every trapezoid cell their ranks
+        # The multi-halo sweeps (Sect. 2.1: the one-stage T = h config on
+        # one domain-sized block) count every trapezoid cell their ranks
         # update: per rank and superstep, |core.grow(h - s) ∩ stored|
         # for s = 1..h, derived from the decomposition alone.
         for shape, topo, supersteps, halo, want in [
@@ -147,8 +156,10 @@ class TestResultParity:
                 ((10, 9, 8), (1, 1, 2), 2, 2, 3240)]:
             grid = Grid3D(shape)
             field = random_field(shape, RNG)
-            res = distributed_jacobi_sweeps(grid, field, topo,
-                                            supersteps=supersteps, halo=halo)
+            cfg = PipelineConfig(teams=1, threads_per_team=1,
+                                 updates_per_thread=halo, passes=supersteps,
+                                 block_size=shape)
+            res = solve(grid, field, cfg, topology=topo, backend="simmpi")
             assert isinstance(res, SolveResult)
             assert res.levels_advanced == supersteps * halo
             assert res.config.n_stages == 1
@@ -162,15 +173,6 @@ class TestResultParity:
                     for s in range(1, halo + 1))
             assert cells == want
             assert res.cells_updated == res.stats.cells_updated == cells
-
-    def test_sweeps_solver_keeps_its_argument_errors(self):
-        grid, field, _ = small_problem()
-        with pytest.raises(ValueError, match="halo must be >= 1"):
-            distributed_jacobi_sweeps(grid, field, (2, 1, 1),
-                                      supersteps=1, halo=0)
-        with pytest.raises(ValueError, match="supersteps must be >= 1"):
-            distributed_jacobi_sweeps(grid, field, (2, 1, 1),
-                                      supersteps=0, halo=2)
 
     def test_stats_aggregated_across_ranks(self):
         grid, field, cfg = small_problem()
@@ -222,24 +224,29 @@ class TestErrorPaths:
         with pytest.raises(ValueError, match="backend"):
             solve(grid, field, cfg, backend="mpi")
 
+    @pytest.mark.parametrize("value", ["static", "True", None, 2])
+    def test_validate_takes_a_bool(self, value):
+        grid, field, cfg = small_problem()
+        with pytest.raises(ValueError, match="validate must be True or False"):
+            solve(grid, field, cfg, validate=value)
+
     def test_backends_constant(self):
         assert set(BACKENDS) == {"shared", "threads", "simmpi", "procmpi"}
 
     def test_unknown_transport_at_solver_level(self):
-        grid, field, _ = small_problem()
+        grid, field, cfg = small_problem()
         with pytest.raises(ValueError, match="transport"):
-            distributed_jacobi_sweeps(grid, field, (2, 1, 1), supersteps=1,
-                                      halo=2, transport="smoke-signals")
+            distributed_jacobi_pipelined(grid, field, (2, 1, 1), cfg,
+                                         transport="smoke-signals")
 
     def test_shared_rejects_nontrivial_topology(self):
         grid, field, cfg = small_problem()
         with pytest.raises(ValueError, match="single-process"):
             solve(grid, field, cfg, topology=(2, 1, 1), backend="shared")
 
-    @pytest.mark.parametrize("validate", [True, "static"])
     @pytest.mark.parametrize("backend", ["shared", "threads"])
     def test_topology_is_refused_before_certification(self, backend,
-                                                      validate, monkeypatch):
+                                                      monkeypatch):
         # The analyzer would refuse this schedule's exchange plan, which
         # a single-process backend never runs: the argument check speaks
         # first and nothing is certified.
@@ -256,8 +263,7 @@ class TestErrorPaths:
                              updates_per_thread=4, block_size=(4, 8, 8),
                              sync=RelaxedSpec(1, 4))
         with pytest.raises(ValueError, match="single-process"):
-            solve(grid, field, cfg, topology=(1, 1, 4), backend=backend,
-                  validate=validate)
+            solve(grid, field, cfg, topology=(1, 1, 4), backend=backend)
         assert calls == []
 
     def test_bad_topology_shape(self):

@@ -29,7 +29,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import repro
 from repro import Grid3D, PipelineConfig, RelaxedSpec, solve
 from repro.engine import (AUTO_ORDER, DEFAULT_ENGINE, NumpyEngine,
                           available_engines, check_engine, engine_semantics,
@@ -262,14 +261,20 @@ class TestAutoThroughApi:
             grid, field, cfg.total_updates).tobytes()
 
     def test_api_submit_auto_resolves(self, deep_stub):
+        from repro.serve import Service
+
         grid, field = _problem()
-        fut = repro.submit(grid, field, _cfg(), engine="auto")
-        assert fut.result(timeout=60).config.engine == "numba-deep"
+        with Service(workers=1) as svc:
+            fut = svc.submit(grid, field, _cfg(), engine="auto")
+            assert fut.result(timeout=60).config.engine == "numba-deep"
 
     def test_concrete_engine_with_auto_config_still_rejected(self):
+        from repro.serve import Service
+
         grid, field = _problem()
-        with pytest.raises(ValueError, match="concrete engine"):
-            repro.submit(grid, field, "auto", engine="numpy")
+        with Service(workers=0) as svc:
+            with pytest.raises(ValueError, match="concrete engine"):
+                svc.submit(grid, field, "auto", engine="numpy")
 
     def test_auto_engine_with_auto_config_is_accepted(
             self, clean_auto_cache):

@@ -28,7 +28,6 @@ import pytest
 from repro import Grid3D, PipelineConfig, RelaxedSpec, solve
 from repro.dist.procmpi import run_procs
 from repro.dist.simmpi import run_ranks
-from repro.dist.solver import distributed_jacobi_sweeps
 from repro.grid import DirichletBoundary, random_field
 from repro.kernels import reference_sweeps
 from repro.kernels.jacobi import anisotropic_jacobi, jacobi5_2d, jacobi7
@@ -146,13 +145,14 @@ class TestRandomizedProblems:
 class TestSweepsSolverTransports:
     @pytest.mark.parametrize("topology", [(2, 1, 1), (2, 2, 1), (2, 2, 2)])
     def test_transports_bit_identical(self, topology):
+        # Sect. 2.1's multi-halo sweeps: the one-stage T = h config.
         grid = Grid3D((12, 12, 12))
         field = random_field(grid.shape, np.random.default_rng(7))
-        sim = distributed_jacobi_sweeps(grid, field, topology,
-                                        supersteps=2, halo=2)
-        proc = distributed_jacobi_sweeps(grid, field, topology,
-                                         supersteps=2, halo=2,
-                                         transport="procmpi")
+        cfg = PipelineConfig(teams=1, threads_per_team=1,
+                             updates_per_thread=2, passes=2,
+                             block_size=grid.shape)
+        sim = solve(grid, field, cfg, topology=topology, backend="simmpi")
+        proc = solve(grid, field, cfg, topology=topology, backend="procmpi")
         ref = reference_sweeps(grid, field, 4)
         assert np.array_equal(sim.field, proc.field)
         assert proc.field.tobytes() == ref.tobytes()

@@ -8,20 +8,28 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import Grid3D, PipelineConfig, RelaxedSpec
+from repro import Grid3D, PipelineConfig, RelaxedSpec, solve
 from repro.dist.decomp import CartesianDecomposition
 from repro.dist.exchange import exchange_plan
 from repro.dist.simmpi import RankComm, SimMPIError, run_ranks
-from repro.dist.solver import (
-    distributed_jacobi_pipelined,
-    distributed_jacobi_sweeps,
-)
+from repro.dist.solver import distributed_jacobi_pipelined
 from repro.engine import numpy_engine
 from repro.grid import DirichletBoundary, boxes_partition, random_field
 from repro.kernels import reference_sweeps
 from repro.kernels.jacobi import anisotropic_jacobi, jacobi5_2d, jacobi7
 
 RNG = np.random.default_rng(5)
+
+
+def multihalo(grid, field, proc_grid, supersteps, halo, stencil=None,
+              transport="simmpi"):
+    """Sect. 2.1's multi-halo sweeps: the one-stage ``T = h`` pipeline
+    on one block as large as the domain, ``supersteps`` passes."""
+    cfg = PipelineConfig(teams=1, threads_per_team=1,
+                         updates_per_thread=halo, passes=supersteps,
+                         block_size=grid.shape)
+    return solve(grid, field, cfg, topology=proc_grid, backend=transport,
+                 stencil=stencil)
 
 
 class TestDecomp:
@@ -87,58 +95,72 @@ class TestSimMPI:
         assert run_ranks(2, fn)[1] == 4.0
 
 
+@pytest.mark.parametrize("transport", ["simmpi", "procmpi"])
 class TestSweepSolver:
+    """Sect. 2.1's multi-halo sweeps on both transports."""
+
     @pytest.mark.parametrize("proc_grid", [(2, 1, 1), (1, 2, 1), (2, 2, 1),
                                            (2, 2, 2)])
-    def test_matches_reference_h2(self, proc_grid):
+    def test_matches_reference_h2(self, proc_grid, transport):
         grid = Grid3D((12, 10, 8))
         field = random_field(grid.shape, RNG)
-        res = distributed_jacobi_sweeps(grid, field, proc_grid,
-                                        supersteps=2, halo=2)
+        res = multihalo(grid, field, proc_grid, supersteps=2, halo=2,
+                        transport=transport)
         ref = reference_sweeps(grid, field, 4)
         assert res.field.tobytes() == ref.tobytes()
 
-    def test_larger_halo(self):
+    def test_larger_halo(self, transport):
         grid = Grid3D((16, 12, 12))
         field = random_field(grid.shape, RNG)
-        res = distributed_jacobi_sweeps(grid, field, (2, 2, 1),
-                                        supersteps=1, halo=4)
+        res = multihalo(grid, field, (2, 2, 1), supersteps=1, halo=4,
+                        transport=transport)
         ref = reference_sweeps(grid, field, 4)
         assert res.field.tobytes() == ref.tobytes()
 
-    def test_corner_data_via_expansion(self):
+    def test_corner_data_via_expansion(self, transport):
         # 2x2x2 grid forces diagonal dependencies through all corners;
         # h=3 over multiple supersteps stresses the 3-phase expansion.
         grid = Grid3D((12, 12, 12))
         field = random_field(grid.shape, RNG)
-        res = distributed_jacobi_sweeps(grid, field, (2, 2, 2),
-                                        supersteps=2, halo=3)
+        res = multihalo(grid, field, (2, 2, 2), supersteps=2, halo=3,
+                        transport=transport)
         ref = reference_sweeps(grid, field, 6)
         assert res.field.tobytes() == ref.tobytes()
 
-    def test_nonzero_boundary(self):
+    def test_nonzero_boundary(self, transport):
         bc = DirichletBoundary(1.0, faces={(0, -1): -2.0, (1, 1): 3.0})
         grid = Grid3D((10, 10, 8), boundary=bc)
         field = random_field(grid.shape, RNG)
-        res = distributed_jacobi_sweeps(grid, field, (2, 2, 1),
-                                        supersteps=2, halo=2)
+        res = multihalo(grid, field, (2, 2, 1), supersteps=2, halo=2,
+                        transport=transport)
         ref = reference_sweeps(grid, field, 4)
         assert res.field.tobytes() == ref.tobytes()
 
-    def test_single_rank_degenerate(self):
+    def test_func_boundary(self, transport):
+        # Each rank evaluates a func boundary at its local coordinates
+        # shifted back to global, so its ghost faces are the global ones.
+        bc = DirichletBoundary(0.5, func=_ramp_boundary)
+        grid = Grid3D((10, 10, 8), boundary=bc)
+        field = random_field(grid.shape, RNG)
+        res = multihalo(grid, field, (2, 1, 2), supersteps=2, halo=2,
+                        transport=transport)
+        ref = reference_sweeps(grid, field, 4)
+        assert res.field.tobytes() == ref.tobytes()
+
+    def test_single_rank_degenerate(self, transport):
         grid = Grid3D((8, 8, 8))
         field = random_field(grid.shape, RNG)
-        res = distributed_jacobi_sweeps(grid, field, (1, 1, 1),
-                                        supersteps=3, halo=2)
+        res = multihalo(grid, field, (1, 1, 1), supersteps=3, halo=2,
+                        transport=transport)
         ref = reference_sweeps(grid, field, 6)
         assert res.field.tobytes() == ref.tobytes()
 
-    def test_halo_thicker_than_core_rejected(self):
+    def test_halo_thicker_than_core_rejected(self, transport):
         grid = Grid3D((8, 8, 8))
         field = random_field(grid.shape, RNG)
         with pytest.raises(ValueError, match="at least h cells"):
-            distributed_jacobi_sweeps(grid, field, (4, 1, 1),
-                                      supersteps=1, halo=4)
+            multihalo(grid, field, (4, 1, 1), supersteps=1, halo=4,
+                      transport=transport)
 
 
 def _ramp_boundary(z, y, x):
@@ -190,9 +212,9 @@ class TestSweepsDifferential:
         grid = Grid3D(shape, boundary=bc)
         field = random_field(shape, np.random.default_rng(seed))
         sten = _DIFF_STENCILS[stencil]()
-        res = distributed_jacobi_sweeps(grid, field, proc_grid,
-                                        supersteps=supersteps, halo=halo,
-                                        stencil=sten, transport=transport)
+        res = multihalo(grid, field, proc_grid,
+                        supersteps=supersteps, halo=halo,
+                        stencil=sten, transport=transport)
         ref = reference_sweeps(grid, field, supersteps * halo, stencil=sten)
         assert res.field.tobytes() == ref.tobytes()
         assert res.levels_advanced == supersteps * halo

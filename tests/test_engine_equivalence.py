@@ -36,7 +36,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import repro
 from repro import Grid3D, PipelineConfig, RelaxedSpec, solve
 from repro.core.storage import TwoGridStorage
 from repro.engine import (
@@ -203,17 +202,17 @@ class TestDistributedBitIdentity:
 
     @pytest.mark.parametrize("engine", NONDEFAULT)
     def test_multi_halo_sweeps_take_an_engine(self, engine):
-        from repro.dist.solver import distributed_jacobi_sweeps
-
+        # Sect. 2.1's multi-halo sweeps: the one-stage T = h config.
         _needs_fork(engine)
         grid, field = _problem((10, 9, 8))
-        ref = distributed_jacobi_sweeps(grid, field, (1, 1, 2),
-                                        supersteps=2, halo=2)
-        got = distributed_jacobi_sweeps(grid, field, (1, 1, 2),
-                                        supersteps=2, halo=2, engine=engine)
-        proc = distributed_jacobi_sweeps(grid, field, (1, 1, 2),
-                                         supersteps=2, halo=2, engine=engine,
-                                         transport="procmpi")
+        cfg = PipelineConfig(teams=1, threads_per_team=1,
+                             updates_per_thread=2, passes=2,
+                             block_size=grid.shape)
+        ref = solve(grid, field, cfg, topology=(1, 1, 2), backend="simmpi")
+        got = solve(grid, field, cfg, topology=(1, 1, 2), backend="simmpi",
+                    engine=engine)
+        proc = solve(grid, field, cfg, topology=(1, 1, 2), backend="procmpi",
+                     engine=engine)
         assert np.array_equal(got.field, ref.field)
         assert np.array_equal(proc.field, ref.field)
 
@@ -275,9 +274,12 @@ class TestServeRoundTrip:
             assert np.array_equal(a.field, b.field)
 
     def test_auto_config_rejects_engine_override(self):
+        from repro.serve import Service
+
         grid, field = _problem()
-        with pytest.raises(ValueError, match="auto"):
-            repro.submit(grid, field, "auto", engine="numpy")
+        with Service(workers=0) as svc:
+            with pytest.raises(ValueError, match="auto"):
+                svc.submit(grid, field, "auto", engine="numpy")
 
 
 # ---------------------------------------------------------------------------

@@ -112,15 +112,15 @@ class TestProcessRail:
         # after the field blocks and halo rings were allocated — must
         # still unwind every segment and process: the warm pool drops
         # the broken session at once, not at the fixture's drop.
-        from repro import Grid3D
-        from repro.dist.solver import distributed_jacobi_sweeps
+        from repro import Grid3D, PipelineConfig, solve
         from repro.grid import DirichletBoundary, random_field
 
         bc = DirichletBoundary(0.0, func=_poison_boundary)
         grid = Grid3D((12, 10, 10), boundary=bc)
         field = random_field(grid.shape, np.random.default_rng(3))
+        cfg = PipelineConfig(teams=1, threads_per_team=1,
+                             updates_per_thread=2, block_size=grid.shape)
         with pytest.raises(RuntimeError, match="poisoned boundary"):
-            distributed_jacobi_sweeps(grid, field, (2, 1, 1), supersteps=1,
-                                      halo=2, transport="procmpi")
+            solve(grid, field, cfg, topology=(2, 1, 1), backend="procmpi")
         assert mp.active_children() == []
         assert live_segments() in (None, [])

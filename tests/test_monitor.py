@@ -2,8 +2,7 @@
 
 The contract under test, per piece:
 
-* **sampling** — rings are bounded and thread-safe; ``monotime`` is the
-  one sanctioned clock;
+* **clock** — ``monotime`` is the one sanctioned clock;
 * **histogram** — fixed buckets make every quantile a pure function of
   the observation sequence (bit-identical under replay and across runs
   with a deterministic clock);
@@ -42,7 +41,6 @@ from repro.obs.monitor import (
     FixedHistogram,
     FlightRecorder,
     Monitor,
-    Ring,
     StragglerDetector,
     StragglerPolicy,
     metric_name,
@@ -89,21 +87,10 @@ def _ticking_clock(step: float = 0.001):
 
 
 # ---------------------------------------------------------------------------
-# Sampling primitives
+# The clock
 # ---------------------------------------------------------------------------
 
-class TestRing:
-    def test_bounded_eviction_keeps_newest(self):
-        ring = Ring(3)
-        for i in range(7):
-            ring.push(i)
-        assert ring.items() == [4, 5, 6]
-        assert ring.pushed == 7
-
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            Ring(0)
-
+class TestClock:
     def test_monotime_is_monotonic(self):
         a, b = monotime(), monotime()
         assert b >= a
@@ -175,26 +162,6 @@ class TestFixedHistogram:
 # ---------------------------------------------------------------------------
 
 class TestMonitor:
-    def test_sample_snapshots_every_source(self):
-        from repro.obs import MetricsRegistry
-
-        mon = Monitor(capacity=4)
-        reg = MetricsRegistry()
-        reg.inc("jobs", 3)
-        mon.attach("svc", reg)
-        out = mon.sample()
-        assert set(out) == {"monitor", "svc"}
-        assert out["svc"].counters["jobs"] == 3
-        assert mon.samples == 1
-        assert len(mon.series("svc")) == 1
-
-    def test_rings_are_bounded_by_capacity(self):
-        mon = Monitor(capacity=3)
-        for _ in range(8):
-            mon.sample()
-        assert len(mon.series("monitor")) == 3
-        assert mon.samples == 8
-
     def test_duplicate_attach_rejected(self):
         from repro.obs import MetricsRegistry
 
@@ -203,19 +170,17 @@ class TestMonitor:
         with pytest.raises(ValueError):
             mon.attach("svc", MetricsRegistry())
 
-    def test_unknown_series_raises(self):
-        with pytest.raises(KeyError):
-            Monitor().series("nope")
-
-    def test_probes_run_before_the_snapshot(self):
+    def test_probes_run_at_every_sample(self):
         from repro.obs import MetricsRegistry
 
         mon = Monitor()
         reg = MetricsRegistry()
         mon.attach("svc", reg)
         mon.add_probe(lambda: reg.inc("probed"))
-        out = mon.sample()
-        assert out["svc"].counters["probed"] == 1
+        mon.sample()
+        mon.sample()
+        assert reg.counter("probed") == 2 and mon.samples == 2
+        assert "repro_svc_probed_total 2" in mon.openmetrics()
 
     def test_observe_feeds_named_histogram(self):
         mon = Monitor()
@@ -224,12 +189,6 @@ class TestMonitor:
         assert mon.observations == 2
         assert mon.histogram("lat").count == 2
         assert [h.name for h in mon.histograms()] == ["lat"]
-
-    def test_injectable_clock_stamps_samples(self):
-        mon = Monitor(clock=_ticking_clock(1.0))
-        s1 = mon.sample()["monitor"]
-        s2 = mon.sample()["monitor"]
-        assert (s1.t, s2.t) == (1.0, 2.0)
 
     def test_openmetrics_exposition_is_valid(self):
         from repro.obs import MetricsRegistry
@@ -263,6 +222,10 @@ class TestFlightRecorder:
         seqs = [r.seq for r in rec.records()]
         assert seqs == [3, 4]
         assert rec.recorded == 5
+
+    def test_capacity_validated(self):
+        with pytest.raises(ValueError):
+            FlightRecorder(capacity=0)
 
     def test_slowest_orders_by_wall_time(self):
         rec = FlightRecorder(capacity=8)
@@ -440,10 +403,10 @@ class TestMonitoredService:
             assert health["monitor"] is None
             assert health["histograms"] == {}
 
-    def test_straggler_param_enables_monitoring_implicitly(self):
-        with Service(workers=0,
-                     straggler=StragglerPolicy(threshold=3.0)) as svc:
-            assert svc.monitor is not None
+    def test_monitor_policy_reaches_the_detector(self):
+        mon = Monitor(policy=StragglerPolicy(threshold=3.0))
+        with Service(workers=0, monitor=mon) as svc:
+            assert svc.monitor is mon
             assert svc.monitor.detector.policy.threshold == 3.0
             assert svc.monitor.recorder is None
 
@@ -649,8 +612,7 @@ class TestLimplockAcceptance:
             release.set()
             return observed.get(timeout=self.WAIT)
 
-        with Service(workers=2, max_sessions=2, batch_limit=1,
-                     monitor=mon) as svc:
+        with Service(workers=2, batch_limit=1, monitor=mon) as svc:
             futures = []
 
             def feed() -> None:

@@ -482,8 +482,9 @@ class TestServiceStatsSnapshot:
             assert before.submitted == 1
             assert after.submitted == 2
             assert after.cache_hits == before.cache_hits + 1
-            assert svc.metrics.counter("submitted") == 2
-            assert svc.metrics.snapshot()["gauges"]["queue_depth"] == 0
+            health = svc.health()
+            assert health["counters"]["submitted"] == 2
+            assert health["gauges"]["queue_depth"] == 0
 
     def test_future_result_metrics_attribute(self):
         from repro.serve import Service

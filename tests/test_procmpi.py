@@ -446,9 +446,10 @@ class TestWarmWorld:
 
     @pytest.mark.parametrize("exit_how,start_method", [
         ("normal", None), ("sigkill", None),
-        ("fork-then-sigkill", "fork"), ("fork-then-sigkill", "spawn")],
+        ("fork-then-sigkill", "fork"), ("fork-then-sigkill", "spawn"),
+        ("fork-then-sigkill", "forkserver")],
         ids=["normal", "sigkill", "fork-then-sigkill-fork",
-             "fork-then-sigkill-spawn"])
+             "fork-then-sigkill-spawn", "fork-then-sigkill-forkserver"])
     def test_no_rank_or_segment_outlives_its_parent(self, exit_how,
                                                     start_method, tmp_path):
         # Idle ranks wait on their parent's sentinel: a parent killed
@@ -456,9 +457,10 @@ class TestWarmWorld:
         # lived on before), and the resource tracker unlinks its
         # segments once the last rank is gone.  A normal exit drops the
         # pool before the interpreter ends.  A child forked before the
-        # kill holds the sentinel's write end (so the ranks must notice
-        # their re-parenting instead) and the resource tracker's pipe
-        # (so the segments go only once it is killed too).
+        # kill holds the sentinel's write end (so the ranks must watch
+        # the parent itself; under forkserver they are not even its
+        # children) and the resource tracker's pipe (so the segments go
+        # only once it is killed too).
         if not Path("/proc").is_dir() or live_segments() is None:
             pytest.skip("needs /proc and /dev/shm")
         if start_method is not None and (
@@ -489,6 +491,8 @@ class TestWarmWorld:
             return leftovers()
 
         survivors = wait_for(lambda: [p for p in ranks if _alive(p)])
+        # The ranks went while the child that held their pipes lived on.
+        assert [c for c in children if not _alive(c)] == []
         for pid in survivors + children:  # leave no orphan behind
             try:
                 os.kill(pid, signal.SIGKILL)

@@ -148,6 +148,26 @@ def test_reproduction_paths_name_files_and_modules_that_exist():
             assert importlib.util.find_spec(cmd[2] + ".__main__"), cmd[2]
 
 
+#: README's trace commands and its single-config schedule check.
+README_COMMANDS = [
+    "-m repro.analysis check-schedule --shape 64,64,64 --threads 4 --d-l 1 "
+    "--d-u 4",
+    "-m repro.obs dump trace_hybrid.json",
+    "-m repro.obs summarize trace_hybrid.json",
+    "-m repro.obs diff trace_multihalo.json trace_hybrid.json",
+]
+
+
+def test_readme_commands_run_in_pass_2_after_the_traces_are_written():
+    commands = [" ".join(c[1:]) for c in reachability._reproduction_paths()]
+    readme = (reachability.ROOT / "README.md").read_text()
+    writer = commands.index(
+        str(reachability.ROOT / "examples" / "cluster_scaling.py"))
+    for cmd in README_COMMANDS:
+        assert f"python {cmd}" in readme, cmd
+        assert commands.index(cmd) > writer, cmd
+
+
 # -- the recorder, in real subprocesses ---------------------------------------
 
 def _region_key(name):

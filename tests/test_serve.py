@@ -629,24 +629,21 @@ class TestService:
         with pytest.raises(RuntimeError, match="closed"):
             svc.submit(grid, field, cfg)
 
-    def test_module_level_front_end(self):
-        import repro.serve as serve
+    @pytest.mark.parametrize("owner,knobs", [
+        ("repro.serve:Service",
+         ["workers", "cache", "batch_limit", "monitor", "record_traces"]),
+        ("repro.dist:SessionPool", ["max_sessions"]),
+        ("repro.obs.monitor:Monitor", ["record_traces", "policy", "clock"])],
+        ids=["Service", "SessionPool", "Monitor"])
+    def test_constructor_knobs(self, owner, knobs):
+        # The serving surface's every knob, by name: a new one is a
+        # deliberate change to this list, not a side effect.
+        import importlib
+        import inspect
 
-        grid, field, cfg = small_problem(n=8)
-        try:
-            fut = repro.submit(grid, field, cfg)
-            res = fut.result(timeout=60)
-            ref = reference_sweeps(grid, field, cfg.total_updates)
-            np.testing.assert_allclose(res.field, ref, rtol=0, atol=1e-13)
-            # repro.submit/map are the api-module wrappers (one public
-            # implementation path, lazily importing the service).
-            assert repro.map is repro.map_jobs is repro.api.map_jobs
-            assert repro.submit is repro.api.submit
-            results = repro.map([SolveJob(grid=grid, field=field,
-                                          config=cfg)])
-            assert np.array_equal(results[0].field, res.field)
-        finally:
-            serve.shutdown()
+        module, name = owner.split(":")
+        cls = getattr(importlib.import_module(module), name)
+        assert list(inspect.signature(cls).parameters) == knobs
 
 
 # ---------------------------------------------------------------------------

@@ -341,7 +341,7 @@ def started(monkeypatch):
 
 
 class TestUnconditionalLegalityGate:
-    @pytest.mark.parametrize("validate", [True, False, "static"])
+    @pytest.mark.parametrize("validate", [True, False])
     def test_refuses_illegal_schedule_any_validate(self, validate, started):
         grid = Grid3D((16, 12, 12))
         field = np.full(grid.shape, 7.0)

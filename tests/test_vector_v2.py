@@ -974,7 +974,8 @@ class TestServeKeys:
         poison = solve(new.grid, new.field + 1.0, new.config)
         ResultCache(disk_dir=tmp_path).put(old_key, poison)
         assert (tmp_path / f"{old_key}.entry").is_file()
-        with Service(workers=0, cache_dir=tmp_path) as svc:
+        with Service(workers=0,
+                     cache=ResultCache(disk_dir=tmp_path)) as svc:
             fut = svc.submit_job(_job())
             svc.drain()
             assert not fut.cache_hit and svc.stats.backend_solves == 1

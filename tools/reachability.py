@@ -5,7 +5,9 @@ reproduction path, or named in ``reachability_allow.txt`` with a reason.
 
 Pass 1 records the functions tier-1 runs, pass 2 the functions the
 reproduction paths run (the examples, the perf suites and reports, the
-analysis and obs CLIs, the wall-clock benchmark's smoke run), each through
+analysis and obs CLIs, among them ``obs dump|summarize|diff`` on the
+traces ``examples/cluster_scaling.py`` writes, the wall-clock
+benchmark's smoke run), each through
 ``recorder/sitecustomize.py``.  A function pass 2 does not reach is flagged,
 as *test-only* if pass 1 reaches it and *never-run* otherwise.  The exit
 code is 1 if a flagged function is not allowlisted, or an allowlist entry
@@ -141,8 +143,14 @@ def _reproduction_paths() -> list:
         perf + ["list"],
         perf + ["run", "--suite", "paper", "--filter", "fig*", "--out", "paper.json",
                 "--no-archive"],
+        ana + ["check-schedule", "--shape", "64,64,64", "--threads", "4",
+               "--d-l", "1", "--d-u", "4"],
         *(ana + ["check-schedule", "--suite", s] for s in ("quick", "paper", "stress")),
         ana + ["lint", str(ROOT / "src")],
+        # The traces examples/cluster_scaling.py wrote above.
+        obs + ["dump", "trace_hybrid.json"],
+        obs + ["summarize", "trace_hybrid.json"],
+        obs + ["diff", "trace_multihalo.json", "trace_hybrid.json"],
         obs + ["monitor", "--jobs", "4", "--openmetrics", "metrics.txt",
                "--health", "health.json", "--check"],
         obs + ["top", "health.json"],
